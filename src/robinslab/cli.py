@@ -354,7 +354,7 @@ def _cmd_picard(config: RunConfig):
             (
                 "uniqueness",
                 lambda: uniqueness_check(
-                    v0, w0, params, c_gs, tol=tol, quad_nodes=disc.quad_nodes
+                    result, v0, w0, params, tol=tol, quad_nodes=disc.quad_nodes
                 ),
             ),
         ]

@@ -25,7 +25,6 @@ __all__ = [
     "Field2",
     "zero_field3",
     "field3_from_profile",
-    "field3_from_coeffs",
     "sobolev_norm",
     "d_z",
     "lateral_values",
@@ -187,10 +186,6 @@ def _require_same_disc(u, v) -> None:
 
 def zero_field3(disc: Discretization) -> SpectralField3:
     return SpectralField3(np.zeros((disc.k_max, disc.k_max, disc.n_z)), disc)
-
-
-def field3_from_coeffs(coeffs: np.ndarray, disc: Discretization) -> SpectralField3:
-    return SpectralField3(coeffs, disc)
 
 
 def field3_from_profile(

@@ -6,15 +6,20 @@ a two-point boundary value problem on [0, l_z]:
     -v'' + mu^2 v = f,   mu = pi*|k|/a,
     v'(0) + beta*v(0) = 0,   v(l_z) = 0.
 
-The wall condition is closed with a centered ghost point, the far end is a
-Dirichlet cap standing in for decay at infinity, and each mode is a banded
-(tridiagonal) direct solve.  Uniqueness fails exactly when beta collides
-with one of the mode rates mu, so admissibility is checked first.
+The wall condition is closed with a centered ghost point, and the far end is
+a Dirichlet cap standing in for decay at infinity, so each mode is a
+tridiagonal system.  An EllipticOperator, built once per (beta, a, disc),
+concatenates every mode's bands into one block-diagonal band (the couplings
+between blocks zeroed) and holds the worst-mode condition estimate; a solve
+is then one banded direct solve over all modes.  Uniqueness fails exactly
+when beta collides with one of the mode rates mu, so admissibility is
+checked first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -26,6 +31,8 @@ from .errors import ResonanceError, SingularSystemError
 __all__ = [
     "AdmissibilityReport",
     "check_admissible",
+    "EllipticOperator",
+    "elliptic_operator",
     "solve_elliptic",
     "interior_residual",
     "calibrate_elliptic_constant",
@@ -80,37 +87,76 @@ def _mode_bands(mu2: float, beta: float, dz: float, n_unknown: int) -> np.ndarra
     return ab
 
 
-_COND_CACHE: dict = {}
+def _condition_estimate(ab: np.ndarray) -> float:
+    """1-norm condition estimate of one mode's banded matrix."""
+    n_unknown = ab.shape[1]
+    # column sums of |A|: ab rows hold (upper, diag, lower) per column
+    norm_a = np.max(np.abs(ab[0]) + np.abs(ab[1]) + np.abs(ab[2]))
+    abt = np.zeros_like(ab)  # transpose swaps the off-diagonal bands
+    abt[1] = ab[1]
+    abt[0, 1:] = ab[2, :-1]
+    abt[2, :-1] = ab[0, 1:]
+    inv = LinearOperator(
+        (n_unknown, n_unknown),
+        matvec=lambda x: solve_banded((1, 1), ab, x),
+        rmatvec=lambda x: solve_banded((1, 1), abt, x),
+    )
+    return float(norm_a * onenormest(inv))
 
 
-def _max_condition_estimate(beta: float, a: float, disc: Discretization) -> tuple:
-    """1-norm condition estimate, worst resolved mode; cached per geometry."""
-    key = (float(beta), float(a), disc)
-    hit = _COND_CACHE.get(key)
-    if hit is not None:
-        return hit
+@dataclass(frozen=True)
+class EllipticOperator:
+    """The Robin-wall inverse for one (beta, a, disc), all modes at once.
+
+    disc            discretization the bands were built for
+    bands           (3, k_max**2 * (n_z - 1)) ab-form band of the
+                    block-diagonal system, modes in (k1, k2) row-major
+                    order, couplings between blocks zeroed
+    condition       1-norm condition estimate of the worst mode
+    condition_mode  the (k1, k2) mode attaining it
+    """
+
+    disc: Discretization
+    bands: np.ndarray
+    condition: float
+    condition_mode: tuple[int, int]
+
+    def solve(self, f: SpectralField3) -> SpectralField3:
+        disc = self.disc
+        if f.disc != disc:
+            raise ValueError("source field lives on a different discretization")
+        n_unknown = disc.n_z - 1
+        rhs = f.coeffs[:, :, :n_unknown].reshape(-1)
+        out = np.zeros_like(f.coeffs)
+        out[:, :, :n_unknown] = solve_banded((1, 1), self.bands, rhs).reshape(
+            disc.k_max, disc.k_max, n_unknown
+        )
+        return f.replace_coeffs(out)
+
+
+@lru_cache(maxsize=8)
+def elliptic_operator(beta: float, a: float, disc: Discretization) -> EllipticOperator:
+    """Operator for one geometry; the last few are kept, since every solve of a run shares one."""
     n_unknown = disc.n_z - 1
     rates = disc.mode_rates(a)
+    # each block leaves its unused corners ab[0, 0] and ab[2, -1] at zero, so
+    # side by side they zero the couplings between neighbouring blocks
+    blocks = [
+        _mode_bands(rates[k1, k2] ** 2, beta, disc.dz, n_unknown)
+        for k1 in range(disc.k_max)
+        for k2 in range(disc.k_max)
+    ]
     worst = (0.0, (1, 1))
     for k1 in range(disc.k_max):
         for k2 in range(k1 + 1):  # mu depends on |k| only; mirror symmetric
-            ab = _mode_bands(rates[k1, k2] ** 2, beta, disc.dz, n_unknown)
-            # column sums of |A|: ab rows hold (upper, diag, lower) per column
-            norm_a = np.max(np.abs(ab[0]) + np.abs(ab[1]) + np.abs(ab[2]))
-            abt = np.zeros_like(ab)  # transpose swaps the off-diagonal bands
-            abt[1] = ab[1]
-            abt[0, 1:] = ab[2, :-1]
-            abt[2, :-1] = ab[0, 1:]
-            inv = LinearOperator(
-                (n_unknown, n_unknown),
-                matvec=lambda x, ab=ab: solve_banded((1, 1), ab, x),
-                rmatvec=lambda x, abt=abt: solve_banded((1, 1), abt, x),
-            )
-            cond = float(norm_a * onenormest(inv))
+            cond = _condition_estimate(blocks[k1 * disc.k_max + k2])
             if cond > worst[0]:
                 worst = (cond, (k1 + 1, k2 + 1))
-    _COND_CACHE[key] = worst
-    return worst
+    bands = np.concatenate(blocks, axis=1)
+    bands.flags.writeable = False
+    return EllipticOperator(
+        disc=disc, bands=bands, condition=worst[0], condition_mode=worst[1]
+    )
 
 
 def solve_elliptic(
@@ -120,7 +166,7 @@ def solve_elliptic(
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> SpectralField3:
-    """Invert -Delta with the Robin wall condition, mode by mode."""
+    """Invert -Delta with the Robin wall condition, all modes in one banded solve."""
     disc = f.disc
     report = check_admissible(beta, disc, a, resonance_tol)
     if not report.admissible:
@@ -129,23 +175,13 @@ def solve_elliptic(
             "(gap below {:g})".format(beta, report.offending_modes, resonance_tol),
             modes=report.offending_modes,
         )
-    cond, cond_mode = _max_condition_estimate(beta, a, disc)
-    if cond > condition_cap:
+    op = elliptic_operator(float(beta), float(a), disc)
+    if op.condition > condition_cap:
         raise SingularSystemError(
-            f"mode {cond_mode} system condition estimate {cond:.3e} exceeds "
-            f"cap {condition_cap:.3e}"
+            f"mode {op.condition_mode} system condition estimate {op.condition:.3e} "
+            f"exceeds cap {condition_cap:.3e}"
         )
-
-    n_unknown = disc.n_z - 1
-    rates = disc.mode_rates(a)
-    out = np.zeros_like(f.coeffs)
-    for k1 in range(disc.k_max):
-        for k2 in range(disc.k_max):
-            ab = _mode_bands(rates[k1, k2] ** 2, beta, disc.dz, n_unknown)
-            out[k1, k2, :n_unknown] = solve_banded(
-                (1, 1), ab, f.coeffs[k1, k2, :n_unknown]
-            )
-    return f.replace_coeffs(out)
+    return op.solve(f)
 
 
 def interior_residual(

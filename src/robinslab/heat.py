@@ -11,8 +11,16 @@ w'(0) + gamma*w(0) = 0.  The solver splits the initial field into
 
 The reconstruction is  w = -(1/gamma) * eta_z + eta + (cross) * e^{-gamma z}
 with eta the auxiliary field; at t = 0 it reproduces w0 up to representation
-error.  A Crank-Nicolson finite-difference oracle provides an independent
-route to the same solution for cross-checks.
+error.  The auxiliary field comes from one bidiagonal banded solve over all
+lateral modes at once.
+
+RobinPropagator exposes this as a public spectral state: the z-sine slab
+modes and the wall moments, each with its per-mode exponential rate, so the
+flow is diagonal and t enters only through exp(rate * t).  Its synthesize
+method maps any such state back to a field; `at` is state_at followed by
+synthesize, and the Duhamel recurrence in picard sums states before one
+synthesis per slice.  A Crank-Nicolson finite-difference oracle provides an
+independent route to the same solution for cross-checks.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct, dst
 from scipy.integrate import simpson
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .domain import (
@@ -91,7 +100,8 @@ def build_transform_bundle(omega0: SpectralField3, gamma: float) -> TransformBun
         c(z_j) = e^{-gamma dz} c(z_{j+1})
                  + (gamma dz / 2) * (f(z_j) + e^{-gamma dz} f(z_{j+1}))
 
-    which is stable and O(n_z).
+    which is stable and O(n_z).  It is one upper-bidiagonal system per
+    lateral mode, solved for all modes in a single banded call.
     """
     disc = omega0.disc
     cross = exp_weighted_moment(omega0, gamma)
@@ -99,11 +109,11 @@ def build_transform_bundle(omega0: SpectralField3, gamma: float) -> TransformBun
 
     decay = np.exp(-gamma * disc.dz)
     half = 0.5 * gamma * disc.dz
-    slab = np.zeros_like(residue)
-    for j in range(disc.n_z - 2, -1, -1):
-        slab[:, :, j] = decay * slab[:, :, j + 1] + half * (
-            residue[:, :, j] + decay * residue[:, :, j + 1]
-        )
+    rhs = np.zeros_like(residue)
+    rhs[:, :, :-1] = half * (residue[:, :, :-1] + decay * residue[:, :, 1:])
+    bands = np.ones((2, disc.n_z))
+    bands[0, 1:] = -decay
+    slab = solve_banded((0, 1), bands, rhs.reshape(-1, disc.n_z).T).T.reshape(residue.shape)
 
     tail = 2.0 * np.exp(-gamma * disc.l_z) * float(np.max(np.abs(omega0.coeffs)))
     return TransformBundle(
@@ -140,17 +150,39 @@ def _z_cosine_eval(coeffs: np.ndarray) -> np.ndarray:
     return dct(packed, type=1, axis=-1)
 
 
+def _wall_slope(c: np.ndarray, dz: float) -> np.ndarray:
+    """One-sided second-order z derivative at the wall z = 0, per lateral mode."""
+    return (-3.0 * c[:, :, 0] + 4.0 * c[:, :, 1] - c[:, :, 2]) / (2.0 * dz)
+
+
 def _compat_ratio(omega0: SpectralField3, gamma: float) -> float:
     c = omega0.coeffs
-    dz = omega0.disc.dz
-    deriv = (-3.0 * c[:, :, 0] + 4.0 * c[:, :, 1] - c[:, :, 2]) / (2.0 * dz)
+    deriv = _wall_slope(c, omega0.disc.dz)
     res = np.sqrt(np.sum((deriv + gamma * c[:, :, 0]) ** 2))
     scale = np.sqrt(np.sum((np.abs(deriv) + np.abs(gamma * c[:, :, 0])) ** 2))
     return float(res / scale) if scale > 0 else 0.0
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class RobinPropagator:
-    """Reusable propagator: one decomposition, evaluation at any t >= 0."""
+    """Reusable propagator: one decomposition, evaluation at any t >= 0.
+
+    Spectral state, read-only:
+
+    slab_modes    z-sine coefficients of the slab part at t = 0,
+                  shape (k_max, k_max, n_z - 2)
+    wall_moments  weighted wall moments at t = 0, shape (k_max, k_max)
+    slab_rates    per-mode rates -nu (mu^2 + zeta^2) of slab_modes
+    wall_rates    per-mode rates nu (gamma^2 - mu^2) of wall_moments
+
+    At time t the state is (slab_modes e^{slab_rates t}, wall_moments
+    e^{wall_rates t}).  The rates depend only on params and disc, so states
+    of propagators sharing both may be combined linearly before synthesize.
+    """
 
     def __init__(
         self,
@@ -168,36 +200,46 @@ class RobinPropagator:
                 stacklevel=3,
             )
         disc = omega0.disc
+        nu, gamma = params.nu, params.gamma
         self.params = params
         self.disc = disc
-        self.bundle = build_transform_bundle(omega0, params.gamma)
-        self._slab_modes = _z_sine_analyze(self.bundle.slab_init.coeffs)
+        self.bundle = build_transform_bundle(omega0, gamma)
         m = np.arange(1, disc.n_z - 1, dtype=float)
         self._zeta = (np.pi * m / disc.l_z)[None, None, :]
         mu = disc.mode_rates(params.a)
-        self._mu2 = (mu * mu)[:, :, None]
-        self._wall_profile = np.exp(-params.gamma * disc.z)
+        mu2 = (mu * mu)[:, :, None]
+        self._wall_profile = np.exp(-gamma * disc.z)
+        self.slab_modes = _readonly(_z_sine_analyze(self.bundle.slab_init.coeffs))
+        self.wall_moments = self.bundle.cross_init.coeffs
+        self.slab_rates = _readonly(-nu * (mu2 + self._zeta**2))
+        self.wall_rates = _readonly(nu * (gamma * gamma - mu2[:, :, 0]))
 
     @property
     def tail_bound(self) -> float:
         return self.bundle.tail_bound
 
-    def at(self, t: float) -> SpectralField3:
+    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(slab modes, wall moments) at time t."""
         if t < 0:
             raise ValueError(f"propagation time must be nonnegative, got {t}")
-        nu, gamma = self.params.nu, self.params.gamma
-        slab_modes = self._slab_modes * np.exp(-nu * (self._mu2 + self._zeta**2) * t)
+        return (
+            self.slab_modes * np.exp(self.slab_rates * t),
+            self.wall_moments * np.exp(self.wall_rates * t),
+        )
+
+    def synthesize(self, slab_modes: np.ndarray, wall_moments: np.ndarray) -> SpectralField3:
+        """Field of a spectral state: slab values, their z derivative and the wall profile."""
         slab_vals = _z_sine_synthesize(slab_modes)
         slab_dz = _z_cosine_eval(slab_modes * self._zeta)
-        cross = self.bundle.cross_init.coeffs * np.exp(
-            nu * (gamma * gamma - self._mu2[:, :, 0]) * t
-        )
         coeffs = (
-            -slab_dz / gamma
+            -slab_dz / self.params.gamma
             + slab_vals
-            + cross[:, :, None] * self._wall_profile
+            + wall_moments[:, :, None] * self._wall_profile
         )
         return SpectralField3(coeffs, self.disc)
+
+    def at(self, t: float) -> SpectralField3:
+        return self.synthesize(*self.state_at(t))
 
 
 def propagate_robin(
@@ -264,9 +306,7 @@ def fd_robin_oracle(
 def boundary_residual(omega: SpectralField3, gamma: float, a: float) -> float:
     """L2 wall norm of the one-sided Robin residual (w_z + gamma w)|_{z=0}."""
     c = omega.coeffs
-    dz = omega.disc.dz
-    deriv = (-3.0 * c[:, :, 0] + 4.0 * c[:, :, 1] - c[:, :, 2]) / (2.0 * dz)
-    res = deriv + gamma * c[:, :, 0]
+    res = _wall_slope(c, omega.disc.dz) + gamma * c[:, :, 0]
     return float(0.5 * a * np.sqrt(np.sum(res * res)))
 
 

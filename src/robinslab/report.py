@@ -29,7 +29,6 @@ __all__ = [
     "load_config",
     "build_field",
     "certificate_to_dict",
-    "certificate_from_dict",
     "write_report",
     "read_report",
     "write_norms_csv",
@@ -316,17 +315,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "margin": cert.margin,
         "details": dict(cert.details),
     }
-
-
-def certificate_from_dict(record: dict) -> Certificate:
-    return Certificate(
-        name=record["name"],
-        measured=float(record["measured"]),
-        bound=float(record["bound"]),
-        passed=bool(record["passed"]),
-        margin=None if record["margin"] is None else float(record["margin"]),
-        details=dict(record["details"]),
-    )
 
 
 def _json_safe(value):

@@ -2,10 +2,9 @@
 
 Every estimate the solver relies on is re-measured at runtime and packed
 into a Certificate with the measured value, the bound it must stay under,
-and the resulting margin.  Calibrated constants get a 1.1x allowance
-(1.05x for the product inequality, whose calibration ensembles are much
-denser), exact inequalities a 1 + 1e-6 float allowance, and convergence
-orders a +-0.2 window.  A failed check never aborts a batch: the suite
+and the resulting margin.  Calibrated constants get a 1.1x allowance,
+exact inequalities a 1 + 1e-6 float allowance, and convergence orders a
++-0.2 window.  A failed check never aborts a batch: the suite
 runner converts exceptions into failed certificates.
 """
 
@@ -36,7 +35,6 @@ __all__ = [
     "gronwall_energy_check",
     "growth_bound_check",
     "elliptic_bound_check",
-    "product_bound_check",
     "contraction_check",
     "apriori_bounds_check",
     "fixed_point_residual_check",
@@ -44,14 +42,12 @@ __all__ = [
     "transform_oracle_certificate",
     "smoothing_check",
     "CALIBRATION_MARGIN",
-    "PRODUCT_MARGIN",
     "EXACT_SLACK",
     "CONTRACTION_BOUND",
     "ORDER_WINDOW",
 ]
 
 CALIBRATION_MARGIN = 1.1
-PRODUCT_MARGIN = 1.05
 EXACT_SLACK = 1.0 + 1e-6
 CONTRACTION_BOUND = 0.55
 ORDER_WINDOW = 0.2
@@ -179,16 +175,6 @@ def elliptic_bound_check(
     )
 
 
-def product_bound_check(
-    ratios, product_constant: float, name: str = "product-inequality"
-) -> Certificate:
-    worst = max((float(r) for r in ratios), default=0.0)
-    return make_certificate(
-        name, worst, PRODUCT_MARGIN * product_constant,
-        product_constant=float(product_constant),
-    )
-
-
 def contraction_check(ratios, name: str = "contraction") -> Certificate:
     worst = max((float(r) for r in ratios), default=0.0)
     return make_certificate(name, worst, CONTRACTION_BOUND, sweeps=len(list(ratios)))
@@ -237,22 +223,20 @@ def fixed_point_residual_check(
 
 
 def uniqueness_check(
+    first: PicardResult,
     v0: SpectralField3,
     w0: SpectralField3,
     params: ModelParams,
-    growth_constant: float,
     tol: float = 1e-8,
     quad_nodes: int = 2,
 ) -> Certificate:
     """Two different initial guesses land on the same fixed point.
 
-    The second guess inflates the constant vorticity slices by 10 percent;
-    both runs share the horizon, so their converged states are comparable
-    slice by slice.
+    first is the main solve from the constant-in-time pair.  The second
+    guess inflates the constant vorticity slices by 10 percent; both runs
+    share the horizon, so their converged states are comparable slice by
+    slice.
     """
-    first = picard_solve(
-        v0, w0, params, growth_constant, tol=tol, quad_nodes=quad_nodes
-    )
     n_t = v0.disc.n_t
     skewed = PicardState(
         t_grid=first.state.t_grid,
@@ -261,8 +245,8 @@ def uniqueness_check(
         iteration_index=0,
     )
     second = picard_solve(
-        v0, w0, params, growth_constant, tol=tol, quad_nodes=quad_nodes,
-        horizon=first.horizon, initial_state=skewed,
+        v0, w0, params, first.horizon.growth_constant, tol=tol,
+        quad_nodes=quad_nodes, horizon=first.horizon, initial_state=skewed,
     )
     gap = x_distance(first.state, second.state, params)
     return make_certificate(

@@ -156,8 +156,8 @@ class TestSolverChecks:
         assert fixed_point_residual_check(res, v0, w0, PARAMS, 1e-8).passed
 
     def test_uniqueness(self, small_run):
-        v0, w0, _ = small_run
-        c = uniqueness_check(v0, w0, PARAMS, 1.0, tol=1e-8)
+        v0, w0, res = small_run
+        c = uniqueness_check(res, v0, w0, PARAMS, tol=1e-8)
         assert c.passed
         assert c.measured <= 1e-7
 
