@@ -5,17 +5,19 @@ Fields vanish on the lateral walls, so the lateral directions are carried
 as sine modes sin(k1*pi*x1/a) * sin(k2*pi*x2/a) with 1 <= k1, k2 <= k_max,
 while z stays a uniform point grid. A 3-d field is therefore a coefficient
 array of shape (k_max, k_max, n_z).
+
+Collocation values and dealiased products go through dense sine matrices
+cached per (k_max, n_pad); Sobolev norms pair each z-derivative profile
+with a lateral weight table cached per (k_max, a, s).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import dst
-from scipy.integrate import trapezoid
 
 __all__ = [
     "MAX_DERIVATIVE_ORDER",
@@ -27,6 +29,7 @@ __all__ = [
     "field3_from_profile",
     "sobolev_norm",
     "d_z",
+    "wall_slope",
     "lateral_values",
     "field_from_lateral_values",
     "pointwise_product",
@@ -204,11 +207,17 @@ def field3_from_profile(
 # z derivatives: second-order centered stencils, one-sided at both ends.
 
 
+def wall_slope(c: np.ndarray, dz: float) -> np.ndarray:
+    """One-sided second-order z derivative at the wall z = 0 (last axis)."""
+    return (-3.0 * c[..., 0] + 4.0 * c[..., 1] - c[..., 2]) / (2.0 * dz)
+
+
 def _dz1(c: np.ndarray, dz: float) -> np.ndarray:
     out = np.empty_like(c)
     out[..., 1:-1] = (c[..., 2:] - c[..., :-2]) / (2.0 * dz)
-    out[..., 0] = (-3.0 * c[..., 0] + 4.0 * c[..., 1] - c[..., 2]) / (2.0 * dz)
-    out[..., -1] = (3.0 * c[..., -1] - 4.0 * c[..., -2] + c[..., -3]) / (2.0 * dz)
+    out[..., 0] = wall_slope(c, dz)
+    # the far end is the wall stencil mirrored: reversed z flips the sign
+    out[..., -1] = -wall_slope(c[..., ::-1], dz)
     return out
 
 
@@ -225,33 +234,24 @@ def _dz2(c: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def _dz_profile(c: np.ndarray, dz: float, order: int) -> np.ndarray:
-    if order == 0:
-        return c
-    if order == 1:
-        return _dz1(c, dz)
-    if order == 2:
-        return _dz2(c, dz)
-    if order == 3:
-        return _dz1(_dz2(c, dz), dz)
-    raise ValueError(f"z-derivative order {order} not supported")
-
-
 def d_z(f: SpectralField3, order: int = 1) -> SpectralField3:
     """z derivative of a field, order 1 or 2."""
     if order not in (1, 2):
         raise ValueError(f"d_z supports orders 1 and 2, got {order}")
     if f.disc.n_z < 4:
         raise ValueError("n_z >= 4 required for one-sided boundary stencils")
-    return f.replace_coeffs(_dz_profile(f.coeffs, f.disc.dz, order))
+    stencil = _dz1 if order == 1 else _dz2
+    return f.replace_coeffs(stencil(f.coeffs, f.disc.dz))
 
 
 # ---------------------------------------------------------------------------
 # Sobolev norms.  Unweighted derivative-sum convention:
 #     ||f||_{H^s}^2 = sum over all multi-indices |alpha| <= s of ||D^alpha f||_{L2}^2
 # Lateral derivatives act mode-wise (sin <-> cos flips preserve the mode's L2
-# weight a/2 per direction); z derivatives use the stencils above; the
-# z integral is trapezoid.
+# weight a/2 per direction), so the lateral part of the sum collapses into a
+# weight table W[r] = sum_{a1 + a2 <= s - r} kx^a1 ky^a2 per mode, with
+# kx = (pi k1/a)^2 and ky = (pi k2/a)^2, paired with the trapezoid integral
+# of the squared r-th z-derivative profile (stencils above).
 
 
 def multi_indices(s: int) -> list[tuple[int, int, int]]:
@@ -265,6 +265,20 @@ def multi_indices(s: int) -> list[tuple[int, int, int]]:
     return out
 
 
+@lru_cache(maxsize=16)
+def _norm_weights(k_max: int, a: float, s: int) -> np.ndarray:
+    """W[r], shape (s + 1, k_max, k_max), times the lateral L2 weight a^2/4."""
+    k = np.arange(1, k_max + 1, dtype=float)
+    kx = (np.pi * k[:, None] / a) ** 2
+    ky = (np.pi * k[None, :] / a) ** 2
+    weights = np.zeros((s + 1, k_max, k_max))
+    for a1, a2, r in multi_indices(s):
+        weights[r] += kx**a1 * ky**a2
+    weights *= 0.25 * a * a
+    weights.flags.writeable = False
+    return weights
+
+
 def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
     """Discrete H^s norm of a field on the box of lateral size a."""
     if int(s) != s or s < 0:
@@ -274,31 +288,57 @@ def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
         raise ValueError(
             f"Sobolev order {s} above supported maximum {MAX_DERIVATIVE_ORDER}"
         )
-    disc = f.disc
-    dz = disc.dz
-    profiles = [f.coeffs]
-    for order in range(1, s + 1):
-        profiles.append(_dz_profile(f.coeffs, dz, order))
-    k = np.arange(1, disc.k_max + 1, dtype=float)
-    kfac1 = (np.pi * k[:, None] / a) ** 2 * np.ones((1, disc.k_max))
-    kfac2 = (np.pi * k[None, :] / a) ** 2 * np.ones((disc.k_max, 1))
-    zints = [trapezoid(p * p, dx=dz, axis=-1) for p in profiles]
+    c, dz = f.coeffs, f.disc.dz
+    profiles = [c]
+    if s >= 1:
+        profiles.append(_dz1(c, dz))
+    if s >= 2:
+        profiles.append(_dz2(c, dz))
+    if s >= 3:
+        profiles.append(_dz1(profiles[2], dz))
+    weights = _norm_weights(f.disc.k_max, float(a), s)
     acc = 0.0
-    for a1, a2, a3 in multi_indices(s):
-        acc += float(np.sum(kfac1**a1 * kfac2**a2 * zints[a3]))
-    return float(np.sqrt(0.25 * a * a * acc))
+    for w_r, p in zip(weights, profiles):
+        q = p * p
+        zint = dz * (q.sum(axis=-1) - 0.5 * (q[..., 0] + q[..., -1]))
+        acc += float(np.sum(w_r * zint))
+    return float(np.sqrt(acc))
 
 
 # ---------------------------------------------------------------------------
 # Lateral collocation transforms and dealiased products.
 #
-# Products are formed on a padded sine-collocation grid (2*k_max + 1 interior
-# points per direction, above the 3/2 minimum) and projected back onto the
-# resolved modes, so no quadratic mode aliases into the kept band.
+# Values live on the interior sine-collocation grid x_j = j a / (m + 1),
+# j = 1..m, per direction.  Synthesis is the dense matrix
+# S[j, k] = sin(pi j k / (m + 1)) of shape (m, k_max); projection onto the
+# resolved band is P = 2/(m + 1) S^T, exact for modes k <= m by discrete
+# sine orthogonality.  Each map contracts the two lateral axes with one
+# matmul apiece.  Products are formed on a padded grid (2*k_max + 1 points
+# per direction, above the 3/2 minimum) and projected back, so no quadratic
+# mode aliases into the kept band.
 
 
 def _pad_points(k_max: int) -> int:
     return 2 * k_max + 1
+
+
+@lru_cache(maxsize=16)
+def _sine_matrices(k_max: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesis S (m, k_max) and projection P (k_max, m) on m points."""
+    j = np.arange(1, m + 1, dtype=float)
+    k = np.arange(1, k_max + 1, dtype=float)
+    synth = np.sin(np.pi * j[:, None] * k[None, :] / (m + 1))
+    proj = (2.0 / (m + 1)) * synth.T
+    synth.flags.writeable = False
+    proj.flags.writeable = False
+    return synth, proj
+
+
+def _contract_lateral(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """mat applied along both lateral axes of arr (shape (n, n, n_z))."""
+    n, _, n_z = arr.shape
+    first = np.matmul(mat, arr.reshape(n, n * n_z)).reshape(mat.shape[0], n, n_z)
+    return np.matmul(mat, first)
 
 
 def lateral_values(f: SpectralField3, n_pad: int | None = None) -> np.ndarray:
@@ -307,17 +347,17 @@ def lateral_values(f: SpectralField3, n_pad: int | None = None) -> np.ndarray:
     m = n_pad if n_pad is not None else _pad_points(disc.k_max)
     if m < disc.k_max:
         raise ValueError("collocation grid smaller than the resolved band")
-    padded = np.zeros((m, m, disc.n_z))
-    padded[: disc.k_max, : disc.k_max, :] = f.coeffs
-    vals = dst(dst(padded, type=1, axis=0), type=1, axis=1) / 4.0
-    return vals
+    synth, _ = _sine_matrices(disc.k_max, m)
+    return _contract_lateral(synth, f.coeffs)
 
 
 def field_from_lateral_values(vals: np.ndarray, disc: Discretization) -> SpectralField3:
     """Project collocation values back onto the resolved sine band."""
     m = vals.shape[0]
-    full = dst(dst(vals, type=1, axis=0), type=1, axis=1) / (m + 1) ** 2
-    return SpectralField3(full[: disc.k_max, : disc.k_max, :], disc)
+    if m < disc.k_max:
+        raise ValueError("collocation grid smaller than the resolved band")
+    _, proj = _sine_matrices(disc.k_max, m)
+    return SpectralField3(_contract_lateral(proj, vals), disc)
 
 
 def pointwise_product(u: SpectralField3, v: SpectralField3) -> SpectralField3:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator, onenormest
 
-from .domain import Discretization, SpectralField3, random_field3, sobolev_norm
+from .domain import Discretization, SpectralField3, d_z, random_field3, sobolev_norm
 from .errors import ResonanceError, SingularSystemError
 
 __all__ = [
@@ -188,11 +188,9 @@ def interior_residual(
     v: SpectralField3, f: SpectralField3, beta: float, a: float
 ) -> float:
     """Max interior residual of -v'' + mu^2 v - f, relative to max|f|."""
-    disc = v.disc
-    h2 = disc.dz**2
-    mu2 = disc.mode_rates(a)[:, :, None] ** 2
+    mu2 = v.disc.mode_rates(a)[:, :, None] ** 2
     vc, fc = v.coeffs, f.coeffs
-    lap = (vc[:, :, 2:] - 2.0 * vc[:, :, 1:-1] + vc[:, :, :-2]) / h2
+    lap = d_z(v, 2).coeffs[:, :, 1:-1]
     res = -lap + mu2 * vc[:, :, 1:-1] - fc[:, :, 1:-1]
     scale = np.max(np.abs(fc))
     if scale == 0.0:

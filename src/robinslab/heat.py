@@ -41,6 +41,7 @@ from .domain import (
     SpectralField3,
     random_field3,
     sobolev_norm,
+    wall_slope,
 )
 from .errors import RobinCompatibilityWarning
 
@@ -150,14 +151,9 @@ def _z_cosine_eval(coeffs: np.ndarray) -> np.ndarray:
     return dct(packed, type=1, axis=-1)
 
 
-def _wall_slope(c: np.ndarray, dz: float) -> np.ndarray:
-    """One-sided second-order z derivative at the wall z = 0, per lateral mode."""
-    return (-3.0 * c[:, :, 0] + 4.0 * c[:, :, 1] - c[:, :, 2]) / (2.0 * dz)
-
-
 def _compat_ratio(omega0: SpectralField3, gamma: float) -> float:
     c = omega0.coeffs
-    deriv = _wall_slope(c, omega0.disc.dz)
+    deriv = wall_slope(c, omega0.disc.dz)
     res = np.sqrt(np.sum((deriv + gamma * c[:, :, 0]) ** 2))
     scale = np.sqrt(np.sum((np.abs(deriv) + np.abs(gamma * c[:, :, 0])) ** 2))
     return float(res / scale) if scale > 0 else 0.0
@@ -306,7 +302,7 @@ def fd_robin_oracle(
 def boundary_residual(omega: SpectralField3, gamma: float, a: float) -> float:
     """L2 wall norm of the one-sided Robin residual (w_z + gamma w)|_{z=0}."""
     c = omega.coeffs
-    res = _wall_slope(c, omega.disc.dz) + gamma * c[:, :, 0]
+    res = wall_slope(c, omega.disc.dz) + gamma * c[:, :, 0]
     return float(0.5 * a * np.sqrt(np.sum(res * res)))
 
 

@@ -233,27 +233,32 @@ def duhamel_apply(
 # --- the iteration map ------------------------------------------------------
 
 
+def _worst_norm(pairs, params: ModelParams) -> float:
+    """Max of ||v||_{H^{s+1}} and ||w||_{H^s} over (v, w) pairs; NaN if any is.
+
+    Python's max can drop a NaN, and a NaN iterate would read as converged.
+    """
+    a, s = params.a, params.s
+    norms = [0.0]
+    for v, w in pairs:
+        norms += [sobolev_norm(v, s + 1, a), sobolev_norm(w, s, a)]
+    return float(np.max(norms))
+
+
 def x_norm(state: PicardState, params: ModelParams) -> float:
     """Slice-wise max of ||v||_{H^{s+1}} and ||w||_{H^s}."""
-    a, s = params.a, params.s
-    worst = 0.0
-    for v, w in zip(state.v_slices, state.omega_slices):
-        worst = max(worst, sobolev_norm(v, s + 1, a), sobolev_norm(w, s, a))
-    return worst
+    return _worst_norm(zip(state.v_slices, state.omega_slices), params)
 
 
 def x_distance(first: PicardState, second: PicardState, params: ModelParams) -> float:
-    a, s = params.a, params.s
-    worst = 0.0
-    for va, wa, vb, wb in zip(
-        first.v_slices, first.omega_slices, second.v_slices, second.omega_slices
-    ):
-        worst = max(
-            worst,
-            sobolev_norm(va - vb, s + 1, a),
-            sobolev_norm(wa - wb, s, a),
+    """x_norm of the slice-wise difference, one slice in memory at a time."""
+    pairs = (
+        (va - vb, wa - wb)
+        for va, wa, vb, wb in zip(
+            first.v_slices, first.omega_slices, second.v_slices, second.omega_slices
         )
-    return worst
+    )
+    return _worst_norm(pairs, params)
 
 
 def picard_step(

@@ -127,6 +127,11 @@ def run_certificates(checks) -> list[Certificate]:
 # --- individual checks ------------------------------------------------------
 
 
+def _worst(values: list[float]) -> float:
+    """Largest value, 0 for none; NaN if any is (Python's max can drop a NaN)."""
+    return float(np.max(values)) if values else 0.0
+
+
 def energy(w: SpectralField3, s: int, a: float) -> float:
     """Squared vorticity norm, the quantity the growth inequality bounds."""
     return sobolev_norm(w, s, a) ** 2
@@ -141,43 +146,41 @@ def gronwall_energy_check(
     if times.shape != energies.shape or times.size < 2:
         raise ValueError("need matching time and energy sequences of length >= 2")
     rate = 4.0 * params.nu * params.gamma**2
-    worst = 0.0
+    ratios = [0.0]
     for t1, t2, e1, e2 in zip(times[:-1], times[1:], energies[:-1], energies[1:]):
         if t2 <= t1:
             raise ValueError("times must be strictly increasing")
         allowed = e1 * math.exp(rate * (t2 - t1))
         if allowed == 0.0:
-            ratio = 0.0 if e2 == 0.0 else math.inf
+            ratios.append(0.0 if e2 == 0.0 else math.inf)
         else:
-            ratio = e2 / allowed
-        worst = max(worst, ratio)
-    return make_certificate(name, worst, EXACT_SLACK, samples=int(times.size))
+            ratios.append(e2 / allowed)
+    return make_certificate(name, _worst(ratios), EXACT_SLACK, samples=int(times.size))
 
 
 def growth_bound_check(
     ratios, growth_constant: float, name: str = "growth-bound"
 ) -> Certificate:
     """Held-out normalized propagation ratios against 1.1x the calibrated constant."""
-    worst = max((float(r) for r in ratios), default=0.0)
+    ratios = [float(r) for r in ratios]
     return make_certificate(
-        name, worst, CALIBRATION_MARGIN * growth_constant,
-        growth_constant=float(growth_constant), samples=len(list(ratios)),
+        name, _worst(ratios), CALIBRATION_MARGIN * growth_constant,
+        growth_constant=float(growth_constant), samples=len(ratios),
     )
 
 
 def elliptic_bound_check(
     ratios, elliptic_constant: float, name: str = "elliptic-bound"
 ) -> Certificate:
-    worst = max((float(r) for r in ratios), default=0.0)
     return make_certificate(
-        name, worst, CALIBRATION_MARGIN * elliptic_constant,
+        name, _worst([float(r) for r in ratios]), CALIBRATION_MARGIN * elliptic_constant,
         elliptic_constant=float(elliptic_constant),
     )
 
 
 def contraction_check(ratios, name: str = "contraction") -> Certificate:
-    worst = max((float(r) for r in ratios), default=0.0)
-    return make_certificate(name, worst, CONTRACTION_BOUND, sweeps=len(list(ratios)))
+    ratios = [float(r) for r in ratios]
+    return make_certificate(name, _worst(ratios), CONTRACTION_BOUND, sweeps=len(ratios))
 
 
 def apriori_bounds_check(
@@ -189,8 +192,8 @@ def apriori_bounds_check(
     """Converged slices inside the two a-priori balls (1.1x allowance)."""
     a, s = params.a, params.s
     h = result.horizon
-    v_worst = max(sobolev_norm(v, s + 1, a) for v in result.state.v_slices)
-    w_worst = max(sobolev_norm(w, s, a) for w in result.state.omega_slices)
+    v_worst = _worst([sobolev_norm(v, s + 1, a) for v in result.state.v_slices])
+    w_worst = _worst([sobolev_norm(w, s, a) for w in result.state.omega_slices])
     v_ball = 2.0 * sobolev_norm(v0, s + 1, a)
     w_ball = (
         h.growth_constant

@@ -191,6 +191,13 @@ class TestCollocation:
         g = field_from_lateral_values(lateral_values(f), disc)
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-13
 
+    def test_grid_smaller_than_band_rejected(self, rng):
+        disc = Discretization(k_max=5, n_z=16, l_z=15.0)
+        with pytest.raises(ValueError):
+            lateral_values(random_field3(disc, rng), 4)
+        with pytest.raises(ValueError):
+            field_from_lateral_values(np.zeros((4, 4, disc.n_z)), disc)
+
     def test_product_matches_loop_based_transform(self):
         """Collocation product agrees with an explicit O(M^2) sine analysis."""
         disc = Discretization(k_max=3, n_z=16, l_z=10.0)

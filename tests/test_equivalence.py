@@ -7,22 +7,40 @@ Each reference below is the earlier algorithm written out in full:
   bundle     the backward exponential-kernel sweep as a Python loop over the
              z grid, against the single bidiagonal banded solve;
   elliptic   one tridiagonal solve_banded per lateral mode, against the one
-             block-diagonal banded solve over all modes.
+             block-diagonal banded solve over all modes;
+  lateral    zero-padded type-1 DSTs along both lateral axes, against the
+             cached dense sine-matrix contractions;
+  norm       the sum over every multi-index of trapezoid integrals, against
+             the per-z-order weight table and closed-form trapezoid;
+  stencils   the z-derivative and residual stencils as separate copies,
+             against the one wall stencil and the one second difference.
 
-The recurrence and the banded sweep reorder floating-point sums, so they
-are held to a tolerance a few hundred ulps wide; the stacked elliptic solve
-runs the same eliminations on each block and must agree bit for bit.
+The recurrence, the banded sweep, the sine matrices and the weight table
+reorder floating-point sums, so they are held to a tolerance a few hundred
+ulps wide; the stacked elliptic solve and the shared stencils run the same
+arithmetic and must agree bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.fft import dst
+from scipy.integrate import simpson, trapezoid
 from scipy.linalg import solve_banded
 
-from robinslab.domain import Discretization, ModelParams, random_field3
-from robinslab.elliptic import solve_elliptic
+from robinslab.domain import (
+    Discretization,
+    ModelParams,
+    SpectralField3,
+    d_z,
+    field_from_lateral_values,
+    lateral_values,
+    multi_indices,
+    random_field3,
+    sobolev_norm,
+)
+from robinslab.elliptic import interior_residual, solve_elliptic
 from robinslab.heat import RobinPropagator, build_transform_bundle
 from robinslab.picard import duhamel_apply
 
@@ -121,3 +139,104 @@ def test_stacked_elliptic_solve_is_bit_identical_to_per_mode(k_max, n_z, beta):
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(k_max * n_z), kind="generic")
     assert np.array_equal(solve_elliptic(f, beta, A).coeffs, elliptic_by_mode(f, beta, A))
+
+
+def lateral_by_dst(coeffs, m):
+    """Zero-pad to (m, m) modes, one type-1 DST per lateral axis."""
+    k_max = coeffs.shape[0]
+    padded = np.zeros((m, m, coeffs.shape[-1]))
+    padded[:k_max, :k_max, :] = coeffs
+    return dst(dst(padded, type=1, axis=0), type=1, axis=1) / 4.0
+
+
+def project_by_dst(vals, k_max):
+    m = vals.shape[0]
+    full = dst(dst(vals, type=1, axis=0), type=1, axis=1) / (m + 1) ** 2
+    return full[:k_max, :k_max, :]
+
+
+def dz_by_stencil(c, dz, order):
+    """Second-order centered z stencils with their own one-sided end rows."""
+    out = np.empty_like(c)
+    if order == 1:
+        out[..., 1:-1] = (c[..., 2:] - c[..., :-2]) / (2.0 * dz)
+        out[..., 0] = (-3.0 * c[..., 0] + 4.0 * c[..., 1] - c[..., 2]) / (2.0 * dz)
+        out[..., -1] = (3.0 * c[..., -1] - 4.0 * c[..., -2] + c[..., -3]) / (2.0 * dz)
+        return out
+    h2 = dz * dz
+    out[..., 1:-1] = (c[..., 2:] - 2.0 * c[..., 1:-1] + c[..., :-2]) / h2
+    out[..., 0] = (2.0 * c[..., 0] - 5.0 * c[..., 1] + 4.0 * c[..., 2] - c[..., 3]) / h2
+    out[..., -1] = (2.0 * c[..., -1] - 5.0 * c[..., -2] + 4.0 * c[..., -3] - c[..., -4]) / h2
+    return out
+
+
+def norm_by_multi_index(f, s, a):
+    """sqrt(a^2/4 sum_alpha kx^a1 ky^a2 trapezoid((d_z^a3 c)^2)) term by term."""
+    disc = f.disc
+    dz = disc.dz
+    profiles = [f.coeffs]
+    if s >= 1:
+        profiles.append(dz_by_stencil(f.coeffs, dz, 1))
+    if s >= 2:
+        profiles.append(dz_by_stencil(f.coeffs, dz, 2))
+    if s >= 3:
+        profiles.append(dz_by_stencil(dz_by_stencil(f.coeffs, dz, 2), dz, 1))
+    k = np.arange(1, disc.k_max + 1, dtype=float)
+    kfac1 = (np.pi * k[:, None] / a) ** 2 * np.ones((1, disc.k_max))
+    kfac2 = (np.pi * k[None, :] / a) ** 2 * np.ones((disc.k_max, 1))
+    zints = [trapezoid(p * p, dx=dz, axis=-1) for p in profiles]
+    acc = 0.0
+    for a1, a2, a3 in multi_indices(s):
+        acc += float(np.sum(kfac1**a1 * kfac2**a2 * zints[a3]))
+    return math.sqrt(0.25 * a * a * acc)
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 8])
+@pytest.mark.parametrize("pad", ["k_max", "2k_max+1", "3k_max"])
+def test_sine_matrices_match_padded_dst(k_max, pad):
+    m = {"k_max": k_max, "2k_max+1": 2 * k_max + 1, "3k_max": 3 * k_max}[pad]
+    disc = Discretization(k_max=k_max, n_z=64, l_z=20.0)
+    gen = np.random.default_rng(100 * k_max + m)
+    f = random_field3(disc, gen, kind="generic")
+    vals = lateral_values(f, m)
+    assert vals.shape == (m, m, disc.n_z)
+    assert relative_gap(vals, lateral_by_dst(f.coeffs, m)) <= 1e-13
+    probe = gen.normal(size=(m, m, disc.n_z))
+    got = field_from_lateral_values(probe, disc).coeffs
+    assert relative_gap(got, project_by_dst(probe, k_max)) <= 1e-13
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 8])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["generic", "vspace"])
+def test_weight_table_norm_matches_multi_index_sum(k_max, s, kind):
+    disc = Discretization(k_max=k_max, n_z=129, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(10 * k_max + s), kind=kind)
+    want = norm_by_multi_index(f, s, A)
+    assert abs(sobolev_norm(f, s, A) - want) <= 1e-13 * want
+
+
+def test_shared_stencils_are_bit_identical_to_their_copies():
+    disc = Discretization(k_max=3, n_z=97, l_z=20.0)
+    gen = np.random.default_rng(97)
+    v = random_field3(disc, gen, kind="generic")
+    f = random_field3(disc, gen, kind="vspace")
+    c, dz = v.coeffs, disc.dz
+    assert np.array_equal(d_z(v, 1).coeffs, dz_by_stencil(c, dz, 1))
+    assert np.array_equal(d_z(v, 2).coeffs, dz_by_stencil(c, dz, 2))
+
+    # interior_residual's former inline Laplacian, h^2 written as dz**2
+    lap = (c[:, :, 2:] - 2.0 * c[:, :, 1:-1] + c[:, :, :-2]) / dz**2
+    assert np.array_equal(d_z(v, 2).coeffs[:, :, 1:-1], lap)
+    mu2 = disc.mode_rates(A)[:, :, None] ** 2
+    res = -lap + mu2 * c[:, :, 1:-1] - f.coeffs[:, :, 1:-1]
+    want = float(np.max(np.abs(res)) / np.max(np.abs(f.coeffs)))
+    assert interior_residual(v, f, PARAMS.beta, A) == want
+    zero = SpectralField3(np.zeros_like(c), disc)
+    assert interior_residual(v, zero, PARAMS.beta, A) == float(
+        np.max(np.abs(-lap + mu2 * c[:, :, 1:-1]))
+    )

@@ -5,6 +5,7 @@ Worked example frozen below: growth constant 2, nu = gamma = 1,
 M = 2e and horizon T = 1/(16e), bound by the data term.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robinslab import picard
 from robinslab.domain import (
     Discretization,
     ModelParams,
+    SpectralField3,
     field3_from_profile,
     pointwise_product,
     random_field3,
@@ -24,6 +27,7 @@ from robinslab.domain import (
 from robinslab.errors import NoConvergenceError, NonFiniteError, SignError
 from robinslab.picard import (
     HorizonSelection,
+    PicardState,
     duhamel_apply,
     horizon_from_norms,
     picard_solve,
@@ -235,6 +239,33 @@ class TestPicardSolve:
         w0 = SpectralField3(bad, disc)
         with pytest.raises(NonFiniteError):
             picard_solve(zero_field3(disc), w0, PARAMS, 1.0)
+
+    def test_nan_slice_propagates_through_the_distance(self):
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
+        zero = zero_field3(disc)
+        nan = SpectralField3(np.full((2, 2, disc.n_z), np.nan), disc)
+        t_grid = np.linspace(0.0, 0.1, disc.n_t)
+        clean = PicardState(t_grid, (zero,) * 5, (zero,) * 5)
+        dirty = PicardState(t_grid, (zero,) * 5, (zero, zero, nan, zero, zero))
+        assert math.isnan(x_norm(dirty, PARAMS))
+        assert math.isnan(x_distance(dirty, clean, PARAMS))
+        assert math.isnan(x_distance(clean, dirty, PARAMS))
+        assert x_distance(clean, clean, PARAMS) == 0.0
+
+    def test_sweep_turning_non_finite_raises(self, monkeypatch):
+        # zero data is its own fixed point, so a NaN lost by the distance
+        # would read as a first sweep that did not move
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
+        nan = SpectralField3(np.full((2, 2, disc.n_z), np.nan), disc)
+        real_step = picard.picard_step
+
+        def poisoned_step(state, *args, **kwargs):
+            new = real_step(state, *args, **kwargs)
+            return dataclasses.replace(new, omega_slices=new.omega_slices[:-1] + (nan,))
+
+        monkeypatch.setattr(picard, "picard_step", poisoned_step)
+        with pytest.raises(NonFiniteError, match="sweep 1"):
+            picard_solve(zero_field3(disc), zero_field3(disc), PARAMS, 1.0)
 
     def test_mismatched_grids_rejected(self, rng):
         d1 = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)

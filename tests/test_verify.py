@@ -6,17 +6,19 @@ E(t) = E(0) e^{4t} (gamma = 2, mu^2 = 2) still passes because the allowance
 grows at e^{16 dt}; anything faster than the allowance must fail.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from robinslab.domain import Discretization, ModelParams, random_field3
+from robinslab.domain import Discretization, ModelParams, SpectralField3, random_field3
 from robinslab.picard import picard_solve
 from robinslab.verify import (
     Certificate,
     contraction_check,
     apriori_bounds_check,
+    elliptic_bound_check,
     energy,
     fixed_point_residual_check,
     gronwall_energy_check,
@@ -132,6 +134,39 @@ class TestBoundsChecks:
         assert contraction_check([0.3, 0.5]).passed
         assert not contraction_check([0.3, 0.6]).passed
         assert contraction_check([]).passed
+
+    def test_iterator_ratios_are_counted(self):
+        c = growth_bound_check(iter([0.9, 1.02, 0.5]), 1.0)
+        assert c.passed and c.measured == 1.02 and c.details["samples"] == 3
+        c = contraction_check(r for r in (0.3, 0.1))
+        assert c.passed and c.measured == 0.3 and c.details["sweeps"] == 2
+
+
+class TestNonFiniteFails:
+    """A NaN anywhere among the measurements fails the certificate."""
+
+    @pytest.mark.parametrize("ratios", [[0.3, math.nan], [math.nan, 0.3], [math.nan]])
+    def test_contraction(self, ratios):
+        c = contraction_check(ratios)
+        assert not c.passed and math.isnan(c.measured)
+
+    def test_growth_and_elliptic_bounds(self):
+        for check in (growth_bound_check, elliptic_bound_check):
+            c = check([0.9, math.nan, 0.5], 1.0)
+            assert not c.passed and math.isnan(c.measured)
+
+    def test_gronwall(self):
+        c = gronwall_energy_check([0.0, 0.5, 1.0], [1.0, 1.0, math.nan], PARAMS)
+        assert not c.passed and math.isnan(c.measured)
+
+    def test_apriori_bounds(self, small_run):
+        v0, w0, res = small_run
+        nan = SpectralField3(np.full_like(v0.coeffs, np.nan), v0.disc)
+        slices = res.state.v_slices
+        state = dataclasses.replace(res.state, v_slices=slices[:2] + (nan,) + slices[3:])
+        certs = apriori_bounds_check(dataclasses.replace(res, state=state), v0, w0, PARAMS)
+        assert [c.passed for c in certs] == [False, True]
+        assert math.isnan(certs[0].measured)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,9 @@
 
 One Picard sweep evaluates the Duhamel term in the propagator's spectral
 state: it builds one propagator for w0 and one per forcing slice, and never
-evaluates a propagator through RobinPropagator.at.  Importing the command
+evaluates a propagator through RobinPropagator.at.  An H^3 norm applies the
+second-difference stencil once and differentiates that profile for order 3
+rather than recomputing it.  Importing the command
 module must not pull in scipy.signal, which costs every command set-up time
 and memory.
 """
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import robinslab
-from robinslab import heat
+from robinslab import domain, heat
 from robinslab.domain import Discretization, ModelParams, random_field3
 from robinslab.picard import PicardState, picard_step
 
@@ -47,6 +49,21 @@ def test_one_sweep_builds_per_slice_and_never_evaluates(monkeypatch):
     assert len(new.omega_slices) == disc.n_t
     assert counts["at"] == 0
     assert 0 < counts["build"] <= disc.n_t + 1
+
+
+def test_h3_norm_applies_the_second_difference_once(monkeypatch):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(3), kind="generic")
+    calls = []
+    real_dz2 = domain._dz2
+
+    def counting_dz2(c, dz):
+        calls.append(c.shape)
+        return real_dz2(c, dz)
+
+    monkeypatch.setattr(domain, "_dz2", counting_dz2)
+    assert domain.sobolev_norm(f, 3, PARAMS.a) > 0.0
+    assert calls == [f.coeffs.shape]
 
 
 def test_importing_the_cli_does_not_load_scipy_signal():
