@@ -13,12 +13,19 @@ Each reference below is the earlier algorithm written out in full:
   norm       the sum over every multi-index of trapezoid integrals, against
              the per-z-order weight table and closed-form trapezoid;
   stencils   the z-derivative and residual stencils as separate copies,
-             against the one wall stencil and the one second difference.
+             against the one wall stencil and the one second difference;
+  oracle     Crank-Nicolson stepping with one factorisation and n_steps
+             tridiagonal solves per lateral mode, against the one
+             block-diagonal factorisation and one solve per step over all
+             modes;
+  Simpson    scipy.integrate.simpson, against the uniform-grid composite
+             Simpson in heat.
 
 The recurrence, the banded sweep, the sine matrices and the weight table
 reorder floating-point sums, so they are held to a tolerance a few hundred
-ulps wide; the stacked elliptic solve and the shared stencils run the same
-arithmetic and must agree bit for bit.
+ulps wide; the stacked elliptic solve, the shared stencils, the batched
+oracle and the in-module Simpson run the same arithmetic and must agree bit
+for bit.
 """
 
 import math
@@ -28,6 +35,7 @@ import pytest
 from scipy.fft import dst
 from scipy.integrate import simpson, trapezoid
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from robinslab.domain import (
     Discretization,
@@ -41,7 +49,13 @@ from robinslab.domain import (
     sobolev_norm,
 )
 from robinslab.elliptic import interior_residual, solve_elliptic
-from robinslab.heat import RobinPropagator, build_transform_bundle
+from robinslab.heat import (
+    RobinPropagator,
+    _simpson,
+    build_transform_bundle,
+    exp_weighted_moment,
+    fd_robin_oracle,
+)
 from robinslab.picard import duhamel_apply
 
 A = math.pi
@@ -240,3 +254,60 @@ def test_shared_stencils_are_bit_identical_to_their_copies():
     assert interior_residual(v, zero, PARAMS.beta, A) == float(
         np.max(np.abs(-lap + mu2 * c[:, :, 1:-1]))
     )
+
+
+def oracle_by_mode(omega0, t, params, n_steps):
+    """Crank-Nicolson with a Robin ghost row: one factorisation and loop per mode."""
+    disc = omega0.disc
+    nu, gamma = params.nu, params.gamma
+    h = disc.dz
+    dt = t / n_steps
+    n_unknown = disc.n_z - 1
+    mu = disc.mode_rates(params.a)
+    if t == 0:
+        return omega0.coeffs.copy()
+    out = np.zeros_like(omega0.coeffs)
+    for k1 in range(disc.k_max):
+        for k2 in range(disc.k_max):
+            mu2 = mu[k1, k2] ** 2
+            diag = np.full(n_unknown, -2.0 / h**2 - mu2)
+            diag[0] = (-2.0 + 2.0 * h * gamma) / h**2 - mu2
+            upper = np.full(n_unknown - 1, 1.0 / h**2)
+            upper[0] = 2.0 / h**2
+            lower = np.full(n_unknown - 1, 1.0 / h**2)
+            c = 0.5 * nu * dt
+            dl, d, du, du2, ipiv, info = dgttrf(-c * lower, 1.0 - c * diag, -c * upper)
+            assert info == 0
+            w = omega0.coeffs[k1, k2, :n_unknown].copy()
+            for _ in range(n_steps):
+                rhs = (1.0 + c * diag) * w
+                rhs[:-1] += c * upper * w[1:]
+                rhs[1:] += c * lower * w[:-1]
+                w, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+                assert info == 0
+            out[k1, k2, :n_unknown] = w
+    return out
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4])
+@pytest.mark.parametrize("n_z", [9, 65, 257, 1024])
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
+def test_batched_oracle_is_bit_identical_to_per_mode(k_max, n_z, gamma):
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+    f = random_field3(disc, np.random.default_rng(k_max * n_z), kind="robin", gamma=gamma)
+    for t, n_steps in ((0.0, 7), (0.3, 1), (0.3, 7), (0.3, 500)):
+        want = oracle_by_mode(f, t, params, n_steps)
+        assert np.array_equal(fd_robin_oracle(f, t, params, n_steps=n_steps).coeffs, want)
+
+
+@pytest.mark.parametrize("n_z", list(range(8, 40)) + [64, 65, 256, 257, 1023, 1024])
+def test_simpson_is_bit_identical_to_scipy(n_z):
+    disc = Discretization(k_max=3, n_z=n_z, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(n_z), kind="generic")
+    weight = np.exp(-2.0 * disc.z)
+    y = f.coeffs * weight
+    assert np.array_equal(_simpson(y, disc.dz), simpson(y, dx=disc.dz, axis=-1))
+    assert _simpson(weight * weight, disc.dz) == simpson(weight * weight, dx=disc.dz)
+    moment = simpson(y, dx=disc.dz, axis=-1) / simpson(weight * weight, dx=disc.dz)
+    assert np.array_equal(exp_weighted_moment(f, 2.0).coeffs, moment)

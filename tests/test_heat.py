@@ -218,6 +218,26 @@ class TestOracleAgreement:
         fd = fd_robin_oracle(w0, 0.0, PARAMS)
         assert np.array_equal(fd.coeffs, w0.coeffs)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_oracle_rejects_a_time_that_is_not_finite(self, t):
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                fd_robin_oracle(eigen_field(disc, PARAMS.gamma), t, PARAMS, n_steps=10)
+
+    @pytest.mark.parametrize("n_steps", [2.0, 2.5, "2", None, True])
+    def test_oracle_rejects_a_step_count_that_is_not_an_integer(self, n_steps):
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0)
+        with pytest.raises(ValueError, match="integer"):
+            fd_robin_oracle(eigen_field(disc, PARAMS.gamma), 0.3, PARAMS, n_steps=n_steps)
+
+    def test_oracle_accepts_a_numpy_integer_step_count(self):
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0)
+        w0 = eigen_field(disc, PARAMS.gamma)
+        got = fd_robin_oracle(w0, 0.3, PARAMS, n_steps=np.int64(10))
+        assert np.array_equal(got.coeffs, fd_robin_oracle(w0, 0.3, PARAMS, n_steps=10).coeffs)
+
     def test_transform_matches_oracle_on_compatible_data(self):
         rng = np.random.default_rng(77)
         errs = []
