@@ -11,6 +11,7 @@ the timing block.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -19,7 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .domain import Discretization, ModelParams, field3_from_profile, random_field3, sobolev_norm
-from .elliptic import calibrate_elliptic_constant, interior_residual, solve_elliptic
+from .elliptic import (
+    calibrate_elliptic_constant,
+    elliptic_ratios,
+    interior_residual,
+    solve_elliptic,
+)
 from .errors import (
     ConfigError,
     NoConvergenceError,
@@ -30,14 +36,13 @@ from .heat import (
     RobinPropagator,
     boundary_residual,
     calibrate_growth_constant,
-    fd_robin_oracle,
-    propagate_robin,
+    growth_ratios,
 )
 from .picard import picard_solve
 from .report import (
+    NORM_COLUMNS,
     RunConfig,
     build_field,
-    certificate_to_dict,
     load_config,
     read_norms_csv,
     read_report,
@@ -46,7 +51,6 @@ from .report import (
     write_snapshot,
 )
 from .verify import (
-    Certificate,
     apriori_bounds_check,
     contraction_check,
     fixed_point_residual_check,
@@ -130,28 +134,20 @@ def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows
             for sweep, n_z, err in convergence_rows:
                 fh.write(f"{sweep},{n_z},{err:.17g}\n")
     if command != "verify":
-        write_norms_csv(out_dir / "norms.csv", *(norms if norms else ([], [], [], [])))
-        report["norm_timeseries"] = (
-            {
-                "t": list(norms[0]),
-                "v_norm_hs1": list(norms[1]),
-                "w_norm_hs": list(norms[2]),
-                "energy": list(norms[3]),
-            }
-            if norms
-            else {"t": [], "v_norm_hs1": [], "w_norm_hs": [], "energy": []}
-        )
+        norms = norms or ([], [], [], [])
+        write_norms_csv(out_dir / "norms.csv", *norms)
+        report["norm_timeseries"] = dict(zip(NORM_COLUMNS, map(list, norms)))
         if snapshots:
             snap_dir = out_dir / "snapshots"
             snap_dir.mkdir(exist_ok=True)
             for stem, field in snapshots.items():
                 write_snapshot(snap_dir / f"{stem}.csv", field)
+    certs = report["certificates"]
+    report["certificates"] = [dataclasses.asdict(c) for c in certs]
     write_report(out_dir / name, report)
-    all_passed = all(c["passed"] for c in report["certificates"])
-    for cert in report["certificates"]:
-        status = "PASS" if cert["passed"] else "FAIL"
-        print(f"{status} {cert['name']}: measured {cert['measured']:.6g} vs bound {cert['bound']:.6g}")
-    return 0 if all_passed else 2
+    for cert in certs:
+        print(cert.describe())
+    return 0 if all(c.passed for c in certs) else 2
 
 
 def _error_budget(config: RunConfig, horizon_T: float | None) -> dict:
@@ -169,71 +165,46 @@ def _error_budget(config: RunConfig, horizon_T: float | None) -> dict:
     return budget
 
 
-def _certs_block(certs: list[Certificate]) -> list[dict]:
-    return [certificate_to_dict(c) for c in certs]
-
-
 # --- calibrate ---------------------------------------------------------------
-
-
-def _held_out_elliptic_ratios(config: RunConfig, size: int) -> list[float]:
-    params, disc = config.params, config.disc
-    rng = np.random.default_rng(config.seed + 2)
-    ratios = []
-    for _ in range(size):
-        f = random_field3(disc, rng, kind="generic")
-        denom = sobolev_norm(f, params.s - 2, params.a)
-        if denom == 0.0:
-            continue
-        v = solve_elliptic(f, params.beta, params.a, config.tolerances.resonance_tol)
-        ratios.append(sobolev_norm(v, params.s, params.a) / denom)
-    return ratios
-
-
-def _held_out_growth_ratios(config: RunConfig, size: int) -> list[float]:
-    params, disc = config.params, config.disc
-    rng = np.random.default_rng(config.seed + 3)
-    rate = params.nu * params.gamma**2
-    ratios = []
-    for _ in range(size):
-        w0 = random_field3(disc, rng, kind="robin", gamma=params.gamma)
-        base = sobolev_norm(w0, params.s, params.a)
-        if base == 0.0:
-            continue
-        prop = RobinPropagator(w0, params, check_compat=False)
-        for t in _CAL_TIMES:
-            grown = sobolev_norm(prop.at(t), params.s, params.a)
-            ratios.append(grown * math.exp(-rate * t) / base)
-    return ratios
 
 
 def _cmd_calibrate(config: RunConfig):
     params, disc = config.params, config.disc
+    tol = config.tolerances.resonance_tol
     c_s = calibrate_elliptic_constant(
-        50, params.s, config.seed, disc, params.a, params.beta
+        50, params.s, config.seed, disc, params.a, params.beta, tol
     )
     c_gs = calibrate_growth_constant(
         50, params.s, (0.0,) + _CAL_TIMES, config.seed + 1, params, disc
     )
+    # held-out ensembles, drawn lazily; each generator closes over its own rng
+    generic_rng = np.random.default_rng(config.seed + 2)
+    generic = (random_field3(disc, generic_rng, kind="generic") for _ in range(50))
+    robin_rng = np.random.default_rng(config.seed + 3)
+    robin = (random_field3(disc, robin_rng, kind="robin", gamma=params.gamma) for _ in range(50))
     certs = run_certificates(
         [
             (
                 "elliptic-held-out",
                 lambda: elliptic_bound_check(
-                    _held_out_elliptic_ratios(config, 50), c_s, name="elliptic-held-out"
+                    elliptic_ratios(generic, params.s, params.a, params.beta, tol),
+                    c_s,
+                    name="elliptic-held-out",
                 ),
             ),
             (
                 "growth-held-out",
                 lambda: growth_bound_check(
-                    _held_out_growth_ratios(config, 50), c_gs, name="growth-held-out"
+                    growth_ratios(robin, _CAL_TIMES, params.s, params),
+                    c_gs,
+                    name="growth-held-out",
                 ),
             ),
         ]
     )
     report = {
         "measured_constants": {"elliptic_constant": c_s, "growth_constant": c_gs},
-        "certificates": _certs_block(certs),
+        "certificates": certs,
     }
     return report, {}
 
@@ -267,7 +238,7 @@ def _cmd_elliptic(config: RunConfig):
     )
     report = {
         "measured_constants": {},
-        "certificates": _certs_block(certs),
+        "certificates": certs,
     }
     return report, {"norms": norms, "snapshots": {"solution": v}}
 
@@ -318,7 +289,7 @@ def _cmd_heat(config: RunConfig):
     norms = (list(t_grid), [0.0] * len(slices), w_norms, energies)
     report = {
         "measured_constants": {"growth_constant": c_gs},
-        "certificates": _certs_block(certs),
+        "certificates": certs,
     }
     return report, {
         "norms": norms,
@@ -365,14 +336,8 @@ def _cmd_picard(config: RunConfig):
     energies = [n * n for n in w_norms]
     report = {
         "measured_constants": {"growth_constant": c_gs},
-        "certificates": _certs_block(certs),
-        "horizon": {
-            "T": h.T,
-            "M": h.M,
-            "growth_constant": h.growth_constant,
-            "binding": h.binding,
-            "constraint_value": h.constraint_value,
-        },
+        "certificates": certs,
+        "horizon": dataclasses.asdict(h),
         "picard": {
             "iterations": result.iterations,
             "converged": result.converged,
@@ -421,11 +386,7 @@ def _cmd_verify(out_dir: Path) -> dict:
     )
     if stored.get("command") == "heat":
         series = read_norms_csv(out_dir / "norms.csv")
-        echo = stored["config"]["params"]
-        params = ModelParams(
-            a=echo["a"], nu=echo["nu"], gamma=echo["gamma"],
-            beta=echo["beta"], s=echo["s"],
-        )
+        params = ModelParams(**stored["config"]["params"])
         certs.append(
             gronwall_energy_check(
                 series["t"], series["energy"], params, name="gronwall-recheck"
@@ -434,7 +395,7 @@ def _cmd_verify(out_dir: Path) -> dict:
     return {
         "command": "verify",
         "source": report_path.name,
-        "certificates": _certs_block(certs),
+        "certificates": certs,
     }
 
 
@@ -472,9 +433,7 @@ def _heat_sweep(config: RunConfig):
     for n_z, n_steps in ((257, 500), (513, 1000)):
         disc = Discretization(k_max=4, n_z=n_z, l_z=20.0)
         f = random_field3(disc, rng, kind="robin", gamma=params.gamma)
-        tr = propagate_robin(f, 0.3, params, check_compat=False)
-        fd = fd_robin_oracle(f, 0.3, params, n_steps=n_steps)
-        err = float(np.max(np.abs(tr.coeffs - fd.coeffs)) / np.max(np.abs(fd.coeffs)))
+        err = transform_oracle_certificate(f, 0.3, params, n_steps=n_steps).measured
         rows.append(("heat-route", n_z, err))
         errors.append(err)
         steps.append(disc.dz)
@@ -492,7 +451,7 @@ def _cmd_convergence(config: RunConfig):
     rows = elliptic_rows + heat_rows
     report = {
         "measured_constants": {},
-        "certificates": _certs_block(elliptic_certs + heat_certs),
+        "certificates": elliptic_certs + heat_certs,
         "convergence_table": [
             {"sweep": sweep, "n_z": n_z, "error": err} for sweep, n_z, err in rows
         ],

@@ -69,10 +69,6 @@ class ModelParams:
             raise ValueError(f"Sobolev index s must be an integer >= 2, got {self.s}")
         object.__setattr__(self, "s", int(self.s))
 
-    def mode_rate(self, k1: int, k2: int) -> float:
-        """Decay rate pi*|k|/a of lateral mode (k1, k2)."""
-        return np.pi * np.hypot(k1, k2) / self.a
-
 
 @dataclass(frozen=True)
 class Discretization:

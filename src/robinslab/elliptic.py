@@ -18,12 +18,14 @@ checked first.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import LinearOperator, onenormest
+from scipy.linalg.lapack import dgtcon, dgttrf
 
 from .domain import Discretization, SpectralField3, d_z, random_field3, sobolev_norm
 from .errors import ResonanceError, SingularSystemError
@@ -31,10 +33,12 @@ from .errors import ResonanceError, SingularSystemError
 __all__ = [
     "AdmissibilityReport",
     "check_admissible",
+    "require_admissible",
     "EllipticOperator",
     "elliptic_operator",
     "solve_elliptic",
     "interior_residual",
+    "elliptic_ratios",
     "calibrate_elliptic_constant",
 ]
 
@@ -75,6 +79,17 @@ def check_admissible(
     )
 
 
+def require_admissible(beta: float, disc: Discretization, a: float, tol: float) -> None:
+    """Raise ResonanceError naming every mode whose rate lies within tol of beta."""
+    report = check_admissible(beta, disc, a, tol)
+    if not report.admissible:
+        raise ResonanceError(
+            "Robin coefficient beta={:.12g} resonates with lateral mode(s) {} "
+            "(gap below {:g})".format(beta, report.offending_modes, tol),
+            modes=report.offending_modes,
+        )
+
+
 def _mode_bands(mu2: float, beta: float, dz: float, n_unknown: int) -> np.ndarray:
     """Banded matrix (ab form) of one mode's two-point problem."""
     h2 = dz * dz
@@ -88,20 +103,14 @@ def _mode_bands(mu2: float, beta: float, dz: float, n_unknown: int) -> np.ndarra
 
 
 def _condition_estimate(ab: np.ndarray) -> float:
-    """1-norm condition estimate of one mode's banded matrix."""
-    n_unknown = ab.shape[1]
+    """1-norm condition estimate of one mode's banded matrix; inf if singular."""
     # column sums of |A|: ab rows hold (upper, diag, lower) per column
     norm_a = np.max(np.abs(ab[0]) + np.abs(ab[1]) + np.abs(ab[2]))
-    abt = np.zeros_like(ab)  # transpose swaps the off-diagonal bands
-    abt[1] = ab[1]
-    abt[0, 1:] = ab[2, :-1]
-    abt[2, :-1] = ab[0, 1:]
-    inv = LinearOperator(
-        (n_unknown, n_unknown),
-        matvec=lambda x: solve_banded((1, 1), ab, x),
-        rmatvec=lambda x: solve_banded((1, 1), abt, x),
-    )
-    return float(norm_a * onenormest(inv))
+    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info > 0:  # an exactly zero pivot
+        return math.inf
+    rcond, _ = dgtcon(dl, d, du, du2, ipiv, norm_a, norm="1")
+    return 1.0 / rcond if rcond > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -167,15 +176,8 @@ def solve_elliptic(
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> SpectralField3:
     """Invert -Delta with the Robin wall condition, all modes in one banded solve."""
-    disc = f.disc
-    report = check_admissible(beta, disc, a, resonance_tol)
-    if not report.admissible:
-        raise ResonanceError(
-            "Robin coefficient beta={:.12g} resonates with lateral mode(s) {} "
-            "(gap below {:g})".format(beta, report.offending_modes, resonance_tol),
-            modes=report.offending_modes,
-        )
-    op = elliptic_operator(float(beta), float(a), disc)
+    require_admissible(beta, f.disc, a, resonance_tol)
+    op = elliptic_operator(float(beta), float(a), f.disc)
     if op.condition > condition_cap:
         raise SingularSystemError(
             f"mode {op.condition_mode} system condition estimate {op.condition:.3e} "
@@ -198,6 +200,26 @@ def interior_residual(
     return float(np.max(np.abs(res)) / scale)
 
 
+def elliptic_ratios(
+    fields: Iterable[SpectralField3],
+    s: int,
+    a: float,
+    beta: float,
+    resonance_tol: float = DEFAULT_RESONANCE_TOL,
+) -> list[float]:
+    """||solve(f)||_{H^s} / ||f||_{H^{s-2}} per field, read lazily; zero fields are skipped."""
+    if s < 2:
+        raise ValueError("calibration needs s >= 2 (ratio uses H^{s-2})")
+    ratios = []
+    for f in fields:
+        denom = sobolev_norm(f, s - 2, a)
+        if denom == 0.0:
+            continue
+        v = solve_elliptic(f, beta, a, resonance_tol)
+        ratios.append(sobolev_norm(v, s, a) / denom)
+    return ratios
+
+
 def calibrate_elliptic_constant(
     ensemble_size: int,
     s: int,
@@ -205,29 +227,14 @@ def calibrate_elliptic_constant(
     disc: Discretization,
     a: float,
     beta: float,
-    fields: list[SpectralField3] | None = None,
+    resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> float:
-    """Max of ||solve(f)||_{H^s} / ||f||_{H^{s-2}} over an ensemble.
-
-    By default the ensemble is seeded random smooth fields; an explicit list
-    of fields replaces it (ensemble_size and seed are then ignored).
-    """
-    if s < 2:
-        raise ValueError("calibration needs s >= 2 (ratio uses H^{s-2})")
-    if fields is None:
-        if ensemble_size < 1:
-            raise ValueError("calibration ensemble must be nonempty")
-        rng = np.random.default_rng(seed)
-        fields = [random_field3(disc, rng, kind="generic") for _ in range(ensemble_size)]
-    elif not fields:
+    """Max of elliptic_ratios over an ensemble of seeded random smooth fields."""
+    if ensemble_size < 1:
         raise ValueError("calibration ensemble must be nonempty")
-    worst = 0.0
-    for f in fields:
-        denom = sobolev_norm(f, s - 2, a)
-        if denom == 0.0:
-            continue
-        v = solve_elliptic(f, beta, a)
-        worst = max(worst, sobolev_norm(v, s, a) / denom)
-    if worst == 0.0:
+    rng = np.random.default_rng(seed)
+    fields = (random_field3(disc, rng, kind="generic") for _ in range(ensemble_size))
+    ratios = elliptic_ratios(fields, s, a, beta, resonance_tol)
+    if not ratios:
         raise ValueError("calibration ensemble produced no usable fields")
-    return worst
+    return float(np.max(ratios))

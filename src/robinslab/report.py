@@ -2,7 +2,8 @@
 
 Config files are flat JSON with nested records; parsing is strict (unknown
 keys are errors) and every range constraint is checked up front, including
-that the z-truncation tail e^{-gamma l_z} fits the tail tolerance.  Reports
+that the z-truncation tail e^{-gamma l_z} fits the tail tolerance and that
+beta stays resonance_tol away from every resolved mode rate.  Reports
 serialize with sorted keys and full float precision so identical runs
 produce byte-identical files; timing lives in its own block, the only part
 excluded from determinism comparisons.
@@ -13,22 +14,22 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .domain import Discretization, ModelParams, SpectralField3, random_field3
+from .elliptic import require_admissible
 from .errors import ConfigError
-from .verify import Certificate
 
 __all__ = [
+    "NORM_COLUMNS",
     "ToleranceSettings",
     "RunConfig",
     "parse_config",
     "load_config",
     "build_field",
-    "certificate_to_dict",
     "write_report",
     "read_report",
     "write_norms_csv",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "{:.17g}"
+# columns of norms.csv, and keys of a report's norm_timeseries
+NORM_COLUMNS = ("t", "v_norm_hs1", "w_norm_hs", "energy")
 
 
 @dataclass(frozen=True)
@@ -69,26 +72,10 @@ class RunConfig:
     def echo(self) -> dict:
         """JSON-ready copy of the effective configuration."""
         out = {
-            "params": {
-                "a": self.params.a,
-                "nu": self.params.nu,
-                "gamma": self.params.gamma,
-                "beta": self.params.beta,
-                "s": self.params.s,
-            },
-            "disc": {
-                "k_max": self.disc.k_max,
-                "n_z": self.disc.n_z,
-                "l_z": self.disc.l_z,
-                "n_t": self.disc.n_t,
-                "quad_nodes": self.disc.quad_nodes,
-            },
+            "params": asdict(self.params),
+            "disc": asdict(self.disc),
             "seed": self.seed,
-            "tolerances": {
-                "resonance_tol": self.tolerances.resonance_tol,
-                "picard_tol": self.tolerances.picard_tol,
-                "tail_tol": self.tolerances.tail_tol,
-            },
+            "tolerances": asdict(self.tolerances),
             "initial_data": {"v": dict(self.initial_v), "w": dict(self.initial_w)},
         }
         constants = {}
@@ -252,6 +239,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
             disc.check_tail(params.gamma, tolerances.tail_tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    require_admissible(params.beta, disc, params.a, tolerances.resonance_tol)
 
     return RunConfig(
         params=params,
@@ -306,17 +294,6 @@ def build_field(
 # --- serialization ----------------------------------------------------------
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "name": cert.name,
-        "measured": cert.measured,
-        "bound": cert.bound,
-        "passed": cert.passed,
-        "margin": cert.margin,
-        "details": dict(cert.details),
-    }
-
-
 def _json_safe(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
@@ -345,7 +322,7 @@ def write_norms_csv(path, times, v_norms, w_norms, energies) -> None:
     rows = zip(times, v_norms, w_norms, energies)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "v_norm_hs1", "w_norm_hs", "energy"])
+        writer.writerow(NORM_COLUMNS)
         for row in rows:
             writer.writerow([_FLOAT_FMT.format(float(x)) for x in row])
 

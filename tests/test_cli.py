@@ -134,14 +134,31 @@ class TestExitCodes:
         ) == 0
 
     def test_resonant_beta_exits_one_naming_mode(self, tmp_path, capsys):
-        path = write_config(tmp_path, params={"beta": math.sqrt(2.0)})
-        code = main(
-            ["--command", "elliptic", "--config", str(path), "--out", str(tmp_path / "run")]
+        resonant = write_config(tmp_path, params={"beta": math.sqrt(2.0)})
+        # beta = 1 lies 0.414 from mode (1, 1)'s rate sqrt(2): inside a 0.5
+        # tolerance, which every command must honour, not only elliptic
+        near = write_config(tmp_path, name="near.json", tolerances={"resonance_tol": 0.5})
+        runs = [("elliptic", resonant)] + [(c, near) for c in ("elliptic", "picard", "calibrate")]
+        for i, (command, path) in enumerate(runs):
+            code = main(
+                ["--command", command, "--config", str(path), "--out", str(tmp_path / f"run{i}")]
+            )
+            captured = capsys.readouterr()
+            assert code == 1, command
+            assert "resonance error" in captured.err
+            assert "(1, 1)" in captured.err
+
+    def test_calibrate_honours_a_finer_resonance_tolerance(self, tmp_path):
+        # 1e-9 from mode (1, 1)'s rate: resonant at the default 1e-8, admissible
+        # at the configured 1e-12, so calibration and held-out check both run
+        path = write_config(
+            tmp_path,
+            params={"beta": math.sqrt(2.0) + 1e-9},
+            tolerances={"resonance_tol": 1e-12},
         )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "resonance error" in captured.err
-        assert "(1, 1)" in captured.err
+        assert main(
+            ["--command", "calibrate", "--config", str(path), "--out", str(tmp_path / "run")]
+        ) == 0
 
     def test_nearby_admissible_beta_succeeds(self, tmp_path):
         path = write_config(tmp_path, params={"beta": math.sqrt(2.0) + 1e-3})

@@ -24,7 +24,10 @@ from robinslab.domain import (
 )
 from robinslab.elliptic import (
     calibrate_elliptic_constant,
+    _condition_estimate,
+    _mode_bands,
     check_admissible,
+    elliptic_ratios,
     interior_residual,
     solve_elliptic,
 )
@@ -174,6 +177,16 @@ class TestSolve:
         with pytest.raises(SingularSystemError):
             solve_elliptic(f, 1.0, A, condition_cap=1.0)
 
+    def test_condition_estimate_matches_dense_one_norm_condition(self):
+        disc = Discretization(k_max=3, n_z=64, l_z=20.0)
+        for mu in disc.mode_rates(A).ravel():
+            ab = _mode_bands(mu**2, 1.0, disc.dz, disc.n_z - 1)
+            dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+            assert _condition_estimate(ab) == pytest.approx(np.linalg.cond(dense, 1), rel=1e-10)
+
+    def test_exactly_singular_band_reads_as_infinite_condition(self):
+        assert _condition_estimate(np.zeros((3, 5))) == math.inf
+
 
 class TestCalibration:
     def test_single_eigenfunction_ensemble_ratio(self):
@@ -182,7 +195,7 @@ class TestCalibration:
         # every derivative factor is 1 -> sqrt(#multi-indices) = sqrt(10).
         disc = Discretization(k_max=2, n_z=1025, l_z=30.0)
         f = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
-        c = calibrate_elliptic_constant(0, 2, 0, disc, A, 1.0, fields=[f])
+        (c,) = elliptic_ratios([f], 2, A, 1.0)
         assert c == pytest.approx(math.sqrt(10.0), rel=5e-3)
 
     def test_seed_reproducibility(self):
@@ -206,5 +219,6 @@ class TestCalibration:
         disc = Discretization(k_max=2, n_z=64, l_z=20.0)
         with pytest.raises(ValueError):
             calibrate_elliptic_constant(0, 2, 0, disc, A, 1.0)
-        with pytest.raises(ValueError):
-            calibrate_elliptic_constant(0, 2, 0, disc, A, 1.0, fields=[])
+        # an empty ensemble, or one of zero fields only, yields no ratio at all
+        assert elliptic_ratios([], 2, A, 1.0) == []
+        assert elliptic_ratios([zero_field3(disc)], 2, A, 1.0) == []

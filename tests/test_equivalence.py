@@ -19,13 +19,15 @@ Each reference below is the earlier algorithm written out in full:
              block-diagonal factorisation and one solve per step over all
              modes;
   Simpson    scipy.integrate.simpson, against the uniform-grid composite
-             Simpson in heat.
+             Simpson in heat;
+  held-out   the calibrate command's own held-out ratio loops, against the
+             ratio samplers elliptic_ratios and growth_ratios.
 
 The recurrence, the banded sweep, the sine matrices and the weight table
 reorder floating-point sums, so they are held to a tolerance a few hundred
 ulps wide; the stacked elliptic solve, the shared stencils, the batched
-oracle and the in-module Simpson run the same arithmetic and must agree bit
-for bit.
+oracle, the in-module Simpson and the ratio samplers run the same arithmetic
+and must agree bit for bit.
 """
 
 import math
@@ -48,13 +50,14 @@ from robinslab.domain import (
     random_field3,
     sobolev_norm,
 )
-from robinslab.elliptic import interior_residual, solve_elliptic
+from robinslab.elliptic import elliptic_ratios, interior_residual, solve_elliptic
 from robinslab.heat import (
     RobinPropagator,
     _simpson,
     build_transform_bundle,
     exp_weighted_moment,
     fd_robin_oracle,
+    growth_ratios,
 )
 from robinslab.picard import duhamel_apply
 
@@ -311,3 +314,54 @@ def test_simpson_is_bit_identical_to_scipy(n_z):
     assert _simpson(weight * weight, disc.dz) == simpson(weight * weight, dx=disc.dz)
     moment = simpson(y, dx=disc.dz, axis=-1) / simpson(weight * weight, dx=disc.dz)
     assert np.array_equal(exp_weighted_moment(f, 2.0).coeffs, moment)
+
+
+def held_out_elliptic_by_loop(params, disc, seed, size, resonance_tol):
+    """Elliptic ratios of a seeded generic ensemble, one field after another."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(size):
+        f = random_field3(disc, rng, kind="generic")
+        denom = sobolev_norm(f, params.s - 2, params.a)
+        if denom == 0.0:
+            continue
+        v = solve_elliptic(f, params.beta, params.a, resonance_tol)
+        ratios.append(sobolev_norm(v, params.s, params.a) / denom)
+    return ratios
+
+
+def held_out_growth_by_loop(params, disc, seed, size, times):
+    """Normalised growth ratios of a seeded Robin ensemble at every time."""
+    rng = np.random.default_rng(seed)
+    rate = params.nu * params.gamma**2
+    ratios = []
+    for _ in range(size):
+        w0 = random_field3(disc, rng, kind="robin", gamma=params.gamma)
+        base = sobolev_norm(w0, params.s, params.a)
+        if base == 0.0:
+            continue
+        prop = RobinPropagator(w0, params, check_compat=False)
+        for t in times:
+            grown = sobolev_norm(prop.at(t), params.s, params.a)
+            ratios.append(grown * math.exp(-rate * t) / base)
+    return ratios
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("seed", [0, 23])
+def test_ratio_samplers_equal_the_held_out_loops(s, seed):
+    disc = Discretization(k_max=3, n_z=64, l_z=20.0)
+    params = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=s)
+    times = (0.1, 0.5, 1.0)
+    generic_rng = np.random.default_rng(seed)
+    generic = (random_field3(disc, generic_rng, kind="generic") for _ in range(6))
+    want = held_out_elliptic_by_loop(params, disc, seed, 6, 1e-6)
+    assert len(want) == 6
+    assert elliptic_ratios(generic, s, A, params.beta, 1e-6) == want
+    robin_rng = np.random.default_rng(seed + 1)
+    robin = (
+        random_field3(disc, robin_rng, kind="robin", gamma=params.gamma) for _ in range(6)
+    )
+    want = held_out_growth_by_loop(params, disc, seed + 1, 6, times)
+    assert len(want) == 18
+    assert growth_ratios(robin, times, s, params) == want

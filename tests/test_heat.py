@@ -28,6 +28,7 @@ from robinslab.domain import (
     random_field3,
     restrict_band,
     sobolev_norm,
+    zero_field3,
 )
 from robinslab.errors import RobinCompatibilityWarning
 from robinslab.heat import (
@@ -37,7 +38,7 @@ from robinslab.heat import (
     calibrate_growth_constant,
     exp_weighted_moment,
     fd_robin_oracle,
-    propagate_robin,
+    growth_ratios,
 )
 
 A = math.pi
@@ -130,7 +131,7 @@ class TestPropagator:
         disc = Discretization(k_max=2, n_z=513, l_z=20.0)
         w0 = eigen_field(disc, PARAMS.gamma)
         t = 0.5
-        w = propagate_robin(w0, t, PARAMS)
+        w = RobinPropagator(w0, PARAMS).at(t)
         factor = math.exp(PARAMS.nu * (PARAMS.gamma**2 - 2.0) * t)
         err = np.max(np.abs(w.coeffs - factor * w0.coeffs))
         assert err < 1e-14 * factor
@@ -141,7 +142,7 @@ class TestPropagator:
         params = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0, s=2)
         disc = Discretization(k_max=2, n_z=257, l_z=20.0)
         w0 = eigen_field(disc, 1.0, mode=(2, 2))
-        w = propagate_robin(w0, 0.2, params)
+        w = RobinPropagator(w0, params).at(0.2)
         ratio = w.coeffs[1, 1, 5] / w0.coeffs[1, 1, 5]
         assert ratio == pytest.approx(math.exp(-1.4), rel=1e-14)
 
@@ -152,7 +153,7 @@ class TestPropagator:
             f = random_field3(
                 disc, np.random.default_rng(9), kind="robin", gamma=PARAMS.gamma
             )
-            w = propagate_robin(f, 0.0, PARAMS, check_compat=False)
+            w = RobinPropagator(f, PARAMS, check_compat=False).at(0.0)
             errs[n_z] = np.max(np.abs(w.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
         assert errs[513] < 5e-3
         assert errs[513] < errs[257]
@@ -180,10 +181,10 @@ class TestPropagator:
         f = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
         g = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
         mix = SpectralField3(alpha * f.coeffs + beta * g.coeffs, disc)
-        lhs = propagate_robin(mix, 0.2, PARAMS, check_compat=False).coeffs
+        lhs = RobinPropagator(mix, PARAMS, check_compat=False).at(0.2).coeffs
         rhs = (
-            alpha * propagate_robin(f, 0.2, PARAMS, check_compat=False).coeffs
-            + beta * propagate_robin(g, 0.2, PARAMS, check_compat=False).coeffs
+            alpha * RobinPropagator(f, PARAMS, check_compat=False).at(0.2).coeffs
+            + beta * RobinPropagator(g, PARAMS, check_compat=False).at(0.2).coeffs
         )
         scale = max(1.0, np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
@@ -244,7 +245,7 @@ class TestOracleAgreement:
         for n_z, n_steps in ((257, 500), (513, 1000)):
             disc = Discretization(k_max=4, n_z=n_z, l_z=20.0)
             f = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
-            tr = propagate_robin(f, 0.3, PARAMS, check_compat=False)
+            tr = RobinPropagator(f, PARAMS, check_compat=False).at(0.3)
             fd = fd_robin_oracle(f, 0.3, PARAMS, n_steps=n_steps)
             errs.append(np.max(np.abs(tr.coeffs - fd.coeffs)) / np.max(np.abs(fd.coeffs)))
         assert errs[1] < 5e-3  # measured 2.1e-3 at n_z = 513
@@ -258,7 +259,7 @@ class TestSemigroup:
         w0 = eigen_field(disc, PARAMS.gamma)
         prop = RobinPropagator(w0, PARAMS)
         w_direct = prop.at(0.5)
-        w_two_leg = propagate_robin(prop.at(0.3), 0.2, PARAMS, check_compat=False)
+        w_two_leg = RobinPropagator(prop.at(0.3), PARAMS, check_compat=False).at(0.2)
         defect = np.max(np.abs(w_two_leg.coeffs - w_direct.coeffs))
         assert defect < 1e-12 * np.max(np.abs(w_direct.coeffs))
 
@@ -270,7 +271,7 @@ class TestSemigroup:
         f = random_field3(disc, np.random.default_rng(5), kind="generic")
         prop = RobinPropagator(f, params, check_compat=False)
         w_direct = prop.at(0.5)
-        w_two_leg = propagate_robin(prop.at(0.3), 0.2, params, check_compat=False)
+        w_two_leg = RobinPropagator(prop.at(0.3), params, check_compat=False).at(0.2)
         defect = np.max(np.abs(w_two_leg.coeffs - w_direct.coeffs)) / np.max(
             np.abs(w_direct.coeffs)
         )
@@ -284,7 +285,7 @@ class TestSemigroup:
             f = random_field3(disc, np.random.default_rng(5), kind="generic")
             prop = RobinPropagator(f, params, check_compat=False)
             w_direct = prop.at(0.5)
-            w_two_leg = propagate_robin(prop.at(0.3), 0.2, params, check_compat=False)
+            w_two_leg = RobinPropagator(prop.at(0.3), params, check_compat=False).at(0.2)
             defects.append(
                 np.max(np.abs(w_two_leg.coeffs - w_direct.coeffs))
                 / np.max(np.abs(w_direct.coeffs))
@@ -314,6 +315,19 @@ class TestGrowthAndSmoothing:
                 ratio = sobolev_norm(prop.at(t), 2, A) * math.exp(-rate * t) / base
                 assert ratio <= 1.1 * c
 
+    def test_growth_ratios_pin_time_zero_at_exactly_one(self):
+        # at(0) reproduces w0 only up to representation error, so the t = 0
+        # entry is the identity's exact 1.0, not a measurement; zero fields
+        # are skipped
+        disc = Discretization(k_max=2, n_z=129, l_z=20.0)
+        f = random_field3(disc, np.random.default_rng(4), kind="robin", gamma=PARAMS.gamma)
+        ratios = growth_ratios([f, zero_field3(disc), f], [0.0, 0.2], 2, PARAMS)
+        assert len(ratios) == 4
+        assert ratios[0] == ratios[2] == 1.0
+        assert ratios[1] == ratios[3] < 1.0
+        at_zero = sobolev_norm(RobinPropagator(f, PARAMS, check_compat=False).at(0.0), 2, A)
+        assert at_zero != sobolev_norm(f, 2, A)
+
     def test_growth_seed_reproducibility(self):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0)
         c1 = calibrate_growth_constant(5, 2, [0.0, 0.5], 3, PARAMS, disc)
@@ -331,8 +345,8 @@ class TestGrowthAndSmoothing:
         f8 = restrict_band(f16, disc8)
         rough_growth = sobolev_norm(f16, 2, A) / sobolev_norm(f8, 2, A)
         assert rough_growth > 2.0
-        n16 = sobolev_norm(propagate_robin(f16, 0.1, PARAMS, check_compat=False), 2, A)
-        n8 = sobolev_norm(propagate_robin(f8, 0.1, PARAMS, check_compat=False), 2, A)
+        n16 = sobolev_norm(RobinPropagator(f16, PARAMS, check_compat=False).at(0.1), 2, A)
+        n8 = sobolev_norm(RobinPropagator(f8, PARAMS, check_compat=False).at(0.1), 2, A)
         assert abs(n16 - n8) / n16 < 0.05
 
 

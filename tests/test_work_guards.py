@@ -8,8 +8,8 @@ rather than recomputing it.  The Crank-Nicolson oracle factors one
 block-diagonal band for all lateral modes and makes one tridiagonal solve
 per step, keeps the modes uncoupled, and never touches the transform
 route.  Importing the command module must not pull in scipy.signal,
-scipy.integrate or scipy.optimize, which cost every command set-up time and
-memory.
+scipy.integrate, scipy.optimize or scipy.sparse.linalg, which cost every
+command set-up time and memory.
 """
 
 import math
@@ -123,8 +123,8 @@ def test_importing_the_cli_does_not_load_heavy_scipy_modules():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, robinslab.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules])"
+        "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.optimize', "
+        "'scipy.sparse.linalg') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
