@@ -10,7 +10,6 @@ and energy estimate used along the way is measured and certified.
 
 from .domain import (
     Discretization,
-    Field2,
     ModelParams,
     SpectralField3,
     d_z,
@@ -18,7 +17,6 @@ from .domain import (
     pointwise_product,
     product_ratio,
     random_field3,
-    restrict_band,
     sobolev_norm,
     zero_field3,
 )
@@ -28,7 +26,6 @@ from .errors import (
     NonFiniteError,
     ResonanceError,
     RobinCompatibilityWarning,
-    SignError,
     SingularSystemError,
 )
 
@@ -36,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Discretization",
-    "Field2",
     "ModelParams",
     "SpectralField3",
     "d_z",
@@ -44,7 +40,6 @@ __all__ = [
     "pointwise_product",
     "product_ratio",
     "random_field3",
-    "restrict_band",
     "sobolev_norm",
     "zero_field3",
     "ConfigError",
@@ -52,6 +47,5 @@ __all__ = [
     "NonFiniteError",
     "ResonanceError",
     "RobinCompatibilityWarning",
-    "SignError",
     "SingularSystemError",
 ]

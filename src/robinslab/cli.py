@@ -36,6 +36,7 @@ from .heat import (
     RobinPropagator,
     boundary_residual,
     calibrate_growth_constant,
+    growth_ratio,
     growth_ratios,
 )
 from .picard import picard_solve
@@ -267,10 +268,9 @@ def _cmd_heat(config: RunConfig):
     slices = [w0] + [prop.at(t) for t in t_grid[1:]]
     w_norms = [sobolev_norm(w, params.s, params.a) for w in slices]
     energies = [n * n for n in w_norms]
-    rate = params.nu * params.gamma**2
     base = w_norms[0]
     ratios = (
-        [n * math.exp(-rate * t) / base for t, n in zip(t_grid[1:], w_norms[1:])]
+        [growth_ratio(n, base, t, params) for t, n in zip(t_grid[1:], w_norms[1:])]
         if base > 0.0
         else []
     )
@@ -304,35 +304,37 @@ def _cmd_heat(config: RunConfig):
 def _cmd_picard(config: RunConfig):
     params, disc = config.params, config.disc
     tol = config.tolerances.picard_tol
+    res_tol = config.tolerances.resonance_tol
     rng = np.random.default_rng(config.seed)
     v0 = build_field(config.initial_v, config, rng)
     w0 = build_field(config.initial_w, config, rng)
     c_gs = _growth_constant_for(config, inflate=True)
     result = picard_solve(
-        v0, w0, params, c_gs, tol=tol, quad_nodes=disc.quad_nodes
+        v0, w0, params, c_gs, tol=tol, quad_nodes=disc.quad_nodes, resonance_tol=res_tol
     )
     h = result.horizon
+    v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
+    w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
     certs = run_certificates(
         [
             ("contraction", lambda: contraction_check(result.ratios)),
-            ("apriori", lambda: apriori_bounds_check(result, v0, w0, params)),
+            ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, h, params)),
             (
                 "fixed-point-residual",
                 lambda: fixed_point_residual_check(
-                    result, v0, w0, params, tol, disc.quad_nodes
+                    result, v0, w0, params, tol, disc.quad_nodes, res_tol
                 ),
             ),
             (
                 "uniqueness",
                 lambda: uniqueness_check(
-                    result, v0, w0, params, tol=tol, quad_nodes=disc.quad_nodes
+                    result, v0, w0, params, tol=tol, quad_nodes=disc.quad_nodes,
+                    resonance_tol=res_tol,
                 ),
             ),
         ]
     )
     t_grid = result.state.t_grid
-    v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
-    w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
     energies = [n * n for n in w_norms]
     report = {
         "measured_constants": {"growth_constant": c_gs},

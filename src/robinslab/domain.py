@@ -24,7 +24,6 @@ __all__ = [
     "ModelParams",
     "Discretization",
     "SpectralField3",
-    "Field2",
     "zero_field3",
     "field3_from_profile",
     "sobolev_norm",
@@ -124,15 +123,6 @@ class Discretization:
             )
 
 
-def _check_coeff_array(coeffs: np.ndarray, shape: tuple) -> np.ndarray:
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"coefficient array must have shape {shape}, got {arr.shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class SpectralField3:
     """Sine-mode x z-grid coefficients of a 3-d field.
@@ -146,7 +136,11 @@ class SpectralField3:
 
     def __post_init__(self):
         shape = (self.disc.k_max, self.disc.k_max, self.disc.n_z)
-        object.__setattr__(self, "coeffs", _check_coeff_array(self.coeffs, shape))
+        arr = np.array(self.coeffs, dtype=float)
+        if arr.shape != shape:
+            raise ValueError(f"coefficient array must have shape {shape}, got {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
 
     def replace_coeffs(self, coeffs: np.ndarray) -> "SpectralField3":
         return SpectralField3(coeffs, self.disc)
@@ -164,18 +158,6 @@ class SpectralField3:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-
-@dataclass(frozen=True)
-class Field2:
-    """Lateral sine-mode coefficients of a 2-d field on the wall cross-section."""
-
-    coeffs: np.ndarray
-    disc: Discretization
-
-    def __post_init__(self):
-        shape = (self.disc.k_max, self.disc.k_max)
-        object.__setattr__(self, "coeffs", _check_coeff_array(self.coeffs, shape))
 
 
 def _require_same_disc(u, v) -> None:
@@ -362,16 +344,6 @@ def pointwise_product(u: SpectralField3, v: SpectralField3) -> SpectralField3:
     m = _pad_points(u.disc.k_max)
     vals = lateral_values(u, m) * lateral_values(v, m)
     return field_from_lateral_values(vals, u.disc)
-
-
-def restrict_band(f: SpectralField3, disc: Discretization) -> SpectralField3:
-    """Drop lateral modes above disc.k_max; z grids must agree."""
-    src = f.disc
-    if (src.n_z, src.l_z) != (disc.n_z, disc.l_z):
-        raise ValueError("restrict_band requires matching z discretizations")
-    if disc.k_max > src.k_max:
-        raise ValueError("restrict_band cannot widen the mode band")
-    return SpectralField3(f.coeffs[: disc.k_max, : disc.k_max, :], disc)
 
 
 def product_ratio(u: SpectralField3, v: SpectralField3, s: int, a: float) -> float:

@@ -32,9 +32,5 @@ class NoConvergenceError(RobinSlabError):
     """Fixed-point iteration hit the sweep cap while still moving."""
 
 
-class SignError(RobinSlabError):
-    """Square-root recovery attempted on sign-indefinite data."""
-
-
 class RobinCompatibilityWarning(UserWarning):
     """Initial data does not satisfy the Robin wall condition."""

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, dst
@@ -43,7 +42,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .domain import (
     Discretization,
-    Field2,
     ModelParams,
     SpectralField3,
     random_field3,
@@ -53,33 +51,17 @@ from .domain import (
 from .errors import RobinCompatibilityWarning
 
 __all__ = [
-    "TransformBundle",
     "exp_weighted_moment",
     "build_transform_bundle",
     "RobinPropagator",
     "fd_robin_oracle",
     "boundary_residual",
+    "growth_ratio",
     "growth_ratios",
     "calibrate_growth_constant",
 ]
 
 COMPAT_WARN_RATIO = 0.05
-
-
-@dataclass(frozen=True)
-class TransformBundle:
-    """Decomposition of an initial field for the Robin heat propagator.
-
-    slab_init   auxiliary field: vanishes at z=0, evolves all-Dirichlet
-    cross_init  per-mode weighted wall moments (coefficients of e^{-gamma z})
-    gamma       Robin coefficient the split was built for
-    tail_bound  size estimate of the truncated z > l_z contribution
-    """
-
-    slab_init: SpectralField3
-    cross_init: Field2
-    gamma: float
-    tail_bound: float
 
 
 def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -106,8 +88,8 @@ def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> Field2:
-    """Per-mode moment 2*gamma*Int w0(z) e^{-gamma z} dz.
+def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> np.ndarray:
+    """Per-mode moment 2*gamma*Int w0(z) e^{-gamma z} dz, shape (k_max, k_max).
 
     Computed with composite Simpson and normalized by the measured mass of
     the kernel (2*gamma*Int e^{-2 gamma z} dz, which is 1 up to truncation),
@@ -119,11 +101,16 @@ def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> Field2:
     weight = np.exp(-gamma * disc.z)
     num = _simpson(omega0.coeffs * weight, disc.dz)
     den = _simpson(weight * weight, disc.dz)
-    return Field2(num / den, disc)
+    return num / den
 
 
-def build_transform_bundle(omega0: SpectralField3, gamma: float) -> TransformBundle:
+def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Split a field into slab and wall-decay parts.
+
+    Returns (slab, wall_moments): the auxiliary slab field on the z grid,
+    which vanishes at z = 0 and evolves all-Dirichlet, shape
+    (k_max, k_max, n_z), and the per-mode coefficients of e^{-gamma z},
+    shape (k_max, k_max).
 
     The slab part solves  -(1/gamma) c' + c = residue  with c(0) = 0 by a
     backward exponential-kernel sweep:
@@ -136,7 +123,7 @@ def build_transform_bundle(omega0: SpectralField3, gamma: float) -> TransformBun
     """
     disc = omega0.disc
     cross = exp_weighted_moment(omega0, gamma)
-    residue = omega0.coeffs - cross.coeffs[:, :, None] * np.exp(-gamma * disc.z)
+    residue = omega0.coeffs - cross[:, :, None] * np.exp(-gamma * disc.z)
 
     decay = np.exp(-gamma * disc.dz)
     half = 0.5 * gamma * disc.dz
@@ -145,14 +132,7 @@ def build_transform_bundle(omega0: SpectralField3, gamma: float) -> TransformBun
     bands = np.ones((2, disc.n_z))
     bands[0, 1:] = -decay
     slab = solve_banded((0, 1), bands, rhs.reshape(-1, disc.n_z).T).T.reshape(residue.shape)
-
-    tail = 2.0 * np.exp(-gamma * disc.l_z) * float(np.max(np.abs(omega0.coeffs)))
-    return TransformBundle(
-        slab_init=SpectralField3(slab, disc),
-        cross_init=cross,
-        gamma=gamma,
-        tail_bound=tail,
-    )
+    return slab, cross
 
 
 # --- z-sine helpers (interior points carry the all-Dirichlet evolution) ----
@@ -229,14 +209,14 @@ class RobinPropagator:
         nu, gamma = params.nu, params.gamma
         self.params = params
         self.disc = disc
-        self.bundle = build_transform_bundle(omega0, gamma)
+        slab, wall_moments = build_transform_bundle(omega0, gamma)
         m = np.arange(1, disc.n_z - 1, dtype=float)
         self._zeta = (np.pi * m / disc.l_z)[None, None, :]
         mu = disc.mode_rates(params.a)
         mu2 = (mu * mu)[:, :, None]
         self._wall_profile = np.exp(-gamma * disc.z)
-        self.slab_modes = _readonly(_z_sine_analyze(self.bundle.slab_init.coeffs))
-        self.wall_moments = self.bundle.cross_init.coeffs
+        self.slab_modes = _readonly(_z_sine_analyze(slab))
+        self.wall_moments = _readonly(wall_moments)
         self.slab_rates = _readonly(-nu * (mu2 + self._zeta**2))
         self.wall_rates = _readonly(nu * (gamma * gamma - mu2[:, :, 0]))
 
@@ -332,18 +312,23 @@ def boundary_residual(omega: SpectralField3, gamma: float, a: float) -> float:
     return float(0.5 * a * np.sqrt(np.sum(res * res)))
 
 
+def growth_ratio(norm_t: float, norm_0: float, t: float, params: ModelParams) -> float:
+    """Normalized growth ||w(t)|| e^{-nu gamma^2 t} / ||w0|| from precomputed norms."""
+    rate = params.nu * params.gamma**2
+    return norm_t * math.exp(-rate * t) / norm_0
+
+
 def growth_ratios(
     fields: Iterable[SpectralField3],
     times: Sequence[float],
     s: int,
     params: ModelParams,
 ) -> list[float]:
-    """||w(t)|| e^{-nu gamma^2 t} / ||w0|| per field and time, read lazily; zero fields skipped.
+    """growth_ratio per field and time, read lazily; zero fields skipped.
 
     The flow at t = 0 is the identity, so it records exactly 1.0 there:
     RobinPropagator.at(0) reproduces w0 only up to representation error.
     """
-    rate = params.nu * params.gamma**2
     ratios = []
     for w0 in fields:
         base = sobolev_norm(w0, s, params.a)
@@ -354,8 +339,7 @@ def growth_ratios(
             if t == 0.0:
                 ratios.append(1.0)
                 continue
-            grown = sobolev_norm(prop.at(t), s, params.a)
-            ratios.append(grown * math.exp(-rate * t) / base)
+            ratios.append(growth_ratio(sobolev_norm(prop.at(t), s, params.a), base, t, params))
     return ratios
 
 

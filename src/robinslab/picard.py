@@ -37,13 +37,11 @@ from .domain import (
     ModelParams,
     SpectralField3,
     d_z,
-    field_from_lateral_values,
-    lateral_values,
     pointwise_product,
     sobolev_norm,
 )
-from .elliptic import solve_elliptic
-from .errors import NoConvergenceError, NonFiniteError, SignError
+from .elliptic import DEFAULT_RESONANCE_TOL, solve_elliptic
+from .errors import NoConvergenceError, NonFiniteError
 from .heat import RobinPropagator
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "picard_solve",
     "x_norm",
     "x_distance",
-    "recover_u",
 ]
 
 DIVERGENCE_FACTOR = 10.0
@@ -267,13 +264,14 @@ def picard_step(
     w0: SpectralField3,
     params: ModelParams,
     quad_nodes: int = 2,
+    resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> PicardState:
     """One sweep of the map; slice 0 stays pinned to the data."""
     t = state.t_grid
     dt = t[1] - t[0]
     integrands = []
     for v_j, w_j in zip(state.v_slices, state.omega_slices):
-        stream = solve_elliptic(w_j, params.beta, params.a)
+        stream = solve_elliptic(w_j, params.beta, params.a, resonance_tol)
         integrands.append(pointwise_product(v_j, d_z(stream)).coeffs)
 
     v_new = [v0]
@@ -302,6 +300,7 @@ def picard_solve(
     quad_nodes: int = 2,
     horizon: HorizonSelection | None = None,
     initial_state: PicardState | None = None,
+    resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> PicardResult:
     """Iterate to the fixed point on the certified horizon.
 
@@ -327,7 +326,7 @@ def picard_solve(
     diffs: list[float] = []
     converged = False
     for _ in range(max_iter):
-        new = picard_step(state, v0, w0, params, quad_nodes)
+        new = picard_step(state, v0, w0, params, quad_nodes, resonance_tol)
         diff = x_distance(new, state, params)
         if not np.isfinite(diff):
             raise NonFiniteError(
@@ -359,18 +358,3 @@ def picard_solve(
         converged=True,
         iterations=state.iteration_index,
     )
-
-
-def recover_u(v: SpectralField3, tol: float = 1e-12) -> SpectralField3:
-    """Square root of the squared velocity on the collocation grid.
-
-    Rejects data that is genuinely negative somewhere; values inside the
-    -tol*scale float noise band are clipped to zero before the root.
-    """
-    vals = lateral_values(v)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.min(vals) < -tol * scale:
-        raise SignError(
-            f"squared velocity reaches {np.min(vals):.3e}; no real square root"
-        )
-    return field_from_lateral_values(np.sqrt(np.clip(vals, 0.0, None)), v.disc)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Discretization, ModelParams, SpectralField3, random_field3
+from .domain import MAX_DERIVATIVE_ORDER, Discretization, ModelParams, SpectralField3, random_field3
 from .elliptic import require_admissible
 from .errors import ConfigError
 
@@ -180,6 +180,11 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
+    # picard's iteration norm takes H^{s+1} of v
+    if params.s + 1 > MAX_DERIVATIVE_ORDER:
+        raise ConfigError(
+            f"params: s = {params.s} above the supported maximum {MAX_DERIVATIVE_ORDER - 1}"
+        )
 
     d = raw["disc"]
     _require_keys(

@@ -15,15 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (
-    Discretization,
-    ModelParams,
-    SpectralField3,
-    restrict_band,
-    sobolev_norm,
-)
+from .domain import ModelParams, SpectralField3
+from .elliptic import DEFAULT_RESONANCE_TOL
 from .heat import RobinPropagator, fd_robin_oracle
-from .picard import PicardResult, PicardState, picard_solve, picard_step, x_distance
+from .picard import (
+    HorizonSelection, PicardResult, PicardState, picard_solve, picard_step, x_distance,
+)
 
 __all__ = [
     "Certificate",
@@ -31,7 +28,6 @@ __all__ = [
     "order_certificate",
     "min_order_certificate",
     "run_certificates",
-    "energy",
     "gronwall_energy_check",
     "growth_bound_check",
     "elliptic_bound_check",
@@ -40,7 +36,6 @@ __all__ = [
     "fixed_point_residual_check",
     "uniqueness_check",
     "transform_oracle_certificate",
-    "smoothing_check",
     "CALIBRATION_MARGIN",
     "EXACT_SLACK",
     "CONTRACTION_BOUND",
@@ -132,11 +127,6 @@ def _worst(values: list[float]) -> float:
     return float(np.max(values)) if values else 0.0
 
 
-def energy(w: SpectralField3, s: int, a: float) -> float:
-    """Squared vorticity norm, the quantity the growth inequality bounds."""
-    return sobolev_norm(w, s, a) ** 2
-
-
 def gronwall_energy_check(
     times, energies, params: ModelParams, name: str = "gronwall-energy"
 ) -> Certificate:
@@ -184,21 +174,21 @@ def contraction_check(ratios, name: str = "contraction") -> Certificate:
 
 
 def apriori_bounds_check(
-    result: PicardResult,
-    v0: SpectralField3,
-    w0: SpectralField3,
-    params: ModelParams,
+    v_norms: list[float], w_norms: list[float], h: HorizonSelection, params: ModelParams
 ) -> list[Certificate]:
-    """Converged slices inside the two a-priori balls (1.1x allowance)."""
-    a, s = params.a, params.s
-    h = result.horizon
-    v_worst = _worst([sobolev_norm(v, s + 1, a) for v in result.state.v_slices])
-    w_worst = _worst([sobolev_norm(w, s, a) for w in result.state.omega_slices])
-    v_ball = 2.0 * sobolev_norm(v0, s + 1, a)
+    """Converged slices inside the two a-priori balls (1.1x allowance).
+
+    v_norms and w_norms are the per-slice ||v||_{H^{s+1}} and ||w||_{H^s} of
+    the converged state.  Slice 0 is pinned to the data (v0, w0), so the
+    balls are built from the first entries.
+    """
+    v_worst = _worst(v_norms)
+    w_worst = _worst(w_norms)
+    v_ball = 2.0 * v_norms[0]
     w_ball = (
         h.growth_constant
         * math.exp(params.nu * params.gamma**2 * h.T)
-        * (sobolev_norm(w0, s, a) + 2.0 * h.T * sobolev_norm(v0, s + 1, a))
+        * (w_norms[0] + 2.0 * h.T * v_norms[0])
     )
     return [
         make_certificate("apriori-velocity", v_worst, CALIBRATION_MARGIN * v_ball,
@@ -215,9 +205,10 @@ def fixed_point_residual_check(
     params: ModelParams,
     tol: float,
     quad_nodes: int = 2,
+    resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> Certificate:
     """One extra sweep moves a converged iterate by at most 2 tol x first move."""
-    extra = picard_step(result.state, v0, w0, params, quad_nodes)
+    extra = picard_step(result.state, v0, w0, params, quad_nodes, resonance_tol)
     move = x_distance(extra, result.state, params)
     return make_certificate(
         "fixed-point-residual", move, 2.0 * tol * result.diffs[0],
@@ -232,6 +223,7 @@ def uniqueness_check(
     params: ModelParams,
     tol: float = 1e-8,
     quad_nodes: int = 2,
+    resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> Certificate:
     """Two different initial guesses land on the same fixed point.
 
@@ -250,6 +242,7 @@ def uniqueness_check(
     second = picard_solve(
         v0, w0, params, first.horizon.growth_constant, tol=tol,
         quad_nodes=quad_nodes, horizon=first.horizon, initial_state=skewed,
+        resonance_tol=resonance_tol,
     )
     gap = x_distance(first.state, second.state, params)
     return make_certificate(
@@ -273,32 +266,3 @@ def transform_oracle_certificate(
     diff = float(np.max(np.abs(prop.coeffs - ref.coeffs)))
     measured = diff if scale == 0.0 else diff / scale
     return make_certificate(name, measured, bound, t=float(t), n_steps=int(n_steps))
-
-
-def smoothing_check(
-    w_wide: SpectralField3,
-    disc_narrow: Discretization,
-    t: float,
-    params: ModelParams,
-    bound: float = 0.05,
-) -> Certificate:
-    """Extending the mode band barely moves the propagated norm.
-
-    w_wide must extend a narrow-band field; the comparison field is its
-    restriction, so the two differ only in the extra high modes.
-    """
-    w_narrow = restrict_band(w_wide, disc_narrow)
-    s, a = params.s, params.a
-    n_wide = sobolev_norm(
-        RobinPropagator(w_wide, params, check_compat=False).at(t), s, a
-    )
-    n_narrow = sobolev_norm(
-        RobinPropagator(w_narrow, params, check_compat=False).at(t), s, a
-    )
-    if n_wide == 0.0:
-        raise ValueError("smoothing check needs nonzero propagated data")
-    rough_ratio = sobolev_norm(w_wide, s, a) / max(sobolev_norm(w_narrow, s, a), 1e-300)
-    return make_certificate(
-        "instant-smoothing", abs(n_wide - n_narrow) / n_wide, bound,
-        t=float(t), rough_band_growth=float(rough_ratio),
-    )

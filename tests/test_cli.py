@@ -160,6 +160,31 @@ class TestExitCodes:
             ["--command", "calibrate", "--config", str(path), "--out", str(tmp_path / "run")]
         ) == 0
 
+    def test_picard_honours_a_finer_resonance_tolerance(self, tmp_path, capsys):
+        # the same beta: the main solve, the fixed-point-residual sweep and the
+        # uniqueness solve all take the configured tolerance
+        path = write_config(
+            tmp_path,
+            params={"beta": math.sqrt(2.0) + 1e-9},
+            tolerances={"resonance_tol": 1e-12},
+        )
+        code = main(
+            ["--command", "picard", "--config", str(path), "--out", str(tmp_path / "run")]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == 5 and all(line.startswith("PASS") for line in lines)
+
+    def test_sobolev_index_above_two_is_config_error(self, tmp_path, capsys):
+        # picard's H^{s+1} norm of v needs z-derivative order s + 1 <= 3
+        path = write_config(tmp_path, params={"s": 3})
+        for command in ("calibrate", "elliptic", "heat", "picard", "convergence"):
+            code = main(
+                ["--command", command, "--config", str(path), "--out", str(tmp_path / command)]
+            )
+            assert code == 1, command
+            assert capsys.readouterr().err.startswith("config error"), command
+
     def test_nearby_admissible_beta_succeeds(self, tmp_path):
         path = write_config(tmp_path, params={"beta": math.sqrt(2.0) + 1e-3})
         assert main(

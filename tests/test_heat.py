@@ -26,7 +26,6 @@ from robinslab.domain import (
     SpectralField3,
     field3_from_profile,
     random_field3,
-    restrict_band,
     sobolev_norm,
     zero_field3,
 )
@@ -55,7 +54,7 @@ class TestMoment:
         # exact, not approximate
         disc = Discretization(k_max=2, n_z=257, l_z=20.0)
         m = exp_weighted_moment(eigen_field(disc, PARAMS.gamma), PARAMS.gamma)
-        assert m.coeffs[0, 0] == 1.0
+        assert m[0, 0] == 1.0
 
     def test_cubed_decay_closed_form(self):
         # moment of e^{-3 gamma z} = 2 gamma / (4 gamma) = 1/2, reached at
@@ -64,7 +63,7 @@ class TestMoment:
         for n_z in (513, 1025):
             disc = Discretization(k_max=1, n_z=n_z, l_z=20.0)
             f = field3_from_profile(disc, (1, 1), np.exp(-3 * PARAMS.gamma * disc.z))
-            errs[n_z] = abs(exp_weighted_moment(f, PARAMS.gamma).coeffs[0, 0] - 0.5)
+            errs[n_z] = abs(exp_weighted_moment(f, PARAMS.gamma)[0, 0] - 0.5)
         assert errs[513] < 1e-4
         assert 12.0 < errs[513] / errs[1025] < 20.0
 
@@ -73,7 +72,7 @@ class TestMoment:
         f = random_field3(disc, rng, kind="generic")
         m = exp_weighted_moment(f, PARAMS.gamma)
         weight = np.exp(-PARAMS.gamma * disc.z)
-        residue = f.coeffs - m.coeffs[:, :, None] * weight
+        residue = f.coeffs - m[:, :, None] * weight
         left = simpson(residue * weight, dx=disc.dz, axis=-1)
         assert np.max(np.abs(left)) < 1e-14 * np.max(np.abs(f.coeffs))
 
@@ -86,9 +85,9 @@ class TestMoment:
 class TestTransform:
     def test_slab_part_of_eigen_profile_is_exactly_zero(self):
         disc = Discretization(k_max=2, n_z=257, l_z=20.0)
-        b = build_transform_bundle(eigen_field(disc, PARAMS.gamma), PARAMS.gamma)
-        assert b.slab_init.max_abs() == 0.0
-        assert b.cross_init.coeffs[0, 0] == 1.0
+        slab, moments = build_transform_bundle(eigen_field(disc, PARAMS.gamma), PARAMS.gamma)
+        assert np.max(np.abs(slab)) == 0.0
+        assert moments[0, 0] == 1.0
 
     def test_analytic_slab_closed_form(self):
         # gamma = 1, w0 = (1+z) e^{-z}: moment 3/2, slab part (z/2) e^{-z}
@@ -96,11 +95,9 @@ class TestTransform:
         for n_z in (513, 1025):
             disc = Discretization(k_max=1, n_z=n_z, l_z=20.0)
             f = field3_from_profile(disc, (1, 1), (1 + disc.z) * np.exp(-disc.z))
-            b = build_transform_bundle(f, 1.0)
-            assert b.cross_init.coeffs[0, 0] == pytest.approx(1.5, rel=1e-6)
-            errs[n_z] = np.max(
-                np.abs(b.slab_init.coeffs[0, 0] - 0.5 * disc.z * np.exp(-disc.z))
-            )
+            slab, moments = build_transform_bundle(f, 1.0)
+            assert moments[0, 0] == pytest.approx(1.5, rel=1e-6)
+            errs[n_z] = np.max(np.abs(slab[0, 0] - 0.5 * disc.z * np.exp(-disc.z)))
         assert errs[513] < 5e-4
         assert 3.0 < errs[513] / errs[1025] < 5.0  # second-order sweep
 
@@ -113,16 +110,10 @@ class TestTransform:
             f = random_field3(
                 disc, np.random.default_rng(9), kind="robin", gamma=PARAMS.gamma
             )
-            b = build_transform_bundle(f, PARAMS.gamma)
-            vals[n_z] = np.max(np.abs(b.slab_init.coeffs[:, :, 0]))
+            slab, _ = build_transform_bundle(f, PARAMS.gamma)
+            vals[n_z] = np.max(np.abs(slab[:, :, 0]))
         assert vals[513] < 1e-4
         assert 3.0 < vals[513] / vals[1025] < 5.0
-
-    def test_tail_bound_is_negligible_at_default_depth(self, rng):
-        disc = Discretization(k_max=2, n_z=257, l_z=20.0)
-        f = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
-        b = build_transform_bundle(f, PARAMS.gamma)
-        assert 0.0 < b.tail_bound < 1e-10
 
 
 class TestPropagator:
@@ -342,7 +333,7 @@ class TestGrowthAndSmoothing:
         f16 = random_field3(
             disc16, np.random.default_rng(3), kind="flat", gamma=PARAMS.gamma
         )
-        f8 = restrict_band(f16, disc8)
+        f8 = SpectralField3(f16.coeffs[:8, :8], disc8)
         rough_growth = sobolev_norm(f16, 2, A) / sobolev_norm(f8, 2, A)
         assert rough_growth > 2.0
         n16 = sobolev_norm(RobinPropagator(f16, PARAMS, check_compat=False).at(0.1), 2, A)

@@ -19,12 +19,11 @@ from robinslab.domain import (
     ModelParams,
     SpectralField3,
     field3_from_profile,
-    pointwise_product,
     random_field3,
     sobolev_norm,
     zero_field3,
 )
-from robinslab.errors import NoConvergenceError, NonFiniteError, SignError
+from robinslab.errors import NoConvergenceError, NonFiniteError
 from robinslab.picard import (
     HorizonSelection,
     PicardState,
@@ -32,7 +31,6 @@ from robinslab.picard import (
     horizon_from_norms,
     picard_solve,
     picard_step,
-    recover_u,
     select_horizon,
     x_distance,
     x_norm,
@@ -272,38 +270,3 @@ class TestPicardSolve:
         d2 = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
         with pytest.raises(ValueError):
             picard_solve(zero_field3(d1), zero_field3(d2), PARAMS, 1.0)
-
-
-class TestRecoverU:
-    def test_square_of_recovered_root_reproduces_data(self):
-        # both directions lose only the out-of-band tail, measured 8.5e-3
-        # at k_max = 4 and falling at second order in the band
-        errs = {}
-        for k_max in (4, 8):
-            disc = Discretization(k_max=k_max, n_z=65, l_z=20.0, n_t=5)
-            u = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
-            v = pointwise_product(u, u)
-            r = recover_u(v)
-            back = pointwise_product(r, r)
-            errs[k_max] = np.max(np.abs(back.coeffs - v.coeffs))
-        assert errs[4] < 2e-2
-        assert errs[8] < errs[4] / 2.5
-
-    def test_band_refinement_recovers_the_root(self):
-        # sin^2-type squares carry 1/k^3 sine tails, so the recovered root
-        # improves like 1/k_max^2
-        errs = {}
-        for k_max in (4, 8):
-            disc = Discretization(k_max=k_max, n_z=129, l_z=20.0, n_t=5)
-            u = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
-            v = pointwise_product(u, u)
-            w = recover_u(v)
-            errs[k_max] = np.max(np.abs(w.coeffs[0, 0] - u.coeffs[0, 0]))
-        assert errs[8] < errs[4] / 2.5
-
-    def test_negative_data_rejected(self):
-        disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
-        u = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
-        v = pointwise_product(u, u)
-        with pytest.raises(SignError):
-            recover_u(v.scaled(-1.0))

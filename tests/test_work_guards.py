@@ -9,11 +9,14 @@ block-diagonal band for all lateral modes and makes one tridiagonal solve
 per step, keeps the modes uncoupled, and never touches the transform
 route.  Importing the command module must not pull in scipy.signal,
 scipy.integrate, scipy.optimize or scipy.sparse.linalg, which cost every
-command set-up time and memory.
+command set-up time and memory.  Every name the package or one of its
+modules lists in __all__ must exist.
 """
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -131,3 +134,14 @@ def test_importing_the_cli_does_not_load_heavy_scipy_modules():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    modules = [robinslab] + [
+        importlib.import_module(f"robinslab.{info.name}")
+        for info in pkgutil.iter_modules(robinslab.__path__)
+    ]
+    assert len(modules) > 1
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__
