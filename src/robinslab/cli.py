@@ -15,6 +15,7 @@ import dataclasses
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +123,18 @@ def run(command: str, config_path, out_dir, seed_override: int | None = None) ->
         report["config"] = config.echo()
         report.setdefault("horizon", None)
         report["error_budget"] = _error_budget(config, extras.pop("horizon_T", None))
-    report["timing"] = {"total_seconds": time.perf_counter() - started}
+    report.setdefault("timing", {})["total_seconds"] = time.perf_counter() - started
     return _emit(command, out_dir, report, **extras)
+
+
+@contextmanager
+def _phase(phases: dict, name: str):
+    """Record the wall seconds of the block in phases[name]."""
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] = time.perf_counter() - started
 
 
 def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows=None):
@@ -308,32 +319,37 @@ def _cmd_picard(config: RunConfig):
     rng = np.random.default_rng(config.seed)
     v0 = build_field(config.initial_v, config, rng)
     w0 = build_field(config.initial_w, config, rng)
-    c_gs = _growth_constant_for(config, inflate=True)
-    result = picard_solve(
-        v0, w0, params, c_gs, tol=tol, quad_nodes=disc.quad_nodes, resonance_tol=res_tol
-    )
+    phases = {}
+    with _phase(phases, "growth_calibration"):
+        c_gs = _growth_constant_for(config, inflate=True)
+    with _phase(phases, "main_solve"):
+        result = picard_solve(
+            v0, w0, params, c_gs, tol=tol, quad_nodes=disc.quad_nodes, resonance_tol=res_tol
+        )
     h = result.horizon
     v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
     w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
-    certs = run_certificates(
-        [
-            ("contraction", lambda: contraction_check(result.ratios)),
-            ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, h, params)),
-            (
-                "fixed-point-residual",
-                lambda: fixed_point_residual_check(
-                    result, v0, w0, params, tol, disc.quad_nodes, res_tol
-                ),
+    checks = [
+        ("contraction", lambda: contraction_check(result.ratios)),
+        ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, h, params)),
+        (
+            "fixed-point-residual",
+            lambda: fixed_point_residual_check(
+                result, v0, w0, params, tol, disc.quad_nodes, res_tol
             ),
-            (
-                "uniqueness",
-                lambda: uniqueness_check(
-                    result, v0, w0, params, tol=tol, quad_nodes=disc.quad_nodes,
-                    resonance_tol=res_tol,
-                ),
+        ),
+        (
+            "uniqueness",
+            lambda: uniqueness_check(
+                result, v0, w0, params, tol=tol, quad_nodes=disc.quad_nodes,
+                resonance_tol=res_tol,
             ),
-        ]
-    )
+        ),
+    ]
+    certs = []
+    for name, thunk in checks:
+        with _phase(phases, name.replace("-", "_")):
+            certs += run_certificates([(name, thunk)])
     t_grid = result.state.t_grid
     energies = [n * n for n in w_norms]
     report = {
@@ -346,6 +362,7 @@ def _cmd_picard(config: RunConfig):
             "diffs": list(result.diffs),
             "ratios": list(result.ratios),
         },
+        "timing": {"phase_seconds": phases},
     }
     extras = {
         "norms": (list(t_grid), v_norms, w_norms, energies),

@@ -190,9 +190,18 @@ def wall_slope(c: np.ndarray, dz: float) -> np.ndarray:
     return (-3.0 * c[..., 0] + 4.0 * c[..., 1] - c[..., 2]) / (2.0 * dz)
 
 
+# The interior stencils run once over the flattened C-ordered array, which
+# is one contiguous pass instead of one strided pass per z profile.  Where
+# the stencil straddles two profiles it writes end points only, and those
+# are overwritten by the one-sided rows.  Both arrays must be C-contiguous:
+# reshape(-1) of any other layout is a copy, and writes to it would be lost.
+
+
 def _dz1(c: np.ndarray, dz: float) -> np.ndarray:
-    out = np.empty_like(c)
-    out[..., 1:-1] = (c[..., 2:] - c[..., :-2]) / (2.0 * dz)
+    c = np.ascontiguousarray(c)
+    out = np.empty(c.shape)
+    flat, flat_out = c.reshape(-1), out.reshape(-1)
+    flat_out[1:-1] = (flat[2:] - flat[:-2]) / (2.0 * dz)
     out[..., 0] = wall_slope(c, dz)
     # the far end is the wall stencil mirrored: reversed z flips the sign
     out[..., -1] = -wall_slope(c[..., ::-1], dz)
@@ -201,8 +210,10 @@ def _dz1(c: np.ndarray, dz: float) -> np.ndarray:
 
 def _dz2(c: np.ndarray, dz: float) -> np.ndarray:
     h2 = dz * dz
-    out = np.empty_like(c)
-    out[..., 1:-1] = (c[..., 2:] - 2.0 * c[..., 1:-1] + c[..., :-2]) / h2
+    c = np.ascontiguousarray(c)
+    out = np.empty(c.shape)
+    flat, flat_out = c.reshape(-1), out.reshape(-1)
+    flat_out[1:-1] = (flat[2:] - 2.0 * flat[1:-1] + flat[:-2]) / h2
     out[..., 0] = (
         2.0 * c[..., 0] - 5.0 * c[..., 1] + 4.0 * c[..., 2] - c[..., 3]
     ) / h2
@@ -266,7 +277,8 @@ def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
         raise ValueError(
             f"Sobolev order {s} above supported maximum {MAX_DERIVATIVE_ORDER}"
         )
-    c, dz = f.coeffs, f.disc.dz
+    # C order makes every profile's z sums run in one order, whatever the layout
+    c, dz = np.ascontiguousarray(f.coeffs), f.disc.dz
     profiles = [c]
     if s >= 1:
         profiles.append(_dz1(c, dz))

@@ -10,10 +10,10 @@ The wall condition is closed with a centered ghost point, and the far end is
 a Dirichlet cap standing in for decay at infinity, so each mode is a
 tridiagonal system.  An EllipticOperator, built once per (beta, a, disc),
 concatenates every mode's bands into one block-diagonal band (the couplings
-between blocks zeroed) and holds the worst-mode condition estimate; a solve
-is then one banded direct solve over all modes.  Uniqueness fails exactly
-when beta collides with one of the mode rates mu, so admissibility is
-checked first.
+between blocks zeroed), factors it once and holds the worst-mode condition
+estimate; a solve is then the two triangular sweeps of those factors over
+all modes.  Uniqueness fails exactly when beta collides with one of the
+mode rates mu, so admissibility is checked first.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtcon, dgttrf
+from scipy.linalg.lapack import dgtcon, dgttrf, dgttrs
 
 from .domain import Discretization, SpectralField3, d_z, random_field3, sobolev_norm
 from .errors import ResonanceError, SingularSystemError
@@ -117,16 +116,16 @@ def _condition_estimate(ab: np.ndarray) -> float:
 class EllipticOperator:
     """The Robin-wall inverse for one (beta, a, disc), all modes at once.
 
-    disc            discretization the bands were built for
-    bands           (3, k_max**2 * (n_z - 1)) ab-form band of the
-                    block-diagonal system, modes in (k1, k2) row-major
-                    order, couplings between blocks zeroed
+    disc            discretization the factors were built for
+    factors         dgttrf's (dl, d, du, du2, ipiv) of the block-diagonal
+                    system of length k_max**2 * (n_z - 1), modes in (k1, k2)
+                    row-major order, couplings between blocks zeroed
     condition       1-norm condition estimate of the worst mode
     condition_mode  the (k1, k2) mode attaining it
     """
 
     disc: Discretization
-    bands: np.ndarray
+    factors: tuple[np.ndarray, ...]
     condition: float
     condition_mode: tuple[int, int]
 
@@ -136,10 +135,14 @@ class EllipticOperator:
             raise ValueError("source field lives on a different discretization")
         n_unknown = disc.n_z - 1
         rhs = f.coeffs[:, :, :n_unknown].reshape(-1)
+        # dgttrs checks nothing, and a NaN or inf would spread through its mode
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("elliptic source contains infs or NaNs")
+        x, info = dgttrs(*self.factors, rhs)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal solve failed: info={info}")
         out = np.zeros_like(f.coeffs)
-        out[:, :, :n_unknown] = solve_banded((1, 1), self.bands, rhs).reshape(
-            disc.k_max, disc.k_max, n_unknown
-        )
+        out[:, :, :n_unknown] = x.reshape(disc.k_max, disc.k_max, n_unknown)
         return f.replace_coeffs(out)
 
 
@@ -162,9 +165,14 @@ def elliptic_operator(beta: float, a: float, disc: Discretization) -> EllipticOp
             if cond > worst[0]:
                 worst = (cond, (k1 + 1, k2 + 1))
     bands = np.concatenate(blocks, axis=1)
-    bands.flags.writeable = False
+    # no coupling means no pivot crosses a block: each block is factored as alone
+    *factors, info = dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    for arr in factors:
+        arr.flags.writeable = False
+    # a zero pivot (info > 0) makes some mode's condition infinite, and
+    # solve_elliptic refuses that operator before it solves
     return EllipticOperator(
-        disc=disc, bands=bands, condition=worst[0], condition_mode=worst[1]
+        disc=disc, factors=tuple(factors), condition=worst[0], condition_mode=worst[1]
     )
 
 
@@ -175,7 +183,7 @@ def solve_elliptic(
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
     condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> SpectralField3:
-    """Invert -Delta with the Robin wall condition, all modes in one banded solve."""
+    """Invert -Delta with the Robin wall condition, all modes in one factored solve."""
     require_admissible(beta, f.disc, a, resonance_tol)
     op = elliptic_operator(float(beta), float(a), f.disc)
     if op.condition > condition_cap:

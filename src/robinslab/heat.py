@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct, dst
@@ -174,6 +175,27 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=8)
+def _propagator_geometry(
+    nu: float, gamma: float, a: float, disc: Discretization
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(zeta, wall profile, slab rates, wall rates), read-only.
+
+    They depend on the geometry only, so every propagator of a run shares
+    one copy; the last few geometries are kept.
+    """
+    m = np.arange(1, disc.n_z - 1, dtype=float)
+    zeta = (np.pi * m / disc.l_z)[None, None, :]
+    mu = disc.mode_rates(a)
+    mu2 = (mu * mu)[:, :, None]
+    return (
+        _readonly(zeta),
+        _readonly(np.exp(-gamma * disc.z)),
+        _readonly(-nu * (mu2 + zeta**2)),
+        _readonly(nu * (gamma * gamma - mu2[:, :, 0])),
+    )
+
+
 class RobinPropagator:
     """Reusable propagator: one decomposition, evaluation at any t >= 0.
 
@@ -187,7 +209,8 @@ class RobinPropagator:
 
     At time t the state is (slab_modes e^{slab_rates t}, wall_moments
     e^{wall_rates t}).  The rates depend only on params and disc, so states
-    of propagators sharing both may be combined linearly before synthesize.
+    of propagators sharing both may be combined linearly before synthesize;
+    such propagators share one copy of the rates and the wall profile.
     """
 
     def __init__(
@@ -205,20 +228,16 @@ class RobinPropagator:
                 RobinCompatibilityWarning,
                 stacklevel=2,
             )
-        disc = omega0.disc
-        nu, gamma = params.nu, params.gamma
         self.params = params
-        self.disc = disc
-        slab, wall_moments = build_transform_bundle(omega0, gamma)
-        m = np.arange(1, disc.n_z - 1, dtype=float)
-        self._zeta = (np.pi * m / disc.l_z)[None, None, :]
-        mu = disc.mode_rates(params.a)
-        mu2 = (mu * mu)[:, :, None]
-        self._wall_profile = np.exp(-gamma * disc.z)
+        self.disc = omega0.disc
+        slab, wall_moments = build_transform_bundle(omega0, params.gamma)
         self.slab_modes = _readonly(_z_sine_analyze(slab))
         self.wall_moments = _readonly(wall_moments)
-        self.slab_rates = _readonly(-nu * (mu2 + self._zeta**2))
-        self.wall_rates = _readonly(nu * (gamma * gamma - mu2[:, :, 0]))
+        self._zeta, self._wall_profile, self.slab_rates, self.wall_rates = (
+            _propagator_geometry(
+                float(params.nu), float(params.gamma), float(params.a), omega0.disc
+            )
+        )
 
     def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(slab modes, wall moments) at time t."""

@@ -243,8 +243,13 @@ def _worst_norm(pairs, params: ModelParams) -> float:
 
 
 def x_norm(state: PicardState, params: ModelParams) -> float:
-    """Slice-wise max of ||v||_{H^{s+1}} and ||w||_{H^s}."""
-    return _worst_norm(zip(state.v_slices, state.omega_slices), params)
+    """Slice-wise max of ||v||_{H^{s+1}} and ||w||_{H^s}.
+
+    A pair that several slices hold, as in the constant-in-time start, is
+    measured once.
+    """
+    distinct = {(id(v), id(w)): (v, w) for v, w in zip(state.v_slices, state.omega_slices)}
+    return _worst_norm(distinct.values(), params)
 
 
 def x_distance(first: PicardState, second: PicardState, params: ModelParams) -> float:
@@ -307,6 +312,11 @@ def picard_solve(
     Starts from the constant-in-time pair (or initial_state), stops when a
     sweep moves the iterate by at most tol times the first sweep's move.
     A first sweep that does not move at all is already the fixed point.
+
+    The ball guard raises once x_norm of an iterate exceeds
+    DIVERGENCE_FACTOR * M.  By the triangle inequality x_norm of the
+    current iterate is at most x_norm of the start plus every move so far,
+    so x_norm is taken only once that bound passes the guard.
     """
     _check_orders(params)
     if v0.disc is not w0.disc and v0.disc != w0.disc:
@@ -322,6 +332,7 @@ def picard_solve(
     else:
         state = initial_state
     guard = DIVERGENCE_FACTOR * horizon.M
+    reach = x_norm(state, params) if horizon.M > 0 else 0.0
 
     diffs: list[float] = []
     converged = False
@@ -337,7 +348,8 @@ def picard_solve(
         if diff <= tol * diffs[0]:
             converged = True
             break
-        if horizon.M > 0 and x_norm(state, params) > guard:
+        reach += diff
+        if horizon.M > 0 and reach > guard and x_norm(state, params) > guard:
             raise NoConvergenceError(
                 f"iterate left the certified ball (radius {horizon.M:.6g}) "
                 f"at sweep {state.iteration_index}"

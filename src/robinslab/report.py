@@ -342,16 +342,24 @@ def read_norms_csv(path) -> dict:
     return {name: np.asarray(vals) for name, vals in cols.items()}
 
 
+_SNAPSHOT_COLUMNS = ("k1", "k2", "j", "coefficient")
+
+
 def write_snapshot(path, field: SpectralField3) -> None:
-    """Sparse (k1, k2, j, coefficient) dump; zero entries are skipped."""
+    """Sparse (k1, k2, j, coefficient) dump; zero entries are skipped.
+
+    The bytes are those of csv.writer's default dialect: no field needs
+    quoting, and every line ends in \\r\\n.
+    """
+    coeffs = field.coeffs
+    index = np.nonzero(coeffs)
+    rows = zip(*(i.tolist() for i in index), coeffs[index].tolist())
+    lines = [",".join(_SNAPSHOT_COLUMNS) + "\r\n"]
+    lines += [
+        f"{k1 + 1},{k2 + 1},{j},{_FLOAT_FMT.format(value)}\r\n" for k1, k2, j, value in rows
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k1", "k2", "j", "coefficient"])
-        coeffs = field.coeffs
-        for k1, k2, j in zip(*np.nonzero(coeffs)):
-            writer.writerow(
-                [int(k1) + 1, int(k2) + 1, int(j), _FLOAT_FMT.format(coeffs[k1, k2, j])]
-            )
+        fh.write("".join(lines))
 
 
 def read_snapshot(path, disc: Discretization) -> SpectralField3:
@@ -362,16 +370,26 @@ def read_snapshot(path, disc: Discretization) -> SpectralField3:
         raise ConfigError(f"cannot read coefficient file {path}: {exc}") from exc
     with fh:
         reader = csv.DictReader(fh)
-        expected = {"k1", "k2", "j", "coefficient"}
+        expected = set(_SNAPSHOT_COLUMNS)
         if set(reader.fieldnames or ()) != expected:
             raise ConfigError(
                 f"{path}: coefficient files need columns {sorted(expected)}"
             )
         for row in reader:
-            k1, k2, j = int(row["k1"]), int(row["k2"]), int(row["j"])
+            where = f"{path}: line {reader.line_num}"
+            try:
+                k1, k2, j = int(row["k1"]), int(row["k2"]), int(row["j"])
+                value = float(row["coefficient"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: unreadable row {row}: {exc}") from exc
             if not (1 <= k1 <= disc.k_max and 1 <= k2 <= disc.k_max):
                 raise ConfigError(f"{path}: mode ({k1}, {k2}) outside resolved band")
             if not 0 <= j < disc.n_z:
                 raise ConfigError(f"{path}: grid index {j} outside [0, {disc.n_z})")
-            coeffs[k1 - 1, k2 - 1, j] = float(row["coefficient"])
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{where}: coefficient {row['coefficient']!r} of mode ({k1}, {k2}) "
+                    f"at j = {j} is not finite"
+                )
+            coeffs[k1 - 1, k2 - 1, j] = value
     return SpectralField3(coeffs, disc)

@@ -290,6 +290,28 @@ class TestRunArtifacts:
             ["--command", "elliptic", "--config", str(path), "--out", str(tmp_path / "run")]
         ) == 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "abc", ""])
+    def test_bad_snapshot_row_is_config_error(self, tmp_path, capsys, bad):
+        disc = Discretization(k_max=2, n_z=128, l_z=20.0, n_t=5)
+        coeffs = np.zeros((2, 2, 128))
+        coeffs[0, 0] = np.exp(-2.0 * disc.z)
+        write_snapshot(tmp_path / "w0.csv", SpectralField3(coeffs, disc))
+        lines = (tmp_path / "w0.csv").read_text().splitlines(keepends=True)
+        lines[6] = f"1,2,5,{bad}\r\n"
+        (tmp_path / "w0.csv").write_text("".join(lines))
+        with pytest.raises(ConfigError, match=r"w0\.csv: line 7: "):
+            read_snapshot(tmp_path / "w0.csv", disc)
+        path = write_config(
+            tmp_path, initial_data={"w": {"family": "file", "path": "w0.csv"}}
+        )
+        capsys.readouterr()
+        for command in ("heat", "elliptic", "picard"):
+            out = tmp_path / command
+            assert main(["--command", command, "--config", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error"), (command, err)
+            assert "w0.csv: line 7" in err
+
     def test_norms_csv_roundtrip_full_precision(self, tmp_path):
         t = [0.0, 1.0 / 3.0]
         v = [math.pi, math.e]
@@ -327,6 +349,31 @@ class TestVerifyCommand:
     def test_verify_without_report_is_config_error(self, tmp_path, capsys):
         assert main(["--command", "verify", "--out", str(tmp_path / "empty")]) == 1
         assert "config error" in capsys.readouterr().err
+
+
+class TestTiming:
+    def test_picard_reports_nonnegative_phase_seconds_within_the_total(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            disc={"k_max": 2, "n_z": 129, "n_t": 5},
+            initial_data={
+                "v": {"family": "random", "kind": "vspace", "amplitude": 0.1},
+                "w": {"family": "random", "kind": "robin", "amplitude": 0.05},
+            },
+        )
+        cfg = json.loads(path.read_text())
+        del cfg["constants"]  # so the growth constant is calibrated in the run
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["--command", "picard", "--config", str(path), "--out", str(out)]) == 0
+        timing = read_report(out / "report.json")["timing"]
+        phases = timing["phase_seconds"]
+        assert set(phases) == {
+            "growth_calibration", "main_solve", "contraction", "apriori",
+            "fixed_point_residual", "uniqueness",
+        }
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert sum(phases.values()) <= timing["total_seconds"]
 
 
 class TestDeterminism:

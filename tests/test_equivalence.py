@@ -7,13 +7,16 @@ Each reference below is the earlier algorithm written out in full:
   bundle     the backward exponential-kernel sweep as a Python loop over the
              z grid, against the single bidiagonal banded solve;
   elliptic   one tridiagonal solve_banded per lateral mode, against the one
-             block-diagonal banded solve over all modes;
+             block-diagonal band factored once per geometry and solved with
+             its factors;
   lateral    zero-padded type-1 DSTs along both lateral axes, against the
              cached dense sine-matrix contractions;
   norm       the sum over every multi-index of trapezoid integrals, against
              the per-z-order weight table and closed-form trapezoid;
   stencils   the z-derivative and residual stencils as separate copies,
-             against the one wall stencil and the one second difference;
+             strided per z profile, against the one wall stencil and the
+             one second difference run over the flattened array, on C,
+             Fortran and strided-view layouts;
   oracle     Crank-Nicolson stepping with one factorisation and n_steps
              tridiagonal solves per lateral mode, against the one
              block-diagonal factorisation and one solve per step over all
@@ -21,16 +24,24 @@ Each reference below is the earlier algorithm written out in full:
   Simpson    scipy.integrate.simpson, against the uniform-grid composite
              Simpson in heat;
   held-out   the calibrate command's own held-out ratio loops, against the
-             ratio samplers elliptic_ratios and growth_ratios.
+             ratio samplers elliptic_ratios and growth_ratios;
+  snapshot   csv.writer row by row, against the one-pass snapshot writer;
+  guard      the ball guard taking x_norm after every sweep, against the
+             guard that takes it only once the start's norm plus the moves
+             passes the radius.
 
 The recurrence, the banded sweep, the sine matrices and the weight table
 reorder floating-point sums, so they are held to a tolerance a few hundred
 ulps wide; the stacked elliptic solve, the shared stencils, the batched
 oracle, the in-module Simpson and the ratio samplers run the same arithmetic
-and must agree bit for bit.
+and must agree bit for bit; the snapshot writers must agree byte for byte,
+and the two guards must stop at the same sweep.
 """
 
+import csv
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +54,8 @@ from robinslab.domain import (
     Discretization,
     ModelParams,
     SpectralField3,
+    _dz1,
+    _dz2,
     d_z,
     field_from_lateral_values,
     lateral_values,
@@ -59,7 +72,18 @@ from robinslab.heat import (
     fd_robin_oracle,
     growth_ratios,
 )
-from robinslab.picard import duhamel_apply
+from robinslab.errors import NoConvergenceError
+from robinslab.picard import (
+    DIVERGENCE_FACTOR,
+    PicardState,
+    duhamel_apply,
+    picard_solve,
+    picard_step,
+    select_horizon,
+    x_distance,
+    x_norm,
+)
+from robinslab.report import write_snapshot
 
 A = math.pi
 PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
@@ -156,6 +180,16 @@ def test_stacked_elliptic_solve_is_bit_identical_to_per_mode(k_max, n_z, beta):
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(k_max * n_z), kind="generic")
     assert np.array_equal(solve_elliptic(f, beta, A).coeffs, elliptic_by_mode(f, beta, A))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0, 0), (1, 2, 40)])
+def test_elliptic_solve_rejects_a_non_finite_source(bad, where):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0)
+    coeffs = random_field3(disc, np.random.default_rng(6), kind="generic").coeffs.copy()
+    coeffs[where] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_elliptic(SpectralField3(coeffs, disc), 1.0, A)
 
 
 def lateral_by_dst(coeffs, m):
@@ -257,6 +291,46 @@ def test_shared_stencils_are_bit_identical_to_their_copies():
     assert interior_residual(v, zero, PARAMS.beta, A) == float(
         np.max(np.abs(-lap + mu2 * c[:, :, 1:-1]))
     )
+
+
+LAYOUTS = ("C", "Fortran", "z-strided view", "lateral-strided view", "transposed view")
+
+
+def laid_out(c, layout):
+    """The values of c in the given memory layout."""
+    if layout == "C":
+        return c
+    if layout == "Fortran":
+        return np.asfortranarray(c)
+    if layout == "z-strided view":
+        wide = np.zeros(c.shape[:-1] + (2 * c.shape[-1],))
+        wide[..., ::2] = c
+        return wide[..., ::2]
+    if layout == "lateral-strided view":
+        tall = np.zeros((2 * c.shape[0],) + c.shape[1:])
+        tall[::2] = c
+        return tall[::2]
+    return np.ascontiguousarray(c.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("k_max, n_z", [(3, 97), (1, 97), (3, 4), (1, 4)])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_stencils_and_norms_match_the_strided_reference_on_every_layout(k_max, n_z, layout):
+    c = np.random.default_rng(k_max * n_z).normal(size=(k_max, k_max, n_z))
+    arr = laid_out(c, layout)
+    assert np.array_equal(arr, c)
+    dz = 20.0 / (n_z - 1)
+    assert np.array_equal(_dz1(arr, dz), dz_by_stencil(c, dz, 1))
+    assert np.array_equal(_dz2(arr, dz), dz_by_stencil(c, dz, 2))
+    if n_z < 8:  # below the smallest Discretization
+        return
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    field = SpectralField3(arr, disc)
+    for s in range(4):
+        got = sobolev_norm(field, s, A)
+        assert got == sobolev_norm(SpectralField3(c, disc), s, A)
+        want = norm_by_multi_index(SpectralField3(c, disc), s, A)
+        assert abs(got - want) <= 1e-13 * want
 
 
 def oracle_by_mode(omega0, t, params, n_steps):
@@ -365,3 +439,85 @@ def test_ratio_samplers_equal_the_held_out_loops(s, seed):
     want = held_out_growth_by_loop(params, disc, seed + 1, 6, times)
     assert len(want) == 18
     assert growth_ratios(robin, times, s, params) == want
+
+
+def snapshot_by_csv_writer(path, field):
+    """One csv.writer row per nonzero coefficient, 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k1", "k2", "j", "coefficient"])
+        coeffs = field.coeffs
+        for k1, k2, j in zip(*np.nonzero(coeffs)):
+            writer.writerow(
+                [int(k1) + 1, int(k2) + 1, int(j), "{:.17g}".format(coeffs[k1, k2, j])]
+            )
+
+
+@pytest.mark.parametrize("k_max, n_z", [(1, 8), (3, 97), (8, 256)])
+def test_snapshot_writer_is_byte_identical_to_csv_writer(tmp_path, k_max, n_z):
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    gen = np.random.default_rng(k_max + n_z)
+    magnitudes = 10.0 ** gen.uniform(-300.0, 300.0, size=(k_max, k_max, n_z))
+    signs = gen.choice([-1.0, 1.0], size=magnitudes.shape)
+    coeffs = signs * magnitudes * (gen.uniform(size=magnitudes.shape) > 0.3)
+    coeffs.flat[:4] = [1e-300, -1e300, 0.0, -0.0]
+    field = SpectralField3(coeffs, disc)
+    assert np.any(coeffs == 0.0) and np.any(coeffs < 0.0)
+    write_snapshot(tmp_path / "one_pass.csv", field)
+    snapshot_by_csv_writer(tmp_path / "by_row.csv", field)
+    assert (tmp_path / "one_pass.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()
+
+
+def guard_sweep_by_every_norm(v0, w0, params, horizon, tol=1e-8, max_iter=30):
+    """picard_solve's loop with x_norm after every non-final sweep.
+
+    Returns the sweep at which the iterate first leaves the guard ball, or
+    None when the solve converges first.
+    """
+    n_t = v0.disc.n_t
+    state = PicardState(np.linspace(0.0, horizon.T, n_t), (v0,) * n_t, (w0,) * n_t, 0)
+    diffs = []
+    for _ in range(max_iter):
+        new = picard_step(state, v0, w0, params)
+        diffs.append(x_distance(new, state, params))
+        state = new
+        if diffs[-1] <= tol * diffs[0]:
+            return None
+        if x_norm(state, params) > DIVERGENCE_FACTOR * horizon.M:
+            return state.iteration_index
+    raise AssertionError("reference loop hit the sweep cap")
+
+
+def guard_sweep(v0, w0, params, horizon):
+    try:
+        picard_solve(v0, w0, params, horizon.growth_constant, horizon=horizon)
+    except NoConvergenceError as exc:
+        return int(re.search(r"at sweep (\d+)", str(exc)).group(1))
+    return None
+
+
+def test_bounded_ball_guard_stops_where_the_per_sweep_guard_does():
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+    gen = np.random.default_rng(8)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+    horizon = select_horizon(v0, w0, PARAMS, 1.5)
+    # guard radii below, between and above the first iterates' x_norms
+    # (which grow here), so the guard trips at sweep 1, at sweep 2, and at
+    # the largest radius never
+    n_t = disc.n_t
+    state = PicardState(np.linspace(0.0, horizon.T, n_t), (v0,) * n_t, (w0,) * n_t, 0)
+    norms = []
+    for _ in range(3):
+        state = picard_step(state, v0, w0, PARAMS)
+        norms.append(x_norm(state, PARAMS))
+    levels = sorted(norms)
+    radii = [0.5 * levels[0], 2.0 * levels[-1]]
+    radii += [0.5 * (low + high) for low, high in zip(levels, levels[1:])]
+    seen = set()
+    for level in radii:
+        radius = dataclasses.replace(horizon, M=level / DIVERGENCE_FACTOR)
+        want = guard_sweep_by_every_norm(v0, w0, PARAMS, radius)
+        assert guard_sweep(v0, w0, PARAMS, radius) == want
+        seen.add(want)
+    assert seen == {1, 2, None}

@@ -2,9 +2,12 @@
 
 One Picard sweep evaluates the Duhamel term in the propagator's spectral
 state: it builds one propagator for w0 and one per forcing slice, and never
-evaluates a propagator through RobinPropagator.at.  An H^3 norm applies the
-second-difference stencil once and differentiates that profile for order 3
-rather than recomputing it.  The Crank-Nicolson oracle factors one
+evaluates a propagator through RobinPropagator.at.  A converging solve
+takes no norm for its ball guard beyond the start's, propagators on one
+geometry share their rates, and the elliptic band is factored once per
+geometry, not once per solve.  An H^3 norm applies the second-difference
+stencil once and differentiates that profile for order 3 rather than
+recomputing it.  The Crank-Nicolson oracle factors one
 block-diagonal band for all lateral modes and makes one tridiagonal solve
 per step, keeps the modes uncoupled, and never touches the transform
 route.  Importing the command module must not pull in scipy.signal,
@@ -25,9 +28,9 @@ import numpy as np
 import pytest
 
 import robinslab
-from robinslab import domain, heat
+from robinslab import domain, elliptic, heat, picard
 from robinslab.domain import Discretization, ModelParams, SpectralField3, random_field3
-from robinslab.picard import PicardState, picard_step
+from robinslab.picard import PicardState, picard_solve, picard_step
 
 PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
 
@@ -56,6 +59,57 @@ def test_one_sweep_builds_per_slice_and_never_evaluates(monkeypatch):
     assert len(new.omega_slices) == disc.n_t
     assert counts["at"] == 0
     assert 0 < counts["build"] <= disc.n_t + 1
+
+
+def test_converging_solve_takes_no_norm_for_its_ball_guard(monkeypatch):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+    gen = np.random.default_rng(8)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+    calls = []
+    real_norm = domain.sobolev_norm
+
+    def counting_norm(f, s, a):
+        calls.append(s)
+        return real_norm(f, s, a)
+
+    monkeypatch.setattr(domain, "sobolev_norm", counting_norm)
+    monkeypatch.setattr(picard, "sobolev_norm", counting_norm)
+    result = picard_solve(v0, w0, PARAMS, 1.5)
+    assert result.horizon.M > 0.0
+    assert result.iterations >= 2  # the guard is reached after every non-final sweep
+    # 2 for the horizon, 2 for the constant-in-time start, 2 per slice per sweep
+    assert len(calls) == 4 + 2 * disc.n_t * result.iterations
+
+
+def test_second_elliptic_solve_neither_factors_nor_band_solves(monkeypatch):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0)
+    gen = np.random.default_rng(12)
+    first = random_field3(disc, gen, kind="generic")
+    second = random_field3(disc, gen, kind="generic")
+    want = elliptic.solve_elliptic(second, PARAMS.beta, PARAMS.a).coeffs
+    elliptic.solve_elliptic(first, PARAMS.beta, PARAMS.a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a solve on a known geometry must reuse its factors")
+
+    monkeypatch.setattr(elliptic, "dgttrf", forbidden)
+    monkeypatch.setattr(elliptic, "solve_banded", forbidden, raising=False)
+    got = elliptic.solve_elliptic(second, PARAMS.beta, PARAMS.a).coeffs
+    assert np.array_equal(got, want)
+
+
+def test_propagators_on_one_geometry_share_their_rates():
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0)
+    gen = np.random.default_rng(13)
+    fields = [random_field3(disc, gen, kind="generic") for _ in range(3)]
+    first, second = (heat.RobinPropagator(f, PARAMS, check_compat=False) for f in fields[:2])
+    assert second.slab_rates is first.slab_rates
+    assert second.wall_rates is first.wall_rates
+    assert not first.slab_rates.flags.writeable
+    slower = ModelParams(a=PARAMS.a, nu=0.5, gamma=PARAMS.gamma, beta=PARAMS.beta)
+    other = heat.RobinPropagator(fields[2], slower, check_compat=False)
+    assert np.array_equal(other.slab_rates, 0.5 * first.slab_rates)
 
 
 def test_h3_norm_applies_the_second_difference_once(monkeypatch):
