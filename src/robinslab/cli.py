@@ -313,7 +313,7 @@ def _cmd_heat(config: RunConfig):
 
 
 def _cmd_picard(config: RunConfig):
-    params, disc = config.params, config.disc
+    params = config.params
     tol = config.tolerances.picard_tol
     res_tol = config.tolerances.resonance_tol
     rng = np.random.default_rng(config.seed)
@@ -323,9 +323,7 @@ def _cmd_picard(config: RunConfig):
     with _phase(phases, "growth_calibration"):
         c_gs = _growth_constant_for(config, inflate=True)
     with _phase(phases, "main_solve"):
-        result = picard_solve(
-            v0, w0, params, c_gs, tol=tol, quad_nodes=disc.quad_nodes, resonance_tol=res_tol
-        )
+        result = picard_solve(v0, w0, params, c_gs, tol=tol, resonance_tol=res_tol)
     h = result.horizon
     v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
     w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
@@ -334,16 +332,11 @@ def _cmd_picard(config: RunConfig):
         ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, h, params)),
         (
             "fixed-point-residual",
-            lambda: fixed_point_residual_check(
-                result, v0, w0, params, tol, disc.quad_nodes, res_tol
-            ),
+            lambda: fixed_point_residual_check(result, v0, w0, params, tol, res_tol),
         ),
         (
             "uniqueness",
-            lambda: uniqueness_check(
-                result, v0, w0, params, tol=tol, quad_nodes=disc.quad_nodes,
-                resonance_tol=res_tol,
-            ),
+            lambda: uniqueness_check(result, v0, w0, params, tol=tol, resonance_tol=res_tol),
         ),
     ]
     certs = []

@@ -73,18 +73,16 @@ class ModelParams:
 class Discretization:
     """Grid resolution knobs.
 
-    k_max       lateral sine modes per direction
-    n_z         z grid points on [0, l_z]
-    l_z         truncation depth of the half-infinite direction
-    n_t         stored time slices (uniform grid on [0, T])
-    quad_nodes  Duhamel quadrature nodes per slice interval (2 = trapezoid)
+    k_max  lateral sine modes per direction
+    n_z    z grid points on [0, l_z]
+    l_z    truncation depth of the half-infinite direction
+    n_t    stored time slices (uniform grid on [0, T])
     """
 
     k_max: int
     n_z: int
     l_z: float
     n_t: int = 2
-    quad_nodes: int = 2
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -95,8 +93,6 @@ class Discretization:
             raise ValueError("l_z must be positive")
         if self.n_t < 2:
             raise ValueError("n_t must be >= 2")
-        if self.quad_nodes < 2:
-            raise ValueError("quad_nodes must be >= 2")
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -376,10 +372,9 @@ def random_field3(
     rng: np.random.Generator,
     kind: str = "generic",
     gamma: float | None = None,
-    lateral_decay: float = 3.0,
     amplitude: float = 1.0,
 ) -> SpectralField3:
-    """Random smooth decaying field.
+    """Random smooth decaying field; lateral amplitudes are normal draws over |k|^3.
 
     kind = "generic"  two decaying exponentials per mode, free wall trace
            "robin"    z profiles satisfying c'(0) + gamma*c(0) = 0
@@ -393,7 +388,7 @@ def random_field3(
     if kind == "flat":
         amps = rng.choice([-1.0, 1.0], size=(K, K)) / (kk1 * kk2)
     else:
-        amps = rng.normal(size=(K, K)) / (kk1**2 + kk2**2) ** (lateral_decay / 2.0)
+        amps = rng.normal(size=(K, K)) / (kk1**2 + kk2**2) ** 1.5
 
     if kind in ("generic", "flat"):
         p = rng.uniform(1.0, 2.0, size=(K, K, 1))

@@ -42,7 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_RESONANCE_TOL = 1e-8
-DEFAULT_CONDITION_CAP = 1e12
+# worst-mode condition estimate above which a solve is refused
+CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -181,15 +182,14 @@ def solve_elliptic(
     beta: float,
     a: float,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
 ) -> SpectralField3:
     """Invert -Delta with the Robin wall condition, all modes in one factored solve."""
     require_admissible(beta, f.disc, a, resonance_tol)
     op = elliptic_operator(float(beta), float(a), f.disc)
-    if op.condition > condition_cap:
+    if op.condition > CONDITION_CAP:
         raise SingularSystemError(
             f"mode {op.condition_mode} system condition estimate {op.condition:.3e} "
-            f"exceeds cap {condition_cap:.3e}"
+            f"exceeds cap {CONDITION_CAP:.3e}"
         )
     return op.solve(f)
 

@@ -171,44 +171,31 @@ def duhamel_apply(
     g_slices,
     horizon: float,
     params: ModelParams,
-    quad_nodes: int = 2,
 ) -> list[SpectralField3]:
     """Slices of P_t w0 + Int_0^t P_{t-s} g(s) ds on the uniform grid.
 
     Works in the propagator's spectral state, where P is diagonal.  The
-    forcing part obeys the cell recurrence
+    forcing part obeys the trapezoid cell recurrence
 
-        U_i = E(dt) U_{i-1} + L X_{i-1} + R X_i,    U_0 = 0,
+        U_i = E U_{i-1} + (dt/2) E X_{i-1} + (dt/2) X_i,    U_0 = 0,
 
-    with X_j the state of forcing slice j and L, R the per-mode weights of
-    the cell quadrature: quad_nodes equispaced nodes per cell, trapezoid
-    weights, the forcing blended linearly in s between the two bracketing
-    slices (quad_nodes = 2 is the plain slice trapezoid).  The w0 part is
-    evaluated at the exact t_i, and each output slice is one synthesis.
-    Forcing states are built one slice at a time.
+    with X_j the state of forcing slice j and E = exp(rate dt) per mode.
+    The w0 part is evaluated at the exact t_i, and each output slice is one
+    synthesis.  Forcing states are built one slice at a time.
     """
     n_t = len(g_slices)
     if n_t < 2:
         raise ValueError("Duhamel quadrature needs at least two slices")
-    if quad_nodes < 2:
-        raise ValueError(f"quad_nodes must be >= 2, got {quad_nodes}")
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     t = np.linspace(0.0, horizon, n_t)
     dt = t[1] - t[0]
     base = RobinPropagator(w0, params, check_compat=False)
 
-    # a node at s = t_j + theta dt reaches the cell's right end after (1 - theta) dt
-    theta = np.linspace(0.0, 1.0, quad_nodes)
-    weights = np.full(quad_nodes, dt / (quad_nodes - 1))
-    weights[[0, -1]] *= 0.5
-
-    def cell(rate):
-        """E(dt), L and R for one component of the state."""
-        decay = np.exp(rate[..., None] * ((1.0 - theta) * dt))
-        return decay[..., 0], decay @ (weights * (1.0 - theta)), decay @ (weights * theta)
-
-    cells = [cell(base.slab_rates), cell(base.wall_rates)]
+    half = 0.5 * dt
+    # E and (dt/2) E for the slab modes, then for the wall moments
+    decays = (np.exp(base.slab_rates * dt), np.exp(base.wall_rates * dt))
+    cells = [(e, e * half) for e in decays]
 
     out = [w0]
     forced = [np.zeros_like(base.slab_rates), np.zeros_like(base.wall_rates)]
@@ -218,8 +205,8 @@ def duhamel_apply(
         state = (cur.slab_modes, cur.wall_moments)
         if prev is not None:
             forced = [
-                e * u + lw * x0 + rw * x1
-                for (e, lw, rw), u, x0, x1 in zip(cells, forced, prev, state)
+                e * u + left * x0 + half * x1
+                for (e, left), u, x0, x1 in zip(cells, forced, prev, state)
             ]
             free = base.state_at(t[i])
             out.append(base.synthesize(free[0] + forced[0], free[1] + forced[1]))
@@ -268,7 +255,6 @@ def picard_step(
     v0: SpectralField3,
     w0: SpectralField3,
     params: ModelParams,
-    quad_nodes: int = 2,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> PicardState:
     """One sweep of the map; slice 0 stays pinned to the data."""
@@ -286,7 +272,7 @@ def picard_step(
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
 
     g_slices = [d_z(v_j) for v_j in state.v_slices]
-    w_new = duhamel_apply(w0, g_slices, float(t[-1]), params, quad_nodes)
+    w_new = duhamel_apply(w0, g_slices, float(t[-1]), params)
     return PicardState(
         t_grid=t,
         v_slices=tuple(v_new),
@@ -302,7 +288,6 @@ def picard_solve(
     growth_constant: float,
     tol: float = 1e-8,
     max_iter: int = 30,
-    quad_nodes: int = 2,
     horizon: HorizonSelection | None = None,
     initial_state: PicardState | None = None,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
@@ -337,7 +322,7 @@ def picard_solve(
     diffs: list[float] = []
     converged = False
     for _ in range(max_iter):
-        new = picard_step(state, v0, w0, params, quad_nodes, resonance_tol)
+        new = picard_step(state, v0, w0, params, resonance_tol)
         diff = x_distance(new, state, params)
         if not np.isfinite(diff):
             raise NonFiniteError(

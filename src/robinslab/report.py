@@ -64,7 +64,6 @@ class RunConfig:
     disc: Discretization
     seed: int
     tolerances: ToleranceSettings
-    elliptic_constant: float | None
     growth_constant: float | None
     initial_v: dict
     initial_w: dict
@@ -78,17 +77,14 @@ class RunConfig:
             "tolerances": asdict(self.tolerances),
             "initial_data": {"v": dict(self.initial_v), "w": dict(self.initial_w)},
         }
-        constants = {}
-        if self.elliptic_constant is not None:
-            constants["elliptic_constant"] = self.elliptic_constant
         if self.growth_constant is not None:
-            constants["growth_constant"] = self.growth_constant
-        if constants:
-            out["constants"] = constants
+            out["constants"] = {"growth_constant": self.growth_constant}
         return out
 
 
 def _require_keys(record: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(record).__name__}")
     unknown = set(record) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -101,7 +97,14 @@ def _number(record: dict, key: str, where: str) -> float:
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    # json also reads the NaN and Infinity literals, which no parameter admits
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _integer(record: dict, key: str, where: str) -> int:
@@ -122,7 +125,7 @@ _RANDOM_KINDS = {"generic", "robin", "vspace", "flat"}
 
 def _normalize_family(spec, where: str) -> dict:
     if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be a record, got {spec!r}")
+        raise ConfigError(f"{where} must be a JSON object, got {spec!r}")
     if "family" not in spec:
         raise ConfigError(f"{where} needs a 'family' key")
     family = spec["family"]
@@ -159,8 +162,6 @@ def _normalize_family(spec, where: str) -> dict:
 
 def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     """Validate a decoded JSON record into a RunConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a JSON object")
     _require_keys(
         raw,
         {"params", "disc", "seed", "tolerances", "constants", "initial_data"},
@@ -180,6 +181,9 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
+    # the vorticity wall condition and the tail check need gamma > 0
+    if not params.gamma > 0:
+        raise ConfigError(f"params: gamma must be positive, got {params.gamma}")
     # picard's iteration norm takes H^{s+1} of v
     if params.s + 1 > MAX_DERIVATIVE_ORDER:
         raise ConfigError(
@@ -187,16 +191,13 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         )
 
     d = raw["disc"]
-    _require_keys(
-        d, {"k_max", "n_z", "l_z", "n_t", "quad_nodes"}, {"k_max", "n_z", "l_z"}, "disc"
-    )
+    _require_keys(d, {"k_max", "n_z", "l_z", "n_t"}, {"k_max", "n_z", "l_z"}, "disc")
     try:
         disc = Discretization(
             k_max=_integer(d, "k_max", "disc"),
             n_z=_integer(d, "n_z", "disc"),
             l_z=_number(d, "l_z", "disc"),
             n_t=_integer(d, "n_t", "disc") if "n_t" in d else 9,
-            quad_nodes=_integer(d, "quad_nodes", "disc") if "quad_nodes" in d else 2,
         )
     except ValueError as exc:
         raise ConfigError(f"disc: {exc}") from exc
@@ -216,21 +217,12 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     )
 
     const_rec = raw.get("constants", {})
-    _require_keys(
-        const_rec, {"elliptic_constant", "growth_constant"}, set(), "constants"
-    )
-    elliptic_constant = (
-        _number(const_rec, "elliptic_constant", "constants")
-        if "elliptic_constant" in const_rec
-        else None
-    )
+    _require_keys(const_rec, {"growth_constant"}, set(), "constants")
     growth_constant = (
         _number(const_rec, "growth_constant", "constants")
         if "growth_constant" in const_rec
         else None
     )
-    if elliptic_constant is not None and elliptic_constant <= 0:
-        raise ConfigError("constants.elliptic_constant must be positive")
     if growth_constant is not None and growth_constant < 1.0:
         raise ConfigError("constants.growth_constant cannot be below its t=0 value 1")
 
@@ -239,11 +231,10 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     initial_v = _normalize_family(data_rec.get("v", {"family": "zero"}), "initial_data.v")
     initial_w = _normalize_family(data_rec.get("w", {"family": "zero"}), "initial_data.w")
 
-    if params.gamma > 0:
-        try:
-            disc.check_tail(params.gamma, tolerances.tail_tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        disc.check_tail(params.gamma, tolerances.tail_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     require_admissible(params.beta, disc, params.a, tolerances.resonance_tol)
 
     return RunConfig(
@@ -251,20 +242,23 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         disc=disc,
         seed=seed,
         tolerances=tolerances,
-        elliptic_constant=elliptic_constant,
         growth_constant=growth_constant,
         initial_v=initial_v,
         initial_w=initial_w,
     )
 
 
+def _read_json(path: Path):
+    """Decoded JSON file; text that is not UTF-8 JSON is a ConfigError naming the file."""
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_config(path, seed_override: int | None = None) -> RunConfig:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    config = parse_config(raw, seed_override)
+    config = parse_config(_read_json(path), seed_override)
     for spec in (config.initial_v, config.initial_w):
         if spec["family"] == "file":
             spec["path"] = str((path.parent / spec["path"]).resolve())
@@ -301,15 +295,15 @@ def build_field(
 
 def _json_safe(value):
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _json_safe(value.item())
     if isinstance(value, np.ndarray):
         return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # "inf", "-inf" or "nan": strict JSON has no such number
     return value
 
 
@@ -319,7 +313,7 @@ def write_report(path, report: dict) -> None:
 
 
 def read_report(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return _read_json(Path(path))
 
 
 def write_norms_csv(path, times, v_norms, w_norms, energies) -> None:

@@ -78,12 +78,10 @@ def make_certificate(name: str, measured: float, bound: float, **details) -> Cer
     )
 
 
-def order_certificate(
-    name: str, observed: float, expected: float = 2.0, window: float = ORDER_WINDOW, **details
-) -> Certificate:
-    """Convergence order inside expected +- window."""
+def order_certificate(name: str, observed: float, **details) -> Certificate:
+    """Convergence order inside 2 +- ORDER_WINDOW: every stencil is second order."""
     return make_certificate(
-        name, abs(observed - expected), window, observed_order=float(observed), **details
+        name, abs(observed - 2.0), ORDER_WINDOW, observed_order=float(observed), **details
     )
 
 
@@ -204,11 +202,10 @@ def fixed_point_residual_check(
     w0: SpectralField3,
     params: ModelParams,
     tol: float,
-    quad_nodes: int = 2,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> Certificate:
     """One extra sweep moves a converged iterate by at most 2 tol x first move."""
-    extra = picard_step(result.state, v0, w0, params, quad_nodes, resonance_tol)
+    extra = picard_step(result.state, v0, w0, params, resonance_tol)
     move = x_distance(extra, result.state, params)
     return make_certificate(
         "fixed-point-residual", move, 2.0 * tol * result.diffs[0],
@@ -222,7 +219,6 @@ def uniqueness_check(
     w0: SpectralField3,
     params: ModelParams,
     tol: float = 1e-8,
-    quad_nodes: int = 2,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> Certificate:
     """Two different initial guesses land on the same fixed point.
@@ -241,8 +237,7 @@ def uniqueness_check(
     )
     second = picard_solve(
         v0, w0, params, first.horizon.growth_constant, tol=tol,
-        quad_nodes=quad_nodes, horizon=first.horizon, initial_state=skewed,
-        resonance_tol=resonance_tol,
+        horizon=first.horizon, initial_state=skewed, resonance_tol=resonance_tol,
     )
     gap = x_distance(first.state, second.state, params)
     return make_certificate(
@@ -256,13 +251,13 @@ def transform_oracle_certificate(
     t: float,
     params: ModelParams,
     n_steps: int = 2000,
-    bound: float = 5e-3,
-    name: str = "heat-route-agreement",
 ) -> Certificate:
-    """Transform propagator against the Crank-Nicolson route on one field."""
+    """Transform propagator against the Crank-Nicolson route on one field, to 5e-3."""
     prop = RobinPropagator(w0, params, check_compat=False).at(t)
     ref = fd_robin_oracle(w0, t, params, n_steps=n_steps)
     scale = float(np.max(np.abs(ref.coeffs)))
     diff = float(np.max(np.abs(prop.coeffs - ref.coeffs)))
     measured = diff if scale == 0.0 else diff / scale
-    return make_certificate(name, measured, bound, t=float(t), n_steps=int(n_steps))
+    return make_certificate(
+        "heat-route-agreement", measured, 5e-3, t=float(t), n_steps=int(n_steps)
+    )

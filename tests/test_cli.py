@@ -8,6 +8,8 @@ set written per run, and byte determinism of report.json modulo timing.
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from robinslab.report import (
     read_report,
     read_snapshot,
     write_norms_csv,
+    write_report,
     write_snapshot,
 )
 
@@ -84,9 +87,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_bad_json_is_a_config_error(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"])
+    def test_bad_json_is_a_config_error(self, tmp_path, content):
         path = tmp_path / "cfg.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
@@ -121,6 +125,24 @@ class TestConfigParsing:
     def test_parse_rejects_non_record_root(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [("params", 5), ("params", [1, 2]), ("disc", "fine"), ("tolerances", 5),
+         ("constants", [1.5]), ("initial_data", None)],
+    )
+    def test_section_that_is_not_an_object_is_config_error(self, section, value):
+        cfg = json.loads(json.dumps(BASE))
+        cfg[section] = value
+        with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
+            parse_config(cfg)
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        schema = readme[readme.index("## Config schema"):]
+        example = re.search(r"```json\n(.*?)```", schema, re.DOTALL).group(1)
+        config = parse_config(json.loads(example))
+        assert config.echo()["disc"] == json.loads(example)["disc"]
 
 
 class TestExitCodes:
@@ -184,6 +206,48 @@ class TestExitCodes:
             )
             assert code == 1, command
             assert capsys.readouterr().err.startswith("config error"), command
+
+    @pytest.mark.parametrize(
+        "section, key", [("disc", "quad_nodes"), ("constants", "elliptic_constant")]
+    )
+    def test_retired_keys_are_config_errors(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, **{section: {key: 2}})
+        for command in ("heat", "picard"):
+            code = main(
+                ["--command", command, "--config", str(path), "--out", str(tmp_path / command)]
+            )
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: unknown keys in {section}: ['{key}']"), err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("params", "beta", math.nan), ("params", "gamma", math.nan), ("disc", "l_z", math.inf),
+         ("params", "beta", 10**400)],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, section, key, value):
+        # json writes and reads these as the bare NaN and Infinity literals,
+        # and as an integer literal beyond the float range
+        path = write_config(tmp_path, **{section: {key: value}})
+        for command in ("heat", "picard"):
+            out = tmp_path / command
+            code = main(["--command", command, "--config", str(path), "--out", str(out)])
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("config error"), err
+            assert f"{section}.{key} must be finite" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0])
+    def test_nonpositive_gamma_is_config_error(self, tmp_path, capsys, gamma):
+        path = write_config(tmp_path, params={"gamma": gamma})
+        for command in ("heat", "picard", "calibrate"):
+            code = main(
+                ["--command", command, "--config", str(path), "--out", str(tmp_path / command)]
+            )
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("config error: params: gamma must be positive"), err
 
     def test_nearby_admissible_beta_succeeds(self, tmp_path):
         path = write_config(tmp_path, params={"beta": math.sqrt(2.0) + 1e-3})
@@ -312,6 +376,15 @@ class TestRunArtifacts:
             assert err.startswith("config error"), (command, err)
             assert "w0.csv: line 7" in err
 
+    def test_report_writes_non_finite_numbers_as_strings(self, tmp_path):
+        write_report(tmp_path / "r.json", {"a": math.nan, "b": [math.inf, np.float64(-math.inf)]})
+
+        def refuse(token):
+            raise AssertionError(f"bare {token} in report.json")
+
+        stored = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+        assert stored == {"a": "nan", "b": ["inf", "-inf"]}
+
     def test_norms_csv_roundtrip_full_precision(self, tmp_path):
         t = [0.0, 1.0 / 3.0]
         v = [math.pi, math.e]
@@ -349,6 +422,19 @@ class TestVerifyCommand:
     def test_verify_without_report_is_config_error(self, tmp_path, capsys):
         assert main(["--command", "verify", "--out", str(tmp_path / "empty")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [b'{"command": "heat", "certificates": [{"name": "gro', b"not json", b"\xff\xfe"]
+    )
+    def test_verify_on_unreadable_report_is_config_error(self, tmp_path, capsys, content):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "report.json").write_bytes(content)
+        assert main(["--command", "verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error"), err
+        assert f"{out / 'report.json'}: invalid JSON" in err
+        assert not (out / "verify_report.json").exists()
 
 
 class TestTiming:

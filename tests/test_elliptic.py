@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robinslab import elliptic
 from robinslab.domain import (
     Discretization,
     SpectralField3,
@@ -171,11 +172,12 @@ class TestSolve:
         resid = np.max(np.abs(deriv + 1.0 * c[:, :, 0]))
         assert resid < 5e-3 * max(1.0, np.max(np.abs(c)))
 
-    def test_condition_cap_triggers(self):
+    def test_condition_cap_triggers(self, monkeypatch):
         disc = Discretization(k_max=2, n_z=64, l_z=20.0)
         f = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
+        monkeypatch.setattr(elliptic, "CONDITION_CAP", 1.0)
         with pytest.raises(SingularSystemError):
-            solve_elliptic(f, 1.0, A, condition_cap=1.0)
+            solve_elliptic(f, 1.0, A)
 
     def test_condition_estimate_matches_dense_one_norm_condition(self):
         disc = Discretization(k_max=3, n_z=64, l_z=20.0)

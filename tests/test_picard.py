@@ -109,20 +109,6 @@ class TestDuhamel:
             err = np.max(np.abs(slices[i].coeffs[0, 0] - exact))
             assert err < 1e-3 * np.max(np.abs(exact))  # measured 8.1e-5
 
-    def test_subdividing_cells_tightens_the_quadrature(self):
-        disc = Discretization(k_max=1, n_z=257, l_z=20.0, n_t=17)
-        prof = np.exp(-PARAMS.gamma * disc.z)
-        g = field3_from_profile(disc, (1, 1), prof)
-        t_end = 0.5
-        t = np.linspace(0.0, t_end, disc.n_t)
-        r = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
-        exact = (math.exp(r * t[-1]) - 1.0) / r * prof
-        errs = []
-        for q in (2, 4):
-            s = duhamel_apply(zero_field3(disc), [g] * disc.n_t, t_end, PARAMS, quad_nodes=q)
-            errs.append(np.max(np.abs(s[-1].coeffs[0, 0] - exact)))
-        assert errs[1] < errs[0] / 4.0
-
     def test_zero_forcing_reduces_to_propagation(self, rng):
         disc = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
@@ -141,8 +127,6 @@ class TestDuhamel:
         w0 = zero_field3(disc)
         with pytest.raises(ValueError):
             duhamel_apply(w0, [w0], 0.5, PARAMS)
-        with pytest.raises(ValueError):
-            duhamel_apply(w0, [w0] * 5, 0.5, PARAMS, quad_nodes=1)
         with pytest.raises(ValueError):
             duhamel_apply(w0, [w0] * 5, 0.0, PARAMS)
 
