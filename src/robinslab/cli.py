@@ -122,7 +122,8 @@ def run(command: str, config_path, out_dir, seed_override: int | None = None) ->
         report["command"] = command
         report["config"] = config.echo()
         report.setdefault("horizon", None)
-        report["error_budget"] = _error_budget(config, extras.pop("horizon_T", None))
+        times = extras["norms"][0] if "norms" in extras else []
+        report["error_budget"] = _error_budget(config, times)
     report.setdefault("timing", {})["total_seconds"] = time.perf_counter() - started
     return _emit(command, out_dir, report, **extras)
 
@@ -162,7 +163,8 @@ def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows
     return 0 if all(c.passed for c in certs) else 2
 
 
-def _error_budget(config: RunConfig, horizon_T: float | None) -> dict:
+def _error_budget(config: RunConfig, times) -> dict:
+    """A-priori error scales; dt^2 only for a run with a time series in times."""
     disc, params = config.disc, config.params
     mu_min = math.pi * math.sqrt(2.0) / params.a
     budget = {
@@ -172,8 +174,8 @@ def _error_budget(config: RunConfig, horizon_T: float | None) -> dict:
         "dt_sq": None,
         "moment_tail": math.exp(-2.0 * params.gamma * disc.l_z),
     }
-    if horizon_T is not None and disc.n_t > 1:
-        budget["dt_sq"] = (horizon_T / (disc.n_t - 1)) ** 2
+    if len(times) > 1:
+        budget["dt_sq"] = (float(times[-1]) / (len(times) - 1)) ** 2
     return budget
 
 
@@ -242,12 +244,8 @@ def _cmd_elliptic(config: RunConfig):
             50.0 * disc.dz**2 * params.a,
         ),
     ]
-    norms = (
-        [0.0],
-        [sobolev_norm(v, params.s + 1, params.a)],
-        [sobolev_norm(f, params.s, params.a)],
-        [sobolev_norm(f, params.s, params.a) ** 2],
-    )
+    f_norm = sobolev_norm(f, params.s, params.a)
+    norms = ([0.0], [sobolev_norm(v, params.s + 1, params.a)], [f_norm], [f_norm**2])
     report = {
         "measured_constants": {},
         "certificates": certs,
@@ -287,10 +285,10 @@ def _cmd_heat(config: RunConfig):
     )
     certs = run_certificates(
         [
-            ("gronwall", lambda: gronwall_energy_check(t_grid, energies, params)),
-            ("growth", lambda: growth_bound_check(ratios, c_gs)),
+            ("gronwall-energy", lambda: gronwall_energy_check(t_grid, energies, params)),
+            ("growth-bound", lambda: growth_bound_check(ratios, c_gs)),
             (
-                "route",
+                "heat-route-agreement",
                 lambda: transform_oracle_certificate(
                     w0, float(t_grid[len(t_grid) // 2]), params
                 ),
@@ -302,20 +300,14 @@ def _cmd_heat(config: RunConfig):
         "measured_constants": {"growth_constant": c_gs},
         "certificates": certs,
     }
-    return report, {
-        "norms": norms,
-        "snapshots": {"omega_final": slices[-1]},
-        "horizon_T": 1.0,
-    }
+    return report, {"norms": norms, "snapshots": {"omega_final": slices[-1]}}
 
 
 # --- picard ------------------------------------------------------------------
 
 
 def _cmd_picard(config: RunConfig):
-    params = config.params
-    tol = config.tolerances.picard_tol
-    res_tol = config.tolerances.resonance_tol
+    params, tolerances = config.params, config.tolerances
     rng = np.random.default_rng(config.seed)
     v0 = build_field(config.initial_v, config, rng)
     w0 = build_field(config.initial_w, config, rng)
@@ -323,21 +315,18 @@ def _cmd_picard(config: RunConfig):
     with _phase(phases, "growth_calibration"):
         c_gs = _growth_constant_for(config, inflate=True)
     with _phase(phases, "main_solve"):
-        result = picard_solve(v0, w0, params, c_gs, tol=tol, resonance_tol=res_tol)
+        result = picard_solve(
+            v0, w0, params, c_gs,
+            tol=tolerances.picard_tol, resonance_tol=tolerances.resonance_tol,
+        )
     h = result.horizon
     v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
     w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
     checks = [
         ("contraction", lambda: contraction_check(result.ratios)),
         ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, h, params)),
-        (
-            "fixed-point-residual",
-            lambda: fixed_point_residual_check(result, v0, w0, params, tol, res_tol),
-        ),
-        (
-            "uniqueness",
-            lambda: uniqueness_check(result, v0, w0, params, tol=tol, resonance_tol=res_tol),
-        ),
+        ("fixed-point-residual", lambda: fixed_point_residual_check(result)),
+        ("uniqueness", lambda: uniqueness_check(result)),
     ]
     certs = []
     for name, thunk in checks:
@@ -363,7 +352,6 @@ def _cmd_picard(config: RunConfig):
             "v_final": result.state.v_slices[-1],
             "omega_final": result.state.omega_slices[-1],
         },
-        "horizon_T": h.T,
     }
     return report, extras
 
@@ -371,39 +359,56 @@ def _cmd_picard(config: RunConfig):
 # --- verify ------------------------------------------------------------------
 
 
+@contextmanager
+def _artifact(path: Path):
+    """Re-raise what a malformed stored artifact raises as a ConfigError naming it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed artifact: {type(exc).__name__}: {exc}") from exc
+
+
 def _cmd_verify(out_dir: Path) -> dict:
     report_path = out_dir / "report.json"
     if not report_path.exists():
         raise ConfigError(f"nothing to verify: {report_path} does not exist")
     stored = read_report(report_path)
+    if not isinstance(stored, dict):
+        raise ConfigError(
+            f"{report_path}: a report is a JSON object, got {type(stored).__name__}"
+        )
     certs = []
     mismatches = 0
-    for rec in stored.get("certificates", []):
-        fresh = make_certificate(
-            rec["name"], float(rec["measured"]), float(rec["bound"]), **rec["details"]
-        )
-        stored_margin = rec["margin"]
-        agree = fresh.passed == bool(rec["passed"]) and (
-            (fresh.margin is None and stored_margin is None)
-            or (
-                fresh.margin is not None
-                and stored_margin is not None
-                and math.isclose(fresh.margin, float(stored_margin), rel_tol=1e-12)
+    with _artifact(report_path):
+        for rec in stored.get("certificates", []):
+            fresh = make_certificate(
+                rec["name"], float(rec["measured"]), float(rec["bound"]), **rec["details"]
             )
-        )
-        mismatches += 0 if agree else 1
-        certs.append(fresh)
+            stored_margin = rec["margin"]
+            agree = fresh.passed == bool(rec["passed"]) and (
+                (fresh.margin is None and stored_margin is None)
+                or (
+                    fresh.margin is not None
+                    and stored_margin is not None
+                    and math.isclose(fresh.margin, float(stored_margin), rel_tol=1e-12)
+                )
+            )
+            mismatches += 0 if agree else 1
+            certs.append(fresh)
     certs.append(
         make_certificate("stored-flags-consistent", float(mismatches), 0.0)
     )
     if stored.get("command") == "heat":
-        series = read_norms_csv(out_dir / "norms.csv")
-        params = ModelParams(**stored["config"]["params"])
-        certs.append(
-            gronwall_energy_check(
-                series["t"], series["energy"], params, name="gronwall-recheck"
+        with _artifact(report_path):
+            params = ModelParams(**stored["config"]["params"])
+        norms_path = out_dir / "norms.csv"
+        with _artifact(norms_path):
+            series = read_norms_csv(norms_path)
+            certs.append(
+                gronwall_energy_check(
+                    series["t"], series["energy"], params, name="gronwall-recheck"
+                )
             )
-        )
     return {
         "command": "verify",
         "source": report_path.name,
@@ -414,7 +419,7 @@ def _cmd_verify(out_dir: Path) -> dict:
 # --- convergence -------------------------------------------------------------
 
 
-def _elliptic_sweep(config: RunConfig):
+def _elliptic_sweep():
     """Manufactured wall-compatible eigenfunction on successively finer grids.
 
     On the square of side pi, mode (1,1) with the e^{-z} profile satisfies
@@ -458,7 +463,7 @@ def _heat_sweep(config: RunConfig):
 
 
 def _cmd_convergence(config: RunConfig):
-    elliptic_rows, elliptic_certs = _elliptic_sweep(config)
+    elliptic_rows, elliptic_certs = _elliptic_sweep()
     heat_rows, heat_certs = _heat_sweep(config)
     rows = elliptic_rows + heat_rows
     report = {

@@ -34,6 +34,7 @@ __all__ = [
     "pointwise_product",
     "product_ratio",
     "random_field3",
+    "RANDOM_KINDS",
     "multi_indices",
 ]
 
@@ -365,6 +366,9 @@ def product_ratio(u: SpectralField3, v: SpectralField3, s: int, a: float) -> flo
 
 # ---------------------------------------------------------------------------
 # Reproducible random fields for calibration ensembles.
+
+# the kinds random_field3 draws
+RANDOM_KINDS = ("generic", "robin", "vspace", "flat")
 
 
 def random_field3(

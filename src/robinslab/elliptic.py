@@ -30,8 +30,6 @@ from .domain import Discretization, SpectralField3, d_z, random_field3, sobolev_
 from .errors import ResonanceError, SingularSystemError
 
 __all__ = [
-    "AdmissibilityReport",
-    "check_admissible",
     "require_admissible",
     "EllipticOperator",
     "elliptic_operator",
@@ -46,47 +44,15 @@ DEFAULT_RESONANCE_TOL = 1e-8
 CONDITION_CAP = 1e12
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Distance of the Robin coefficient from the resolved mode rates."""
-
-    beta: float
-    min_gap: float
-    offending_modes: tuple[tuple[int, int], ...]
-
-    @property
-    def admissible(self) -> bool:
-        return not self.offending_modes
-
-
-def check_admissible(
-    beta: float,
-    disc: Discretization,
-    a: float,
-    tol: float = DEFAULT_RESONANCE_TOL,
-) -> AdmissibilityReport:
-    """Scan all resolved modes for |beta - pi*|k|/a| below tol."""
-    rates = disc.mode_rates(a)
-    gaps = np.abs(beta - rates)
-    offending = [
-        (int(k1) + 1, int(k2) + 1)
-        for k1, k2 in np.argwhere(gaps < tol)
-    ]
-    return AdmissibilityReport(
-        beta=float(beta),
-        min_gap=float(gaps.min()),
-        offending_modes=tuple(offending),
-    )
-
-
 def require_admissible(beta: float, disc: Discretization, a: float, tol: float) -> None:
-    """Raise ResonanceError naming every mode whose rate lies within tol of beta."""
-    report = check_admissible(beta, disc, a, tol)
-    if not report.admissible:
+    """Raise ResonanceError naming every mode whose rate pi*|k|/a lies within tol of beta."""
+    gaps = np.abs(beta - disc.mode_rates(a))
+    offending = tuple((int(k1) + 1, int(k2) + 1) for k1, k2 in np.argwhere(gaps < tol))
+    if offending:
         raise ResonanceError(
             "Robin coefficient beta={:.12g} resonates with lateral mode(s) {} "
-            "(gap below {:g})".format(beta, report.offending_modes, tol),
-            modes=report.offending_modes,
+            "(gap below {:g})".format(beta, offending, tol),
+            modes=offending,
         )
 
 

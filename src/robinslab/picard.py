@@ -89,12 +89,23 @@ class PicardState:
 
 @dataclass(frozen=True)
 class PicardResult:
+    """A converged solve together with the problem it solved.
+
+    v0, w0, params, tol and resonance_tol are the solve's own arguments,
+    so a check of the result re-runs the map on exactly that problem.
+    """
+
     state: PicardState
     horizon: HorizonSelection
     diffs: tuple[float, ...]
     ratios: tuple[float, ...]
     converged: bool
     iterations: int
+    v0: SpectralField3
+    w0: SpectralField3
+    params: ModelParams
+    tol: float
+    resonance_tol: float
 
 
 def _check_orders(params: ModelParams) -> None:
@@ -354,4 +365,9 @@ def picard_solve(
         ratios=ratios,
         converged=True,
         iterations=state.iteration_index,
+        v0=v0,
+        w0=w0,
+        params=params,
+        tol=tol,
+        resonance_tol=resonance_tol,
     )

@@ -14,12 +14,21 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .domain import MAX_DERIVATIVE_ORDER, Discretization, ModelParams, SpectralField3, random_field3
+from .domain import (
+    MAX_DERIVATIVE_ORDER,
+    RANDOM_KINDS,
+    Discretization,
+    ModelParams,
+    SpectralField3,
+    field3_from_profile,
+    random_field3,
+    zero_field3,
+)
 from .elliptic import require_admissible
 from .errors import ConfigError
 
@@ -50,10 +59,10 @@ class ToleranceSettings:
     tail_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("resonance_tol", "picard_tol", "tail_tol"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+                raise ConfigError(f"{f.name} must lie in (0, 1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -93,70 +102,98 @@ def _require_keys(record: dict, allowed: set, required: set, where: str) -> None
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _number(record: dict, key: str, where: str) -> float:
-    value = record[key]
+def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     # json also reads the NaN and Infinity literals, which no parameter admits
     if not math.isfinite(number):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return number
 
 
-def _integer(record: dict, key: str, where: str) -> int:
-    value = record[key]
+def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
 
 
-_FAMILY_KEYS = {
-    "zero": set(),
-    "eigenmode": {"mode", "amplitude"},
-    "random": {"kind", "amplitude"},
-    "file": {"path"},
+# reader of a record field, by its annotation
+_READERS = {"float": _number, "int": _integer}
+
+
+def _section(raw: dict, name: str, cls, **defaults):
+    """The dataclass cls read from the record raw[name].
+
+    The record's keys are cls's fields; those without a default in cls or
+    in defaults are required.  Each value goes through the reader of its
+    field's annotation, and cls's own checks become ConfigErrors.
+    """
+    record = raw.get(name, {})
+    members = fields(cls)
+    required = {f.name for f in members if f.default is MISSING and f.name not in defaults}
+    _require_keys(record, {f.name for f in members}, required, name)
+    values = {
+        f.name: _READERS[f.type](record[f.name], f"{name}.{f.name}")
+        for f in members
+        if f.name in record
+    }
+    try:
+        return cls(**{**defaults, **values})
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _mode(value, where: str) -> list[int]:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(k, int) and k >= 1 for k in value)
+    ):
+        raise ConfigError(f"{where} must be two positive integers")
+    return [int(value[0]), int(value[1])]
+
+
+def _kind(value, where: str) -> str:
+    if value not in RANDOM_KINDS:
+        raise ConfigError(f"{where} must be one of {sorted(RANDOM_KINDS)}, got {value!r}")
+    return value
+
+
+def _path(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
+
+
+# each initial-data family's keys, as key: (default, reader)
+_FAMILIES = {
+    "zero": {},
+    "eigenmode": {"mode": ([1, 1], _mode), "amplitude": (1.0, _number)},
+    "random": {"kind": ("robin", _kind), "amplitude": (1.0, _number)},
+    "file": {"path": (None, _path)},
 }
-_RANDOM_KINDS = {"generic", "robin", "vspace", "flat"}
 
 
 def _normalize_family(spec, where: str) -> dict:
+    """The family record spec with every default filled in."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a JSON object, got {spec!r}")
     if "family" not in spec:
         raise ConfigError(f"{where} needs a 'family' key")
     family = spec["family"]
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise ConfigError(
-            f"{where}.family must be one of {sorted(_FAMILY_KEYS)}, got {family!r}"
+            f"{where}.family must be one of {sorted(_FAMILIES)}, got {family!r}"
         )
-    _require_keys(spec, _FAMILY_KEYS[family] | {"family"}, {"family"}, where)
+    keys = _FAMILIES[family]
+    _require_keys(spec, {"family", *keys}, {"family"}, where)
     out = {"family": family}
-    if family == "eigenmode":
-        mode = spec.get("mode", [1, 1])
-        if (
-            not isinstance(mode, (list, tuple))
-            or len(mode) != 2
-            or not all(isinstance(k, int) and k >= 1 for k in mode)
-        ):
-            raise ConfigError(f"{where}.mode must be two positive integers")
-        out["mode"] = [int(mode[0]), int(mode[1])]
-        out["amplitude"] = _number(spec, "amplitude", where) if "amplitude" in spec else 1.0
-    elif family == "random":
-        kind = spec.get("kind", "robin")
-        if kind not in _RANDOM_KINDS:
-            raise ConfigError(
-                f"{where}.kind must be one of {sorted(_RANDOM_KINDS)}, got {kind!r}"
-            )
-        out["kind"] = kind
-        out["amplitude"] = _number(spec, "amplitude", where) if "amplitude" in spec else 1.0
-    elif family == "file":
-        if not isinstance(spec.get("path"), str):
-            raise ConfigError(f"{where}.path must be a string")
-        out["path"] = spec["path"]
+    for key, (default, read) in keys.items():
+        out[key] = read(spec.get(key, default), f"{where}.{key}")
     return out
 
 
@@ -169,18 +206,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         "config",
     )
 
-    p = raw["params"]
-    _require_keys(p, {"a", "nu", "gamma", "beta", "s"}, {"a", "nu", "gamma", "beta"}, "params")
-    try:
-        params = ModelParams(
-            a=_number(p, "a", "params"),
-            nu=_number(p, "nu", "params"),
-            gamma=_number(p, "gamma", "params"),
-            beta=_number(p, "beta", "params"),
-            s=_integer(p, "s", "params") if "s" in p else 2,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    params = _section(raw, "params", ModelParams)
     # the vorticity wall condition and the tail check need gamma > 0
     if not params.gamma > 0:
         raise ConfigError(f"params: gamma must be positive, got {params.gamma}")
@@ -189,18 +215,8 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(
             f"params: s = {params.s} above the supported maximum {MAX_DERIVATIVE_ORDER - 1}"
         )
-
-    d = raw["disc"]
-    _require_keys(d, {"k_max", "n_z", "l_z", "n_t"}, {"k_max", "n_z", "l_z"}, "disc")
-    try:
-        disc = Discretization(
-            k_max=_integer(d, "k_max", "disc"),
-            n_z=_integer(d, "n_z", "disc"),
-            l_z=_number(d, "l_z", "disc"),
-            n_t=_integer(d, "n_t", "disc") if "n_t" in d else 9,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"disc: {exc}") from exc
+    # a config's time grid defaults to 9 slices, finer than the record's 2
+    disc = _section(raw, "disc", Discretization, n_t=9)
 
     seed = raw["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -208,18 +224,12 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     if seed_override is not None:
         seed = seed_override
 
-    tol_rec = raw.get("tolerances", {})
-    _require_keys(
-        tol_rec, {"resonance_tol", "picard_tol", "tail_tol"}, set(), "tolerances"
-    )
-    tolerances = ToleranceSettings(
-        **{k: _number(tol_rec, k, "tolerances") for k in tol_rec}
-    )
+    tolerances = _section(raw, "tolerances", ToleranceSettings)
 
     const_rec = raw.get("constants", {})
     _require_keys(const_rec, {"growth_constant"}, set(), "constants")
     growth_constant = (
-        _number(const_rec, "growth_constant", "constants")
+        _number(const_rec["growth_constant"], "constants.growth_constant")
         if "growth_constant" in const_rec
         else None
     )
@@ -228,8 +238,15 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
 
     data_rec = raw.get("initial_data", {})
     _require_keys(data_rec, {"v", "w"}, set(), "initial_data")
-    initial_v = _normalize_family(data_rec.get("v", {"family": "zero"}), "initial_data.v")
-    initial_w = _normalize_family(data_rec.get("w", {"family": "zero"}), "initial_data.w")
+    initial = {}
+    for name in ("v", "w"):
+        where = f"initial_data.{name}"
+        spec = _normalize_family(data_rec.get(name, {"family": "zero"}), where)
+        if spec["family"] == "eigenmode" and max(spec["mode"]) > disc.k_max:
+            raise ConfigError(
+                f"{where}.mode {tuple(spec['mode'])} outside the resolved band 1..{disc.k_max}"
+            )
+        initial[name] = spec
 
     try:
         disc.check_tail(params.gamma, tolerances.tail_tol)
@@ -243,8 +260,8 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         seed=seed,
         tolerances=tolerances,
         growth_constant=growth_constant,
-        initial_v=initial_v,
-        initial_w=initial_w,
+        initial_v=initial["v"],
+        initial_w=initial["w"],
     )
 
 
@@ -270,18 +287,14 @@ def build_field(
     config: RunConfig,
     rng: np.random.Generator,
 ) -> SpectralField3:
-    """Materialize an initial-data family spec on the configured grid."""
+    """Materialize a parsed initial-data family spec on the configured grid."""
     disc, params = config.disc, config.params
     family = spec["family"]
     if family == "zero":
-        return SpectralField3(np.zeros((disc.k_max, disc.k_max, disc.n_z)), disc)
+        return zero_field3(disc)
     if family == "eigenmode":
-        k1, k2 = spec["mode"]
-        if k1 > disc.k_max or k2 > disc.k_max:
-            raise ConfigError(f"eigenmode {k1, k2} outside resolved band {disc.k_max}")
-        coeffs = np.zeros((disc.k_max, disc.k_max, disc.n_z))
-        coeffs[k1 - 1, k2 - 1] = spec["amplitude"] * np.exp(-params.gamma * disc.z)
-        return SpectralField3(coeffs, disc)
+        profile = spec["amplitude"] * np.exp(-params.gamma * disc.z)
+        return field3_from_profile(disc, tuple(spec["mode"]), profile)
     if family == "random":
         return random_field3(
             disc, rng, kind=spec["kind"], gamma=params.gamma,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import ModelParams, SpectralField3
-from .elliptic import DEFAULT_RESONANCE_TOL
 from .heat import RobinPropagator, fd_robin_oracle
 from .picard import (
     HorizonSelection, PicardResult, PicardState, picard_solve, picard_step, x_distance,
@@ -196,31 +195,19 @@ def apriori_bounds_check(
     ]
 
 
-def fixed_point_residual_check(
-    result: PicardResult,
-    v0: SpectralField3,
-    w0: SpectralField3,
-    params: ModelParams,
-    tol: float,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
-) -> Certificate:
+def fixed_point_residual_check(result: PicardResult) -> Certificate:
     """One extra sweep moves a converged iterate by at most 2 tol x first move."""
-    extra = picard_step(result.state, v0, w0, params, resonance_tol)
-    move = x_distance(extra, result.state, params)
+    extra = picard_step(
+        result.state, result.v0, result.w0, result.params, result.resonance_tol
+    )
+    move = x_distance(extra, result.state, result.params)
     return make_certificate(
-        "fixed-point-residual", move, 2.0 * tol * result.diffs[0],
+        "fixed-point-residual", move, 2.0 * result.tol * result.diffs[0],
         first_sweep_move=result.diffs[0],
     )
 
 
-def uniqueness_check(
-    first: PicardResult,
-    v0: SpectralField3,
-    w0: SpectralField3,
-    params: ModelParams,
-    tol: float = 1e-8,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
-) -> Certificate:
+def uniqueness_check(first: PicardResult) -> Certificate:
     """Two different initial guesses land on the same fixed point.
 
     first is the main solve from the constant-in-time pair.  The second
@@ -228,6 +215,7 @@ def uniqueness_check(
     share the horizon, so their converged states are comparable slice by
     slice.
     """
+    v0, w0 = first.v0, first.w0
     n_t = v0.disc.n_t
     skewed = PicardState(
         t_grid=first.state.t_grid,
@@ -236,12 +224,12 @@ def uniqueness_check(
         iteration_index=0,
     )
     second = picard_solve(
-        v0, w0, params, first.horizon.growth_constant, tol=tol,
-        horizon=first.horizon, initial_state=skewed, resonance_tol=resonance_tol,
+        v0, w0, first.params, first.horizon.growth_constant, tol=first.tol,
+        horizon=first.horizon, initial_state=skewed, resonance_tol=first.resonance_tol,
     )
-    gap = x_distance(first.state, second.state, params)
+    gap = x_distance(first.state, second.state, first.params)
     return make_certificate(
-        "uniqueness", gap, 10.0 * tol,
+        "uniqueness", gap, 10.0 * first.tol,
         sweeps_first=first.iterations, sweeps_second=second.iterations,
     )
 

@@ -6,6 +6,7 @@ certificates pass, 2 certificate failure, 1 operational error), the file
 set written per run, and byte determinism of report.json modulo timing.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -14,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from robinslab import cli, report
 from robinslab.cli import main, run
-from robinslab.domain import Discretization, SpectralField3
+from robinslab.domain import Discretization, ModelParams, SpectralField3
 from robinslab.errors import ConfigError
 from robinslab.report import (
     ToleranceSettings,
@@ -30,6 +32,7 @@ from robinslab.report import (
 )
 
 A = math.pi
+ROOT = Path(__file__).parents[1]
 
 BASE = {
     "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
@@ -137,12 +140,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
             parse_config(cfg)
 
-    def test_readme_config_example_parses(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
+    @staticmethod
+    def readme_example():
+        readme = (ROOT / "README.md").read_text()
         schema = readme[readme.index("## Config schema"):]
-        example = re.search(r"```json\n(.*?)```", schema, re.DOTALL).group(1)
-        config = parse_config(json.loads(example))
-        assert config.echo()["disc"] == json.loads(example)["disc"]
+        return json.loads(re.search(r"```json\n(.*?)```", schema, re.DOTALL).group(1))
+
+    def test_readme_config_example_parses(self):
+        example = self.readme_example()
+        assert parse_config(example).echo()["disc"] == example["disc"]
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in (ROOT / "configs").glob("*.json")) + ["README"]
+    )
+    def test_echo_parses_back_to_the_same_config(self, name):
+        raw = (
+            self.readme_example() if name == "README"
+            else json.loads((ROOT / "configs" / name).read_text())
+        )
+        config = parse_config(raw)
+        assert parse_config(config.echo()) == config
+
+    @pytest.mark.parametrize("cls", [ModelParams, Discretization, ToleranceSettings])
+    def test_every_record_field_has_a_reader(self, cls):
+        for field in dataclasses.fields(cls):
+            assert field.type in report._READERS, (cls.__name__, field.name, field.type)
 
 
 class TestExitCodes:
@@ -282,14 +304,33 @@ class TestExitCodes:
             run("picard", None, tmp_path / "run")
 
     def test_eigenmode_outside_band_is_config_error(self, tmp_path, capsys):
+        # checked at parse time, so also by the commands that never build the field
         path = write_config(
             tmp_path, initial_data={"w": {"family": "eigenmode", "mode": [9, 9]}}
         )
-        code = main(
-            ["--command", "elliptic", "--config", str(path), "--out", str(tmp_path / "run")]
-        )
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
+        for command in ("calibrate", "elliptic", "heat", "picard", "convergence"):
+            out = tmp_path / command
+            code = main(["--command", command, "--config", str(path), "--out", str(out)])
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("config error: initial_data.w.mode (9, 9)"), err
+            assert not out.exists()
+
+    def test_heat_check_that_raises_keeps_its_certificate_name(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        for check in ("gronwall_energy_check", "growth_bound_check",
+                      "transform_oracle_certificate"):
+            monkeypatch.setattr(cli, check, boom)
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["--command", "heat", "--config", str(path), "--out", str(out)]) == 2
+        certs = read_report(out / "report.json")["certificates"]
+        assert [c["name"] for c in certs] == [
+            "gronwall-energy", "growth-bound", "heat-route-agreement"
+        ]
+        assert all(c["details"] == {"error": "RuntimeError: boom"} for c in certs)
 
 
 class TestRunArtifacts:
@@ -435,6 +476,39 @@ class TestVerifyCommand:
         assert err.startswith("config error"), err
         assert f"{out / 'report.json'}: invalid JSON" in err
         assert not (out / "verify_report.json").exists()
+
+    @staticmethod
+    def heat_run(tmp_path):
+        path = write_config(tmp_path, disc={"n_z": 513, "n_t": 5})
+        out = tmp_path / "run"
+        assert main(["--command", "heat", "--config", str(path), "--out", str(out)]) == 0
+        return out
+
+    def assert_config_error_naming(self, out, capsys, artifact):
+        capsys.readouterr()
+        assert main(["--command", "verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out / artifact}: "), err
+        assert not (out / "verify_report.json").exists()
+
+    def test_verify_on_report_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "report.json").write_text("[]")
+        self.assert_config_error_naming(out, capsys, "report.json")
+
+    def test_verify_on_certificate_without_measured_is_config_error(self, tmp_path, capsys):
+        out = self.heat_run(tmp_path)
+        stored = read_report(out / "report.json")
+        del stored["certificates"][1]["measured"]
+        write_report(out / "report.json", stored)
+        self.assert_config_error_naming(out, capsys, "report.json")
+
+    def test_verify_on_heat_norms_below_two_rows_is_config_error(self, tmp_path, capsys):
+        out = self.heat_run(tmp_path)
+        lines = (out / "norms.csv").read_text().splitlines(keepends=True)
+        (out / "norms.csv").write_text("".join(lines[:2]))
+        self.assert_config_error_naming(out, capsys, "norms.csv")
 
 
 class TestTiming:

@@ -24,12 +24,13 @@ from robinslab.domain import (
     zero_field3,
 )
 from robinslab.elliptic import (
+    DEFAULT_RESONANCE_TOL,
     calibrate_elliptic_constant,
     _condition_estimate,
     _mode_bands,
-    check_admissible,
     elliptic_ratios,
     interior_residual,
+    require_admissible,
     solve_elliptic,
 )
 from robinslab.errors import ResonanceError, SingularSystemError
@@ -64,22 +65,9 @@ class TestAdmissibility:
     def test_resonant_coefficient_is_flagged(self):
         # a = pi makes the mode rates |k| = sqrt(k1^2 + k2^2)
         disc = Discretization(k_max=3, n_z=64, l_z=20.0)
-        report = check_admissible(math.sqrt(2.0), disc, A)
-        assert not report.admissible
-        assert report.offending_modes == ((1, 1),)
-        assert report.min_gap < 1e-15
-
-    def test_negative_coefficient_gap(self):
-        disc = Discretization(k_max=3, n_z=64, l_z=20.0)
-        report = check_admissible(-1.0, disc, A)
-        assert report.admissible
-        assert report.min_gap == pytest.approx(math.sqrt(2.0) + 1.0, rel=1e-14)
-
-    def test_unit_coefficient_gap(self):
-        disc = Discretization(k_max=3, n_z=64, l_z=20.0)
-        report = check_admissible(1.0, disc, A)
-        assert report.admissible
-        assert report.min_gap == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
+        with pytest.raises(ResonanceError) as exc:
+            require_admissible(math.sqrt(2.0), disc, A, DEFAULT_RESONANCE_TOL)
+        assert exc.value.modes == ((1, 1),)
 
     def test_resonance_window_boundaries(self):
         disc = Discretization(k_max=2, n_z=64, l_z=20.0)
@@ -95,8 +83,8 @@ class TestAdmissibility:
     def test_solver_raises_exactly_when_inadmissible(self, beta):
         disc = Discretization(k_max=2, n_z=16, l_z=20.0)
         f = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
-        report = check_admissible(beta, disc, A)
-        if report.admissible:
+        gap = np.min(np.abs(beta - disc.mode_rates(A)))
+        if gap >= DEFAULT_RESONANCE_TOL:
             solve_elliptic(f, beta, A)
         else:
             with pytest.raises(ResonanceError):

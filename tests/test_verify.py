@@ -195,11 +195,11 @@ class TestSolverChecks:
 
     def test_fixed_point_residual(self, small_run):
         v0, w0, res = small_run
-        assert fixed_point_residual_check(res, v0, w0, PARAMS, 1e-8).passed
+        assert fixed_point_residual_check(res).passed
 
     def test_uniqueness(self, small_run):
         v0, w0, res = small_run
-        c = uniqueness_check(res, v0, w0, PARAMS, tol=1e-8)
+        c = uniqueness_check(res)
         assert c.passed
         assert c.measured <= 1e-7
 
