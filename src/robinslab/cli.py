@@ -39,6 +39,7 @@ from .heat import (
     calibrate_growth_constant,
     growth_ratio,
     growth_ratios,
+    warn_if_incompatible,
 )
 from .picard import picard_solve
 from .report import (
@@ -184,10 +185,7 @@ def _error_budget(config: RunConfig, times) -> dict:
 
 def _cmd_calibrate(config: RunConfig):
     params, disc = config.params, config.disc
-    tol = config.tolerances.resonance_tol
-    c_s = calibrate_elliptic_constant(
-        50, params.s, config.seed, disc, params.a, params.beta, tol
-    )
+    c_s = calibrate_elliptic_constant(50, params.s, config.seed, disc, params.a, params.beta)
     c_gs = calibrate_growth_constant(
         50, params.s, (0.0,) + _CAL_TIMES, config.seed + 1, params, disc
     )
@@ -201,7 +199,7 @@ def _cmd_calibrate(config: RunConfig):
             (
                 "elliptic-held-out",
                 lambda: elliptic_bound_check(
-                    elliptic_ratios(generic, params.s, params.a, params.beta, tol),
+                    elliptic_ratios(generic, params.s, params.a, params.beta),
                     c_s,
                     name="elliptic-held-out",
                 ),
@@ -230,7 +228,7 @@ def _cmd_elliptic(config: RunConfig):
     params, disc = config.params, config.disc
     rng = np.random.default_rng(config.seed)
     f = build_field(config.initial_w, config, rng)
-    v = solve_elliptic(f, params.beta, params.a, config.tolerances.resonance_tol)
+    v = solve_elliptic(f, params.beta, params.a)
     scale = max(1.0, float(np.max(np.abs(v.coeffs))))
     certs = [
         make_certificate(
@@ -272,6 +270,7 @@ def _cmd_heat(config: RunConfig):
     rng = np.random.default_rng(config.seed)
     w0 = build_field(config.initial_w, config, rng)
     c_gs = _growth_constant_for(config, inflate=False)
+    warn_if_incompatible(w0, params.gamma)
     prop = RobinPropagator(w0, params)
     t_grid = np.linspace(0.0, 1.0, disc.n_t)
     slices = [w0] + [prop.at(t) for t in t_grid[1:]]
@@ -307,7 +306,7 @@ def _cmd_heat(config: RunConfig):
 
 
 def _cmd_picard(config: RunConfig):
-    params, tolerances = config.params, config.tolerances
+    params = config.params
     rng = np.random.default_rng(config.seed)
     v0 = build_field(config.initial_v, config, rng)
     w0 = build_field(config.initial_w, config, rng)
@@ -315,10 +314,7 @@ def _cmd_picard(config: RunConfig):
     with _phase(phases, "growth_calibration"):
         c_gs = _growth_constant_for(config, inflate=True)
     with _phase(phases, "main_solve"):
-        result = picard_solve(
-            v0, w0, params, c_gs,
-            tol=tolerances.picard_tol, resonance_tol=tolerances.resonance_tol,
-        )
+        result = picard_solve(v0, w0, params, c_gs)
     h = result.horizon
     v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
     w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
@@ -340,7 +336,6 @@ def _cmd_picard(config: RunConfig):
         "horizon": dataclasses.asdict(h),
         "picard": {
             "iterations": result.iterations,
-            "converged": result.converged,
             "diffs": list(result.diffs),
             "ratios": list(result.ratios),
         },

@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "MAX_DERIVATIVE_ORDER",
+    "TAIL_TOL",
     "ModelParams",
     "Discretization",
     "SpectralField3",
@@ -41,6 +42,8 @@ __all__ = [
 # Highest z-derivative order the norm machinery supports.  H^{s+1} norms of
 # the velocity-square component need order s+1, so s = 2 uses all of it.
 MAX_DERIVATIVE_ORDER = 3
+# largest z-truncation tail e^{-rate l_z} a discretization may leave
+TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,13 +113,13 @@ class Discretization:
         k = np.arange(1, self.k_max + 1, dtype=float)
         return np.pi * np.sqrt(k[:, None] ** 2 + k[None, :] ** 2) / a
 
-    def check_tail(self, rate: float, tol: float) -> None:
-        """Require exp(-rate*l_z) below tol so truncation stays in budget."""
+    def check_tail(self, rate: float) -> None:
+        """Require exp(-rate*l_z) below TAIL_TOL so truncation stays in budget."""
         tail = np.exp(-rate * self.l_z)
-        if tail >= tol:
+        if tail >= TAIL_TOL:
             raise ValueError(
                 f"l_z={self.l_z} too short: exp(-{rate:g}*l_z)={tail:.3e} "
-                f"exceeds tail tolerance {tol:g}"
+                f"exceeds tail tolerance {TAIL_TOL:g}"
             )
 
 

@@ -30,6 +30,7 @@ from .domain import Discretization, SpectralField3, d_z, random_field3, sobolev_
 from .errors import ResonanceError, SingularSystemError
 
 __all__ = [
+    "RESONANCE_TOL",
     "require_admissible",
     "EllipticOperator",
     "elliptic_operator",
@@ -39,19 +40,20 @@ __all__ = [
     "calibrate_elliptic_constant",
 ]
 
-DEFAULT_RESONANCE_TOL = 1e-8
+# smallest gap between beta and a resolved mode rate that a solve accepts
+RESONANCE_TOL = 1e-8
 # worst-mode condition estimate above which a solve is refused
 CONDITION_CAP = 1e12
 
 
-def require_admissible(beta: float, disc: Discretization, a: float, tol: float) -> None:
-    """Raise ResonanceError naming every mode whose rate pi*|k|/a lies within tol of beta."""
+def require_admissible(beta: float, disc: Discretization, a: float) -> None:
+    """Raise ResonanceError naming every mode with rate pi*|k|/a within RESONANCE_TOL of beta."""
     gaps = np.abs(beta - disc.mode_rates(a))
-    offending = tuple((int(k1) + 1, int(k2) + 1) for k1, k2 in np.argwhere(gaps < tol))
+    offending = tuple((int(k1) + 1, int(k2) + 1) for k1, k2 in np.argwhere(gaps < RESONANCE_TOL))
     if offending:
         raise ResonanceError(
             "Robin coefficient beta={:.12g} resonates with lateral mode(s) {} "
-            "(gap below {:g})".format(beta, offending, tol),
+            "(gap below {:g})".format(beta, offending, RESONANCE_TOL),
             modes=offending,
         )
 
@@ -143,14 +145,9 @@ def elliptic_operator(beta: float, a: float, disc: Discretization) -> EllipticOp
     )
 
 
-def solve_elliptic(
-    f: SpectralField3,
-    beta: float,
-    a: float,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
-) -> SpectralField3:
+def solve_elliptic(f: SpectralField3, beta: float, a: float) -> SpectralField3:
     """Invert -Delta with the Robin wall condition, all modes in one factored solve."""
-    require_admissible(beta, f.disc, a, resonance_tol)
+    require_admissible(beta, f.disc, a)
     op = elliptic_operator(float(beta), float(a), f.disc)
     if op.condition > CONDITION_CAP:
         raise SingularSystemError(
@@ -175,11 +172,7 @@ def interior_residual(
 
 
 def elliptic_ratios(
-    fields: Iterable[SpectralField3],
-    s: int,
-    a: float,
-    beta: float,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
+    fields: Iterable[SpectralField3], s: int, a: float, beta: float
 ) -> list[float]:
     """||solve(f)||_{H^s} / ||f||_{H^{s-2}} per field, read lazily; zero fields are skipped."""
     if s < 2:
@@ -189,7 +182,7 @@ def elliptic_ratios(
         denom = sobolev_norm(f, s - 2, a)
         if denom == 0.0:
             continue
-        v = solve_elliptic(f, beta, a, resonance_tol)
+        v = solve_elliptic(f, beta, a)
         ratios.append(sobolev_norm(v, s, a) / denom)
     return ratios
 
@@ -201,14 +194,13 @@ def calibrate_elliptic_constant(
     disc: Discretization,
     a: float,
     beta: float,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> float:
     """Max of elliptic_ratios over an ensemble of seeded random smooth fields."""
     if ensemble_size < 1:
         raise ValueError("calibration ensemble must be nonempty")
     rng = np.random.default_rng(seed)
     fields = (random_field3(disc, rng, kind="generic") for _ in range(ensemble_size))
-    ratios = elliptic_ratios(fields, s, a, beta, resonance_tol)
+    ratios = elliptic_ratios(fields, s, a, beta)
     if not ratios:
         raise ValueError("calibration ensemble produced no usable fields")
     return float(np.max(ratios))

@@ -54,6 +54,7 @@ from .errors import RobinCompatibilityWarning
 __all__ = [
     "exp_weighted_moment",
     "build_transform_bundle",
+    "warn_if_incompatible",
     "RobinPropagator",
     "fd_robin_oracle",
     "boundary_residual",
@@ -162,12 +163,23 @@ def _z_cosine_eval(coeffs: np.ndarray) -> np.ndarray:
     return dct(packed, type=1, axis=-1)
 
 
-def _compat_ratio(omega0: SpectralField3, gamma: float) -> float:
+def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
+    """Warn when omega0 misses the wall condition w'(0) + gamma w(0) = 0.
+
+    The wall residual is taken relative to the size of its two terms; above
+    COMPAT_WARN_RATIO propagation still works, with degraded wall accuracy.
+    """
     c = omega0.coeffs
     deriv = wall_slope(c, omega0.disc.dz)
     res = np.sqrt(np.sum((deriv + gamma * c[:, :, 0]) ** 2))
     scale = np.sqrt(np.sum((np.abs(deriv) + np.abs(gamma * c[:, :, 0])) ** 2))
-    return float(res / scale) if scale > 0 else 0.0
+    if scale > 0 and res / scale > COMPAT_WARN_RATIO:
+        warnings.warn(
+            "initial field does not satisfy the Robin wall condition; "
+            "propagation continues but wall accuracy degrades",
+            RobinCompatibilityWarning,
+            stacklevel=2,
+        )
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -213,21 +225,9 @@ class RobinPropagator:
     such propagators share one copy of the rates and the wall profile.
     """
 
-    def __init__(
-        self,
-        omega0: SpectralField3,
-        params: ModelParams,
-        check_compat: bool = True,
-    ):
+    def __init__(self, omega0: SpectralField3, params: ModelParams):
         if params.gamma <= 0:
             raise ValueError("Robin heat propagator requires gamma > 0")
-        if check_compat and _compat_ratio(omega0, params.gamma) > COMPAT_WARN_RATIO:
-            warnings.warn(
-                "initial field does not satisfy the Robin wall condition; "
-                "propagation continues but wall accuracy degrades",
-                RobinCompatibilityWarning,
-                stacklevel=2,
-            )
         self.params = params
         self.disc = omega0.disc
         slab, wall_moments = build_transform_bundle(omega0, params.gamma)
@@ -353,7 +353,7 @@ def growth_ratios(
         base = sobolev_norm(w0, s, params.a)
         if base == 0.0:
             continue
-        prop = RobinPropagator(w0, params, check_compat=False)
+        prop = RobinPropagator(w0, params)
         for t in times:
             if t == 0.0:
                 ratios.append(1.0)

@@ -40,11 +40,12 @@ from .domain import (
     pointwise_product,
     sobolev_norm,
 )
-from .elliptic import DEFAULT_RESONANCE_TOL, solve_elliptic
+from .elliptic import solve_elliptic
 from .errors import NoConvergenceError, NonFiniteError
 from .heat import RobinPropagator
 
 __all__ = [
+    "PICARD_TOL",
     "HorizonSelection",
     "PicardState",
     "PicardResult",
@@ -57,6 +58,9 @@ __all__ = [
     "x_distance",
 ]
 
+# a solve stops once a sweep moves the iterate by at most PICARD_TOL
+# times the first sweep's move
+PICARD_TOL = 1e-8
 DIVERGENCE_FACTOR = 10.0
 
 
@@ -91,21 +95,18 @@ class PicardState:
 class PicardResult:
     """A converged solve together with the problem it solved.
 
-    v0, w0, params, tol and resonance_tol are the solve's own arguments,
-    so a check of the result re-runs the map on exactly that problem.
+    v0, w0 and params are the solve's own arguments, so a check of the
+    result re-runs the map on exactly that problem.
     """
 
     state: PicardState
     horizon: HorizonSelection
     diffs: tuple[float, ...]
     ratios: tuple[float, ...]
-    converged: bool
     iterations: int
     v0: SpectralField3
     w0: SpectralField3
     params: ModelParams
-    tol: float
-    resonance_tol: float
 
 
 def _check_orders(params: ModelParams) -> None:
@@ -201,7 +202,7 @@ def duhamel_apply(
         raise ValueError(f"horizon must be positive, got {horizon}")
     t = np.linspace(0.0, horizon, n_t)
     dt = t[1] - t[0]
-    base = RobinPropagator(w0, params, check_compat=False)
+    base = RobinPropagator(w0, params)
 
     half = 0.5 * dt
     # E and (dt/2) E for the slab modes, then for the wall moments
@@ -212,7 +213,7 @@ def duhamel_apply(
     forced = [np.zeros_like(base.slab_rates), np.zeros_like(base.wall_rates)]
     prev = None
     for i, g in enumerate(g_slices):
-        cur = RobinPropagator(g, params, check_compat=False)
+        cur = RobinPropagator(g, params)
         state = (cur.slab_modes, cur.wall_moments)
         if prev is not None:
             forced = [
@@ -266,14 +267,13 @@ def picard_step(
     v0: SpectralField3,
     w0: SpectralField3,
     params: ModelParams,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> PicardState:
     """One sweep of the map; slice 0 stays pinned to the data."""
     t = state.t_grid
     dt = t[1] - t[0]
     integrands = []
     for v_j, w_j in zip(state.v_slices, state.omega_slices):
-        stream = solve_elliptic(w_j, params.beta, params.a, resonance_tol)
+        stream = solve_elliptic(w_j, params.beta, params.a)
         integrands.append(pointwise_product(v_j, d_z(stream)).coeffs)
 
     v_new = [v0]
@@ -297,17 +297,17 @@ def picard_solve(
     w0: SpectralField3,
     params: ModelParams,
     growth_constant: float,
-    tol: float = 1e-8,
     max_iter: int = 30,
     horizon: HorizonSelection | None = None,
     initial_state: PicardState | None = None,
-    resonance_tol: float = DEFAULT_RESONANCE_TOL,
 ) -> PicardResult:
     """Iterate to the fixed point on the certified horizon.
 
     Starts from the constant-in-time pair (or initial_state), stops when a
-    sweep moves the iterate by at most tol times the first sweep's move.
-    A first sweep that does not move at all is already the fixed point.
+    sweep moves the iterate by at most PICARD_TOL times the first sweep's
+    move.  A first sweep that does not move at all is already the fixed
+    point.  A solve that does not converge raises, so every returned result
+    has converged.
 
     The ball guard raises once x_norm of an iterate exceeds
     DIVERGENCE_FACTOR * M.  By the triangle inequality x_norm of the
@@ -331,9 +331,8 @@ def picard_solve(
     reach = x_norm(state, params) if horizon.M > 0 else 0.0
 
     diffs: list[float] = []
-    converged = False
     for _ in range(max_iter):
-        new = picard_step(state, v0, w0, params, resonance_tol)
+        new = picard_step(state, v0, w0, params)
         diff = x_distance(new, state, params)
         if not np.isfinite(diff):
             raise NonFiniteError(
@@ -341,8 +340,7 @@ def picard_solve(
             )
         diffs.append(diff)
         state = new
-        if diff <= tol * diffs[0]:
-            converged = True
+        if diff <= PICARD_TOL * diffs[0]:
             break
         reach += diff
         if horizon.M > 0 and reach > guard and x_norm(state, params) > guard:
@@ -350,10 +348,10 @@ def picard_solve(
                 f"iterate left the certified ball (radius {horizon.M:.6g}) "
                 f"at sweep {state.iteration_index}"
             )
-    if not converged:
+    else:
         raise NoConvergenceError(
             f"no convergence in {max_iter} sweeps: last move {diffs[-1]:.3e} "
-            f"vs target {tol * diffs[0]:.3e}"
+            f"vs target {PICARD_TOL * diffs[0]:.3e}"
         )
     ratios = tuple(
         diffs[m + 1] / diffs[m] for m in range(len(diffs) - 1) if diffs[m] > 0.0
@@ -363,11 +361,8 @@ def picard_solve(
         horizon=horizon,
         diffs=tuple(diffs),
         ratios=ratios,
-        converged=True,
         iterations=state.iteration_index,
         v0=v0,
         w0=w0,
         params=params,
-        tol=tol,
-        resonance_tol=resonance_tol,
     )

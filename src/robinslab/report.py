@@ -2,11 +2,11 @@
 
 Config files are flat JSON with nested records; parsing is strict (unknown
 keys are errors) and every range constraint is checked up front, including
-that the z-truncation tail e^{-gamma l_z} fits the tail tolerance and that
-beta stays resonance_tol away from every resolved mode rate.  Reports
-serialize with sorted keys and full float precision so identical runs
-produce byte-identical files; timing lives in its own block, the only part
-excluded from determinism comparisons.
+that the z-truncation tail e^{-gamma l_z} stays below domain.TAIL_TOL and
+that beta stays elliptic.RESONANCE_TOL away from every resolved mode rate.
+Reports serialize with sorted keys and full float precision so identical
+runs produce byte-identical files; timing lives in its own block, the only
+part excluded from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import ConfigError
 
 __all__ = [
     "NORM_COLUMNS",
-    "ToleranceSettings",
     "RunConfig",
     "parse_config",
     "load_config",
@@ -53,26 +52,12 @@ NORM_COLUMNS = ("t", "v_norm_hs1", "w_norm_hs", "energy")
 
 
 @dataclass(frozen=True)
-class ToleranceSettings:
-    resonance_tol: float = 1e-8
-    picard_tol: float = 1e-8
-    tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{f.name} must lie in (0, 1), got {value}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Parsed, validated run configuration."""
 
     params: ModelParams
     disc: Discretization
     seed: int
-    tolerances: ToleranceSettings
     growth_constant: float | None
     initial_v: dict
     initial_w: dict
@@ -83,7 +68,6 @@ class RunConfig:
             "params": asdict(self.params),
             "disc": asdict(self.disc),
             "seed": self.seed,
-            "tolerances": asdict(self.tolerances),
             "initial_data": {"v": dict(self.initial_v), "w": dict(self.initial_w)},
         }
         if self.growth_constant is not None:
@@ -148,13 +132,12 @@ def _section(raw: dict, name: str, cls, **defaults):
 
 
 def _mode(value, where: str) -> list[int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(k, int) and k >= 1 for k in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where} must be two positive integers")
-    return [int(value[0]), int(value[1])]
+    mode = [_integer(k, f"{where}[{i}]") for i, k in enumerate(value)]
+    if min(mode) < 1:
+        raise ConfigError(f"{where} must be two positive integers")
+    return mode
 
 
 def _kind(value, where: str) -> str:
@@ -201,7 +184,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     """Validate a decoded JSON record into a RunConfig."""
     _require_keys(
         raw,
-        {"params", "disc", "seed", "tolerances", "constants", "initial_data"},
+        {"params", "disc", "seed", "constants", "initial_data"},
         {"params", "disc", "seed"},
         "config",
     )
@@ -223,8 +206,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if seed_override is not None:
         seed = seed_override
-
-    tolerances = _section(raw, "tolerances", ToleranceSettings)
 
     const_rec = raw.get("constants", {})
     _require_keys(const_rec, {"growth_constant"}, set(), "constants")
@@ -249,16 +230,15 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         initial[name] = spec
 
     try:
-        disc.check_tail(params.gamma, tolerances.tail_tol)
+        disc.check_tail(params.gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    require_admissible(params.beta, disc, params.a, tolerances.resonance_tol)
+    require_admissible(params.beta, disc, params.a)
 
     return RunConfig(
         params=params,
         disc=disc,
         seed=seed,
-        tolerances=tolerances,
         growth_constant=growth_constant,
         initial_v=initial["v"],
         initial_w=initial["w"],

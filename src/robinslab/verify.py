@@ -18,7 +18,8 @@ import numpy as np
 from .domain import ModelParams, SpectralField3
 from .heat import RobinPropagator, fd_robin_oracle
 from .picard import (
-    HorizonSelection, PicardResult, PicardState, picard_solve, picard_step, x_distance,
+    PICARD_TOL, HorizonSelection, PicardResult, PicardState, picard_solve, picard_step,
+    x_distance,
 )
 
 __all__ = [
@@ -196,13 +197,11 @@ def apriori_bounds_check(
 
 
 def fixed_point_residual_check(result: PicardResult) -> Certificate:
-    """One extra sweep moves a converged iterate by at most 2 tol x first move."""
-    extra = picard_step(
-        result.state, result.v0, result.w0, result.params, result.resonance_tol
-    )
+    """One extra sweep moves a converged iterate by at most 2 PICARD_TOL x first move."""
+    extra = picard_step(result.state, result.v0, result.w0, result.params)
     move = x_distance(extra, result.state, result.params)
     return make_certificate(
-        "fixed-point-residual", move, 2.0 * result.tol * result.diffs[0],
+        "fixed-point-residual", move, 2.0 * PICARD_TOL * result.diffs[0],
         first_sweep_move=result.diffs[0],
     )
 
@@ -224,12 +223,12 @@ def uniqueness_check(first: PicardResult) -> Certificate:
         iteration_index=0,
     )
     second = picard_solve(
-        v0, w0, first.params, first.horizon.growth_constant, tol=first.tol,
-        horizon=first.horizon, initial_state=skewed, resonance_tol=first.resonance_tol,
+        v0, w0, first.params, first.horizon.growth_constant,
+        horizon=first.horizon, initial_state=skewed,
     )
     gap = x_distance(first.state, second.state, first.params)
     return make_certificate(
-        "uniqueness", gap, 10.0 * first.tol,
+        "uniqueness", gap, 10.0 * PICARD_TOL,
         sweeps_first=first.iterations, sweeps_second=second.iterations,
     )
 
@@ -241,7 +240,7 @@ def transform_oracle_certificate(
     n_steps: int = 2000,
 ) -> Certificate:
     """Transform propagator against the Crank-Nicolson route on one field, to 5e-3."""
-    prop = RobinPropagator(w0, params, check_compat=False).at(t)
+    prop = RobinPropagator(w0, params).at(t)
     ref = fd_robin_oracle(w0, t, params, n_steps=n_steps)
     scale = float(np.max(np.abs(ref.coeffs)))
     diff = float(np.max(np.abs(prop.coeffs - ref.coeffs)))

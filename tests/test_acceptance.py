@@ -109,7 +109,7 @@ def picard_run():
         gamma=PARAMS.gamma, amplitude=0.05,
     )
     result = picard_solve(
-        v0, w0, PARAMS, calibrated_growth_constant(), tol=1e-8, max_iter=30
+        v0, w0, PARAMS, calibrated_growth_constant(), max_iter=30
     )
     return result, v0, w0
 
@@ -182,7 +182,7 @@ def test_criterion_4_cross_solver_agreement():
     for i in range(10):
         for n_z, n_steps in levels:
             f = cross_solver_field(i, n_z)
-            tr = RobinPropagator(f, PARAMS, check_compat=False).at(t)
+            tr = RobinPropagator(f, PARAMS).at(t)
             fd = fd_robin_oracle(f, t, PARAMS, n_steps=n_steps)
             err = sobolev_norm(tr - fd, 0, A) / sobolev_norm(fd, 0, A)
             worst[n_z] = max(worst[n_z], err)
@@ -204,7 +204,7 @@ def test_criterion_5_growth_bound_held_out():
     worst = 0.0
     for w0 in held_out_fields():
         base = sobolev_norm(w0, 2, A)
-        prop = RobinPropagator(w0, PARAMS, check_compat=False)
+        prop = RobinPropagator(w0, PARAMS)
         for t in (0.1, 0.5, 1.0):
             ratio = sobolev_norm(prop.at(t), 2, A) * math.exp(-rate * t) / base
             worst = max(worst, ratio)
@@ -229,7 +229,7 @@ def test_criterion_6_gronwall_on_all_heat_runs():
     runs.extend(held_out_fields())
     worst = 0.0
     for w0 in runs:
-        prop = RobinPropagator(w0, PARAMS, check_compat=False)
+        prop = RobinPropagator(w0, PARAMS)
         energies = [sobolev_norm(prop.at(t), 2, A) ** 2 for t in GRONWALL_TIMES]
         cert = gronwall_energy_check(GRONWALL_TIMES, energies, PARAMS)
         worst = max(worst, cert.measured)
@@ -274,7 +274,7 @@ def test_criterion_8_fixed_point_residual_and_uniqueness():
         omega_slices=(w0.scaled(1.1),) * len(result.state.t_grid),
     )
     second = picard_solve(
-        v0, w0, PARAMS, result.horizon.growth_constant, tol=1e-8,
+        v0, w0, PARAMS, result.horizon.growth_constant,
         horizon=result.horizon, initial_state=skewed,
     )
     gap = x_distance(result.state, second.state, PARAMS)
@@ -289,7 +289,7 @@ def test_criterion_8_fixed_point_residual_and_uniqueness():
 def test_criterion_9_trivial_closures(tmp_path):
     disc = Discretization(k_max=4, n_z=256, l_z=L_Z, n_t=9)
     zero = zero_field3(disc)
-    result = picard_solve(zero, zero, PARAMS, 1.5, tol=1e-8)
+    result = picard_solve(zero, zero, PARAMS, 1.5)
     flat = max(
         max(v.max_abs() for v in result.state.v_slices),
         max(w.max_abs() for w in result.state.omega_slices),
@@ -305,7 +305,7 @@ def test_criterion_9_trivial_closures(tmp_path):
     )
 
     w0 = eigen_field(disc, PARAMS.gamma)
-    run = picard_solve(zero, w0, PARAMS, 1.5, tol=1e-8)
+    run = picard_solve(zero, w0, PARAMS, 1.5)
     factor = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
     analytic = PicardState(
         t_grid=run.state.t_grid,

@@ -20,7 +20,6 @@ from robinslab.cli import main, run
 from robinslab.domain import Discretization, ModelParams, SpectralField3
 from robinslab.errors import ConfigError
 from robinslab.report import (
-    ToleranceSettings,
     load_config,
     parse_config,
     read_norms_csv,
@@ -85,7 +84,7 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, seed=-1))
 
     def test_truncation_tail_checked_at_parse_time(self, tmp_path):
-        # e^{-2*3} = 2.5e-3 >> tail_tol: the grid cannot support the decay
+        # e^{-2*3} = 2.5e-3 >> TAIL_TOL: the grid cannot support the decay
         path = write_config(tmp_path, disc={"l_z": 3.0})
         with pytest.raises(ConfigError):
             load_config(path)
@@ -114,16 +113,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="number"):
             load_config(path)
 
+    @pytest.mark.parametrize("mode", [[True, 1], [1, True], [0, 1], [1.0, 1]])
+    def test_eigenmode_index_is_a_positive_integer(self, tmp_path, mode):
+        path = write_config(
+            tmp_path, initial_data={"w": {"family": "eigenmode", "mode": mode}}
+        )
+        with pytest.raises(ConfigError, match=r"^initial_data\.w\.mode"):
+            load_config(path)
+
     def test_seed_override(self, tmp_path):
         cfg = load_config(write_config(tmp_path), seed_override=99)
         assert cfg.seed == 99
         assert load_config(write_config(tmp_path)).seed == 3
-
-    def test_tolerance_ranges(self):
-        with pytest.raises(ConfigError):
-            ToleranceSettings(picard_tol=0.0)
-        with pytest.raises(ConfigError):
-            ToleranceSettings(tail_tol=2.0)
 
     def test_parse_rejects_non_record_root(self):
         with pytest.raises(ConfigError):
@@ -131,8 +132,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "section, value",
-        [("params", 5), ("params", [1, 2]), ("disc", "fine"), ("tolerances", 5),
-         ("constants", [1.5]), ("initial_data", None)],
+        [("params", 5), ("params", [1, 2]), ("disc", "fine"), ("constants", [1.5]),
+         ("initial_data", None)],
     )
     def test_section_that_is_not_an_object_is_config_error(self, section, value):
         cfg = json.loads(json.dumps(BASE))
@@ -161,7 +162,7 @@ class TestConfigParsing:
         config = parse_config(raw)
         assert parse_config(config.echo()) == config
 
-    @pytest.mark.parametrize("cls", [ModelParams, Discretization, ToleranceSettings])
+    @pytest.mark.parametrize("cls", [ModelParams, Discretization])
     def test_every_record_field_has_a_reader(self, cls):
         for field in dataclasses.fields(cls):
             assert field.type in report._READERS, (cls.__name__, field.name, field.type)
@@ -179,9 +180,11 @@ class TestExitCodes:
 
     def test_resonant_beta_exits_one_naming_mode(self, tmp_path, capsys):
         resonant = write_config(tmp_path, params={"beta": math.sqrt(2.0)})
-        # beta = 1 lies 0.414 from mode (1, 1)'s rate sqrt(2): inside a 0.5
-        # tolerance, which every command must honour, not only elliptic
-        near = write_config(tmp_path, name="near.json", tolerances={"resonance_tol": 0.5})
+        # 1e-9 from mode (1, 1)'s rate sqrt(2): inside RESONANCE_TOL, which
+        # every command must honour, not only elliptic
+        near = write_config(
+            tmp_path, name="near.json", params={"beta": math.sqrt(2.0) + 1e-9}
+        )
         runs = [("elliptic", resonant)] + [(c, near) for c in ("elliptic", "picard", "calibrate")]
         for i, (command, path) in enumerate(runs):
             code = main(
@@ -192,32 +195,17 @@ class TestExitCodes:
             assert "resonance error" in captured.err
             assert "(1, 1)" in captured.err
 
-    def test_calibrate_honours_a_finer_resonance_tolerance(self, tmp_path):
-        # 1e-9 from mode (1, 1)'s rate: resonant at the default 1e-8, admissible
-        # at the configured 1e-12, so calibration and held-out check both run
-        path = write_config(
-            tmp_path,
-            params={"beta": math.sqrt(2.0) + 1e-9},
-            tolerances={"resonance_tol": 1e-12},
-        )
-        assert main(
-            ["--command", "calibrate", "--config", str(path), "--out", str(tmp_path / "run")]
-        ) == 0
-
-    def test_picard_honours_a_finer_resonance_tolerance(self, tmp_path, capsys):
-        # the same beta: the main solve, the fixed-point-residual sweep and the
-        # uniqueness solve all take the configured tolerance
-        path = write_config(
-            tmp_path,
-            params={"beta": math.sqrt(2.0) + 1e-9},
-            tolerances={"resonance_tol": 1e-12},
-        )
-        code = main(
-            ["--command", "picard", "--config", str(path), "--out", str(tmp_path / "run")]
-        )
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 0
-        assert len(lines) == 5 and all(line.startswith("PASS") for line in lines)
+    @pytest.mark.parametrize("key", ["resonance_tol", "picard_tol", "tail_tol"])
+    def test_config_cannot_set_a_tolerance(self, tmp_path, capsys, key):
+        # the tolerances are constants, so no config can loosen a certificate
+        path = write_config(tmp_path, tolerances={key: 0.5})
+        for command in ("heat", "picard", "calibrate"):
+            out = tmp_path / command
+            code = main(["--command", command, "--config", str(path), "--out", str(out)])
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert err == "config error: unknown keys in config: ['tolerances']\n", err
+            assert not out.exists()
 
     def test_sobolev_index_above_two_is_config_error(self, tmp_path, capsys):
         # picard's H^{s+1} norm of v needs z-derivative order s + 1 <= 3

@@ -308,8 +308,8 @@ class TestValidation:
     def test_tail_check(self):
         disc = Discretization(k_max=2, n_z=64, l_z=10.0)
         with pytest.raises(ValueError):
-            disc.check_tail(rate=1.0, tol=1e-10)
-        disc.check_tail(rate=3.0, tol=1e-10)
+            disc.check_tail(rate=1.0)
+        disc.check_tail(rate=3.0)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from robinslab.domain import (
     zero_field3,
 )
 from robinslab.elliptic import (
-    DEFAULT_RESONANCE_TOL,
+    RESONANCE_TOL,
     calibrate_elliptic_constant,
     _condition_estimate,
     _mode_bands,
@@ -66,7 +66,7 @@ class TestAdmissibility:
         # a = pi makes the mode rates |k| = sqrt(k1^2 + k2^2)
         disc = Discretization(k_max=3, n_z=64, l_z=20.0)
         with pytest.raises(ResonanceError) as exc:
-            require_admissible(math.sqrt(2.0), disc, A, DEFAULT_RESONANCE_TOL)
+            require_admissible(math.sqrt(2.0), disc, A)
         assert exc.value.modes == ((1, 1),)
 
     def test_resonance_window_boundaries(self):
@@ -84,7 +84,7 @@ class TestAdmissibility:
         disc = Discretization(k_max=2, n_z=16, l_z=20.0)
         f = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
         gap = np.min(np.abs(beta - disc.mode_rates(A)))
-        if gap >= DEFAULT_RESONANCE_TOL:
+        if gap >= RESONANCE_TOL:
             solve_elliptic(f, beta, A)
         else:
             with pytest.raises(ResonanceError):

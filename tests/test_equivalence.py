@@ -75,6 +75,7 @@ from robinslab.heat import (
 from robinslab.errors import NoConvergenceError
 from robinslab.picard import (
     DIVERGENCE_FACTOR,
+    PICARD_TOL,
     PicardState,
     duhamel_apply,
     picard_solve,
@@ -94,8 +95,8 @@ def duhamel_by_sum(w0, g_slices, horizon, params):
     n_t = len(g_slices)
     t = np.linspace(0.0, horizon, n_t)
     dt = t[1] - t[0]
-    base = RobinPropagator(w0, params, check_compat=False)
-    props = [RobinPropagator(g, params, check_compat=False) for g in g_slices]
+    base = RobinPropagator(w0, params)
+    props = [RobinPropagator(g, params) for g in g_slices]
     out = [w0.coeffs]
     for i in range(1, n_t):
         total = base.at(t[i]).coeffs.copy()
@@ -382,7 +383,7 @@ def test_simpson_is_bit_identical_to_scipy(n_z):
     assert np.array_equal(exp_weighted_moment(f, 2.0), moment)
 
 
-def held_out_elliptic_by_loop(params, disc, seed, size, resonance_tol):
+def held_out_elliptic_by_loop(params, disc, seed, size):
     """Elliptic ratios of a seeded generic ensemble, one field after another."""
     rng = np.random.default_rng(seed)
     ratios = []
@@ -391,7 +392,7 @@ def held_out_elliptic_by_loop(params, disc, seed, size, resonance_tol):
         denom = sobolev_norm(f, params.s - 2, params.a)
         if denom == 0.0:
             continue
-        v = solve_elliptic(f, params.beta, params.a, resonance_tol)
+        v = solve_elliptic(f, params.beta, params.a)
         ratios.append(sobolev_norm(v, params.s, params.a) / denom)
     return ratios
 
@@ -406,7 +407,7 @@ def held_out_growth_by_loop(params, disc, seed, size, times):
         base = sobolev_norm(w0, params.s, params.a)
         if base == 0.0:
             continue
-        prop = RobinPropagator(w0, params, check_compat=False)
+        prop = RobinPropagator(w0, params)
         for t in times:
             grown = sobolev_norm(prop.at(t), params.s, params.a)
             ratios.append(grown * math.exp(-rate * t) / base)
@@ -421,9 +422,9 @@ def test_ratio_samplers_equal_the_held_out_loops(s, seed):
     times = (0.1, 0.5, 1.0)
     generic_rng = np.random.default_rng(seed)
     generic = (random_field3(disc, generic_rng, kind="generic") for _ in range(6))
-    want = held_out_elliptic_by_loop(params, disc, seed, 6, 1e-6)
+    want = held_out_elliptic_by_loop(params, disc, seed, 6)
     assert len(want) == 6
-    assert elliptic_ratios(generic, s, A, params.beta, 1e-6) == want
+    assert elliptic_ratios(generic, s, A, params.beta) == want
     robin_rng = np.random.default_rng(seed + 1)
     robin = (
         random_field3(disc, robin_rng, kind="robin", gamma=params.gamma) for _ in range(6)
@@ -460,7 +461,7 @@ def test_snapshot_writer_is_byte_identical_to_csv_writer(tmp_path, k_max, n_z):
     assert (tmp_path / "one_pass.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()
 
 
-def guard_sweep_by_every_norm(v0, w0, params, horizon, tol=1e-8, max_iter=30):
+def guard_sweep_by_every_norm(v0, w0, params, horizon, max_iter=30):
     """picard_solve's loop with x_norm after every non-final sweep.
 
     Returns the sweep at which the iterate first leaves the guard ball, or
@@ -473,7 +474,7 @@ def guard_sweep_by_every_norm(v0, w0, params, horizon, tol=1e-8, max_iter=30):
         new = picard_step(state, v0, w0, params)
         diffs.append(x_distance(new, state, params))
         state = new
-        if diffs[-1] <= tol * diffs[0]:
+        if diffs[-1] <= PICARD_TOL * diffs[0]:
             return None
         if x_norm(state, params) > DIVERGENCE_FACTOR * horizon.M:
             return state.iteration_index

@@ -38,6 +38,7 @@ from robinslab.heat import (
     exp_weighted_moment,
     fd_robin_oracle,
     growth_ratios,
+    warn_if_incompatible,
 )
 
 A = math.pi
@@ -144,7 +145,7 @@ class TestPropagator:
             f = random_field3(
                 disc, np.random.default_rng(9), kind="robin", gamma=PARAMS.gamma
             )
-            w = RobinPropagator(f, PARAMS, check_compat=False).at(0.0)
+            w = RobinPropagator(f, PARAMS).at(0.0)
             errs[n_z] = np.max(np.abs(w.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
         assert errs[513] < 5e-3
         assert errs[513] < errs[257]
@@ -172,10 +173,10 @@ class TestPropagator:
         f = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
         g = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
         mix = SpectralField3(alpha * f.coeffs + beta * g.coeffs, disc)
-        lhs = RobinPropagator(mix, PARAMS, check_compat=False).at(0.2).coeffs
+        lhs = RobinPropagator(mix, PARAMS).at(0.2).coeffs
         rhs = (
-            alpha * RobinPropagator(f, PARAMS, check_compat=False).at(0.2).coeffs
-            + beta * RobinPropagator(g, PARAMS, check_compat=False).at(0.2).coeffs
+            alpha * RobinPropagator(f, PARAMS).at(0.2).coeffs
+            + beta * RobinPropagator(g, PARAMS).at(0.2).coeffs
         )
         scale = max(1.0, np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
@@ -185,13 +186,17 @@ class TestPropagator:
         disc = Discretization(k_max=1, n_z=257, l_z=20.0)
         f = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
         with pytest.warns(RobinCompatibilityWarning):
+            warn_if_incompatible(f, PARAMS.gamma)
+        # the propagator itself never warns: only the heat command asks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             RobinPropagator(f, PARAMS)
 
     def test_compatible_data_does_not_warn(self):
         disc = Discretization(k_max=1, n_z=257, l_z=20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            RobinPropagator(eigen_field(disc, PARAMS.gamma), PARAMS)
+            warn_if_incompatible(eigen_field(disc, PARAMS.gamma), PARAMS.gamma)
 
 
 class TestOracleAgreement:
@@ -236,7 +241,7 @@ class TestOracleAgreement:
         for n_z, n_steps in ((257, 500), (513, 1000)):
             disc = Discretization(k_max=4, n_z=n_z, l_z=20.0)
             f = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
-            tr = RobinPropagator(f, PARAMS, check_compat=False).at(0.3)
+            tr = RobinPropagator(f, PARAMS).at(0.3)
             fd = fd_robin_oracle(f, 0.3, PARAMS, n_steps=n_steps)
             errs.append(np.max(np.abs(tr.coeffs - fd.coeffs)) / np.max(np.abs(fd.coeffs)))
         assert errs[1] < 5e-3  # measured 2.1e-3 at n_z = 513
@@ -250,7 +255,7 @@ class TestSemigroup:
         w0 = eigen_field(disc, PARAMS.gamma)
         prop = RobinPropagator(w0, PARAMS)
         w_direct = prop.at(0.5)
-        w_two_leg = RobinPropagator(prop.at(0.3), PARAMS, check_compat=False).at(0.2)
+        w_two_leg = RobinPropagator(prop.at(0.3), PARAMS).at(0.2)
         defect = np.max(np.abs(w_two_leg.coeffs - w_direct.coeffs))
         assert defect < 1e-12 * np.max(np.abs(w_direct.coeffs))
 
@@ -260,9 +265,9 @@ class TestSemigroup:
         params = ModelParams(a=A, nu=1.0, gamma=1.25, beta=1.0, s=2)
         disc = Discretization(k_max=1, n_z=50001, l_z=25.0)
         f = random_field3(disc, np.random.default_rng(5), kind="generic")
-        prop = RobinPropagator(f, params, check_compat=False)
+        prop = RobinPropagator(f, params)
         w_direct = prop.at(0.5)
-        w_two_leg = RobinPropagator(prop.at(0.3), params, check_compat=False).at(0.2)
+        w_two_leg = RobinPropagator(prop.at(0.3), params).at(0.2)
         defect = np.max(np.abs(w_two_leg.coeffs - w_direct.coeffs)) / np.max(
             np.abs(w_direct.coeffs)
         )
@@ -274,9 +279,9 @@ class TestSemigroup:
         for n_z in (2001, 4001):
             disc = Discretization(k_max=1, n_z=n_z, l_z=25.0)
             f = random_field3(disc, np.random.default_rng(5), kind="generic")
-            prop = RobinPropagator(f, params, check_compat=False)
+            prop = RobinPropagator(f, params)
             w_direct = prop.at(0.5)
-            w_two_leg = RobinPropagator(prop.at(0.3), params, check_compat=False).at(0.2)
+            w_two_leg = RobinPropagator(prop.at(0.3), params).at(0.2)
             defects.append(
                 np.max(np.abs(w_two_leg.coeffs - w_direct.coeffs))
                 / np.max(np.abs(w_direct.coeffs))
@@ -301,7 +306,7 @@ class TestGrowthAndSmoothing:
         for _ in range(10):
             f = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
             base = sobolev_norm(f, 2, A)
-            prop = RobinPropagator(f, PARAMS, check_compat=False)
+            prop = RobinPropagator(f, PARAMS)
             for t in (0.1, 0.5, 1.0):
                 ratio = sobolev_norm(prop.at(t), 2, A) * math.exp(-rate * t) / base
                 assert ratio <= 1.1 * c
@@ -316,7 +321,7 @@ class TestGrowthAndSmoothing:
         assert len(ratios) == 4
         assert ratios[0] == ratios[2] == 1.0
         assert ratios[1] == ratios[3] < 1.0
-        at_zero = sobolev_norm(RobinPropagator(f, PARAMS, check_compat=False).at(0.0), 2, A)
+        at_zero = sobolev_norm(RobinPropagator(f, PARAMS).at(0.0), 2, A)
         assert at_zero != sobolev_norm(f, 2, A)
 
     def test_growth_seed_reproducibility(self):
@@ -336,8 +341,8 @@ class TestGrowthAndSmoothing:
         f8 = SpectralField3(f16.coeffs[:8, :8], disc8)
         rough_growth = sobolev_norm(f16, 2, A) / sobolev_norm(f8, 2, A)
         assert rough_growth > 2.0
-        n16 = sobolev_norm(RobinPropagator(f16, PARAMS, check_compat=False).at(0.1), 2, A)
-        n8 = sobolev_norm(RobinPropagator(f8, PARAMS, check_compat=False).at(0.1), 2, A)
+        n16 = sobolev_norm(RobinPropagator(f16, PARAMS).at(0.1), 2, A)
+        n8 = sobolev_norm(RobinPropagator(f8, PARAMS).at(0.1), 2, A)
         assert abs(n16 - n8) / n16 < 0.05
 
 

@@ -115,7 +115,7 @@ class TestGronwall:
 
         disc = Discretization(k_max=4, n_z=257, l_z=20.0)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
-        prop = RobinPropagator(w0, PARAMS, check_compat=False)
+        prop = RobinPropagator(w0, PARAMS)
         ts = [0.0, 0.1, 0.3, 0.6, 1.0]
         es = [sobolev_norm(prop.at(t), 2, A) ** 2 for t in ts]
         assert gronwall_energy_check(ts, es, PARAMS).passed
@@ -171,7 +171,7 @@ def small_run():
     gen = np.random.default_rng(11)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
-    res = picard_solve(v0, w0, PARAMS, 1.0, tol=1e-8)
+    res = picard_solve(v0, w0, PARAMS, 1.0)
     return v0, w0, res
 
 

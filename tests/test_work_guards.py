@@ -103,12 +103,12 @@ def test_propagators_on_one_geometry_share_their_rates():
     disc = Discretization(k_max=3, n_z=129, l_z=20.0)
     gen = np.random.default_rng(13)
     fields = [random_field3(disc, gen, kind="generic") for _ in range(3)]
-    first, second = (heat.RobinPropagator(f, PARAMS, check_compat=False) for f in fields[:2])
+    first, second = (heat.RobinPropagator(f, PARAMS) for f in fields[:2])
     assert second.slab_rates is first.slab_rates
     assert second.wall_rates is first.wall_rates
     assert not first.slab_rates.flags.writeable
     slower = ModelParams(a=PARAMS.a, nu=0.5, gamma=PARAMS.gamma, beta=PARAMS.beta)
-    other = heat.RobinPropagator(fields[2], slower, check_compat=False)
+    other = heat.RobinPropagator(fields[2], slower)
     assert np.array_equal(other.slab_rates, 0.5 * first.slab_rates)
 
 
