@@ -41,7 +41,7 @@ from .heat import (
     growth_ratios,
     warn_if_incompatible,
 )
-from .picard import picard_solve
+from .picard import picard_solve, select_horizon
 from .report import (
     NORM_COLUMNS,
     RunConfig,
@@ -254,22 +254,18 @@ def _cmd_elliptic(config: RunConfig):
 # --- heat --------------------------------------------------------------------
 
 
-def _growth_constant_for(config: RunConfig, inflate: bool) -> float:
-    if config.growth_constant is not None:
-        return config.growth_constant
-    fresh = calibrate_growth_constant(
+def _growth_constant_for(config: RunConfig) -> float:
+    return calibrate_growth_constant(
         20, config.params.s, (0.0,) + _CAL_TIMES, config.seed + 1,
         config.params, config.disc,
     )
-    # small ensemble: pad the max before trusting it as a uniform constant
-    return 1.25 * fresh if inflate else fresh
 
 
 def _cmd_heat(config: RunConfig):
     params, disc = config.params, config.disc
     rng = np.random.default_rng(config.seed)
     w0 = build_field(config.initial_w, config, rng)
-    c_gs = _growth_constant_for(config, inflate=False)
+    c_gs = _growth_constant_for(config)
     warn_if_incompatible(w0, params.gamma)
     prop = RobinPropagator(w0, params)
     t_grid = np.linspace(0.0, 1.0, disc.n_t)
@@ -312,9 +308,10 @@ def _cmd_picard(config: RunConfig):
     w0 = build_field(config.initial_w, config, rng)
     phases = {}
     with _phase(phases, "growth_calibration"):
-        c_gs = _growth_constant_for(config, inflate=True)
+        # small ensemble: pad the max before trusting it as a uniform constant
+        c_gs = 1.25 * _growth_constant_for(config)
     with _phase(phases, "main_solve"):
-        result = picard_solve(v0, w0, params, c_gs)
+        result = picard_solve(v0, w0, params, select_horizon(v0, w0, params, c_gs))
     h = result.horizon
     v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
     w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]

@@ -46,6 +46,7 @@ from .heat import RobinPropagator
 
 __all__ = [
     "PICARD_TOL",
+    "MAX_SWEEPS",
     "HorizonSelection",
     "PicardState",
     "PicardResult",
@@ -61,6 +62,8 @@ __all__ = [
 # a solve stops once a sweep moves the iterate by at most PICARD_TOL
 # times the first sweep's move
 PICARD_TOL = 1e-8
+# a solve that has not stopped after MAX_SWEEPS sweeps raises
+MAX_SWEEPS = 30
 DIVERGENCE_FACTOR = 10.0
 
 
@@ -296,9 +299,7 @@ def picard_solve(
     v0: SpectralField3,
     w0: SpectralField3,
     params: ModelParams,
-    growth_constant: float,
-    max_iter: int = 30,
-    horizon: HorizonSelection | None = None,
+    horizon: HorizonSelection,
     initial_state: PicardState | None = None,
 ) -> PicardResult:
     """Iterate to the fixed point on the certified horizon.
@@ -306,8 +307,8 @@ def picard_solve(
     Starts from the constant-in-time pair (or initial_state), stops when a
     sweep moves the iterate by at most PICARD_TOL times the first sweep's
     move.  A first sweep that does not move at all is already the fixed
-    point.  A solve that does not converge raises, so every returned result
-    has converged.
+    point.  A solve that does not converge within MAX_SWEEPS sweeps raises,
+    so every returned result has converged.
 
     The ball guard raises once x_norm of an iterate exceeds
     DIVERGENCE_FACTOR * M.  By the triangle inequality x_norm of the
@@ -319,8 +320,6 @@ def picard_solve(
         raise ValueError("v0 and w0 must share a discretization")
     if not (np.all(np.isfinite(v0.coeffs)) and np.all(np.isfinite(w0.coeffs))):
         raise NonFiniteError("initial data contains non-finite values")
-    if horizon is None:
-        horizon = select_horizon(v0, w0, params, growth_constant)
     n_t = v0.disc.n_t
     t_grid = np.linspace(0.0, horizon.T, n_t)
     if initial_state is None:
@@ -331,7 +330,7 @@ def picard_solve(
     reach = x_norm(state, params) if horizon.M > 0 else 0.0
 
     diffs: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         new = picard_step(state, v0, w0, params)
         diff = x_distance(new, state, params)
         if not np.isfinite(diff):
@@ -350,7 +349,7 @@ def picard_solve(
             )
     else:
         raise NoConvergenceError(
-            f"no convergence in {max_iter} sweeps: last move {diffs[-1]:.3e} "
+            f"no convergence in {MAX_SWEEPS} sweeps: last move {diffs[-1]:.3e} "
             f"vs target {PICARD_TOL * diffs[0]:.3e}"
         )
     ratios = tuple(

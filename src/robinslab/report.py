@@ -58,21 +58,17 @@ class RunConfig:
     params: ModelParams
     disc: Discretization
     seed: int
-    growth_constant: float | None
     initial_v: dict
     initial_w: dict
 
     def echo(self) -> dict:
         """JSON-ready copy of the effective configuration."""
-        out = {
+        return {
             "params": asdict(self.params),
             "disc": asdict(self.disc),
             "seed": self.seed,
             "initial_data": {"v": dict(self.initial_v), "w": dict(self.initial_w)},
         }
-        if self.growth_constant is not None:
-            out["constants"] = {"growth_constant": self.growth_constant}
-        return out
 
 
 def _require_keys(record: dict, allowed: set, required: set, where: str) -> None:
@@ -184,7 +180,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     """Validate a decoded JSON record into a RunConfig."""
     _require_keys(
         raw,
-        {"params", "disc", "seed", "constants", "initial_data"},
+        {"params", "disc", "seed", "initial_data"},
         {"params", "disc", "seed"},
         "config",
     )
@@ -206,16 +202,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if seed_override is not None:
         seed = seed_override
-
-    const_rec = raw.get("constants", {})
-    _require_keys(const_rec, {"growth_constant"}, set(), "constants")
-    growth_constant = (
-        _number(const_rec["growth_constant"], "constants.growth_constant")
-        if "growth_constant" in const_rec
-        else None
-    )
-    if growth_constant is not None and growth_constant < 1.0:
-        raise ConfigError("constants.growth_constant cannot be below its t=0 value 1")
 
     data_rec = raw.get("initial_data", {})
     _require_keys(data_rec, {"v", "w"}, set(), "initial_data")
@@ -239,7 +225,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
         params=params,
         disc=disc,
         seed=seed,
-        growth_constant=growth_constant,
         initial_v=initial["v"],
         initial_w=initial["w"],
     )

@@ -222,10 +222,7 @@ def uniqueness_check(first: PicardResult) -> Certificate:
         omega_slices=(w0.scaled(1.1),) * n_t,
         iteration_index=0,
     )
-    second = picard_solve(
-        v0, w0, first.params, first.horizon.growth_constant,
-        horizon=first.horizon, initial_state=skewed,
-    )
+    second = picard_solve(v0, w0, first.params, first.horizon, initial_state=skewed)
     gap = x_distance(first.state, second.state, first.params)
     return make_certificate(
         "uniqueness", gap, 10.0 * PICARD_TOL,

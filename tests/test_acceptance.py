@@ -30,7 +30,13 @@ from robinslab.domain import (
 from robinslab.elliptic import solve_elliptic
 from robinslab.errors import ResonanceError
 from robinslab.heat import RobinPropagator, calibrate_growth_constant, fd_robin_oracle
-from robinslab.picard import PicardState, picard_solve, picard_step, x_distance
+from robinslab.picard import (
+    PicardState,
+    picard_solve,
+    picard_step,
+    select_horizon,
+    x_distance,
+)
 from robinslab.report import read_report
 from robinslab.verify import EXACT_SLACK, gronwall_energy_check
 
@@ -109,7 +115,7 @@ def picard_run():
         gamma=PARAMS.gamma, amplitude=0.05,
     )
     result = picard_solve(
-        v0, w0, PARAMS, calibrated_growth_constant(), max_iter=30
+        v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, calibrated_growth_constant())
     )
     return result, v0, w0
 
@@ -273,10 +279,7 @@ def test_criterion_8_fixed_point_residual_and_uniqueness():
         v_slices=(v0,) * len(result.state.t_grid),
         omega_slices=(w0.scaled(1.1),) * len(result.state.t_grid),
     )
-    second = picard_solve(
-        v0, w0, PARAMS, result.horizon.growth_constant,
-        horizon=result.horizon, initial_state=skewed,
-    )
+    second = picard_solve(v0, w0, PARAMS, result.horizon, initial_state=skewed)
     gap = x_distance(result.state, second.state, PARAMS)
     report(
         8,
@@ -289,7 +292,7 @@ def test_criterion_8_fixed_point_residual_and_uniqueness():
 def test_criterion_9_trivial_closures(tmp_path):
     disc = Discretization(k_max=4, n_z=256, l_z=L_Z, n_t=9)
     zero = zero_field3(disc)
-    result = picard_solve(zero, zero, PARAMS, 1.5)
+    result = picard_solve(zero, zero, PARAMS, select_horizon(zero, zero, PARAMS, 1.5))
     flat = max(
         max(v.max_abs() for v in result.state.v_slices),
         max(w.max_abs() for w in result.state.omega_slices),
@@ -305,7 +308,7 @@ def test_criterion_9_trivial_closures(tmp_path):
     )
 
     w0 = eigen_field(disc, PARAMS.gamma)
-    run = picard_solve(zero, w0, PARAMS, 1.5)
+    run = picard_solve(zero, w0, PARAMS, select_horizon(zero, w0, PARAMS, 1.5))
     factor = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
     analytic = PicardState(
         t_grid=run.state.t_grid,

@@ -37,7 +37,6 @@ BASE = {
     "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
     "disc": {"k_max": 2, "n_z": 128, "l_z": 20.0, "n_t": 5},
     "seed": 3,
-    "constants": {"growth_constant": 1.5},
     "initial_data": {"w": {"family": "eigenmode", "mode": [1, 1], "amplitude": 1.0}},
 }
 
@@ -78,8 +77,6 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, params={"nu": -1.0}))
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, disc={"n_z": 2}))
-        with pytest.raises(ConfigError, match="growth_constant"):
-            load_config(write_config(tmp_path, constants={"growth_constant": 0.5}))
         with pytest.raises(ConfigError, match="seed"):
             load_config(write_config(tmp_path, seed=-1))
 
@@ -132,8 +129,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "section, value",
-        [("params", 5), ("params", [1, 2]), ("disc", "fine"), ("constants", [1.5]),
-         ("initial_data", None)],
+        [("params", 5), ("params", [1, 2]), ("disc", "fine"), ("initial_data", None)],
     )
     def test_section_that_is_not_an_object_is_config_error(self, section, value):
         cfg = json.loads(json.dumps(BASE))
@@ -218,17 +214,24 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("config error"), command
 
     @pytest.mark.parametrize(
-        "section, key", [("disc", "quad_nodes"), ("constants", "elliptic_constant")]
+        "retired, message",
+        [
+            ({"disc": {"quad_nodes": 2}}, "unknown keys in disc: ['quad_nodes']"),
+            # every run calibrates its own growth constant, so no config can
+            # loosen the growth bound or the Picard horizon
+            ({"constants": {"growth_constant": 1e3}}, "unknown keys in config: ['constants']"),
+        ],
+        ids=["disc-quad_nodes", "constants-growth_constant"],
     )
-    def test_retired_keys_are_config_errors(self, tmp_path, capsys, section, key):
-        path = write_config(tmp_path, **{section: {key: 2}})
-        for command in ("heat", "picard"):
-            code = main(
-                ["--command", command, "--config", str(path), "--out", str(tmp_path / command)]
-            )
+    def test_retired_keys_are_config_errors(self, tmp_path, capsys, retired, message):
+        path = write_config(tmp_path, **retired)
+        for command in ("heat", "picard", "calibrate"):
+            out = tmp_path / command
+            code = main(["--command", command, "--config", str(path), "--out", str(out)])
             assert code == 1, command
             err = capsys.readouterr().err
-            assert err.startswith(f"config error: unknown keys in {section}: ['{key}']"), err
+            assert err == f"config error: {message}\n", err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -359,6 +362,21 @@ class TestRunArtifacts:
         lines = (out / "convergence.csv").read_text().strip().splitlines()
         assert lines[0] == "sweep,n_z,error"
         assert sum(1 for l in lines if l.startswith("elliptic-eigenfunction")) == 4
+
+    @pytest.mark.parametrize(
+        "command, name, growth_constant",
+        # heat takes the ensemble max, which t = 0 pins at 1; picard pads it by 1.25
+        [("heat", "heat_eigenmode.json", 1.0), ("picard", "picard_zero.json", 1.25)],
+    )
+    def test_shipped_config_run_calibrates_its_growth_constant(
+        self, tmp_path, command, name, growth_constant
+    ):
+        path = ROOT / "configs" / name
+        out = tmp_path / "run"
+        assert main(["--command", command, "--config", str(path), "--out", str(out)]) == 0
+        report_json = read_report(out / "report.json")
+        assert report_json["measured_constants"]["growth_constant"] == growth_constant
+        assert "constants" not in report_json["config"]
 
     def test_calibrate_reports_both_constants(self, tmp_path):
         path = write_config(tmp_path, disc={"k_max": 2, "n_z": 129})
@@ -509,9 +527,6 @@ class TestTiming:
                 "w": {"family": "random", "kind": "robin", "amplitude": 0.05},
             },
         )
-        cfg = json.loads(path.read_text())
-        del cfg["constants"]  # so the growth constant is calibrated in the run
-        path.write_text(json.dumps(cfg))
         out = tmp_path / "run"
         assert main(["--command", "picard", "--config", str(path), "--out", str(out)]) == 0
         timing = read_report(out / "report.json")["timing"]

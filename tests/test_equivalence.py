@@ -75,6 +75,7 @@ from robinslab.heat import (
 from robinslab.errors import NoConvergenceError
 from robinslab.picard import (
     DIVERGENCE_FACTOR,
+    MAX_SWEEPS,
     PICARD_TOL,
     PicardState,
     duhamel_apply,
@@ -461,7 +462,7 @@ def test_snapshot_writer_is_byte_identical_to_csv_writer(tmp_path, k_max, n_z):
     assert (tmp_path / "one_pass.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()
 
 
-def guard_sweep_by_every_norm(v0, w0, params, horizon, max_iter=30):
+def guard_sweep_by_every_norm(v0, w0, params, horizon):
     """picard_solve's loop with x_norm after every non-final sweep.
 
     Returns the sweep at which the iterate first leaves the guard ball, or
@@ -470,7 +471,7 @@ def guard_sweep_by_every_norm(v0, w0, params, horizon, max_iter=30):
     n_t = v0.disc.n_t
     state = PicardState(np.linspace(0.0, horizon.T, n_t), (v0,) * n_t, (w0,) * n_t, 0)
     diffs = []
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         new = picard_step(state, v0, w0, params)
         diffs.append(x_distance(new, state, params))
         state = new
@@ -483,7 +484,7 @@ def guard_sweep_by_every_norm(v0, w0, params, horizon, max_iter=30):
 
 def guard_sweep(v0, w0, params, horizon):
     try:
-        picard_solve(v0, w0, params, horizon.growth_constant, horizon=horizon)
+        picard_solve(v0, w0, params, horizon)
     except NoConvergenceError as exc:
         return int(re.search(r"at sweep (\d+)", str(exc)).group(1))
     return None

@@ -135,7 +135,8 @@ class TestDuhamel:
 class TestPicardSolve:
     def test_zero_data_is_already_the_fixed_point(self):
         disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
-        res = picard_solve(zero_field3(disc), zero_field3(disc), PARAMS, 1.0)
+        zero = zero_field3(disc)
+        res = picard_solve(zero, zero, PARAMS, select_horizon(zero, zero, PARAMS, 1.0))
         assert res.iterations == 1
         assert res.diffs == (0.0,)
         assert res.horizon.binding == "unit cap"
@@ -146,7 +147,8 @@ class TestPicardSolve:
         disc = Discretization(k_max=2, n_z=513, l_z=20.0, n_t=17)
         prof = np.exp(-PARAMS.gamma * disc.z)
         w0 = field3_from_profile(disc, (1, 1), 0.1 * prof)
-        res = picard_solve(zero_field3(disc), w0, PARAMS, 1.0)
+        v0 = zero_field3(disc)
+        res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
         assert res.iterations == 2
         assert res.diffs[1] == 0.0
         r = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
@@ -160,7 +162,7 @@ class TestPicardSolve:
         disc = Discretization(k_max=4, n_z=129, l_z=20.0, n_t=17)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
         v0 = random_field3(disc, rng, kind="vspace", amplitude=0.05)
-        res = picard_solve(v0, w0, PARAMS, 1.0)
+        res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
         assert res.iterations <= 30
         assert all(r <= 0.55 for r in res.ratios)
         # slice 0 pinned to the data
@@ -171,7 +173,7 @@ class TestPicardSolve:
         disc = Discretization(k_max=4, n_z=129, l_z=20.0, n_t=17)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
         v0 = random_field3(disc, rng, kind="vspace", amplitude=0.05)
-        res = picard_solve(v0, w0, PARAMS, 1.0)
+        res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
         h = res.horizon
         v_bound = 2.0 * sobolev_norm(v0, 3, A)
         w_bound = (
@@ -187,16 +189,18 @@ class TestPicardSolve:
         disc = Discretization(k_max=4, n_z=129, l_z=20.0, n_t=17)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
         v0 = random_field3(disc, rng, kind="vspace", amplitude=0.05)
-        res = picard_solve(v0, w0, PARAMS, 1.0)
+        res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
         extra = picard_step(res.state, v0, w0, PARAMS)
         assert x_distance(extra, res.state, PARAMS) <= 2.0 * PICARD_TOL * res.diffs[0]
 
-    def test_sweep_cap_raises(self, rng):
+    def test_sweep_cap_raises(self, rng, monkeypatch):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
         v0 = random_field3(disc, rng, kind="vspace", amplitude=0.05)
-        with pytest.raises(NoConvergenceError):
-            picard_solve(v0, w0, PARAMS, 1.0, max_iter=1)
+        h = select_horizon(v0, w0, PARAMS, 1.0)
+        monkeypatch.setattr(picard, "MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergenceError, match="1 sweeps"):
+            picard_solve(v0, w0, PARAMS, h)
 
     def test_ball_guard_raises(self, rng):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
@@ -207,7 +211,7 @@ class TestPicardSolve:
             constraint_value=0.0,
         )
         with pytest.raises(NoConvergenceError, match="certified ball"):
-            picard_solve(v0, w0, PARAMS, 1.0, horizon=squeezed)
+            picard_solve(v0, w0, PARAMS, squeezed)
 
     def test_non_finite_data_raises(self):
         disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
@@ -216,8 +220,10 @@ class TestPicardSolve:
         from robinslab.domain import SpectralField3
 
         w0 = SpectralField3(bad, disc)
+        v0 = zero_field3(disc)
+        h = select_horizon(v0, w0, PARAMS, 1.0)
         with pytest.raises(NonFiniteError):
-            picard_solve(zero_field3(disc), w0, PARAMS, 1.0)
+            picard_solve(v0, w0, PARAMS, h)
 
     def test_nan_slice_propagates_through_the_distance(self):
         disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
@@ -243,11 +249,15 @@ class TestPicardSolve:
             return dataclasses.replace(new, omega_slices=new.omega_slices[:-1] + (nan,))
 
         monkeypatch.setattr(picard, "picard_step", poisoned_step)
+        zero = zero_field3(disc)
+        h = select_horizon(zero, zero, PARAMS, 1.0)
         with pytest.raises(NonFiniteError, match="sweep 1"):
-            picard_solve(zero_field3(disc), zero_field3(disc), PARAMS, 1.0)
+            picard_solve(zero, zero, PARAMS, h)
 
     def test_mismatched_grids_rejected(self, rng):
         d1 = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
         d2 = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
+        v0, w0 = zero_field3(d1), zero_field3(d2)
+        h = select_horizon(v0, w0, PARAMS, 1.0)
         with pytest.raises(ValueError):
-            picard_solve(zero_field3(d1), zero_field3(d2), PARAMS, 1.0)
+            picard_solve(v0, w0, PARAMS, h)

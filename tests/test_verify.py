@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from robinslab.domain import Discretization, ModelParams, random_field3, sobolev_norm
-from robinslab.picard import picard_solve
+from robinslab.picard import picard_solve, select_horizon
 from robinslab.verify import (
     Certificate,
     contraction_check,
@@ -171,7 +171,7 @@ def small_run():
     gen = np.random.default_rng(11)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
-    res = picard_solve(v0, w0, PARAMS, 1.0)
+    res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
     return v0, w0, res
 
 

@@ -30,7 +30,7 @@ import pytest
 import robinslab
 from robinslab import domain, elliptic, heat, picard
 from robinslab.domain import Discretization, ModelParams, SpectralField3, random_field3
-from robinslab.picard import PicardState, picard_solve, picard_step
+from robinslab.picard import PicardState, picard_solve, picard_step, select_horizon
 
 PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
 
@@ -75,7 +75,7 @@ def test_converging_solve_takes_no_norm_for_its_ball_guard(monkeypatch):
 
     monkeypatch.setattr(domain, "sobolev_norm", counting_norm)
     monkeypatch.setattr(picard, "sobolev_norm", counting_norm)
-    result = picard_solve(v0, w0, PARAMS, 1.5)
+    result = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5))
     assert result.horizon.M > 0.0
     assert result.iterations >= 2  # the guard is reached after every non-final sweep
     # 2 for the horizon, 2 for the constant-in-time start, 2 per slice per sweep
