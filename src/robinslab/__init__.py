@@ -25,8 +25,8 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
     ResonanceError,
-    RobinCompatibilityWarning,
     SingularSystemError,
+    WorkerError,
 )
 
 __version__ = "0.1.0"
@@ -46,6 +46,6 @@ __all__ = [
     "NoConvergenceError",
     "NonFiniteError",
     "ResonanceError",
-    "RobinCompatibilityWarning",
     "SingularSystemError",
+    "WorkerError",
 ]

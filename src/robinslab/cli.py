@@ -64,6 +64,7 @@ from .verify import (
     min_order_certificate,
     order_certificate,
     run_certificates,
+    start_uniqueness_solve,
     transform_oracle_certificate,
     uniqueness_check,
 )
@@ -310,27 +311,31 @@ def _cmd_picard(config: RunConfig):
     with _phase(phases, "growth_calibration"):
         # small ensemble: pad the max before trusting it as a uniform constant
         c_gs = 1.25 * _growth_constant_for(config)
-    with _phase(phases, "main_solve"):
-        result = picard_solve(v0, w0, params, select_horizon(v0, w0, params, c_gs))
-    h = result.horizon
-    v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
-    w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
-    checks = [
-        ("contraction", lambda: contraction_check(result.ratios)),
-        ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, h, params)),
-        ("fixed-point-residual", lambda: fixed_point_residual_check(result)),
-        ("uniqueness", lambda: uniqueness_check(result)),
-    ]
-    certs = []
-    for name, thunk in checks:
-        with _phase(phases, name.replace("-", "_")):
-            certs += run_certificates([(name, thunk)])
+    horizon = select_horizon(v0, w0, params, c_gs)
+    # the uniqueness check's second solve needs only the data and the
+    # horizon, so it runs in a forked child beside everything below
+    with start_uniqueness_solve(v0, w0, params, horizon) as second:
+        with _phase(phases, "main_solve"):
+            result = picard_solve(v0, w0, params, horizon)
+        v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
+        w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
+        checks = [
+            ("contraction", lambda: contraction_check(result.ratios)),
+            ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, horizon, params)),
+            ("fixed-point-residual", lambda: fixed_point_residual_check(result)),
+            ("uniqueness", lambda: uniqueness_check(result, second)),
+        ]
+        certs = []
+        for name, thunk in checks:
+            with _phase(phases, name.replace("-", "_")):
+                certs += run_certificates([(name, thunk)])
+    phases["uniqueness_solve"] = second.seconds
     t_grid = result.state.t_grid
     energies = [n * n for n in w_norms]
     report = {
         "measured_constants": {"growth_constant": c_gs},
         "certificates": certs,
-        "horizon": dataclasses.asdict(h),
+        "horizon": dataclasses.asdict(horizon),
         "picard": {
             "iterations": result.iterations,
             "diffs": list(result.diffs),

@@ -32,5 +32,5 @@ class NoConvergenceError(RobinSlabError):
     """Fixed-point iteration hit the sweep cap while still moving."""
 
 
-class RobinCompatibilityWarning(UserWarning):
-    """Initial data does not satisfy the Robin wall condition."""
+class WorkerError(RobinSlabError):
+    """A forked worker process ended before sending its whole result."""

@@ -32,7 +32,7 @@ modes.  It shares no code with the transform route.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -49,7 +49,6 @@ from .domain import (
     sobolev_norm,
     wall_slope,
 )
-from .errors import RobinCompatibilityWarning
 
 __all__ = [
     "exp_weighted_moment",
@@ -64,6 +63,10 @@ __all__ = [
 ]
 
 COMPAT_WARN_RATIO = 0.05
+COMPAT_WARNING = (
+    "warning: initial field does not satisfy the Robin wall condition; "
+    "propagation continues but wall accuracy degrades"
+)
 
 
 def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -164,7 +167,8 @@ def _z_cosine_eval(coeffs: np.ndarray) -> np.ndarray:
 
 
 def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
-    """Warn when omega0 misses the wall condition w'(0) + gamma w(0) = 0.
+    """Print one warning line on stderr when omega0 misses the wall
+    condition w'(0) + gamma w(0) = 0.
 
     The wall residual is taken relative to the size of its two terms; above
     COMPAT_WARN_RATIO propagation still works, with degraded wall accuracy.
@@ -174,12 +178,7 @@ def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
     res = np.sqrt(np.sum((deriv + gamma * c[:, :, 0]) ** 2))
     scale = np.sqrt(np.sum((np.abs(deriv) + np.abs(gamma * c[:, :, 0])) ** 2))
     if scale > 0 and res / scale > COMPAT_WARN_RATIO:
-        warnings.warn(
-            "initial field does not satisfy the Robin wall condition; "
-            "propagation continues but wall accuracy degrades",
-            RobinCompatibilityWarning,
-            stacklevel=2,
-        )
+        print(COMPAT_WARNING, file=sys.stderr)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

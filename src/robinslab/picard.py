@@ -20,9 +20,10 @@ H^s norm of the w difference.
 The Duhamel term is evaluated in the spectral state of RobinPropagator
 (z-sine slab modes and wall moments), where P_t is a per-mode exponential:
 a one-step recurrence over the time cells accumulates the forcing, so a
-sweep builds one propagator per slice plus one for w0 and synthesizes each
-output slice once, O(n_t) work instead of the O(n_t^2) propagator
-evaluations of a direct sum.
+sweep builds one propagator per forcing slice and synthesizes each output
+slice once, O(n_t) work instead of the O(n_t^2) propagator evaluations of
+a direct sum.  What the data alone feed into a sweep (slice 0's integrand
+and forcing, the propagator of w0) is computed once per solve.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "picard_solve",
     "x_norm",
     "x_distance",
+    "pairs_distance",
 ]
 
 # a solve stops once a sweep moves the iterate by at most PICARD_TOL
@@ -196,7 +198,10 @@ def duhamel_apply(
 
     with X_j the state of forcing slice j and E = exp(rate dt) per mode.
     The w0 part is evaluated at the exact t_i, and each output slice is one
-    synthesis.  Forcing states are built one slice at a time.
+    synthesis.  Forcing states are built one slice at a time; the
+    propagator of w0 and the state of a forcing slice that is the pinned
+    forcing d_z(v0) come from the current data's _Pinned work when w0 is
+    its data.
     """
     n_t = len(g_slices)
     if n_t < 2:
@@ -205,7 +210,10 @@ def duhamel_apply(
         raise ValueError(f"horizon must be positive, got {horizon}")
     t = np.linspace(0.0, horizon, n_t)
     dt = t[1] - t[0]
-    base = RobinPropagator(w0, params)
+    pinned = _PINNED
+    if pinned is None or pinned.w0 is not w0 or pinned.params != params:
+        pinned = None
+    base = RobinPropagator(w0, params) if pinned is None else pinned.base
 
     half = 0.5 * dt
     # E and (dt/2) E for the slab modes, then for the wall moments
@@ -216,8 +224,10 @@ def duhamel_apply(
     forced = [np.zeros_like(base.slab_rates), np.zeros_like(base.wall_rates)]
     prev = None
     for i, g in enumerate(g_slices):
-        cur = RobinPropagator(g, params)
-        state = (cur.slab_modes, cur.wall_moments)
+        if pinned is not None and g is pinned.forcing:
+            state = pinned.forcing_state
+        else:
+            state = _spectral_state(g, params)
         if prev is not None:
             forced = [
                 e * u + left * x0 + half * x1
@@ -227,6 +237,12 @@ def duhamel_apply(
             out.append(base.synthesize(free[0] + forced[0], free[1] + forced[1]))
         prev = state
     return out
+
+
+def _spectral_state(g: SpectralField3, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(slab modes, wall moments) of g's propagator at t = 0."""
+    prop = RobinPropagator(g, params)
+    return prop.slab_modes, prop.wall_moments
 
 
 # --- the iteration map ------------------------------------------------------
@@ -256,13 +272,66 @@ def x_norm(state: PicardState, params: ModelParams) -> float:
 
 def x_distance(first: PicardState, second: PicardState, params: ModelParams) -> float:
     """x_norm of the slice-wise difference, one slice in memory at a time."""
-    pairs = (
-        (va - vb, wa - wb)
-        for va, wa, vb, wb in zip(
-            first.v_slices, first.omega_slices, second.v_slices, second.omega_slices
-        )
+    return pairs_distance(
+        zip(first.v_slices, first.omega_slices),
+        zip(second.v_slices, second.omega_slices),
+        params,
     )
-    return _worst_norm(pairs, params)
+
+
+def pairs_distance(first, second, params: ModelParams) -> float:
+    """x_distance of two iterables of (v, w) slice pairs, read in step to
+    the end of both.
+
+    Either side may be a stream, such as a forked solve's slices: one pair
+    of each is in memory at a time.
+    """
+    diffs = ((va - vb, wa - wb) for (va, wa), (vb, wb) in zip(first, second, strict=True))
+    return _worst_norm(diffs, params)
+
+
+@dataclass(frozen=True)
+class _Pinned:
+    """What the data (v0, w0) feed into a sweep, whatever the iterate.
+
+    A slice holding the data itself (slice 0 after the first sweep, every
+    slice of the constant-in-time start) takes its integrand v0 (K w0)_z and
+    its forcing d_z(v0) from here, and duhamel_apply takes the propagator
+    of w0 and that forcing's spectral state.  Fields are immutable, so data
+    that is the same object feeds the same work.
+    """
+
+    v0: SpectralField3
+    w0: SpectralField3
+    params: ModelParams
+    integrand: np.ndarray
+    forcing: SpectralField3
+    forcing_state: tuple[np.ndarray, np.ndarray]
+    base: RobinPropagator
+
+
+# the latest data's _Pinned work, so a solve computes it once, not every sweep
+_PINNED: _Pinned | None = None
+
+
+def _pinned(v0: SpectralField3, w0: SpectralField3, params: ModelParams) -> _Pinned:
+    global _PINNED
+    last = _PINNED
+    if last is None or last.v0 is not v0 or last.w0 is not w0 or last.params != params:
+        forcing = d_z(v0)
+        last = _PINNED = _Pinned(
+            v0, w0, params,
+            integrand=_integrand(v0, w0, params),
+            forcing=forcing,
+            forcing_state=_spectral_state(forcing, params),
+            base=RobinPropagator(w0, params),
+        )
+    return last
+
+
+def _integrand(v: SpectralField3, w: SpectralField3, params: ModelParams) -> np.ndarray:
+    """Coefficients of v (K w)_z, the velocity equation's integrand."""
+    return pointwise_product(v, d_z(solve_elliptic(w, params.beta, params.a))).coeffs
 
 
 def picard_step(
@@ -274,10 +343,11 @@ def picard_step(
     """One sweep of the map; slice 0 stays pinned to the data."""
     t = state.t_grid
     dt = t[1] - t[0]
-    integrands = []
-    for v_j, w_j in zip(state.v_slices, state.omega_slices):
-        stream = solve_elliptic(w_j, params.beta, params.a)
-        integrands.append(pointwise_product(v_j, d_z(stream)).coeffs)
+    pinned = _pinned(v0, w0, params)
+    integrands = [
+        pinned.integrand if v_j is v0 and w_j is w0 else _integrand(v_j, w_j, params)
+        for v_j, w_j in zip(state.v_slices, state.omega_slices)
+    ]
 
     v_new = [v0]
     acc = np.zeros_like(v0.coeffs)
@@ -285,7 +355,7 @@ def picard_step(
         acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
 
-    g_slices = [d_z(v_j) for v_j in state.v_slices]
+    g_slices = [pinned.forcing if v_j is v0 else d_z(v_j) for v_j in state.v_slices]
     w_new = duhamel_apply(w0, g_slices, float(t[-1]), params)
     return PicardState(
         t_grid=t,

@@ -18,9 +18,10 @@ import numpy as np
 from .domain import ModelParams, SpectralField3
 from .heat import RobinPropagator, fd_robin_oracle
 from .picard import (
-    PICARD_TOL, HorizonSelection, PicardResult, PicardState, picard_solve, picard_step,
+    PICARD_TOL, HorizonSelection, PicardResult, PicardState, pairs_distance, picard_step,
     x_distance,
 )
+from .worker import SolveWorker, fork_solve
 
 __all__ = [
     "Certificate",
@@ -34,6 +35,7 @@ __all__ = [
     "contraction_check",
     "apriori_bounds_check",
     "fixed_point_residual_check",
+    "start_uniqueness_solve",
     "uniqueness_check",
     "transform_oracle_certificate",
     "CALIBRATION_MARGIN",
@@ -206,27 +208,39 @@ def fixed_point_residual_check(result: PicardResult) -> Certificate:
     )
 
 
-def uniqueness_check(first: PicardResult) -> Certificate:
-    """Two different initial guesses land on the same fixed point.
+def start_uniqueness_solve(
+    v0: SpectralField3, w0: SpectralField3, params: ModelParams, horizon: HorizonSelection
+) -> SolveWorker:
+    """Fork the uniqueness check's second solve; it runs beside the main one.
 
-    first is the main solve from the constant-in-time pair.  The second
-    guess inflates the constant vorticity slices by 10 percent; both runs
-    share the horizon, so their converged states are comparable slice by
-    slice.
+    The second guess inflates the constant vorticity slices of the main
+    solve's start by 10 percent.  Both solves share the data and the
+    horizon, so their converged states are comparable slice by slice.
     """
-    v0, w0 = first.v0, first.w0
     n_t = v0.disc.n_t
     skewed = PicardState(
-        t_grid=first.state.t_grid,
+        t_grid=np.linspace(0.0, horizon.T, n_t),
         v_slices=(v0,) * n_t,
         omega_slices=(w0.scaled(1.1),) * n_t,
         iteration_index=0,
     )
-    second = picard_solve(v0, w0, first.params, first.horizon, initial_state=skewed)
-    gap = x_distance(first.state, second.state, first.params)
+    return fork_solve(v0, w0, params, horizon, initial_state=skewed)
+
+
+def uniqueness_check(first: PicardResult, second: SolveWorker) -> Certificate:
+    """Two different initial guesses land on the same fixed point.
+
+    first is the main solve from the constant-in-time pair, second the
+    worker start_uniqueness_solve forked for the same problem; its slices
+    are read one pair at a time.  Raises what the second solve raised.
+    """
+    sweeps = second.sweeps()
+    gap = pairs_distance(
+        zip(first.state.v_slices, first.state.omega_slices), second.slices(), first.params
+    )
     return make_certificate(
         "uniqueness", gap, 10.0 * PICARD_TOL,
-        sweeps_first=first.iterations, sweeps_second=second.iterations,
+        sweeps_first=first.iterations, sweeps_second=sweeps,
     )
 
 

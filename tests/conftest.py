@@ -1,6 +1,7 @@
 """Shared fixtures: canonical parameter sets used across the test modules."""
 
 import math
+import os
 import sys
 
 import numpy as np
@@ -19,6 +20,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_process():
+    """Fail a test that leaves a child process unreaped, running or not."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")
 
 
 @pytest.fixture

@@ -290,6 +290,18 @@ class TestExitCodes:
         assert code == 2
         assert "FAIL heat-route-agreement" in capsys.readouterr().out
 
+    def test_incompatible_heat_data_warns_in_one_stable_line(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            disc={"n_z": 513},
+            initial_data={"w": {"family": "random", "kind": "generic", "amplitude": 1.0}},
+        )
+        main(["--command", "heat", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert capsys.readouterr().err == (
+            "warning: initial field does not satisfy the Robin wall condition; "
+            "propagation continues but wall accuracy degrades\n"
+        )
+
     def test_missing_config_flag_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="--config"):
             run("picard", None, tmp_path / "run")
@@ -533,9 +545,12 @@ class TestTiming:
         phases = timing["phase_seconds"]
         assert set(phases) == {
             "growth_calibration", "main_solve", "contraction", "apriori",
-            "fixed_point_residual", "uniqueness",
+            "fixed_point_residual", "uniqueness", "uniqueness_solve",
         }
         assert all(seconds >= 0.0 for seconds in phases.values())
+        # the forked second solve overlaps the parent's phases
+        concurrent = phases.pop("uniqueness_solve")
+        assert concurrent <= timing["total_seconds"]
         assert sum(phases.values()) <= timing["total_seconds"]
 
 

@@ -28,18 +28,28 @@ Each reference below is the earlier algorithm written out in full:
   snapshot   csv.writer row by row, against the one-pass snapshot writer;
   guard      the ball guard taking x_norm after every sweep, against the
              guard that takes it only once the start's norm plus the moves
-             passes the radius.
+             passes the radius;
+  sweep      a sweep recomputing every slice's elliptic solve, product and
+             forcing propagator and the propagator of w0, against the
+             sweep that takes what the data alone feed from the work
+             pinned once per solve;
+  uniqueness the second solve run in process after the main one, then
+             x_distance, against the forked worker whose slices stream
+             back, both for the certificate and for the picard command's
+             whole output.
 
 The recurrence, the banded sweep, the sine matrices and the weight table
 reorder floating-point sums, so they are held to a tolerance a few hundred
 ulps wide; the stacked elliptic solve, the shared stencils, the batched
-oracle, the in-module Simpson and the ratio samplers run the same arithmetic
-and must agree bit for bit; the snapshot writers must agree byte for byte,
-and the two guards must stop at the same sweep.
+oracle, the in-module Simpson, the ratio samplers, the two sweeps and the
+two uniqueness routes run the same arithmetic and must agree bit for bit;
+the snapshot writers and the picard outputs must agree byte for byte, and
+the two guards must stop at the same sweep.
 """
 
 import csv
 import dataclasses
+import json
 import math
 import re
 
@@ -50,6 +60,8 @@ from scipy.integrate import simpson, trapezoid
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from robinslab import cli
+from robinslab.cli import main
 from robinslab.domain import (
     Discretization,
     ModelParams,
@@ -60,6 +72,7 @@ from robinslab.domain import (
     field_from_lateral_values,
     lateral_values,
     multi_indices,
+    pointwise_product,
     random_field3,
     sobolev_norm,
 )
@@ -86,6 +99,7 @@ from robinslab.picard import (
     x_norm,
 )
 from robinslab.report import write_snapshot
+from robinslab.verify import make_certificate, start_uniqueness_solve, uniqueness_check
 
 A = math.pi
 PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
@@ -515,3 +529,100 @@ def test_bounded_ball_guard_stops_where_the_per_sweep_guard_does():
         assert guard_sweep(v0, w0, PARAMS, radius) == want
         seen.add(want)
     assert seen == {1, 2, None}
+
+
+def sweep_by_every_slice(state, v0, w0, params):
+    """One sweep recomputing every slice's integrand and forcing propagator.
+
+    duhamel_apply gets a copy of w0, so it rebuilds the propagator of w0
+    and of every forcing slice rather than reuse the solve's pinned work.
+    """
+    t = state.t_grid
+    dt = t[1] - t[0]
+    integrands = [
+        pointwise_product(v_j, d_z(solve_elliptic(w_j, params.beta, params.a))).coeffs
+        for v_j, w_j in zip(state.v_slices, state.omega_slices)
+    ]
+    v_new = [v0]
+    acc = np.zeros_like(v0.coeffs)
+    for i in range(1, len(t)):
+        acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
+        v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
+    w_copy = SpectralField3(w0.coeffs, w0.disc)
+    w_new = duhamel_apply(w_copy, [d_z(v_j) for v_j in state.v_slices], float(t[-1]), params)
+    return v_new, [w0] + w_new[1:]
+
+
+def small_problem(seed=8):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+    gen = np.random.default_rng(seed)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+    return v0, w0, select_horizon(v0, w0, PARAMS, 1.5)
+
+
+def test_sweep_reusing_pinned_work_is_bit_identical_to_recomputing_it():
+    v0, w0, horizon = small_problem()
+    n_t = v0.disc.n_t
+    t_grid = np.linspace(0.0, horizon.T, n_t)
+    constant = PicardState(t_grid, (v0,) * n_t, (w0,) * n_t)
+    skewed = PicardState(t_grid, (v0,) * n_t, (w0.scaled(1.1),) * n_t)
+    # the two starts, then a state whose slice 0 alone holds the data
+    for state in (constant, skewed, picard_step(constant, v0, w0, PARAMS)):
+        got = picard_step(state, v0, w0, PARAMS)
+        want_v, want_w = sweep_by_every_slice(state, v0, w0, PARAMS)
+        for field, want in zip(got.v_slices + got.omega_slices, want_v + want_w):
+            assert np.array_equal(field.coeffs, want.coeffs)
+
+
+def uniqueness_by_second_solve(first):
+    """The uniqueness check run in process: the second solve after the first."""
+    v0, w0 = first.v0, first.w0
+    n_t = v0.disc.n_t
+    skewed = PicardState(first.state.t_grid, (v0,) * n_t, (w0.scaled(1.1),) * n_t)
+    second = picard_solve(v0, w0, first.params, first.horizon, initial_state=skewed)
+    gap = x_distance(first.state, second.state, first.params)
+    return make_certificate(
+        "uniqueness", gap, 10.0 * PICARD_TOL,
+        sweeps_first=first.iterations, sweeps_second=second.iterations,
+    )
+
+
+def test_forked_uniqueness_check_is_bit_identical_to_the_second_solve_in_process():
+    v0, w0, horizon = small_problem()
+    first = picard_solve(v0, w0, PARAMS, horizon)
+    with start_uniqueness_solve(v0, w0, PARAMS, horizon) as second:
+        forked = uniqueness_check(first, second)
+    want = uniqueness_by_second_solve(first)
+    assert forked.measured > 0.0
+    assert forked == want
+
+
+def test_picard_outputs_match_the_in_process_uniqueness_route(tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
+        "disc": {"k_max": 3, "n_z": 129, "l_z": 20.0, "n_t": 9},
+        "seed": 8,
+        "initial_data": {
+            "v": {"family": "random", "kind": "vspace", "amplitude": 0.1},
+            "w": {"family": "random", "kind": "robin", "amplitude": 0.05},
+        },
+    }))
+
+    def outputs(out):
+        assert main(["--command", "picard", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report.pop("timing")
+        files = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "report.json"
+        }
+        return json.dumps(report, sort_keys=True, indent=2).encode(), files
+
+    forked = outputs(tmp_path / "forked")
+    monkeypatch.setattr(
+        cli, "uniqueness_check", lambda first, second: uniqueness_by_second_solve(first)
+    )
+    in_process = outputs(tmp_path / "in_process")
+    assert forked == in_process

@@ -25,6 +25,7 @@ from robinslab.verify import (
     min_order_certificate,
     order_certificate,
     run_certificates,
+    start_uniqueness_solve,
     transform_oracle_certificate,
     uniqueness_check,
 )
@@ -199,7 +200,8 @@ class TestSolverChecks:
 
     def test_uniqueness(self, small_run):
         v0, w0, res = small_run
-        c = uniqueness_check(res)
+        with start_uniqueness_solve(v0, w0, PARAMS, res.horizon) as second:
+            c = uniqueness_check(res, second)
         assert c.passed
         assert c.measured <= 1e-7
 

@@ -1,8 +1,10 @@
 """Guards on how much work a sweep does and on what the command imports.
 
 One Picard sweep evaluates the Duhamel term in the propagator's spectral
-state: it builds one propagator for w0 and one per forcing slice, and never
-evaluates a propagator through RobinPropagator.at.  A converging solve
+state: it builds one propagator per forcing slice, and never evaluates a
+propagator through RobinPropagator.at.  What the data alone feed into a
+sweep (their elliptic solve and the propagators of w0 and d_z(v0)) a solve
+computes once, and a slice holding the data reuses it.  A converging solve
 takes no norm for its ball guard beyond the start's, propagators on one
 geometry share their rates, and the elliptic band is factored once per
 geometry, not once per solve.  An H^3 norm applies the second-difference
@@ -80,6 +82,33 @@ def test_converging_solve_takes_no_norm_for_its_ball_guard(monkeypatch):
     assert result.iterations >= 2  # the guard is reached after every non-final sweep
     # 2 for the horizon, 2 for the constant-in-time start, 2 per slice per sweep
     assert len(calls) == 4 + 2 * disc.n_t * result.iterations
+
+
+def test_a_solve_computes_what_the_data_feed_once(monkeypatch):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+    gen = np.random.default_rng(8)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+    counts = {"solve": 0, "build": 0}
+    real_solve, real_init = picard.solve_elliptic, heat.RobinPropagator.__init__
+
+    def counting_solve(*args, **kwargs):
+        counts["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["build"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(picard, "solve_elliptic", counting_solve)
+    monkeypatch.setattr(heat.RobinPropagator, "__init__", counting_init)
+    result = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5))
+    assert result.iterations >= 2
+    # once per solve: the data's solve, and the propagators of w0 and of
+    # d_z(v0); the constant start holds the data in every slice, so its
+    # sweep adds nothing, and each later sweep skips slice 0
+    later = (result.iterations - 1) * (disc.n_t - 1)
+    assert counts == {"solve": 1 + later, "build": 2 + later}
 
 
 def test_second_elliptic_solve_neither_factors_nor_band_solves(monkeypatch):

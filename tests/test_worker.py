@@ -1,0 +1,150 @@
+"""The forked uniqueness solve on every path it can end by.
+
+The worker's child runs the second Picard solve and streams its slices
+back; the parent must turn each way that solve can end into the same
+certificate the in-process solve would give, or into a failed certificate
+naming how the child ended, and must never leave a process behind or wait
+on one that will not answer.  The autouse fixture in conftest.py fails any
+test here that leaves a child unreaped.
+"""
+
+import json
+import math
+import os
+import signal
+import time
+
+import numpy as np
+import pytest
+
+from robinslab import cli, picard, worker
+from robinslab.cli import main
+from robinslab.domain import Discretization, ModelParams, random_field3
+from robinslab.errors import NoConvergenceError
+from robinslab.picard import PicardState, picard_solve, select_horizon
+from robinslab.verify import run_certificates, start_uniqueness_solve, uniqueness_check
+
+PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
+# every wait on a child here ends in well under this many seconds
+PROMPT_S = 20.0
+
+
+@pytest.fixture(scope="module")
+def first():
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+    gen = np.random.default_rng(5)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+    return picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5))
+
+
+def stalled_solve(*args, **kwargs):
+    time.sleep(10 * PROMPT_S)
+
+
+def uniqueness_certificate(first, second):
+    [cert] = run_certificates([("uniqueness", lambda: uniqueness_check(first, second))])
+    return cert
+
+
+def test_a_solve_that_does_not_converge_fails_with_the_in_process_error(first, monkeypatch):
+    monkeypatch.setattr(picard, "MAX_SWEEPS", 1)  # before the fork, so the child has it too
+    with start_uniqueness_solve(first.v0, first.w0, PARAMS, first.horizon) as second:
+        forked = uniqueness_certificate(first, second)
+    assert second.status == 0
+
+    def in_process():
+        n_t = first.v0.disc.n_t
+        skewed = PicardState(
+            first.state.t_grid, (first.v0,) * n_t, (first.w0.scaled(1.1),) * n_t
+        )
+        picard_solve(first.v0, first.w0, PARAMS, first.horizon, initial_state=skewed)
+
+    [serial] = run_certificates([("uniqueness", in_process)])
+    assert not forked.passed
+    assert forked.details["error"].startswith("NoConvergenceError: no convergence in 1 sweeps")
+    assert forked == serial
+
+
+def test_a_killed_child_fails_the_certificate_naming_the_signal(first, monkeypatch):
+    monkeypatch.setattr(worker, "picard_solve", stalled_solve)
+    started = time.monotonic()
+    with start_uniqueness_solve(first.v0, first.w0, PARAMS, first.horizon) as second:
+        second_pid = second.pid
+        os.kill(second_pid, signal.SIGKILL)
+        cert = uniqueness_certificate(first, second)
+    assert time.monotonic() - started < PROMPT_S
+    assert second.status == -signal.SIGKILL
+    assert not cert.passed
+    assert cert.details["error"] == (
+        f"WorkerError: solve worker {second_pid} ended before sending its result: "
+        "killed by signal 9"
+    )
+
+
+def picard_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "params": {"a": math.pi, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
+        "disc": {"k_max": 2, "n_z": 129, "l_z": 20.0, "n_t": 5},
+        "seed": 3,
+        "initial_data": {
+            "v": {"family": "random", "kind": "vspace", "amplitude": 0.1},
+            "w": {"family": "random", "kind": "robin", "amplitude": 0.05},
+        },
+    }))
+    return path
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every worker the picard command starts, kept for inspection."""
+    started = []
+    real_start = cli.start_uniqueness_solve
+
+    def recording_start(*args):
+        started.append(real_start(*args))
+        return started[-1]
+
+    monkeypatch.setattr(cli, "start_uniqueness_solve", recording_start)
+    return started
+
+
+def run_picard(tmp_path):
+    out = tmp_path / "run"
+    return main(["--command", "picard", "--config", str(picard_config(tmp_path)), "--out", str(out)])
+
+
+def test_a_failing_main_solve_kills_and_reaps_the_child(tmp_path, capsys, monkeypatch, workers):
+    def failing_solve(*args, **kwargs):
+        raise NoConvergenceError("no convergence in 30 sweeps (injected)")
+
+    monkeypatch.setattr(worker, "picard_solve", stalled_solve)
+    monkeypatch.setattr(cli, "picard_solve", failing_solve)
+    started = time.monotonic()
+    assert run_picard(tmp_path) == 1
+    assert time.monotonic() - started < PROMPT_S
+    assert capsys.readouterr().err == "convergence error: no convergence in 30 sweeps (injected)\n"
+    [second] = workers
+    assert second.status == -signal.SIGKILL
+
+
+def test_a_failing_child_exits_two_and_leaves_no_process(tmp_path, capsys, monkeypatch, workers):
+    def failing_solve(*args, **kwargs):
+        raise NoConvergenceError("no convergence in 30 sweeps (injected)")
+
+    monkeypatch.setattr(worker, "picard_solve", failing_solve)
+    assert run_picard(tmp_path) == 2
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    [cert] = [c for c in report["certificates"] if c["name"] == "uniqueness"]
+    assert cert["details"] == {"error": "NoConvergenceError: no convergence in 30 sweeps (injected)"}
+    assert "FAIL uniqueness" in capsys.readouterr().out
+    [second] = workers
+    assert second.status == 0
+
+
+def test_a_passing_run_reaps_its_child(tmp_path, workers):
+    assert run_picard(tmp_path) == 0
+    [second] = workers
+    assert second.status == 0
+    assert second.seconds > 0.0
