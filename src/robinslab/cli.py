@@ -41,7 +41,7 @@ from .heat import (
     growth_ratios,
     warn_if_incompatible,
 )
-from .picard import picard_solve, select_horizon
+from .picard import PicardProblem, picard_solve, select_horizon
 from .report import (
     NORM_COLUMNS,
     RunConfig,
@@ -312,11 +312,12 @@ def _cmd_picard(config: RunConfig):
         # small ensemble: pad the max before trusting it as a uniform constant
         c_gs = 1.25 * _growth_constant_for(config)
     horizon = select_horizon(v0, w0, params, c_gs)
-    # the uniqueness check's second solve needs only the data and the
-    # horizon, so it runs in a forked child beside everything below
-    with start_uniqueness_solve(v0, w0, params, horizon) as second:
+    problem = PicardProblem(v0, w0, params, horizon)
+    # the uniqueness check's second solve needs only the problem, so it
+    # runs in a forked child beside everything below
+    with start_uniqueness_solve(problem) as second:
         with _phase(phases, "main_solve"):
-            result = picard_solve(v0, w0, params, horizon)
+            result = picard_solve(problem)
         v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
         w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
         checks = [
@@ -330,7 +331,6 @@ def _cmd_picard(config: RunConfig):
             with _phase(phases, name.replace("-", "_")):
                 certs += run_certificates([(name, thunk)])
     phases["uniqueness_solve"] = second.seconds
-    t_grid = result.state.t_grid
     energies = [n * n for n in w_norms]
     report = {
         "measured_constants": {"growth_constant": c_gs},
@@ -344,7 +344,7 @@ def _cmd_picard(config: RunConfig):
         "timing": {"phase_seconds": phases},
     }
     extras = {
-        "norms": (list(t_grid), v_norms, w_norms, energies),
+        "norms": (list(problem.t_grid), v_norms, w_norms, energies),
         "snapshots": {
             "v_final": result.state.v_slices[-1],
             "omega_final": result.state.omega_slices[-1],

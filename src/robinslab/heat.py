@@ -38,8 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct, dst
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dtbtrs
 
 from .domain import (
     Discretization,
@@ -93,6 +92,22 @@ def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=8)
+def _wall_kernel(gamma: float, disc: Discretization) -> tuple[np.ndarray, np.floating]:
+    """(e^{-gamma z} on the z grid, read-only; its Simpson mass Int e^{-2 gamma z} dz).
+
+    They depend on gamma and the grid only, so every moment, residue and
+    propagator of a run shares one copy; the last few geometries are kept.
+    """
+    weight = np.exp(-gamma * disc.z)
+    return _readonly(weight), _simpson(weight * weight, disc.dz)
+
+
 def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> np.ndarray:
     """Per-mode moment 2*gamma*Int w0(z) e^{-gamma z} dz, shape (k_max, k_max).
 
@@ -103,10 +118,8 @@ def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> np.ndarray:
     if gamma <= 0:
         raise ValueError(f"moment requires gamma > 0, got {gamma}")
     disc = omega0.disc
-    weight = np.exp(-gamma * disc.z)
-    num = _simpson(omega0.coeffs * weight, disc.dz)
-    den = _simpson(weight * weight, disc.dz)
-    return num / den
+    weight, mass = _wall_kernel(float(gamma), disc)
+    return _simpson(omega0.coeffs * weight, disc.dz) / mass
 
 
 def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,21 +136,23 @@ def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.nda
         c(z_j) = e^{-gamma dz} c(z_{j+1})
                  + (gamma dz / 2) * (f(z_j) + e^{-gamma dz} f(z_{j+1}))
 
-    which is stable and O(n_z).  It is one upper-bidiagonal system per
-    lateral mode, solved for all modes in a single banded call.
+    which is stable and O(n_z).  It is one unit upper-bidiagonal system per
+    lateral mode, solved for all modes in a single banded triangular solve.
     """
     disc = omega0.disc
     cross = exp_weighted_moment(omega0, gamma)
-    residue = omega0.coeffs - cross[:, :, None] * np.exp(-gamma * disc.z)
+    residue = omega0.coeffs - cross[:, :, None] * _wall_kernel(float(gamma), disc)[0]
 
     decay = np.exp(-gamma * disc.dz)
     half = 0.5 * gamma * disc.dz
     rhs = np.zeros_like(residue)
     rhs[:, :, :-1] = half * (residue[:, :, :-1] + decay * residue[:, :, 1:])
-    bands = np.ones((2, disc.n_z))
+    bands = np.ones((2, disc.n_z))  # the unit diagonal (row 1) is never read
     bands[0, 1:] = -decay
-    slab = solve_banded((0, 1), bands, rhs.reshape(-1, disc.n_z).T).T.reshape(residue.shape)
-    return slab, cross
+    slab, info = dtbtrs(bands, rhs.reshape(-1, disc.n_z).T, uplo="U", diag="U", overwrite_b=1)
+    if info != 0:
+        raise RuntimeError(f"triangular solve failed: info={info}")
+    return slab.T.reshape(residue.shape), cross
 
 
 # --- z-sine helpers (interior points carry the all-Dirichlet evolution) ----
@@ -181,11 +196,6 @@ def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
         print(COMPAT_WARNING, file=sys.stderr)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @lru_cache(maxsize=8)
 def _propagator_geometry(
     nu: float, gamma: float, a: float, disc: Discretization
@@ -201,7 +211,7 @@ def _propagator_geometry(
     mu2 = (mu * mu)[:, :, None]
     return (
         _readonly(zeta),
-        _readonly(np.exp(-gamma * disc.z)),
+        _wall_kernel(gamma, disc)[0],
         _readonly(-nu * (mu2 + zeta**2)),
         _readonly(nu * (gamma * gamma - mu2[:, :, 0])),
     )

@@ -22,13 +22,17 @@ The Duhamel term is evaluated in the spectral state of RobinPropagator
 a one-step recurrence over the time cells accumulates the forcing, so a
 sweep builds one propagator per forcing slice and synthesizes each output
 slice once, O(n_t) work instead of the O(n_t^2) propagator evaluations of
-a direct sum.  What the data alone feed into a sweep (slice 0's integrand
-and forcing, the propagator of w0) is computed once per solve.
+a direct sum.
+
+A PicardProblem is the map's one owner of the data, the horizon and the
+time grid, and of what the data alone feed into a sweep (slice 0's
+integrand and forcing, the propagator of w0), computed once per problem.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,7 @@ __all__ = [
     "PICARD_TOL",
     "MAX_SWEEPS",
     "HorizonSelection",
+    "PicardProblem",
     "PicardState",
     "PicardResult",
     "horizon_from_norms",
@@ -88,9 +93,8 @@ class HorizonSelection:
 
 @dataclass(frozen=True)
 class PicardState:
-    """One iterate: time grid plus per-slice field pairs."""
+    """One iterate: per-slice field pairs on its problem's time grid."""
 
-    t_grid: np.ndarray
     v_slices: tuple[SpectralField3, ...]
     omega_slices: tuple[SpectralField3, ...]
     iteration_index: int = 0
@@ -98,20 +102,17 @@ class PicardState:
 
 @dataclass(frozen=True)
 class PicardResult:
-    """A converged solve together with the problem it solved.
-
-    v0, w0 and params are the solve's own arguments, so a check of the
-    result re-runs the map on exactly that problem.
-    """
+    """A converged solve together with the problem it solved, so a check of
+    the result re-runs the map on exactly that problem."""
 
     state: PicardState
-    horizon: HorizonSelection
+    problem: PicardProblem
     diffs: tuple[float, ...]
     ratios: tuple[float, ...]
-    iterations: int
-    v0: SpectralField3
-    w0: SpectralField3
-    params: ModelParams
+
+    @property
+    def iterations(self) -> int:
+        return self.state.iteration_index
 
 
 def _check_orders(params: ModelParams) -> None:
@@ -184,56 +185,40 @@ def select_horizon(
 
 
 def duhamel_apply(
-    w0: SpectralField3,
-    g_slices,
-    horizon: float,
-    params: ModelParams,
+    base: RobinPropagator, forcing_states: Iterable, t_grid: np.ndarray
 ) -> list[SpectralField3]:
-    """Slices of P_t w0 + Int_0^t P_{t-s} g(s) ds on the uniform grid.
+    """Slices of P_t w0 + Int_0^t P_{t-s} g(s) ds at t_grid[1:].
 
-    Works in the propagator's spectral state, where P is diagonal.  The
-    forcing part obeys the trapezoid cell recurrence
+    base is the propagator of w0 (the slice at t = 0 is w0 itself, which
+    the caller holds), and forcing_states yields the spectral state (slab
+    modes, wall moments) of g at every node of t_grid, read one at a time.
+    P is diagonal in that state, and the forcing part obeys the trapezoid
+    cell recurrence
 
         U_i = E U_{i-1} + (dt/2) E X_{i-1} + (dt/2) X_i,    U_0 = 0,
 
     with X_j the state of forcing slice j and E = exp(rate dt) per mode.
     The w0 part is evaluated at the exact t_i, and each output slice is one
-    synthesis.  Forcing states are built one slice at a time; the
-    propagator of w0 and the state of a forcing slice that is the pinned
-    forcing d_z(v0) come from the current data's _Pinned work when w0 is
-    its data.
+    synthesis.
     """
-    n_t = len(g_slices)
-    if n_t < 2:
+    if len(t_grid) < 2:
         raise ValueError("Duhamel quadrature needs at least two slices")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    t = np.linspace(0.0, horizon, n_t)
-    dt = t[1] - t[0]
-    pinned = _PINNED
-    if pinned is None or pinned.w0 is not w0 or pinned.params != params:
-        pinned = None
-    base = RobinPropagator(w0, params) if pinned is None else pinned.base
-
+    dt = t_grid[1] - t_grid[0]
     half = 0.5 * dt
     # E and (dt/2) E for the slab modes, then for the wall moments
     decays = (np.exp(base.slab_rates * dt), np.exp(base.wall_rates * dt))
     cells = [(e, e * half) for e in decays]
 
-    out = [w0]
+    out = []
     forced = [np.zeros_like(base.slab_rates), np.zeros_like(base.wall_rates)]
     prev = None
-    for i, g in enumerate(g_slices):
-        if pinned is not None and g is pinned.forcing:
-            state = pinned.forcing_state
-        else:
-            state = _spectral_state(g, params)
+    for t, state in zip(t_grid, forcing_states, strict=True):
         if prev is not None:
             forced = [
                 e * u + left * x0 + half * x1
                 for (e, left), u, x0, x1 in zip(cells, forced, prev, state)
             ]
-            free = base.state_at(t[i])
+            free = base.state_at(t)
             out.append(base.synthesize(free[0] + forced[0], free[1] + forced[1]))
         prev = state
     return out
@@ -290,62 +275,52 @@ def pairs_distance(first, second, params: ModelParams) -> float:
     return _worst_norm(diffs, params)
 
 
-@dataclass(frozen=True)
-class _Pinned:
-    """What the data (v0, w0) feed into a sweep, whatever the iterate.
-
-    A slice holding the data itself (slice 0 after the first sweep, every
-    slice of the constant-in-time start) takes its integrand v0 (K w0)_z and
-    its forcing d_z(v0) from here, and duhamel_apply takes the propagator
-    of w0 and that forcing's spectral state.  Fields are immutable, so data
-    that is the same object feeds the same work.
-    """
-
-    v0: SpectralField3
-    w0: SpectralField3
-    params: ModelParams
-    integrand: np.ndarray
-    forcing: SpectralField3
-    forcing_state: tuple[np.ndarray, np.ndarray]
-    base: RobinPropagator
-
-
-# the latest data's _Pinned work, so a solve computes it once, not every sweep
-_PINNED: _Pinned | None = None
-
-
-def _pinned(v0: SpectralField3, w0: SpectralField3, params: ModelParams) -> _Pinned:
-    global _PINNED
-    last = _PINNED
-    if last is None or last.v0 is not v0 or last.w0 is not w0 or last.params != params:
-        forcing = d_z(v0)
-        last = _PINNED = _Pinned(
-            v0, w0, params,
-            integrand=_integrand(v0, w0, params),
-            forcing=forcing,
-            forcing_state=_spectral_state(forcing, params),
-            base=RobinPropagator(w0, params),
-        )
-    return last
-
-
 def _integrand(v: SpectralField3, w: SpectralField3, params: ModelParams) -> np.ndarray:
     """Coefficients of v (K w)_z, the velocity equation's integrand."""
     return pointwise_product(v, d_z(solve_elliptic(w, params.beta, params.a))).coeffs
 
 
-def picard_step(
-    state: PicardState,
-    v0: SpectralField3,
-    w0: SpectralField3,
-    params: ModelParams,
-) -> PicardState:
+class PicardProblem:
+    """The map's fixed data (v0, w0), its params and its one horizon.
+
+    Construction validates the problem, fixes the time grid t_grid =
+    linspace(0, T, n_t) every iterate lives on, and computes once what the
+    data alone feed into a sweep, whatever the iterate: a slice holding the
+    data itself (slice 0 after the first sweep, every slice of the
+    constant-in-time start) takes its integrand v0 (K w0)_z and the spectral
+    state of its forcing d_z(v0) from here, and every sweep's Duhamel term
+    takes the propagator of w0.
+    """
+
+    def __init__(
+        self,
+        v0: SpectralField3,
+        w0: SpectralField3,
+        params: ModelParams,
+        horizon: HorizonSelection,
+    ):
+        _check_orders(params)
+        if v0.disc is not w0.disc and v0.disc != w0.disc:
+            raise ValueError("v0 and w0 must share a discretization")
+        if not (np.all(np.isfinite(v0.coeffs)) and np.all(np.isfinite(w0.coeffs))):
+            raise NonFiniteError("initial data contains non-finite values")
+        if not horizon.T > 0:
+            raise ValueError(f"horizon must be positive, got {horizon.T}")
+        self.v0, self.w0, self.params, self.horizon = v0, w0, params, horizon
+        self.t_grid = np.linspace(0.0, horizon.T, v0.disc.n_t)
+        self.t_grid.flags.writeable = False
+        self.integrand = _integrand(v0, w0, params)
+        self.forcing_state = _spectral_state(d_z(v0), params)
+        self.w0_propagator = RobinPropagator(w0, params)
+
+
+def picard_step(state: PicardState, problem: PicardProblem) -> PicardState:
     """One sweep of the map; slice 0 stays pinned to the data."""
-    t = state.t_grid
+    v0, w0, params = problem.v0, problem.w0, problem.params
+    t = problem.t_grid
     dt = t[1] - t[0]
-    pinned = _pinned(v0, w0, params)
     integrands = [
-        pinned.integrand if v_j is v0 and w_j is w0 else _integrand(v_j, w_j, params)
+        problem.integrand if v_j is v0 and w_j is w0 else _integrand(v_j, w_j, params)
         for v_j, w_j in zip(state.v_slices, state.omega_slices)
     ]
 
@@ -355,26 +330,25 @@ def picard_step(
         acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
 
-    g_slices = [pinned.forcing if v_j is v0 else d_z(v_j) for v_j in state.v_slices]
-    w_new = duhamel_apply(w0, g_slices, float(t[-1]), params)
+    forcing_states = (
+        problem.forcing_state if v_j is v0 else _spectral_state(d_z(v_j), params)
+        for v_j in state.v_slices
+    )
+    w_new = duhamel_apply(problem.w0_propagator, forcing_states, t)
     return PicardState(
-        t_grid=t,
         v_slices=tuple(v_new),
-        omega_slices=tuple(w_new),
+        omega_slices=(w0, *w_new),
         iteration_index=state.iteration_index + 1,
     )
 
 
 def picard_solve(
-    v0: SpectralField3,
-    w0: SpectralField3,
-    params: ModelParams,
-    horizon: HorizonSelection,
-    initial_state: PicardState | None = None,
+    problem: PicardProblem, initial_state: PicardState | None = None
 ) -> PicardResult:
-    """Iterate to the fixed point on the certified horizon.
+    """Iterate to the fixed point on the problem's horizon.
 
-    Starts from the constant-in-time pair (or initial_state), stops when a
+    Starts from the constant-in-time pair (or initial_state, which must hold
+    n_t slices of v and of w on the problem's discretization), stops when a
     sweep moves the iterate by at most PICARD_TOL times the first sweep's
     move.  A first sweep that does not move at all is already the fixed
     point.  A solve that does not converge within MAX_SWEEPS sweeps raises,
@@ -385,23 +359,25 @@ def picard_solve(
     current iterate is at most x_norm of the start plus every move so far,
     so x_norm is taken only once that bound passes the guard.
     """
-    _check_orders(params)
-    if v0.disc is not w0.disc and v0.disc != w0.disc:
-        raise ValueError("v0 and w0 must share a discretization")
-    if not (np.all(np.isfinite(v0.coeffs)) and np.all(np.isfinite(w0.coeffs))):
-        raise NonFiniteError("initial data contains non-finite values")
-    n_t = v0.disc.n_t
-    t_grid = np.linspace(0.0, horizon.T, n_t)
+    v0, w0, params, horizon = problem.v0, problem.w0, problem.params, problem.horizon
+    n_t = len(problem.t_grid)
     if initial_state is None:
-        state = PicardState(t_grid, (v0,) * n_t, (w0,) * n_t, 0)
+        state = PicardState((v0,) * n_t, (w0,) * n_t, 0)
     else:
         state = initial_state
+        counts = (len(state.v_slices), len(state.omega_slices))
+        if counts != (n_t, n_t):
+            raise ValueError(
+                f"initial state must hold {n_t} slices of v and of w, got {counts}"
+            )
+        if any(f.disc != v0.disc for f in state.v_slices + state.omega_slices):
+            raise ValueError("initial state must lie on the problem's discretization")
     guard = DIVERGENCE_FACTOR * horizon.M
     reach = x_norm(state, params) if horizon.M > 0 else 0.0
 
     diffs: list[float] = []
     for _ in range(MAX_SWEEPS):
-        new = picard_step(state, v0, w0, params)
+        new = picard_step(state, problem)
         diff = x_distance(new, state, params)
         if not np.isfinite(diff):
             raise NonFiniteError(
@@ -425,13 +401,4 @@ def picard_solve(
     ratios = tuple(
         diffs[m + 1] / diffs[m] for m in range(len(diffs) - 1) if diffs[m] > 0.0
     )
-    return PicardResult(
-        state=state,
-        horizon=horizon,
-        diffs=tuple(diffs),
-        ratios=ratios,
-        iterations=state.iteration_index,
-        v0=v0,
-        w0=w0,
-        params=params,
-    )
+    return PicardResult(state=state, problem=problem, diffs=tuple(diffs), ratios=ratios)

@@ -18,8 +18,8 @@ import numpy as np
 from .domain import ModelParams, SpectralField3
 from .heat import RobinPropagator, fd_robin_oracle
 from .picard import (
-    PICARD_TOL, HorizonSelection, PicardResult, PicardState, pairs_distance, picard_step,
-    x_distance,
+    PICARD_TOL, HorizonSelection, PicardProblem, PicardResult, PicardState, pairs_distance,
+    picard_step, x_distance,
 )
 from .worker import SolveWorker, fork_solve
 
@@ -200,31 +200,24 @@ def apriori_bounds_check(
 
 def fixed_point_residual_check(result: PicardResult) -> Certificate:
     """One extra sweep moves a converged iterate by at most 2 PICARD_TOL x first move."""
-    extra = picard_step(result.state, result.v0, result.w0, result.params)
-    move = x_distance(extra, result.state, result.params)
+    extra = picard_step(result.state, result.problem)
+    move = x_distance(extra, result.state, result.problem.params)
     return make_certificate(
         "fixed-point-residual", move, 2.0 * PICARD_TOL * result.diffs[0],
         first_sweep_move=result.diffs[0],
     )
 
 
-def start_uniqueness_solve(
-    v0: SpectralField3, w0: SpectralField3, params: ModelParams, horizon: HorizonSelection
-) -> SolveWorker:
+def start_uniqueness_solve(problem: PicardProblem) -> SolveWorker:
     """Fork the uniqueness check's second solve; it runs beside the main one.
 
     The second guess inflates the constant vorticity slices of the main
-    solve's start by 10 percent.  Both solves share the data and the
-    horizon, so their converged states are comparable slice by slice.
+    solve's start by 10 percent.  Both solves are of the one problem, so
+    their converged states are comparable slice by slice.
     """
-    n_t = v0.disc.n_t
-    skewed = PicardState(
-        t_grid=np.linspace(0.0, horizon.T, n_t),
-        v_slices=(v0,) * n_t,
-        omega_slices=(w0.scaled(1.1),) * n_t,
-        iteration_index=0,
-    )
-    return fork_solve(v0, w0, params, horizon, initial_state=skewed)
+    n_t = len(problem.t_grid)
+    skewed = PicardState((problem.v0,) * n_t, (problem.w0.scaled(1.1),) * n_t)
+    return fork_solve(problem, skewed)
 
 
 def uniqueness_check(first: PicardResult, second: SolveWorker) -> Certificate:
@@ -236,7 +229,8 @@ def uniqueness_check(first: PicardResult, second: SolveWorker) -> Certificate:
     """
     sweeps = second.sweeps()
     gap = pairs_distance(
-        zip(first.state.v_slices, first.state.omega_slices), second.slices(), first.params
+        zip(first.state.v_slices, first.state.omega_slices), second.slices(),
+        first.problem.params,
     )
     return make_certificate(
         "uniqueness", gap, 10.0 * PICARD_TOL,

@@ -7,7 +7,8 @@ coefficient bytes of every slice's v and w in slice order; then it exits.
 The parent reads the slices one pair at a time, so the converged state is
 never pickled and never whole in the parent's memory.  Closing the worker
 kills a child that has not sent everything and always reaps it, so no
-command leaves a process behind on any exit path.
+command leaves a process behind on any exit path.  A child that fails
+outside the solve prints its traceback on stderr before it exits 1.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import pickle
 import signal
 import sys
 import time
+import traceback
 
 import numpy as np
 
-from .domain import ModelParams, SpectralField3
+from .domain import SpectralField3
 from .errors import WorkerError
-from .picard import HorizonSelection, PicardState, picard_solve
+from .picard import PicardProblem, PicardState, picard_solve
 
 __all__ = ["SolveWorker", "fork_solve"]
 
@@ -103,14 +105,8 @@ class SolveWorker:
         return WorkerError(f"solve worker {self.pid} ended before sending its result: {how}")
 
 
-def fork_solve(
-    v0: SpectralField3,
-    w0: SpectralField3,
-    params: ModelParams,
-    horizon: HorizonSelection,
-    initial_state: PicardState | None = None,
-) -> SolveWorker:
-    """Start picard_solve(v0, w0, params, horizon, initial_state) in a forked child."""
+def fork_solve(problem: PicardProblem, initial_state: PicardState | None = None) -> SolveWorker:
+    """Start picard_solve(problem, initial_state) in a forked child."""
     # buffered output would otherwise be written once by each process
     sys.stdout.flush()
     sys.stderr.flush()
@@ -121,23 +117,28 @@ def fork_solve(
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                _serve(out, v0, w0, params, horizon, initial_state)
+                _serve(out, problem, initial_state)
             code = 0
+        except Exception:
+            # the parent sees only the exit status, so say why here
+            traceback.print_exc()
+            sys.stderr.flush()
         finally:
             os._exit(code)
     os.close(write_fd)
-    return SolveWorker(pid, open(read_fd, "rb"), v0.disc)
+    return SolveWorker(pid, open(read_fd, "rb"), problem.v0.disc)
 
 
-def _serve(out, v0, w0, params, horizon, initial_state) -> None:
+def _serve(out, problem: PicardProblem, initial_state: PicardState | None) -> None:
     """The child's side: solve, then write the header and the slices.
 
     The header is pickled whole before it is written, so an exception that
-    will not pickle leaves the pipe empty and the child exits 1.
+    will not pickle leaves the pipe empty and the child exits 1 with its
+    traceback on stderr.
     """
     started = time.perf_counter()
     try:
-        result = picard_solve(v0, w0, params, horizon, initial_state=initial_state)
+        result = picard_solve(problem, initial_state=initial_state)
     except Exception as exc:
         out.write(pickle.dumps({"error": exc, "seconds": time.perf_counter() - started}))
         return

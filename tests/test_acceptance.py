@@ -31,6 +31,7 @@ from robinslab.elliptic import solve_elliptic
 from robinslab.errors import ResonanceError
 from robinslab.heat import RobinPropagator, calibrate_growth_constant, fd_robin_oracle
 from robinslab.picard import (
+    PicardProblem,
     PicardState,
     picard_solve,
     picard_step,
@@ -114,9 +115,9 @@ def picard_run():
         disc, np.random.default_rng(SEED_W0), kind="robin",
         gamma=PARAMS.gamma, amplitude=0.05,
     )
-    result = picard_solve(
+    result = picard_solve(PicardProblem(
         v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, calibrated_growth_constant())
-    )
+    ))
     return result, v0, w0
 
 
@@ -249,7 +250,7 @@ def test_criterion_6_gronwall_on_all_heat_runs():
 def test_criterion_7_picard_contraction_and_apriori():
     started = time.perf_counter()
     result, v0, w0 = picard_run()
-    h = result.horizon
+    h = result.problem.horizon
     worst_ratio = max(result.ratios, default=0.0)
     v_worst = max(sobolev_norm(v, 3, A) for v in result.state.v_slices)
     w_worst = max(sobolev_norm(w, 2, A) for w in result.state.omega_slices)
@@ -272,14 +273,11 @@ def test_criterion_7_picard_contraction_and_apriori():
 
 def test_criterion_8_fixed_point_residual_and_uniqueness():
     result, v0, w0 = picard_run()
-    extra = picard_step(result.state, v0, w0, PARAMS)
+    extra = picard_step(result.state, result.problem)
     residual = x_distance(extra, result.state, PARAMS)
-    skewed = PicardState(
-        t_grid=result.state.t_grid,
-        v_slices=(v0,) * len(result.state.t_grid),
-        omega_slices=(w0.scaled(1.1),) * len(result.state.t_grid),
-    )
-    second = picard_solve(v0, w0, PARAMS, result.horizon, initial_state=skewed)
+    n_t = len(result.problem.t_grid)
+    skewed = PicardState(v_slices=(v0,) * n_t, omega_slices=(w0.scaled(1.1),) * n_t)
+    second = picard_solve(result.problem, initial_state=skewed)
     gap = x_distance(result.state, second.state, PARAMS)
     report(
         8,
@@ -292,7 +290,8 @@ def test_criterion_8_fixed_point_residual_and_uniqueness():
 def test_criterion_9_trivial_closures(tmp_path):
     disc = Discretization(k_max=4, n_z=256, l_z=L_Z, n_t=9)
     zero = zero_field3(disc)
-    result = picard_solve(zero, zero, PARAMS, select_horizon(zero, zero, PARAMS, 1.5))
+    zero_horizon = select_horizon(zero, zero, PARAMS, 1.5)
+    result = picard_solve(PicardProblem(zero, zero, PARAMS, zero_horizon))
     flat = max(
         max(v.max_abs() for v in result.state.v_slices),
         max(w.max_abs() for w in result.state.omega_slices),
@@ -308,13 +307,12 @@ def test_criterion_9_trivial_closures(tmp_path):
     )
 
     w0 = eigen_field(disc, PARAMS.gamma)
-    run = picard_solve(zero, w0, PARAMS, select_horizon(zero, w0, PARAMS, 1.5))
+    run = picard_solve(PicardProblem(zero, w0, PARAMS, select_horizon(zero, w0, PARAMS, 1.5)))
     factor = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
     analytic = PicardState(
-        t_grid=run.state.t_grid,
         v_slices=(zero,) * disc.n_t,
         omega_slices=tuple(
-            w0.scaled(math.exp(factor * t)) for t in run.state.t_grid
+            w0.scaled(math.exp(factor * t)) for t in run.problem.t_grid
         ),
     )
     heat_gap = x_distance(run.state, analytic, PARAMS)

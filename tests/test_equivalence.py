@@ -5,7 +5,7 @@ Each reference below is the earlier algorithm written out in full:
   Duhamel    the O(n_t^2) sum of RobinPropagator.at over every (slice, node)
              pair, against the spectral-state recurrence in duhamel_apply;
   bundle     the backward exponential-kernel sweep as a Python loop over the
-             z grid, against the single bidiagonal banded solve;
+             z grid, against the single banded triangular solve;
   elliptic   one tridiagonal solve_banded per lateral mode, against the one
              block-diagonal band factored once per geometry and solved with
              its factors;
@@ -31,8 +31,9 @@ Each reference below is the earlier algorithm written out in full:
              passes the radius;
   sweep      a sweep recomputing every slice's elliptic solve, product and
              forcing propagator and the propagator of w0, against the
-             sweep that takes what the data alone feed from the work
-             pinned once per solve;
+             sweep that takes what the data alone feed from the work its
+             PicardProblem computed once; a start with no grid of its own,
+             against the same sweeps on linspace(0, T, n_t);
   uniqueness the second solve run in process after the main one, then
              x_distance, against the forked worker whose slices stream
              back, both for the certificate and for the picard command's
@@ -90,6 +91,7 @@ from robinslab.picard import (
     DIVERGENCE_FACTOR,
     MAX_SWEEPS,
     PICARD_TOL,
+    PicardProblem,
     PicardState,
     duhamel_apply,
     picard_solve,
@@ -165,10 +167,12 @@ def test_recurrence_matches_sum_of_propagator_evaluations():
     gen = np.random.default_rng(42)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma)
     g_slices = [random_field3(disc, gen, kind="generic") for _ in range(disc.n_t)]
-    got = duhamel_apply(w0, g_slices, 0.3, PARAMS)
+    t_grid = np.linspace(0.0, 0.3, disc.n_t)
+    got = duhamel_apply(
+        RobinPropagator(w0, PARAMS), [forcing_state(g, PARAMS) for g in g_slices], t_grid
+    )
     ref = duhamel_by_sum(w0, g_slices, 0.3, PARAMS)
-    assert got[0] is w0
-    for field, want in zip(got[1:], ref[1:]):
+    for field, want in zip(got, ref[1:], strict=True):
         rel = np.max(np.abs(field.coeffs - want)) / np.max(np.abs(want))
         assert rel <= 1e-12
 
@@ -483,10 +487,11 @@ def guard_sweep_by_every_norm(v0, w0, params, horizon):
     None when the solve converges first.
     """
     n_t = v0.disc.n_t
-    state = PicardState(np.linspace(0.0, horizon.T, n_t), (v0,) * n_t, (w0,) * n_t, 0)
+    problem = PicardProblem(v0, w0, params, horizon)
+    state = PicardState((v0,) * n_t, (w0,) * n_t, 0)
     diffs = []
     for _ in range(MAX_SWEEPS):
-        new = picard_step(state, v0, w0, params)
+        new = picard_step(state, problem)
         diffs.append(x_distance(new, state, params))
         state = new
         if diffs[-1] <= PICARD_TOL * diffs[0]:
@@ -498,7 +503,7 @@ def guard_sweep_by_every_norm(v0, w0, params, horizon):
 
 def guard_sweep(v0, w0, params, horizon):
     try:
-        picard_solve(v0, w0, params, horizon)
+        picard_solve(PicardProblem(v0, w0, params, horizon))
     except NoConvergenceError as exc:
         return int(re.search(r"at sweep (\d+)", str(exc)).group(1))
     return None
@@ -514,10 +519,11 @@ def test_bounded_ball_guard_stops_where_the_per_sweep_guard_does():
     # (which grow here), so the guard trips at sweep 1, at sweep 2, and at
     # the largest radius never
     n_t = disc.n_t
-    state = PicardState(np.linspace(0.0, horizon.T, n_t), (v0,) * n_t, (w0,) * n_t, 0)
+    problem = PicardProblem(v0, w0, PARAMS, horizon)
+    state = PicardState((v0,) * n_t, (w0,) * n_t, 0)
     norms = []
     for _ in range(3):
-        state = picard_step(state, v0, w0, PARAMS)
+        state = picard_step(state, problem)
         norms.append(x_norm(state, PARAMS))
     levels = sorted(norms)
     radii = [0.5 * levels[0], 2.0 * levels[-1]]
@@ -531,13 +537,15 @@ def test_bounded_ball_guard_stops_where_the_per_sweep_guard_does():
     assert seen == {1, 2, None}
 
 
-def sweep_by_every_slice(state, v0, w0, params):
-    """One sweep recomputing every slice's integrand and forcing propagator.
+def forcing_state(g, params):
+    """(slab modes, wall moments) of a freshly built propagator of g."""
+    prop = RobinPropagator(g, params)
+    return prop.slab_modes, prop.wall_moments
 
-    duhamel_apply gets a copy of w0, so it rebuilds the propagator of w0
-    and of every forcing slice rather than reuse the solve's pinned work.
-    """
-    t = state.t_grid
+
+def sweep_by_every_slice(state, v0, w0, params, t):
+    """One sweep on the grid t recomputing every slice's integrand and
+    forcing propagator, and the propagator of w0."""
     dt = t[1] - t[0]
     integrands = [
         pointwise_product(v_j, d_z(solve_elliptic(w_j, params.beta, params.a))).coeffs
@@ -548,9 +556,10 @@ def sweep_by_every_slice(state, v0, w0, params):
     for i in range(1, len(t)):
         acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
-    w_copy = SpectralField3(w0.coeffs, w0.disc)
-    w_new = duhamel_apply(w_copy, [d_z(v_j) for v_j in state.v_slices], float(t[-1]), params)
-    return v_new, [w0] + w_new[1:]
+    w_new = duhamel_apply(
+        RobinPropagator(w0, params), [forcing_state(d_z(v_j), params) for v_j in state.v_slices], t
+    )
+    return v_new, [w0] + w_new
 
 
 def small_problem(seed=8):
@@ -558,30 +567,49 @@ def small_problem(seed=8):
     gen = np.random.default_rng(seed)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
-    return v0, w0, select_horizon(v0, w0, PARAMS, 1.5)
+    return PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5))
+
+
+def skewed_start(problem):
+    """The uniqueness check's second guess: vorticity slices inflated by 10 percent."""
+    n_t = problem.v0.disc.n_t
+    return PicardState((problem.v0,) * n_t, (problem.w0.scaled(1.1),) * n_t)
 
 
 def test_sweep_reusing_pinned_work_is_bit_identical_to_recomputing_it():
-    v0, w0, horizon = small_problem()
+    problem = small_problem()
+    v0, w0 = problem.v0, problem.w0
     n_t = v0.disc.n_t
-    t_grid = np.linspace(0.0, horizon.T, n_t)
-    constant = PicardState(t_grid, (v0,) * n_t, (w0,) * n_t)
-    skewed = PicardState(t_grid, (v0,) * n_t, (w0.scaled(1.1),) * n_t)
+    t_grid = np.linspace(0.0, problem.horizon.T, n_t)
+    constant = PicardState((v0,) * n_t, (w0,) * n_t)
     # the two starts, then a state whose slice 0 alone holds the data
-    for state in (constant, skewed, picard_step(constant, v0, w0, PARAMS)):
-        got = picard_step(state, v0, w0, PARAMS)
-        want_v, want_w = sweep_by_every_slice(state, v0, w0, PARAMS)
+    for state in (constant, skewed_start(problem), picard_step(constant, problem)):
+        got = picard_step(state, problem)
+        want_v, want_w = sweep_by_every_slice(state, v0, w0, PARAMS, t_grid)
         for field, want in zip(got.v_slices + got.omega_slices, want_v + want_w):
             assert np.array_equal(field.coeffs, want.coeffs)
 
 
+def test_a_start_without_a_grid_solves_on_the_problem_grid():
+    problem = small_problem()
+    second = picard_solve(problem, initial_state=skewed_start(problem))
+    t_grid = np.linspace(0.0, problem.horizon.T, problem.v0.disc.n_t)
+    state = skewed_start(problem)
+    for _ in range(second.iterations):
+        v_slices, w_slices = sweep_by_every_slice(state, problem.v0, problem.w0, PARAMS, t_grid)
+        state = PicardState(tuple(v_slices), tuple(w_slices))
+    for field, want in zip(
+        second.state.v_slices + second.state.omega_slices,
+        state.v_slices + state.omega_slices,
+        strict=True,
+    ):
+        assert np.array_equal(field.coeffs, want.coeffs)
+
+
 def uniqueness_by_second_solve(first):
     """The uniqueness check run in process: the second solve after the first."""
-    v0, w0 = first.v0, first.w0
-    n_t = v0.disc.n_t
-    skewed = PicardState(first.state.t_grid, (v0,) * n_t, (w0.scaled(1.1),) * n_t)
-    second = picard_solve(v0, w0, first.params, first.horizon, initial_state=skewed)
-    gap = x_distance(first.state, second.state, first.params)
+    second = picard_solve(first.problem, initial_state=skewed_start(first.problem))
+    gap = x_distance(first.state, second.state, first.problem.params)
     return make_certificate(
         "uniqueness", gap, 10.0 * PICARD_TOL,
         sweeps_first=first.iterations, sweeps_second=second.iterations,
@@ -589,9 +617,9 @@ def uniqueness_by_second_solve(first):
 
 
 def test_forked_uniqueness_check_is_bit_identical_to_the_second_solve_in_process():
-    v0, w0, horizon = small_problem()
-    first = picard_solve(v0, w0, PARAMS, horizon)
-    with start_uniqueness_solve(v0, w0, PARAMS, horizon) as second:
+    problem = small_problem()
+    first = picard_solve(problem)
+    with start_uniqueness_solve(problem) as second:
         forked = uniqueness_check(first, second)
     want = uniqueness_by_second_solve(first)
     assert forked.measured > 0.0

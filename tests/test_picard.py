@@ -6,7 +6,9 @@ M = 2e and horizon T = 1/(16e), bound by the data term.
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,9 +26,11 @@ from robinslab.domain import (
     zero_field3,
 )
 from robinslab.errors import NoConvergenceError, NonFiniteError
+from robinslab.heat import RobinPropagator
 from robinslab.picard import (
     PICARD_TOL,
     HorizonSelection,
+    PicardProblem,
     PicardState,
     duhamel_apply,
     horizon_from_norms,
@@ -102,44 +106,51 @@ class TestDuhamel:
         disc = Discretization(k_max=2, n_z=513, l_z=20.0, n_t=33)
         prof = np.exp(-PARAMS.gamma * disc.z)
         g = field3_from_profile(disc, (1, 1), 0.7 * prof)
-        slices = duhamel_apply(zero_field3(disc), [g] * disc.n_t, 0.5, PARAMS)
         t = np.linspace(0.0, 0.5, disc.n_t)
+        base = RobinPropagator(zero_field3(disc), PARAMS)
+        slices = duhamel_apply(base, [RobinPropagator(g, PARAMS).state_at(0.0)] * disc.n_t, t)
         r = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
         for i in (8, 16, 32):
             exact = 0.7 * (math.exp(r * t[i]) - 1.0) / r * prof
-            err = np.max(np.abs(slices[i].coeffs[0, 0] - exact))
+            err = np.max(np.abs(slices[i - 1].coeffs[0, 0] - exact))
             assert err < 1e-3 * np.max(np.abs(exact))  # measured 8.1e-5
 
     def test_zero_forcing_reduces_to_propagation(self, rng):
         disc = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
-        zeros = [zero_field3(disc)] * disc.n_t
-        slices = duhamel_apply(w0, zeros, 0.2, PARAMS)
-        from robinslab.heat import RobinPropagator
-
+        zeros = [RobinPropagator(zero_field3(disc), PARAMS).state_at(0.0)] * disc.n_t
         prop = RobinPropagator(w0, PARAMS)
         t = np.linspace(0.0, 0.2, disc.n_t)
-        assert slices[0] is w0
+        slices = duhamel_apply(prop, zeros, t)
+        assert len(slices) == disc.n_t - 1  # slice 0 is w0, which the caller holds
         for i in range(1, disc.n_t):
-            assert np.array_equal(slices[i].coeffs, prop.at(t[i]).coeffs)
+            assert np.array_equal(slices[i - 1].coeffs, prop.at(t[i]).coeffs)
 
     def test_validation(self):
         disc = Discretization(k_max=1, n_z=65, l_z=20.0, n_t=5)
         w0 = zero_field3(disc)
+        base = RobinPropagator(w0, PARAMS)
+        x = base.state_at(0.0)
         with pytest.raises(ValueError):
-            duhamel_apply(w0, [w0], 0.5, PARAMS)
-        with pytest.raises(ValueError):
-            duhamel_apply(w0, [w0] * 5, 0.0, PARAMS)
+            duhamel_apply(base, [x], np.array([0.0]))
+        with pytest.raises(ValueError):  # fewer forcing states than grid nodes
+            duhamel_apply(base, [x] * 4, np.linspace(0.0, 0.5, disc.n_t))
+        flat = HorizonSelection(
+            T=0.0, M=0.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
+        )
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            PicardProblem(w0, w0, PARAMS, flat)
 
 
 class TestPicardSolve:
     def test_zero_data_is_already_the_fixed_point(self):
         disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
         zero = zero_field3(disc)
-        res = picard_solve(zero, zero, PARAMS, select_horizon(zero, zero, PARAMS, 1.0))
+        h = select_horizon(zero, zero, PARAMS, 1.0)
+        res = picard_solve(PicardProblem(zero, zero, PARAMS, h))
         assert res.iterations == 1
         assert res.diffs == (0.0,)
-        assert res.horizon.binding == "unit cap"
+        assert res.problem.horizon.binding == "unit cap"
 
     def test_decoupled_eigen_data_closed_form(self):
         # v0 = 0 never moves, so w propagates freely: w(t) = e^{rt} w0 with
@@ -148,12 +159,12 @@ class TestPicardSolve:
         prof = np.exp(-PARAMS.gamma * disc.z)
         w0 = field3_from_profile(disc, (1, 1), 0.1 * prof)
         v0 = zero_field3(disc)
-        res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
+        res = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0)))
         assert res.iterations == 2
         assert res.diffs[1] == 0.0
         r = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
         worst = 0.0
-        for t_i, w in zip(res.state.t_grid, res.state.omega_slices):
+        for t_i, w in zip(res.problem.t_grid, res.state.omega_slices):
             exact = 0.1 * math.exp(r * t_i) * prof
             worst = max(worst, np.max(np.abs(w.coeffs[0, 0] - exact)))
         assert worst < 1e-12
@@ -162,7 +173,7 @@ class TestPicardSolve:
         disc = Discretization(k_max=4, n_z=129, l_z=20.0, n_t=17)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
         v0 = random_field3(disc, rng, kind="vspace", amplitude=0.05)
-        res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
+        res = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0)))
         assert res.iterations <= 30
         assert all(r <= 0.55 for r in res.ratios)
         # slice 0 pinned to the data
@@ -173,8 +184,8 @@ class TestPicardSolve:
         disc = Discretization(k_max=4, n_z=129, l_z=20.0, n_t=17)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
         v0 = random_field3(disc, rng, kind="vspace", amplitude=0.05)
-        res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
-        h = res.horizon
+        res = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0)))
+        h = res.problem.horizon
         v_bound = 2.0 * sobolev_norm(v0, 3, A)
         w_bound = (
             h.growth_constant
@@ -189,8 +200,9 @@ class TestPicardSolve:
         disc = Discretization(k_max=4, n_z=129, l_z=20.0, n_t=17)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
         v0 = random_field3(disc, rng, kind="vspace", amplitude=0.05)
-        res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
-        extra = picard_step(res.state, v0, w0, PARAMS)
+        res = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0)))
+        extra = picard_step(res.state, res.problem)
+        assert extra.v_slices[0] is v0 and extra.omega_slices[0] is w0
         assert x_distance(extra, res.state, PARAMS) <= 2.0 * PICARD_TOL * res.diffs[0]
 
     def test_sweep_cap_raises(self, rng, monkeypatch):
@@ -200,7 +212,7 @@ class TestPicardSolve:
         h = select_horizon(v0, w0, PARAMS, 1.0)
         monkeypatch.setattr(picard, "MAX_SWEEPS", 1)
         with pytest.raises(NoConvergenceError, match="1 sweeps"):
-            picard_solve(v0, w0, PARAMS, h)
+            picard_solve(PicardProblem(v0, w0, PARAMS, h))
 
     def test_ball_guard_raises(self, rng):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
@@ -211,7 +223,7 @@ class TestPicardSolve:
             constraint_value=0.0,
         )
         with pytest.raises(NoConvergenceError, match="certified ball"):
-            picard_solve(v0, w0, PARAMS, squeezed)
+            picard_solve(PicardProblem(v0, w0, PARAMS, squeezed))
 
     def test_non_finite_data_raises(self):
         disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
@@ -223,15 +235,14 @@ class TestPicardSolve:
         v0 = zero_field3(disc)
         h = select_horizon(v0, w0, PARAMS, 1.0)
         with pytest.raises(NonFiniteError):
-            picard_solve(v0, w0, PARAMS, h)
+            PicardProblem(v0, w0, PARAMS, h)
 
     def test_nan_slice_propagates_through_the_distance(self):
         disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
         zero = zero_field3(disc)
         nan = SpectralField3(np.full((2, 2, disc.n_z), np.nan), disc)
-        t_grid = np.linspace(0.0, 0.1, disc.n_t)
-        clean = PicardState(t_grid, (zero,) * 5, (zero,) * 5)
-        dirty = PicardState(t_grid, (zero,) * 5, (zero, zero, nan, zero, zero))
+        clean = PicardState((zero,) * 5, (zero,) * 5)
+        dirty = PicardState((zero,) * 5, (zero, zero, nan, zero, zero))
         assert math.isnan(x_norm(dirty, PARAMS))
         assert math.isnan(x_distance(dirty, clean, PARAMS))
         assert math.isnan(x_distance(clean, dirty, PARAMS))
@@ -252,7 +263,7 @@ class TestPicardSolve:
         zero = zero_field3(disc)
         h = select_horizon(zero, zero, PARAMS, 1.0)
         with pytest.raises(NonFiniteError, match="sweep 1"):
-            picard_solve(zero, zero, PARAMS, h)
+            picard_solve(PicardProblem(zero, zero, PARAMS, h))
 
     def test_mismatched_grids_rejected(self, rng):
         d1 = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
@@ -260,4 +271,65 @@ class TestPicardSolve:
         v0, w0 = zero_field3(d1), zero_field3(d2)
         h = select_horizon(v0, w0, PARAMS, 1.0)
         with pytest.raises(ValueError):
-            picard_solve(v0, w0, PARAMS, h)
+            PicardProblem(v0, w0, PARAMS, h)
+
+
+def problem_data(seed=8):
+    """(v0, w0) of a small contracting problem, built afresh on every call."""
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+    gen = np.random.default_rng(seed)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+    return v0, w0
+
+
+def problem_of(v0, w0):
+    return PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5))
+
+
+class TestPicardProblem:
+    def test_problem_owns_the_time_grid(self):
+        problem = problem_of(*problem_data())
+        want = np.linspace(0.0, problem.horizon.T, problem.v0.disc.n_t)
+        assert np.array_equal(problem.t_grid, want)
+        assert not problem.t_grid.flags.writeable
+
+    def test_start_with_the_wrong_slice_count_rejected(self):
+        problem = problem_of(*problem_data())
+        short = PicardState((problem.v0,) * 5, (problem.w0,) * 5)
+        with pytest.raises(ValueError, match="must hold 9 slices"):
+            picard_solve(problem, initial_state=short)
+        ragged = PicardState((problem.v0,) * 9, (problem.w0,) * 8)
+        with pytest.raises(ValueError, match="must hold 9 slices"):
+            picard_solve(problem, initial_state=ragged)
+
+    def test_start_on_another_discretization_rejected(self):
+        problem = problem_of(*problem_data())
+        # same array shapes, so only the discretization tells them apart
+        deeper = Discretization(k_max=3, n_z=129, l_z=30.0, n_t=9)
+        moved = SpectralField3(problem.w0.coeffs, deeper)
+        start = PicardState((problem.v0,) * 9, (moved,) * 9)
+        with pytest.raises(ValueError, match="problem's discretization"):
+            picard_solve(problem, initial_state=start)
+
+    def test_no_solve_state_outlives_its_problem(self):
+        v0, w0 = problem_data()
+        w0_ref = weakref.ref(w0)
+        problem = problem_of(v0, w0)
+        r = picard_solve(problem)
+        assert r.iterations >= 2
+        del r, problem, w0
+        gc.collect()
+        assert w0_ref() is None
+
+    def test_interleaved_problems_solve_as_if_alone(self):
+        first = picard_solve(problem_of(*problem_data(8))).state
+        picard_solve(problem_of(*problem_data(9)))
+        # equal to the first problem, built from distinct objects
+        again = picard_solve(problem_of(*problem_data(8))).state
+        assert again.iteration_index == first.iteration_index
+        for field, want in zip(
+            again.v_slices + again.omega_slices, first.v_slices + first.omega_slices, strict=True
+        ):
+            assert field is not want
+            assert np.array_equal(field.coeffs, want.coeffs)

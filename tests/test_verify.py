@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from robinslab.domain import Discretization, ModelParams, random_field3, sobolev_norm
-from robinslab.picard import picard_solve, select_horizon
+from robinslab.picard import PicardProblem, picard_solve, select_horizon
 from robinslab.verify import (
     Certificate,
     contraction_check,
@@ -161,7 +161,7 @@ class TestNonFiniteFails:
         _, _, res = small_run
         v_norms, w_norms = slice_norms(res.state)
         v_norms[2] = math.nan
-        certs = apriori_bounds_check(v_norms, w_norms, res.horizon, PARAMS)
+        certs = apriori_bounds_check(v_norms, w_norms, res.problem.horizon, PARAMS)
         assert [c.passed for c in certs] == [False, True]
         assert math.isnan(certs[0].measured)
 
@@ -172,7 +172,7 @@ def small_run():
     gen = np.random.default_rng(11)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
-    res = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0))
+    res = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.0)))
     return v0, w0, res
 
 
@@ -190,7 +190,7 @@ class TestSolverChecks:
         # slice 0 is the data itself, so the balls match norms of v0 and w0
         assert v_norms[0] == sobolev_norm(v0, PARAMS.s + 1, A)
         assert w_norms[0] == sobolev_norm(w0, PARAMS.s, A)
-        certs = apriori_bounds_check(v_norms, w_norms, res.horizon, PARAMS)
+        certs = apriori_bounds_check(v_norms, w_norms, res.problem.horizon, PARAMS)
         assert [c.name for c in certs] == ["apriori-velocity", "apriori-vorticity"]
         assert all(c.passed for c in certs)
 
@@ -200,7 +200,7 @@ class TestSolverChecks:
 
     def test_uniqueness(self, small_run):
         v0, w0, res = small_run
-        with start_uniqueness_solve(v0, w0, PARAMS, res.horizon) as second:
+        with start_uniqueness_solve(res.problem) as second:
             c = uniqueness_check(res, second)
         assert c.passed
         assert c.measured <= 1e-7

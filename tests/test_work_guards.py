@@ -32,7 +32,9 @@ import pytest
 import robinslab
 from robinslab import domain, elliptic, heat, picard
 from robinslab.domain import Discretization, ModelParams, SpectralField3, random_field3
-from robinslab.picard import PicardState, picard_solve, picard_step, select_horizon
+from robinslab.picard import (
+    HorizonSelection, PicardProblem, PicardState, picard_solve, picard_step, select_horizon,
+)
 
 PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
 
@@ -55,9 +57,12 @@ def test_one_sweep_builds_per_slice_and_never_evaluates(monkeypatch):
 
     monkeypatch.setattr(heat.RobinPropagator, "at", counting_at)
     monkeypatch.setattr(heat.RobinPropagator, "__init__", counting_init)
-    t_grid = np.linspace(0.0, 0.02, disc.n_t)
-    state = PicardState(t_grid, (v0,) * disc.n_t, (w0,) * disc.n_t)
-    new = picard_step(state, v0, w0, PARAMS)
+    horizon = HorizonSelection(
+        T=0.02, M=1.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
+    )
+    problem = PicardProblem(v0, w0, PARAMS, horizon)
+    state = PicardState((v0,) * disc.n_t, (w0,) * disc.n_t)
+    new = picard_step(state, problem)
     assert len(new.omega_slices) == disc.n_t
     assert counts["at"] == 0
     assert 0 < counts["build"] <= disc.n_t + 1
@@ -77,8 +82,8 @@ def test_converging_solve_takes_no_norm_for_its_ball_guard(monkeypatch):
 
     monkeypatch.setattr(domain, "sobolev_norm", counting_norm)
     monkeypatch.setattr(picard, "sobolev_norm", counting_norm)
-    result = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5))
-    assert result.horizon.M > 0.0
+    result = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5)))
+    assert result.problem.horizon.M > 0.0
     assert result.iterations >= 2  # the guard is reached after every non-final sweep
     # 2 for the horizon, 2 for the constant-in-time start, 2 per slice per sweep
     assert len(calls) == 4 + 2 * disc.n_t * result.iterations
@@ -102,9 +107,9 @@ def test_a_solve_computes_what_the_data_feed_once(monkeypatch):
 
     monkeypatch.setattr(picard, "solve_elliptic", counting_solve)
     monkeypatch.setattr(heat.RobinPropagator, "__init__", counting_init)
-    result = picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5))
+    result = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5)))
     assert result.iterations >= 2
-    # once per solve: the data's solve, and the propagators of w0 and of
+    # once per problem: the data's solve, and the propagators of w0 and of
     # d_z(v0); the constant start holds the data in every slice, so its
     # sweep adds nothing, and each later sweep skips slice 0
     later = (result.iterations - 1) * (disc.n_t - 1)
@@ -197,7 +202,7 @@ def test_oracle_runs_without_the_transform_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use the transform route")
 
-    for name in ("dst", "dct", "solve_banded", "build_transform_bundle", "RobinPropagator"):
+    for name in ("dst", "dct", "dtbtrs", "build_transform_bundle", "RobinPropagator"):
         monkeypatch.setattr(heat, name, forbidden)
     got = heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=40).coeffs
     assert np.array_equal(got, want)

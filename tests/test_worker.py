@@ -21,7 +21,7 @@ from robinslab import cli, picard, worker
 from robinslab.cli import main
 from robinslab.domain import Discretization, ModelParams, random_field3
 from robinslab.errors import NoConvergenceError
-from robinslab.picard import PicardState, picard_solve, select_horizon
+from robinslab.picard import PicardProblem, PicardState, picard_solve, select_horizon
 from robinslab.verify import run_certificates, start_uniqueness_solve, uniqueness_check
 
 PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
@@ -35,7 +35,7 @@ def first():
     gen = np.random.default_rng(5)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
-    return picard_solve(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5))
+    return picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5)))
 
 
 def stalled_solve(*args, **kwargs):
@@ -49,16 +49,15 @@ def uniqueness_certificate(first, second):
 
 def test_a_solve_that_does_not_converge_fails_with_the_in_process_error(first, monkeypatch):
     monkeypatch.setattr(picard, "MAX_SWEEPS", 1)  # before the fork, so the child has it too
-    with start_uniqueness_solve(first.v0, first.w0, PARAMS, first.horizon) as second:
+    with start_uniqueness_solve(first.problem) as second:
         forked = uniqueness_certificate(first, second)
     assert second.status == 0
 
     def in_process():
-        n_t = first.v0.disc.n_t
-        skewed = PicardState(
-            first.state.t_grid, (first.v0,) * n_t, (first.w0.scaled(1.1),) * n_t
-        )
-        picard_solve(first.v0, first.w0, PARAMS, first.horizon, initial_state=skewed)
+        problem = first.problem
+        n_t = len(problem.t_grid)
+        skewed = PicardState((problem.v0,) * n_t, (problem.w0.scaled(1.1),) * n_t)
+        picard_solve(problem, initial_state=skewed)
 
     [serial] = run_certificates([("uniqueness", in_process)])
     assert not forked.passed
@@ -69,7 +68,7 @@ def test_a_solve_that_does_not_converge_fails_with_the_in_process_error(first, m
 def test_a_killed_child_fails_the_certificate_naming_the_signal(first, monkeypatch):
     monkeypatch.setattr(worker, "picard_solve", stalled_solve)
     started = time.monotonic()
-    with start_uniqueness_solve(first.v0, first.w0, PARAMS, first.horizon) as second:
+    with start_uniqueness_solve(first.problem) as second:
         second_pid = second.pid
         os.kill(second_pid, signal.SIGKILL)
         cert = uniqueness_certificate(first, second)
@@ -80,6 +79,24 @@ def test_a_killed_child_fails_the_certificate_naming_the_signal(first, monkeypat
         f"WorkerError: solve worker {second_pid} ended before sending its result: "
         "killed by signal 9"
     )
+
+
+def test_a_child_failing_outside_the_solve_prints_why(first, monkeypatch, capfd):
+    # the solve "returns" something that is not a result, so writing the
+    # header raises in the child after picard_solve is done
+    monkeypatch.setattr(worker, "picard_solve", lambda *args, **kwargs: object())
+    with start_uniqueness_solve(first.problem) as second:
+        second_pid = second.pid
+        cert = uniqueness_certificate(first, second)
+    assert second.status == 1
+    assert not cert.passed
+    assert cert.details["error"] == (
+        f"WorkerError: solve worker {second_pid} ended before sending its result: "
+        "exit status 1"
+    )
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "AttributeError: 'object' object has no attribute 'iterations'" in err
 
 
 def picard_config(tmp_path):
