@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 import time
@@ -89,6 +90,10 @@ def main(argv=None) -> int:
         "--seed", type=int, default=None, help="override the config seed"
     )
     args = parser.parse_args(argv)
+    # what the imports made lives until exit: freeze it so no collection,
+    # in this process, in the forked uniqueness child or at shutdown,
+    # walks it (or writes to pages the child shares with the parent)
+    gc.freeze()
     try:
         return run(args.command, args.config, args.out, seed_override=args.seed)
     except ConfigError as exc:
@@ -140,6 +145,15 @@ def _phase(phases: dict, name: str):
         phases[name] = time.perf_counter() - started
 
 
+def _timed_certificates(phases: dict, checks) -> list:
+    """run_certificates over (name, thunk) checks, each timed as a phase."""
+    certs = []
+    for name, thunk in checks:
+        with _phase(phases, name.replace("-", "_")):
+            certs += run_certificates([(name, thunk)])
+    return certs
+
+
 def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     name = "verify_report.json" if command == "verify" else "report.json"
@@ -186,16 +200,20 @@ def _error_budget(config: RunConfig, times) -> dict:
 
 def _cmd_calibrate(config: RunConfig):
     params, disc = config.params, config.disc
-    c_s = calibrate_elliptic_constant(50, params.s, config.seed, disc, params.a, params.beta)
-    c_gs = calibrate_growth_constant(
-        50, params.s, (0.0,) + _CAL_TIMES, config.seed + 1, params, disc
-    )
+    phases = {}
+    with _phase(phases, "elliptic_calibration"):
+        c_s = calibrate_elliptic_constant(50, params.s, config.seed, disc, params.a, params.beta)
+    with _phase(phases, "growth_calibration"):
+        c_gs = calibrate_growth_constant(
+            50, params.s, (0.0,) + _CAL_TIMES, config.seed + 1, params, disc
+        )
     # held-out ensembles, drawn lazily; each generator closes over its own rng
     generic_rng = np.random.default_rng(config.seed + 2)
     generic = (random_field3(disc, generic_rng, kind="generic") for _ in range(50))
     robin_rng = np.random.default_rng(config.seed + 3)
     robin = (random_field3(disc, robin_rng, kind="robin", gamma=params.gamma) for _ in range(50))
-    certs = run_certificates(
+    certs = _timed_certificates(
+        phases,
         [
             (
                 "elliptic-held-out",
@@ -213,11 +231,12 @@ def _cmd_calibrate(config: RunConfig):
                     name="growth-held-out",
                 ),
             ),
-        ]
+        ],
     )
     report = {
         "measured_constants": {"elliptic_constant": c_s, "growth_constant": c_gs},
         "certificates": certs,
+        "timing": {"phase_seconds": phases},
     }
     return report, {}
 
@@ -229,25 +248,30 @@ def _cmd_elliptic(config: RunConfig):
     params, disc = config.params, config.disc
     rng = np.random.default_rng(config.seed)
     f = build_field(config.initial_w, config, rng)
-    v = solve_elliptic(f, params.beta, params.a)
+    phases = {}
+    with _phase(phases, "solve"):
+        v = solve_elliptic(f, params.beta, params.a)
     scale = max(1.0, float(np.max(np.abs(v.coeffs))))
-    certs = [
-        make_certificate(
-            "interior-residual", interior_residual(v, f, params.beta, params.a), 1e-8
-        ),
-        # one-sided wall stencil carries O(dz^2); 50x covers the profile's
-        # third derivative on any data the families produce
-        make_certificate(
-            "wall-condition",
-            boundary_residual(v, params.beta, params.a) / scale,
-            50.0 * disc.dz**2 * params.a,
-        ),
-    ]
-    f_norm = sobolev_norm(f, params.s, params.a)
-    norms = ([0.0], [sobolev_norm(v, params.s + 1, params.a)], [f_norm], [f_norm**2])
+    with _phase(phases, "residuals"):
+        certs = [
+            make_certificate(
+                "interior-residual", interior_residual(v, f, params.beta, params.a), 1e-8
+            ),
+            # one-sided wall stencil carries O(dz^2); 50x covers the profile's
+            # third derivative on any data the families produce
+            make_certificate(
+                "wall-condition",
+                boundary_residual(v, params.beta, params.a) / scale,
+                50.0 * disc.dz**2 * params.a,
+            ),
+        ]
+    with _phase(phases, "norms"):
+        f_norm = sobolev_norm(f, params.s, params.a)
+        norms = ([0.0], [sobolev_norm(v, params.s + 1, params.a)], [f_norm], [f_norm**2])
     report = {
         "measured_constants": {},
         "certificates": certs,
+        "timing": {"phase_seconds": phases},
     }
     return report, {"norms": norms, "snapshots": {"solution": v}}
 
@@ -266,12 +290,15 @@ def _cmd_heat(config: RunConfig):
     params, disc = config.params, config.disc
     rng = np.random.default_rng(config.seed)
     w0 = build_field(config.initial_w, config, rng)
-    c_gs = _growth_constant_for(config)
+    phases = {}
+    with _phase(phases, "growth_calibration"):
+        c_gs = _growth_constant_for(config)
     warn_if_incompatible(w0, params.gamma)
-    prop = RobinPropagator(w0, params)
     t_grid = np.linspace(0.0, 1.0, disc.n_t)
-    slices = [w0] + [prop.at(t) for t in t_grid[1:]]
-    w_norms = [sobolev_norm(w, params.s, params.a) for w in slices]
+    with _phase(phases, "propagation"):
+        prop = RobinPropagator(w0, params)
+        slices = [w0] + [prop.at(t) for t in t_grid[1:]]
+        w_norms = [sobolev_norm(w, params.s, params.a) for w in slices]
     energies = [n * n for n in w_norms]
     base = w_norms[0]
     ratios = (
@@ -279,7 +306,8 @@ def _cmd_heat(config: RunConfig):
         if base > 0.0
         else []
     )
-    certs = run_certificates(
+    certs = _timed_certificates(
+        phases,
         [
             ("gronwall-energy", lambda: gronwall_energy_check(t_grid, energies, params)),
             ("growth-bound", lambda: growth_bound_check(ratios, c_gs)),
@@ -289,12 +317,13 @@ def _cmd_heat(config: RunConfig):
                     w0, float(t_grid[len(t_grid) // 2]), params
                 ),
             ),
-        ]
+        ],
     )
     norms = (list(t_grid), [0.0] * len(slices), w_norms, energies)
     report = {
         "measured_constants": {"growth_constant": c_gs},
         "certificates": certs,
+        "timing": {"phase_seconds": phases},
     }
     return report, {"norms": norms, "snapshots": {"omega_final": slices[-1]}}
 
@@ -326,10 +355,7 @@ def _cmd_picard(config: RunConfig):
             ("fixed-point-residual", lambda: fixed_point_residual_check(result)),
             ("uniqueness", lambda: uniqueness_check(result, second)),
         ]
-        certs = []
-        for name, thunk in checks:
-            with _phase(phases, name.replace("-", "_")):
-                certs += run_certificates([(name, thunk)])
+        certs = _timed_certificates(phases, checks)
     phases["uniqueness_solve"] = second.seconds
     energies = [n * n for n in w_norms]
     report = {
@@ -460,8 +486,11 @@ def _heat_sweep(config: RunConfig):
 
 
 def _cmd_convergence(config: RunConfig):
-    elliptic_rows, elliptic_certs = _elliptic_sweep()
-    heat_rows, heat_certs = _heat_sweep(config)
+    phases = {}
+    with _phase(phases, "elliptic_sweep"):
+        elliptic_rows, elliptic_certs = _elliptic_sweep()
+    with _phase(phases, "heat_sweep"):
+        heat_rows, heat_certs = _heat_sweep(config)
     rows = elliptic_rows + heat_rows
     report = {
         "measured_constants": {},
@@ -469,6 +498,7 @@ def _cmd_convergence(config: RunConfig):
         "convergence_table": [
             {"sweep": sweep, "n_z": n_z, "error": err} for sweep, n_z, err in rows
         ],
+        "timing": {"phase_seconds": phases},
     }
     return report, {"convergence_rows": rows}
 

@@ -319,10 +319,14 @@ def picard_step(state: PicardState, problem: PicardProblem) -> PicardState:
     v0, w0, params = problem.v0, problem.w0, problem.params
     t = problem.t_grid
     dt = t[1] - t[0]
-    integrands = [
-        problem.integrand if v_j is v0 and w_j is w0 else _integrand(v_j, w_j, params)
-        for v_j, w_j in zip(state.v_slices, state.omega_slices)
-    ]
+    # a pair several slices hold, as in a constant-in-time start, is taken once
+    known = {(id(v0), id(w0)): problem.integrand}
+    integrands = []
+    for v_j, w_j in zip(state.v_slices, state.omega_slices):
+        key = id(v_j), id(w_j)
+        if key not in known:
+            known[key] = _integrand(v_j, w_j, params)
+        integrands.append(known[key])
 
     v_new = [v0]
     acc = np.zeros_like(v0.coeffs)

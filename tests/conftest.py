@@ -1,5 +1,6 @@
 """Shared fixtures: canonical parameter sets used across the test modules."""
 
+import gc
 import math
 import os
 import sys
@@ -31,6 +32,14 @@ def no_leaked_child_process():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")
+
+
+@pytest.fixture(autouse=True)
+def unfrozen_heap():
+    """Undo the gc.freeze() of a main() call, so later tests' garbage
+    collections reach the objects this test left behind."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

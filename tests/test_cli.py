@@ -7,9 +7,13 @@ set written per run, and byte determinism of report.json modulo timing.
 """
 
 import dataclasses
+import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from robinslab.report import (
     write_report,
     write_snapshot,
 )
+from robinslab.verify import Certificate
 
 A = math.pi
 ROOT = Path(__file__).parents[1]
@@ -530,28 +535,102 @@ class TestVerifyCommand:
 
 
 class TestTiming:
-    def test_picard_reports_nonnegative_phase_seconds_within_the_total(self, tmp_path):
+    @staticmethod
+    def run_phases(tmp_path, command, **disc):
         path = write_config(
             tmp_path,
-            disc={"k_max": 2, "n_z": 129, "n_t": 5},
+            disc={"k_max": 2, "n_z": 129, "n_t": 5, **disc},
             initial_data={
                 "v": {"family": "random", "kind": "vspace", "amplitude": 0.1},
                 "w": {"family": "random", "kind": "robin", "amplitude": 0.05},
             },
         )
         out = tmp_path / "run"
-        assert main(["--command", "picard", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["--command", command, "--config", str(path), "--out", str(out)]) == 0
         timing = read_report(out / "report.json")["timing"]
         phases = timing["phase_seconds"]
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        return phases, timing["total_seconds"]
+
+    def test_picard_reports_nonnegative_phase_seconds_within_the_total(self, tmp_path):
+        phases, total = self.run_phases(tmp_path, "picard")
         assert set(phases) == {
             "growth_calibration", "main_solve", "contraction", "apriori",
             "fixed_point_residual", "uniqueness", "uniqueness_solve",
         }
-        assert all(seconds >= 0.0 for seconds in phases.values())
         # the forked second solve overlaps the parent's phases
         concurrent = phases.pop("uniqueness_solve")
-        assert concurrent <= timing["total_seconds"]
-        assert sum(phases.values()) <= timing["total_seconds"]
+        assert concurrent <= total
+        assert sum(phases.values()) <= total
+
+    @pytest.mark.parametrize(
+        "command, n_z, names",
+        [
+            ("heat", 513, {
+                "growth_calibration", "propagation", "gronwall_energy", "growth_bound",
+                "heat_route_agreement",
+            }),
+            ("calibrate", 129, {
+                "elliptic_calibration", "growth_calibration", "elliptic_held_out",
+                "growth_held_out",
+            }),
+            ("convergence", 129, {"elliptic_sweep", "heat_sweep"}),
+            ("elliptic", 129, {"solve", "residuals", "norms"}),
+        ],
+    )
+    def test_every_command_reports_nonnegative_phase_seconds_within_the_total(
+        self, tmp_path, command, n_z, names
+    ):
+        phases, total = self.run_phases(tmp_path, command, n_z=n_z)
+        assert set(phases) == names
+        assert sum(phases.values()) <= total
+
+
+class TestHeapFreeze:
+    """main() freezes the import-time heap before it runs or forks."""
+
+    def test_main_freezes_the_heap(self, tmp_path):
+        gc.unfreeze()
+        assert gc.get_freeze_count() == 0
+        path = ROOT / "configs" / "picard_zero.json"
+        assert main(["--command", "picard", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() > 0
+
+    def test_a_frozen_process_loses_no_output_at_exit(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        config = str(ROOT / "configs" / "picard_zero.json")
+        child, in_process = tmp_path / "child", tmp_path / "in_process"
+
+        def robinslab(*args):
+            done = subprocess.run(
+                [sys.executable, "-m", "robinslab.cli", *args],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout.splitlines()
+
+        picard_lines = robinslab("--command", "picard", "--config", config, "--out", str(child))
+        verify_lines = robinslab("--command", "verify", "--out", str(child))
+        assert main(["--command", "picard", "--config", config, "--out", str(in_process)]) == 0
+        for lines, name in ((picard_lines, "report.json"), (verify_lines, "verify_report.json")):
+            certs = [Certificate(**rec) for rec in read_report(child / name)["certificates"]]
+            assert certs and all(c.passed for c in certs)
+            assert lines == [c.describe() for c in certs]
+
+        def without_timing(out):
+            files = {
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file() and p.suffix == ".csv"
+            }
+            report_json = read_report(out / "report.json")
+            report_json.pop("timing")
+            return report_json, files
+
+        got, want = without_timing(child), without_timing(in_process)
+        assert set(got[1]) == {"norms.csv", "snapshots/v_final.csv", "snapshots/omega_final.csv"}
+        assert got == want
 
 
 class TestDeterminism:

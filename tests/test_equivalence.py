@@ -32,8 +32,10 @@ Each reference below is the earlier algorithm written out in full:
   sweep      a sweep recomputing every slice's elliptic solve, product and
              forcing propagator and the propagator of w0, against the
              sweep that takes what the data alone feed from the work its
-             PicardProblem computed once; a start with no grid of its own,
-             against the same sweeps on linspace(0, T, n_t);
+             PicardProblem computed once, and the uniqueness check's
+             skewed start, whose slices share one pair, against the same
+             sweep taking that pair's integrand once; a start with no grid
+             of its own, against the same sweeps on linspace(0, T, n_t);
   uniqueness the second solve run in process after the main one, then
              x_distance, against the forked worker whose slices stream
              back, both for the certificate and for the picard command's
@@ -61,7 +63,7 @@ from scipy.integrate import simpson, trapezoid
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from robinslab import cli
+from robinslab import cli, picard, verify
 from robinslab.cli import main
 from robinslab.domain import (
     Discretization,
@@ -588,6 +590,28 @@ def test_sweep_reusing_pinned_work_is_bit_identical_to_recomputing_it():
         want_v, want_w = sweep_by_every_slice(state, v0, w0, PARAMS, t_grid)
         for field, want in zip(got.v_slices + got.omega_slices, want_v + want_w):
             assert np.array_equal(field.coeffs, want.coeffs)
+
+
+def test_the_uniqueness_start_takes_its_shared_integrand_once(monkeypatch):
+    problem = small_problem()
+    starts = []
+    monkeypatch.setattr(verify, "fork_solve", lambda problem, start: starts.append(start))
+    start_uniqueness_solve(problem)
+    (start,) = starts
+    assert len({(id(v), id(w)) for v, w in zip(start.v_slices, start.omega_slices)}) == 1
+    calls = []
+    real_integrand = picard._integrand
+
+    def counting_integrand(v, w, params):
+        calls.append((v, w))
+        return real_integrand(v, w, params)
+
+    monkeypatch.setattr(picard, "_integrand", counting_integrand)
+    got = picard_step(start, problem)
+    assert len(calls) == 1
+    want_v, want_w = sweep_by_every_slice(start, problem.v0, problem.w0, PARAMS, problem.t_grid)
+    for field, want in zip(got.v_slices + got.omega_slices, want_v + want_w, strict=True):
+        assert np.array_equal(field.coeffs, want.coeffs)
 
 
 def test_a_start_without_a_grid_solves_on_the_problem_grid():
