@@ -24,9 +24,10 @@ synthesis per slice.
 A Crank-Nicolson finite-difference oracle provides an independent route to
 the same solution for cross-checks.  It lays every lateral mode's
 tridiagonal system side by side as one block-diagonal band with zero
-couplings between blocks, factors that band once, and takes each time step
-as one vectorised explicit half-step and one tridiagonal solve over all
-modes.  It shares no code with the transform route.
+couplings between blocks, symmetrises it by scaling the wall unknown, and
+factors it once as LDL^T.  Since I + cL = 2I - (I - cL), each time step is
+one symmetric tridiagonal solve over all modes and two in-place updates,
+with no explicit half-step.  It shares no code with the transform route.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct, dst
-from scipy.linalg.lapack import dgttrf, dgttrs, dtbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs, dtbtrs
 
 from .domain import (
     Discretization,
@@ -281,13 +282,20 @@ def fd_robin_oracle(
     """Crank-Nicolson finite-difference reference solution.
 
     Independent of the transform route: theta=1/2 stepping of the second
-    difference with a ghost-point Robin closure at z=0 and a Dirichlet cap
+    difference L with a ghost-point Robin closure at z=0 and a Dirichlet cap
     at l_z.  Every lateral mode's tridiagonal system is one block of a
-    block-diagonal band in (k1, k2) row-major order; the last upper and
-    lower entry of each block is zero, so no block couples to the next and
-    each mode gets the arithmetic of its own solve.  The band is factored
-    once, and each step is one explicit half-step and one solve over all
-    modes.  Used only for cross-checks.
+    block-diagonal band in (k1, k2) row-major order; the last off-diagonal
+    entry of each block is zero, so no block couples to the next and each
+    mode gets the arithmetic of its own solve.
+
+    The ghost row makes L nonsymmetric (2/h^2 above the wall, 1/h^2 below);
+    the wall unknown is scaled by 1/sqrt(2) on entry and by sqrt(2) on exit,
+    which turns both entries into sqrt(2)/h^2 and A = I - cL into a symmetric
+    tridiagonal matrix, factored once as LDL^T.  As I + cL = 2I - A, each
+    step is x = 2 A^{-1} w - w: one solve and two in-place updates over all
+    modes.  Raises ValueError when A is not positive definite, i.e. when
+    the growing wall mode outruns the step and the Crank-Nicolson
+    amplification is infinite or at most -1.  Used only for cross-checks.
     """
     if not math.isfinite(t):
         raise ValueError(f"oracle time must be finite, got {t}")
@@ -305,31 +313,36 @@ def fd_robin_oracle(
     c = 0.5 * nu * (t / n_steps)
     n_unknown = disc.n_z - 1
     mu2 = (disc.mode_rates(params.a) ** 2).reshape(-1, 1)
+    sqrt2 = math.sqrt(2.0)
 
-    # L = second difference with the Robin ghost row, minus mu^2, per block
+    # symmetrised L = second difference with the Robin ghost row, minus mu^2
     diag = np.repeat(-2.0 / h**2 - mu2, n_unknown, axis=1)
     diag[:, 0] = (-2.0 + 2.0 * h * gamma) / h**2 - mu2[:, 0]
-    upper = np.full_like(diag, 1.0 / h**2)
-    upper[:, 0] = 2.0 / h**2
-    upper[:, -1] = 0.0
-    lower = np.full_like(diag, 1.0 / h**2)
-    lower[:, -1] = 0.0
-    diag, upper, lower = diag.ravel(), upper.ravel()[:-1], lower.ravel()[:-1]
+    off = np.full_like(diag, 1.0 / h**2)
+    off[:, 0] = sqrt2 / h**2
+    off[:, -1] = 0.0
 
-    dl, d, du, du2, ipiv, info = dgttrf(-c * lower, 1.0 - c * diag, -c * upper)
+    d, e, info = dpttrf((1.0 - c * diag).ravel(), (-c * off).ravel()[:-1])
+    if info > 0:
+        raise ValueError(
+            f"Crank-Nicolson step t/n_steps = {t / n_steps:g} is too long for the "
+            "growing wall mode (I - cL is not positive definite); raise n_steps"
+        )
     if info != 0:
         raise RuntimeError(f"tridiagonal factorization failed: info={info}")
-    explicit_diag, explicit_upper, explicit_lower = 1.0 + c * diag, c * upper, c * lower
-    w = omega0.coeffs[:, :, :n_unknown].reshape(-1)
+    w = omega0.coeffs[:, :, :n_unknown].copy()
+    w[:, :, 0] /= sqrt2
+    w = w.ravel()
     for _ in range(n_steps):
-        rhs = explicit_diag * w
-        rhs[:-1] += explicit_upper * w[1:]
-        rhs[1:] += explicit_lower * w[:-1]
-        w, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        x, info = dpttrs(d, e, w)
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed: info={info}")
+        x *= 2.0
+        x -= w
+        w = x
     out = np.zeros_like(omega0.coeffs)
     out[:, :, :n_unknown] = w.reshape(disc.k_max, disc.k_max, n_unknown)
+    out[:, :, 0] *= sqrt2
     return SpectralField3(out, disc)
 
 

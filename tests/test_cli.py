@@ -380,6 +380,19 @@ class TestRunArtifacts:
         assert lines[0] == "sweep,n_z,error"
         assert sum(1 for l in lines if l.startswith("elliptic-eigenfunction")) == 4
 
+    # e^{gamma^2 t} overflows the transform route at any gamma the oracle refuses
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_convergence_fails_the_route_error_its_oracle_refuses(self, tmp_path, capsys):
+        # at gamma = 300 the oracle's wall mode outruns the sweep's 500 steps
+        path = write_config(tmp_path, params={"gamma": 300.0})
+        out = tmp_path / "run"
+        assert main(["--command", "convergence", "--config", str(path), "--out", str(out)]) == 2
+        assert "FAIL heat-route-error" in capsys.readouterr().out
+        certs = read_report(out / "report.json")["certificates"]
+        assert [c["name"] for c in certs][-1] == "heat-route-error"
+        assert "raise n_steps" in certs[-1]["details"]["error"]
+
     @pytest.mark.parametrize(
         "command, name, growth_constant",
         # heat takes the ensemble max, which t = 0 pins at 1; picard pads it by 1.25

@@ -17,10 +17,12 @@ Each reference below is the earlier algorithm written out in full:
              strided per z profile, against the one wall stencil and the
              one second difference run over the flattened array, on C,
              Fortran and strided-view layouts;
-  oracle     Crank-Nicolson stepping with one factorisation and n_steps
-             tridiagonal solves per lateral mode, against the one
-             block-diagonal factorisation and one solve per step over all
-             modes;
+  oracle     symmetrised Crank-Nicolson stepping with one LDL^T
+             factorisation and n_steps solves per lateral mode, against the
+             one block-diagonal factorisation and one solve per step over
+             all modes; and the unsymmetrised ghost-row matrix with an
+             explicit half-step and one LU solve per step, per mode,
+             against the same batched oracle;
   Simpson    scipy.integrate.simpson, against the uniform-grid composite
              Simpson in heat;
   held-out   the calibrate command's own held-out ratio loops, against the
@@ -41,9 +43,9 @@ Each reference below is the earlier algorithm written out in full:
              back, both for the certificate and for the picard command's
              whole output.
 
-The recurrence, the banded sweep, the sine matrices and the weight table
-reorder floating-point sums, so they are held to a tolerance a few hundred
-ulps wide; the stacked elliptic solve, the shared stencils, the batched
+The recurrence, the banded sweep, the sine matrices, the weight table and
+the half-step oracle reorder floating-point sums, so they are held to a
+tolerance a few hundred ulps wide; the stacked elliptic solve, the shared stencils, the batched
 oracle, the in-module Simpson, the ratio samplers, the two sweeps and the
 two uniqueness routes run the same arithmetic and must agree bit for bit;
 the snapshot writers and the picard outputs must agree byte for byte, and
@@ -61,7 +63,7 @@ import pytest
 from scipy.fft import dst
 from scipy.integrate import simpson, trapezoid
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from robinslab import cli, picard, verify
 from robinslab.cli import main
@@ -348,7 +350,47 @@ def test_stencils_and_norms_match_the_strided_reference_on_every_layout(k_max, n
 
 
 def oracle_by_mode(omega0, t, params, n_steps):
-    """Crank-Nicolson with a Robin ghost row: one factorisation and loop per mode."""
+    """Symmetrised Crank-Nicolson with a Robin ghost row: one LDL^T and loop per mode.
+
+    Raises ValueError where a mode's I - cL is not positive definite.
+    """
+    disc = omega0.disc
+    nu, gamma = params.nu, params.gamma
+    h = disc.dz
+    dt = t / n_steps
+    n_unknown = disc.n_z - 1
+    mu = disc.mode_rates(params.a)
+    if t == 0:
+        return omega0.coeffs.copy()
+    out = np.zeros_like(omega0.coeffs)
+    for k1 in range(disc.k_max):
+        for k2 in range(disc.k_max):
+            mu2 = mu[k1, k2] ** 2
+            diag = np.full(n_unknown, -2.0 / h**2 - mu2)
+            diag[0] = (-2.0 + 2.0 * h * gamma) / h**2 - mu2
+            off = np.full(n_unknown - 1, 1.0 / h**2)
+            off[0] = math.sqrt(2.0) / h**2
+            c = 0.5 * nu * dt
+            d, e, info = dpttrf(1.0 - c * diag, -c * off)
+            if info > 0:
+                raise ValueError("I - cL is not positive definite")
+            assert info == 0
+            w = omega0.coeffs[k1, k2, :n_unknown].copy()
+            w[0] /= math.sqrt(2.0)
+            for _ in range(n_steps):
+                x, info = dpttrs(d, e, w)
+                assert info == 0
+                x *= 2.0
+                x -= w
+                w = x
+            w[0] *= math.sqrt(2.0)
+            out[k1, k2, :n_unknown] = w
+    return out
+
+
+def oracle_by_mode_half_step(omega0, t, params, n_steps):
+    """Crank-Nicolson on the unsymmetrised ghost-row matrix: an explicit
+    half-step and one LU solve per step, one factorisation and loop per mode."""
     disc = omega0.disc
     nu, gamma = params.nu, params.gamma
     h = disc.dz
@@ -380,6 +422,19 @@ def oracle_by_mode(omega0, t, params, n_steps):
     return out
 
 
+ORACLE_CASES = ((0.0, 7), (0.3, 1), (0.3, 7), (0.3, 500))
+
+
+def oracle_refuses(n_z, gamma, n_steps):
+    """The grid's cases whose growing wall mode outruns one step of c = 0.15.
+
+    At gamma = 6 the discrete wall rate exceeds 1 / c = 6.7 (23 at n_z = 65,
+    nearer gamma^2 = 36 on finer grids), except on the coarse n_z = 9 grid,
+    where it is 4.5.
+    """
+    return gamma == 6.0 and n_steps == 1 and n_z > 9
+
+
 @pytest.mark.parametrize("k_max", [1, 2, 4])
 @pytest.mark.parametrize("n_z", [9, 65, 257, 1024])
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
@@ -387,9 +442,30 @@ def test_batched_oracle_is_bit_identical_to_per_mode(k_max, n_z, gamma):
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
     f = random_field3(disc, np.random.default_rng(k_max * n_z), kind="robin", gamma=gamma)
-    for t, n_steps in ((0.0, 7), (0.3, 1), (0.3, 7), (0.3, 500)):
+    for t, n_steps in ORACLE_CASES:
+        if oracle_refuses(n_z, gamma, n_steps):
+            with pytest.raises(ValueError, match="not positive definite"):
+                oracle_by_mode(f, t, params, n_steps)
+            with pytest.raises(ValueError, match="raise n_steps"):
+                fd_robin_oracle(f, t, params, n_steps=n_steps)
+            continue
         want = oracle_by_mode(f, t, params, n_steps)
         assert np.array_equal(fd_robin_oracle(f, t, params, n_steps=n_steps).coeffs, want)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4])
+@pytest.mark.parametrize("n_z", [9, 65, 257, 1024])
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
+def test_symmetric_oracle_matches_the_half_step_lu_formulation(k_max, n_z, gamma):
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+    f = random_field3(disc, np.random.default_rng(k_max * n_z), kind="robin", gamma=gamma)
+    for t, n_steps in ORACLE_CASES:
+        if oracle_refuses(n_z, gamma, n_steps):
+            continue
+        want = oracle_by_mode_half_step(f, t, params, n_steps)
+        got = fd_robin_oracle(f, t, params, n_steps=n_steps).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n_z", list(range(8, 40)) + [64, 65, 256, 257, 1023, 1024])

@@ -8,7 +8,9 @@ Closed forms used below:
 
 The Crank-Nicolson oracle marches the same PDE with an unrelated scheme
 (ghost-point tridiagonal theta-stepping, no slab/wall splitting), so
-transform-vs-oracle agreement checks both routes at once.
+transform-vs-oracle agreement checks both routes at once.  The oracle
+itself is held to the N-th power of the dense per-mode Crank-Nicolson
+matrix, written from the ghost-point stencil with numpy alone.
 """
 
 import math
@@ -16,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -47,6 +49,30 @@ PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
 
 def eigen_field(disc, gamma, mode=(1, 1)):
     return field3_from_profile(disc, mode, np.exp(-gamma * disc.z))
+
+
+def dense_cn_matrix(n_z, h, gamma, mu2, c):
+    """(M, rate): the Crank-Nicolson step M = (I - cL)^{-1} (I + cL) of one mode
+    and the largest real part of L's spectrum, L written densely from the stencil.
+
+    The unknowns are w_0 (the wall) .. w_{n_z-2}; w_{n_z-1} = 0 is the
+    Dirichlet cap.  The centred Robin condition (w_1 - w_{-1}) / 2h + gamma w_0 = 0
+    gives the ghost value w_{-1} = w_1 + 2 h gamma w_0, which the wall row's
+    second difference (w_{-1} - 2 w_0 + w_1) / h^2 takes in.
+    """
+    n = n_z - 1
+    stencil = np.zeros((n, n))
+    for j in range(n):
+        stencil[j, j] = -2.0
+        if j > 0:
+            stencil[j, j - 1] = 1.0
+        if j + 1 < n:
+            stencil[j, j + 1] = 1.0
+    stencil[0, 1] += 1.0  # the ghost value's w_1
+    stencil[0, 0] += 2.0 * h * gamma  # the ghost value's 2 h gamma w_0
+    lap = stencil / h**2 - mu2 * np.eye(n)
+    step = np.linalg.solve(np.eye(n) - c * lap, np.eye(n) + c * lap)
+    return step, float(np.max(np.linalg.eigvals(lap).real))
 
 
 class TestMoment:
@@ -208,6 +234,35 @@ class TestOracleAgreement:
         fd = fd_robin_oracle(w0, t, PARAMS, n_steps=2000)
         err = np.max(np.abs(fd.coeffs - exact)) / np.max(np.abs(exact))
         assert err < 1e-3  # measured 8.9e-4: dt^2 + dz^2 at this resolution
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_z=st.sampled_from([9, 17, 33]),
+        gamma=st.floats(min_value=0.1, max_value=8.0),
+        t=st.floats(min_value=0.01, max_value=1.0),
+        n_steps=st.integers(min_value=1, max_value=64),
+    )
+    def test_oracle_is_the_dense_crank_nicolson_power(self, n_z, gamma, t, n_steps):
+        disc = Discretization(k_max=2, n_z=n_z, l_z=20.0)
+        params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+        c = 0.5 * params.nu * t / n_steps
+        mu2 = disc.mode_rates(A) ** 2
+        steps = {
+            (k1, k2): dense_cn_matrix(n_z, disc.dz, gamma, mu2[k1, k2], c)
+            for k1 in range(2) for k2 in range(2)
+        }
+        # (0, 0) has the smallest mu, so the fastest growing wall mode
+        assume(c * steps[0, 0][1] <= 0.5)
+        wall_only = np.zeros((2, 2, n_z))
+        wall_only[:, :, 0] = [[1.0, -2.0], [0.5, 3.0]]
+        robin = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=gamma)
+        for coeffs in (wall_only, robin.coeffs):
+            want = np.zeros_like(coeffs)
+            for (k1, k2), (step, _) in steps.items():
+                power = np.linalg.matrix_power(step, n_steps)
+                want[k1, k2, :-1] = power @ coeffs[k1, k2, :-1]
+            got = fd_robin_oracle(SpectralField3(coeffs, disc), t, params, n_steps=n_steps)
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_oracle_time_zero_is_identity(self):
         disc = Discretization(k_max=2, n_z=129, l_z=20.0)

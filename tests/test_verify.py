@@ -209,6 +209,23 @@ class TestSolverChecks:
         _, _, res = small_run
         assert contraction_check(res.ratios).passed
 
+    def test_a_refused_oracle_step_fails_route_agreement_with_its_message(self, rng):
+        # the wall mode grows at about gamma^2 = 36, so one step of c = 0.15 is refused
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0)
+        params = ModelParams(a=A, nu=1.0, gamma=6.0, beta=1.0, s=2)
+        w0 = random_field3(disc, rng, kind="robin", gamma=params.gamma)
+        [cert] = run_certificates(
+            [
+                (
+                    "heat-route-agreement",
+                    lambda: transform_oracle_certificate(w0, 0.3, params, n_steps=1),
+                )
+            ]
+        )
+        assert cert.name == "heat-route-agreement" and not cert.passed
+        assert cert.details["error"].startswith("ValueError: Crank-Nicolson step")
+        assert "raise n_steps" in cert.details["error"]
+
     def test_transform_oracle_agreement_at_calibrated_resolution(self, rng):
         disc = Discretization(k_max=4, n_z=513, l_z=20.0)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)

@@ -10,8 +10,8 @@ geometry share their rates, and the elliptic band is factored once per
 geometry, not once per solve.  An H^3 norm applies the second-difference
 stencil once and differentiates that profile for order 3 rather than
 recomputing it.  The Crank-Nicolson oracle factors one
-block-diagonal band for all lateral modes and makes one tridiagonal solve
-per step, keeps the modes uncoupled, and never touches the transform
+block-diagonal band for all lateral modes as LDL^T and makes one
+tridiagonal solve per step, keeps the modes uncoupled, and never touches the transform
 route.  Importing the command module must not pull in scipy.signal,
 scipy.integrate, scipy.optimize or scipy.sparse.linalg, which cost every
 command set-up time and memory.  Every name the package or one of its
@@ -165,7 +165,7 @@ def test_h3_norm_applies_the_second_difference_once(monkeypatch):
 def test_oracle_factors_once_and_solves_once_per_step(monkeypatch, k_max):
     disc = Discretization(k_max=k_max, n_z=65, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(k_max), kind="robin", gamma=PARAMS.gamma)
-    counts = {"dgttrf": 0, "dgttrs": 0}
+    counts = {"dpttrf": 0, "dpttrs": 0}
 
     def counting(name):
         real = getattr(heat, name)
@@ -176,10 +176,10 @@ def test_oracle_factors_once_and_solves_once_per_step(monkeypatch, k_max):
 
         return call
 
-    monkeypatch.setattr(heat, "dgttrf", counting("dgttrf"))
-    monkeypatch.setattr(heat, "dgttrs", counting("dgttrs"))
+    monkeypatch.setattr(heat, "dpttrf", counting("dpttrf"))
+    monkeypatch.setattr(heat, "dpttrs", counting("dpttrs"))
     heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=11)
-    assert counts == {"dgttrf": 1, "dgttrs": 11}
+    assert counts == {"dpttrf": 1, "dpttrs": 11}
 
 
 def test_oracle_keeps_lateral_modes_uncoupled():
