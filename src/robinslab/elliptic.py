@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtcon, dgttrf, dgttrs
 
+from ._kernels import dgtcon, dgttrf, dgttrs
 from .domain import Discretization, SpectralField3, d_z, random_field3, sobolev_norm
 from .errors import ResonanceError, SingularSystemError
 

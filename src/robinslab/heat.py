@@ -28,6 +28,10 @@ couplings between blocks, symmetrises it by scaling the wall unknown, and
 factors it once as LDL^T.  Since I + cL = 2I - (I - cL), each time step is
 one symmetric tridiagonal solve over all modes and two in-place updates,
 with no explicit half-step.  It shares no code with the transform route.
+
+The type-1 DST and DCT and the LAPACK solves (dtbtrs for the bundle,
+dpttrf/dpttrs for the oracle) come from robinslab._kernels, which binds them
+from scipy's extension files without importing scipy.fft or scipy.linalg.
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, dst
-from scipy.linalg.lapack import dpttrf, dpttrs, dtbtrs
 
+from ._kernels import dct, dpttrf, dpttrs, dst, dtbtrs
 from .domain import (
     Discretization,
     ModelParams,

@@ -398,10 +398,8 @@ def picard_solve(
                 f"at sweep {state.iteration_index}"
             )
     else:
-        raise NoConvergenceError(
-            f"no convergence in {MAX_SWEEPS} sweeps: last move {diffs[-1]:.3e} "
-            f"vs target {PICARD_TOL * diffs[0]:.3e}"
-        )
+        last = f": last move {diffs[-1]:.3e} vs target {PICARD_TOL * diffs[0]:.3e}" if diffs else ""
+        raise NoConvergenceError(f"no convergence in {MAX_SWEEPS} sweeps{last}")
     ratios = tuple(
         diffs[m + 1] / diffs[m] for m in range(len(diffs) - 1) if diffs[m] > 0.0
     )

@@ -105,12 +105,7 @@ def run_certificates(checks) -> list[Certificate]:
         try:
             result = thunk()
         except Exception as exc:
-            out.append(
-                Certificate(
-                    name=name, measured=math.inf, bound=0.0, passed=False,
-                    margin=None, details={"error": f"{type(exc).__name__}: {exc}"},
-                )
-            )
+            out.append(make_certificate(name, math.inf, 0.0, error=f"{type(exc).__name__}: {exc}"))
             continue
         if isinstance(result, Certificate):
             out.append(result)

@@ -496,6 +496,24 @@ class TestVerifyCommand:
         (out / "report.json").write_text(json.dumps(report))
         assert main(["--command", "verify", "--out", str(out)]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_verify_accepts_the_certificate_of_a_check_that_raised(self, tmp_path):
+        # at gamma = 300 the oracle refuses its step, so heat-route-error raises
+        cfg = json.loads((ROOT / "configs" / "picard_smooth.json").read_text())
+        cfg["params"]["gamma"] = 300.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["--command", "convergence", "--config", str(path), "--out", str(out)]) == 2
+        raised = read_report(out / "report.json")["certificates"][-1]
+        assert "error" in raised["details"]
+        assert (raised["passed"], raised["margin"]) == (False, -1.0)
+        main(["--command", "verify", "--out", str(out)])
+        verify = read_report(out / "verify_report.json")
+        flags = [c for c in verify["certificates"] if c["name"] == "stored-flags-consistent"]
+        assert [c["passed"] for c in flags] == [True]
+
     def test_verify_without_report_is_config_error(self, tmp_path, capsys):
         assert main(["--command", "verify", "--out", str(tmp_path / "empty")]) == 1
         assert "config error" in capsys.readouterr().err

@@ -25,6 +25,10 @@ Each reference below is the earlier algorithm written out in full:
              against the same batched oracle;
   Simpson    scipy.integrate.simpson, against the uniform-grid composite
              Simpson in heat;
+  kernels    scipy's public scipy.fft.dst / dct and scipy.linalg.lapack,
+             against the transforms and LAPACK routines robinslab._kernels
+             binds from scipy's extension files, on every call shape the
+             solver makes;
   held-out   the calibrate command's own held-out ratio loops, against the
              ratio samplers elliptic_ratios and growth_ratios;
   snapshot   csv.writer row by row, against the one-pass snapshot writer;
@@ -46,8 +50,9 @@ Each reference below is the earlier algorithm written out in full:
 The recurrence, the banded sweep, the sine matrices, the weight table and
 the half-step oracle reorder floating-point sums, so they are held to a
 tolerance a few hundred ulps wide; the stacked elliptic solve, the shared stencils, the batched
-oracle, the in-module Simpson, the ratio samplers, the two sweeps and the
-two uniqueness routes run the same arithmetic and must agree bit for bit;
+oracle, the in-module Simpson, the bound kernels, the ratio samplers, the two
+sweeps and the two uniqueness routes run the same arithmetic and must agree
+bit for bit;
 the snapshot writers and the picard outputs must agree byte for byte, and
 the two guards must stop at the same sweep.
 """
@@ -56,16 +61,22 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.fft import dst
 from scipy.integrate import simpson, trapezoid
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
-from robinslab import cli, picard, verify
+import robinslab
+from robinslab import _kernels, cli, elliptic, heat, picard, verify
 from robinslab.cli import main
 from robinslab.domain import (
     Discretization,
@@ -509,6 +520,113 @@ def held_out_growth_by_loop(params, disc, seed, size, times):
             grown = sobolev_norm(prop.at(t), params.s, params.a)
             ratios.append(grown * math.exp(-rate * t) / base)
     return ratios
+
+
+# (k_max, n_z) of the shipped configs and of the convergence sweeps' grids
+KERNEL_GRIDS = [(8, 256), (2, 1024), (4, 257), (4, 513)]
+
+
+@pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
+def test_bound_transforms_are_bit_identical_to_scipy_fft(k_max, n_z):
+    rng = np.random.default_rng(k_max * n_z)
+    vals = rng.standard_normal((k_max, k_max, n_z))
+    coeffs = rng.standard_normal((k_max, k_max, n_z - 2))
+    strided = vals[..., 1:-1]
+    assert not strided.flags.c_contiguous and coeffs.flags.c_contiguous
+    for x in (strided, coeffs):
+        assert np.array_equal(_kernels.dst(x, 1, axis=-1), scipy.fft.dst(x, type=1, axis=-1))
+    assert np.array_equal(_kernels.dct(vals, 1, axis=-1), scipy.fft.dct(vals, type=1, axis=-1))
+    # and as heat's z-sine and z-cosine helpers call them
+    packed = np.zeros_like(vals)
+    packed[..., 1:-1] = 0.5 * coeffs
+    assert np.array_equal(
+        heat._z_sine_analyze(vals), scipy.fft.dst(strided, type=1, axis=-1) / (n_z - 1)
+    )
+    assert np.array_equal(
+        heat._z_sine_synthesize(coeffs)[..., 1:-1], scipy.fft.dst(coeffs, type=1, axis=-1) / 2.0
+    )
+    assert np.array_equal(heat._z_cosine_eval(coeffs), scipy.fft.dct(packed, type=1, axis=-1))
+
+
+LAPACK_SITES = (
+    (heat, "dtbtrs"), (heat, "dpttrf"), (heat, "dpttrs"),
+    (elliptic, "dgttrf"), (elliptic, "dgtcon"), (elliptic, "dgttrs"),
+)
+
+
+def _copied(values):
+    return tuple(np.array(v, copy=True) if isinstance(v, np.ndarray) else v for v in values)
+
+
+@pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
+def test_bound_lapack_routines_are_bit_identical_to_scipy_lapack(k_max, n_z, monkeypatch):
+    """Every LAPACK call the bundle, the oracle and the elliptic operator make.
+
+    Each call runs first through scipy.linalg.lapack and then, once any
+    argument it overwrote is restored, through the bound routine on the
+    same arrays: some routines round differently on differently aligned
+    copies of the same values.
+    """
+    seen = []
+    for module, name in LAPACK_SITES:
+
+        def spy(*args, _name=name, _bound=getattr(module, name), **kwargs):
+            saved = _copied(args)
+            want = _copied(getattr(lapack, _name)(*args, **kwargs))
+            for arg, copy in zip(args, saved):
+                if isinstance(arg, np.ndarray) and arg.flags.writeable:
+                    np.copyto(arg, copy)
+            got = _bound(*args, **kwargs)
+            assert len(got) == len(want), _name
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), _name
+            seen.append(_name)
+            return got
+
+        monkeypatch.setattr(module, name, spy)
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=PARAMS.gamma)
+    build_transform_bundle(f, PARAMS.gamma)
+    fd_robin_oracle(f, 0.3, PARAMS, n_steps=3)
+    elliptic.elliptic_operator.__wrapped__(PARAMS.beta, A, disc).solve(f)
+    assert set(seen) == {name for _, name in LAPACK_SITES}
+
+
+@pytest.mark.parametrize("transform", [_kernels.dst, _kernels.dct])
+@pytest.mark.parametrize("bad", [np.float32, np.complex128, np.int64, ">f8", list, "unaligned"])
+def test_bound_transforms_refuse_anything_but_aligned_float64(transform, bad):
+    if bad is list:
+        x = np.ones((2, 9)).tolist()
+    elif bad == "unaligned":
+        x = np.frombuffer(bytes(8 * 18 + 1), dtype=np.float64, offset=1).reshape(2, 9)
+        assert not x.flags.aligned
+    else:
+        x = np.ones((2, 9), dtype=bad)
+    with pytest.raises(ValueError, match="aligned float64"):
+        transform(x, 1)
+
+
+@pytest.mark.parametrize("transform", [_kernels.dst, _kernels.dct])
+@pytest.mark.parametrize("shape, axis", [((3, 0), -1), ((0, 3), 0)])
+def test_bound_transforms_refuse_an_empty_axis_as_scipy_does(transform, shape, axis):
+    x = np.ones(shape)
+    with pytest.raises(ValueError, match="invalid number of data points"):
+        transform(x, 1, axis=axis)
+    with pytest.raises(ValueError, match="invalid number of data points"):
+        getattr(scipy.fft, transform.__name__)(x, type=1, axis=axis)
+
+
+def test_another_scipy_version_refuses_to_bind_the_kernels():
+    src = str(Path(robinslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import scipy; scipy.__version__ = '1.16.0'; import robinslab._kernels"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 1
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:"), out.stderr
+    assert "1.16.0" in last and _kernels.SCIPY_VERSION in last
 
 
 @pytest.mark.parametrize("s", [2, 3])

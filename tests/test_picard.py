@@ -214,6 +214,15 @@ class TestPicardSolve:
         with pytest.raises(NoConvergenceError, match="1 sweeps"):
             picard_solve(PicardProblem(v0, w0, PARAMS, h))
 
+    def test_a_sweep_cap_of_zero_raises_no_convergence(self, rng, monkeypatch):
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
+        w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+        v0 = random_field3(disc, rng, kind="vspace", amplitude=0.05)
+        h = select_horizon(v0, w0, PARAMS, 1.0)
+        monkeypatch.setattr(picard, "MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergenceError, match="0 sweeps"):
+            picard_solve(PicardProblem(v0, w0, PARAMS, h))
+
     def test_ball_guard_raises(self, rng):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)

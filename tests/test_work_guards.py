@@ -13,11 +13,14 @@ recomputing it.  The Crank-Nicolson oracle factors one
 block-diagonal band for all lateral modes as LDL^T and makes one
 tridiagonal solve per step, keeps the modes uncoupled, and never touches the transform
 route.  Importing the command module must not pull in scipy.signal,
-scipy.integrate, scipy.optimize or scipy.sparse.linalg, which cost every
-command set-up time and memory.  Every name the package or one of its
-modules lists in __all__ must exist.
+scipy.integrate, scipy.optimize, scipy.sparse.linalg, scipy.linalg,
+scipy.fft, scipy.special or scipy's array-API layer with the numpy.f2py and
+numpy.testing it loads, which cost every command set-up time and memory;
+only the kernel module imports scipy at all.  Every name the package or one
+of its modules lists in __all__ must exist.
 """
 
+import ast
 import importlib
 import math
 import os
@@ -212,16 +215,35 @@ def test_importing_the_cli_does_not_load_heavy_scipy_modules():
     src = str(Path(robinslab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, robinslab.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.optimize', "
-        "'scipy.sparse.linalg') if m in sys.modules])"
+    heavy = (
+        "scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.sparse.linalg",
+        "scipy.linalg", "scipy.fft", "scipy.special", "scipy._lib._array_api",
+        "numpy.f2py", "numpy.testing",
     )
+    probe = f"import sys, robinslab.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_the_kernel_module_imports_scipy():
+    package = Path(robinslab.__file__).parent
+    importers = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        if any(name.split(".")[0] == "scipy" for name in _imported_modules(path))
+    ]
+    assert importers == ["_kernels.py"]
 
 
 def test_every_exported_name_resolves():
