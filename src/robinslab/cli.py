@@ -69,6 +69,7 @@ from .verify import (
     transform_oracle_certificate,
     uniqueness_check,
 )
+from .worker import Worker
 
 __all__ = ["main", "run", "COMMANDS"]
 
@@ -145,6 +146,12 @@ def _phase(phases: dict, name: str):
         phases[name] = time.perf_counter() - started
 
 
+def _child_phase(phases: dict, name: str, worker: Worker) -> None:
+    """Record a forked child's wall seconds in phases[name], if it reported them."""
+    if worker.seconds is not None:
+        phases[name] = worker.seconds
+
+
 def _timed_certificates(phases: dict, checks) -> list:
     """run_certificates over (name, thunk) checks, each timed as a phase."""
     certs = []
@@ -198,41 +205,69 @@ def _error_budget(config: RunConfig, times) -> dict:
 # --- calibrate ---------------------------------------------------------------
 
 
-def _cmd_calibrate(config: RunConfig):
+def _held_out_ratios(config: RunConfig) -> list:
+    """calibrate's held-out ratio lists; a sampler that raised gives its
+    exception in place of its list.
+
+    Each ensemble is drawn lazily from its own rng, so the two lists do not
+    depend on each other or on the calibration ensembles.
+    """
     params, disc = config.params, config.disc
-    phases = {}
-    with _phase(phases, "elliptic_calibration"):
-        c_s = calibrate_elliptic_constant(50, params.s, config.seed, disc, params.a, params.beta)
-    with _phase(phases, "growth_calibration"):
-        c_gs = calibrate_growth_constant(
-            50, params.s, (0.0,) + _CAL_TIMES, config.seed + 1, params, disc
-        )
-    # held-out ensembles, drawn lazily; each generator closes over its own rng
     generic_rng = np.random.default_rng(config.seed + 2)
     generic = (random_field3(disc, generic_rng, kind="generic") for _ in range(50))
     robin_rng = np.random.default_rng(config.seed + 3)
     robin = (random_field3(disc, robin_rng, kind="robin", gamma=params.gamma) for _ in range(50))
-    certs = _timed_certificates(
-        phases,
-        [
-            (
-                "elliptic-held-out",
-                lambda: elliptic_bound_check(
-                    elliptic_ratios(generic, params.s, params.a, params.beta),
-                    c_s,
-                    name="elliptic-held-out",
-                ),
-            ),
-            (
-                "growth-held-out",
-                lambda: growth_bound_check(
-                    growth_ratios(robin, _CAL_TIMES, params.s, params),
-                    c_gs,
-                    name="growth-held-out",
-                ),
-            ),
-        ],
+    samplers = (
+        lambda: elliptic_ratios(generic, params.s, params.a, params.beta),
+        lambda: growth_ratios(robin, _CAL_TIMES, params.s, params),
     )
+    outcomes = []
+    for sample in samplers:
+        try:
+            outcomes.append(sample())
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _held_out(worker: Worker, index: int) -> list:
+    """The held-out ratio list at index; raises what its sampler or the worker raised."""
+    ratios = worker.result()[index]
+    if isinstance(ratios, Exception):
+        raise ratios
+    return ratios
+
+
+def _cmd_calibrate(config: RunConfig):
+    params, disc = config.params, config.disc
+    phases = {}
+    # the held-out ensembles need only the config, so they run in a forked
+    # child beside the calibrations
+    with Worker.fork(lambda: _held_out_ratios(config)) as held_out:
+        with _phase(phases, "elliptic_calibration"):
+            c_s = calibrate_elliptic_constant(50, params.s, config.seed, disc, params.a, params.beta)
+        with _phase(phases, "growth_calibration"):
+            c_gs = calibrate_growth_constant(
+                50, params.s, (0.0,) + _CAL_TIMES, config.seed + 1, params, disc
+            )
+        certs = _timed_certificates(
+            phases,
+            [
+                (
+                    "elliptic-held-out",
+                    lambda: elliptic_bound_check(
+                        _held_out(held_out, 0), c_s, name="elliptic-held-out"
+                    ),
+                ),
+                (
+                    "growth-held-out",
+                    lambda: growth_bound_check(
+                        _held_out(held_out, 1), c_gs, name="growth-held-out"
+                    ),
+                ),
+            ],
+        )
+    _child_phase(phases, "held_out_ensembles", held_out)
     report = {
         "measured_constants": {"elliptic_constant": c_s, "growth_constant": c_gs},
         "certificates": certs,
@@ -356,7 +391,7 @@ def _cmd_picard(config: RunConfig):
             ("uniqueness", lambda: uniqueness_check(result, second)),
         ]
         certs = _timed_certificates(phases, checks)
-    phases["uniqueness_solve"] = second.seconds
+    _child_phase(phases, "uniqueness_solve", second)
     energies = [n * n for n in w_norms]
     report = {
         "measured_constants": {"growth_constant": c_gs},

@@ -594,16 +594,23 @@ class TestTiming:
         assert concurrent <= total
         assert sum(phases.values()) <= total
 
+    def test_calibrate_reports_nonnegative_phase_seconds_within_the_total(self, tmp_path):
+        phases, total = self.run_phases(tmp_path, "calibrate")
+        assert set(phases) == {
+            "elliptic_calibration", "growth_calibration", "elliptic_held_out",
+            "growth_held_out", "held_out_ensembles",
+        }
+        # the forked held-out ensembles overlap the parent's calibrations
+        concurrent = phases.pop("held_out_ensembles")
+        assert concurrent <= total
+        assert sum(phases.values()) <= total
+
     @pytest.mark.parametrize(
         "command, n_z, names",
         [
             ("heat", 513, {
                 "growth_calibration", "propagation", "gronwall_energy", "growth_bound",
                 "heat_route_agreement",
-            }),
-            ("calibrate", 129, {
-                "elliptic_calibration", "growth_calibration", "elliptic_held_out",
-                "growth_held_out",
             }),
             ("convergence", 129, {"elliptic_sweep", "heat_sweep"}),
             ("elliptic", 129, {"solve", "residuals", "norms"}),

@@ -30,7 +30,9 @@ Each reference below is the earlier algorithm written out in full:
              binds from scipy's extension files, on every call shape the
              solver makes;
   held-out   the calibrate command's own held-out ratio loops, against the
-             ratio samplers elliptic_ratios and growth_ratios;
+             ratio samplers elliptic_ratios and growth_ratios, and the
+             calibrate command's whole output built from those loops in
+             process, against the command whose forked child samples them;
   snapshot   csv.writer row by row, against the one-pass snapshot writer;
   guard      the ball guard taking x_norm after every sweep, against the
              guard that takes it only once the start's norm plus the moves
@@ -647,6 +649,37 @@ def test_ratio_samplers_equal_the_held_out_loops(s, seed):
     want = held_out_growth_by_loop(params, disc, seed + 1, 6, times)
     assert len(want) == 18
     assert growth_ratios(robin, times, s, params) == want
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_calibrate_outputs_match_the_serial_held_out_loops(tmp_path, monkeypatch, seed):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
+        "disc": {"k_max": 2, "n_z": 129, "l_z": 20.0, "n_t": 5},
+        "seed": seed,
+        "initial_data": {"w": {"family": "eigenmode", "mode": [1, 1], "amplitude": 1.0}},
+    }))
+
+    def outputs(out):
+        assert main(["--command", "calibrate", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report.pop("timing")
+        files = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "report.json"
+        }
+        return json.dumps(report, sort_keys=True, indent=2).encode(), files
+
+    forked = outputs(tmp_path / "forked")
+    disc = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
+    serial = [
+        held_out_elliptic_by_loop(PARAMS, disc, seed + 2, 50),
+        held_out_growth_by_loop(PARAMS, disc, seed + 3, 50, cli._CAL_TIMES),
+    ]
+    monkeypatch.setattr(cli, "_held_out", lambda worker, index: serial[index])
+    in_process = outputs(tmp_path / "in_process")
+    assert forked == in_process
 
 
 def snapshot_by_csv_writer(path, field):

@@ -16,8 +16,10 @@ route.  Importing the command module must not pull in scipy.signal,
 scipy.integrate, scipy.optimize, scipy.sparse.linalg, scipy.linalg,
 scipy.fft, scipy.special or scipy's array-API layer with the numpy.f2py and
 numpy.testing it loads, which cost every command set-up time and memory;
-only the kernel module imports scipy at all.  Every name the package or one
-of its modules lists in __all__ must exist.
+only the kernel module imports scipy at all.  Only the worker module forks
+or opens a pipe, so every child process goes through its one fork, reap
+and kill path.  Every name the package or one of its modules lists in
+__all__ must exist.
 """
 
 import ast
@@ -244,6 +246,26 @@ def test_only_the_kernel_module_imports_scipy():
         if any(name.split(".")[0] == "scipy" for name in _imported_modules(path))
     ]
     assert importers == ["_kernels.py"]
+
+
+def _os_names(path):
+    """The os attributes a file uses and the names it imports from os."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os":
+                yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_the_worker_module_forks_or_opens_pipes():
+    package = Path(robinslab.__file__).parent
+    forkers = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        if {"fork", "forkpty", "pipe", "pipe2"} & set(_os_names(path))
+    ]
+    assert forkers == ["worker.py"]
 
 
 def test_every_exported_name_resolves():

@@ -1,18 +1,24 @@
-"""The forked uniqueness solve on every path it can end by.
+"""The forked children, the uniqueness solve and calibrate's held-out
+ensembles, on every path they can end by.
 
-The worker's child runs the second Picard solve and streams its slices
-back; the parent must turn each way that solve can end into the same
-certificate the in-process solve would give, or into a failed certificate
-naming how the child ended, and must never leave a process behind or wait
-on one that will not answer.  The autouse fixture in conftest.py fails any
-test here that leaves a child unreaped.
+The uniqueness worker's child runs the second Picard solve and streams its
+slices back; calibrate's child samples the two held-out ensembles and
+sends their ratio lists.  The parent must turn each way a child can end
+into the same certificates the in-process work would give, or into failed
+certificates naming how the child ended, and must never leave a process
+behind or wait on one that will not answer.  A fork that fails leaves no
+descriptor open.  The autouse fixture in conftest.py fails any test here
+that leaves a child unreaped.
 """
 
+import errno
 import json
 import math
 import os
+import re
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +28,14 @@ from robinslab.cli import main
 from robinslab.domain import Discretization, ModelParams, random_field3
 from robinslab.errors import NoConvergenceError
 from robinslab.picard import PicardProblem, PicardState, picard_solve, select_horizon
-from robinslab.verify import run_certificates, start_uniqueness_solve, uniqueness_check
+from robinslab.verify import (
+    Certificate, growth_bound_check, run_certificates, start_uniqueness_solve, uniqueness_check,
+)
 
 PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
 # every wait on a child here ends in well under this many seconds
 PROMPT_S = 20.0
+ROOT = Path(__file__).parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +49,10 @@ def first():
 
 def stalled_solve(*args, **kwargs):
     time.sleep(10 * PROMPT_S)
+
+
+def killed_self(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def uniqueness_certificate(first, second):
@@ -165,3 +178,99 @@ def test_a_passing_run_reaps_its_child(tmp_path, workers):
     [second] = workers
     assert second.status == 0
     assert second.seconds > 0.0
+
+
+def report_of(tmp_path):
+    return json.loads((tmp_path / "run" / "report.json").read_text())
+
+
+def test_a_killed_child_leaves_no_phase_unmeasured(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(worker, "picard_solve", killed_self)
+    assert run_picard(tmp_path) == 2
+    [second] = workers
+    assert second.status == -signal.SIGKILL
+    phases = report_of(tmp_path)["timing"]["phase_seconds"]
+    assert "uniqueness_solve" not in phases
+    assert phases and all(isinstance(s, float) and s >= 0.0 for s in phases.values())
+
+
+@pytest.mark.parametrize("command", ["picard", "calibrate"])
+def test_a_failed_fork_closes_both_pipe_ends(tmp_path, capsys, monkeypatch, command):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(worker.os, "fork", no_fork)
+    config = ROOT / "configs" / "picard_zero.json"
+    open_fds = len(os.listdir("/proc/self/fd"))
+    argv = ["--command", command, "--config", str(config), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert capsys.readouterr().err == "io error: [Errno 11] Resource temporarily unavailable\n"
+
+
+# --- calibrate's held-out ensembles ------------------------------------------
+
+
+def run_calibrate(tmp_path):
+    out = tmp_path / "run"
+    return main(
+        ["--command", "calibrate", "--config", str(picard_config(tmp_path)), "--out", str(out)]
+    )
+
+
+def held_out_certificates(tmp_path):
+    return {c["name"]: c for c in report_of(tmp_path)["certificates"]}
+
+
+def test_a_sampler_that_raises_fails_only_its_own_certificate(tmp_path, monkeypatch):
+    assert run_calibrate(tmp_path) == 0
+    passing = held_out_certificates(tmp_path)
+
+    def failing_sampler(*args, **kwargs):
+        raise ValueError("growth sampler failed (injected)")
+
+    monkeypatch.setattr(cli, "growth_ratios", failing_sampler)
+    assert run_calibrate(tmp_path) == 2
+    certs = held_out_certificates(tmp_path)
+    assert certs["elliptic-held-out"] == passing["elliptic-held-out"]
+    [serial] = run_certificates([(
+        "growth-held-out",
+        lambda: growth_bound_check(failing_sampler(), 1.0, name="growth-held-out"),
+    )])
+    failed = certs["growth-held-out"]
+    assert failed["measured"] == "inf"  # the report's spelling of a non-finite float
+    assert Certificate(**{**failed, "measured": math.inf}) == serial
+    assert failed["details"] == {"error": "ValueError: growth sampler failed (injected)"}
+
+
+def test_a_killed_child_fails_both_held_out_certificates_naming_the_signal(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "_held_out_ratios", killed_self)
+    assert run_calibrate(tmp_path) == 2
+    report = report_of(tmp_path)
+    certs = held_out_certificates(tmp_path)
+    assert set(certs) == {"elliptic-held-out", "growth-held-out"}
+    [error] = {cert["details"]["error"] for cert in certs.values()}
+    assert re.fullmatch(
+        r"WorkerError: worker \d+ ended before sending its result: killed by signal 9", error
+    )
+    assert not any(cert["passed"] for cert in certs.values())
+    assert set(report["measured_constants"]) == {"elliptic_constant", "growth_constant"}
+    phases = report["timing"]["phase_seconds"]
+    assert "held_out_ensembles" not in phases
+    assert phases and all(isinstance(s, float) and s >= 0.0 for s in phases.values())
+    assert capsys.readouterr().out.count("FAIL") == 2
+
+
+def test_a_failing_calibration_kills_and_reaps_the_held_out_child(tmp_path, capsys, monkeypatch):
+    def failing_calibration(*args, **kwargs):
+        raise NoConvergenceError("calibration failed (injected)")
+
+    monkeypatch.setattr(cli, "_held_out_ratios", stalled_solve)
+    monkeypatch.setattr(cli, "calibrate_growth_constant", failing_calibration)
+    started = time.monotonic()
+    assert run_calibrate(tmp_path) == 1
+    assert time.monotonic() - started < PROMPT_S
+    assert capsys.readouterr().err == "convergence error: calibration failed (injected)\n"
+    assert not (tmp_path / "run" / "report.json").exists()
