@@ -1,10 +1,10 @@
 """The compiled kernels the solver uses, bound straight from scipy's files.
 
-The solver needs six LAPACK routines and the type-1 sine and cosine
-transforms.  Importing them through `scipy.linalg` and `scipy.fft` would load
-scipy's array-API layer, which in turn loads numpy.f2py, numpy.testing,
-numpy.ma and scipy.special, and costs every process far more than the
-kernels themselves.  This module instead loads the two extension modules
+The solver needs six LAPACK routines, the type-1 sine transform and the
+backward real FFT.  Importing them through `scipy.linalg` and `scipy.fft`
+would load scipy's array-API layer, which in turn loads numpy.f2py,
+numpy.testing, numpy.ma and scipy.special, and costs every process far more
+than the kernels themselves.  This module instead loads the two extension modules
 that hold the kernels, `scipy/linalg/_flapack` and
 `scipy/fft/_pocketfft/pypocketfft`, by file location, under their own
 names, so a later `import scipy.linalg` or `import scipy.fft` reuses them.
@@ -13,10 +13,11 @@ Reaching into those files ties this module to one scipy release: any other
 version raises ImportError.  It is the only module of the package that
 imports scipy.
 
-dst and dct make the call `scipy.fft.dst` / `scipy.fft.dct` make for real
-float64 input with the default norm and workers, so their output is the
-same bit for bit.  They accept nothing else: where scipy would cast, copy an
-unaligned array or pad, they raise ValueError.
+dst makes the call `scipy.fft.dst` makes for real float64 input with the
+default norm and workers, and c2r the call `scipy.fft.irfft(x, lastsize,
+norm="forward")` makes for complex128 input, so their output is the same
+bit for bit.  They accept nothing else: where scipy would cast, copy an
+unaligned array, pad or truncate, they raise ValueError.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 import scipy
 
 __all__ = [
-    "SCIPY_VERSION", "dgtcon", "dgttrf", "dgttrs", "dpttrf", "dpttrs", "dtbtrs", "dst", "dct",
+    "SCIPY_VERSION", "dgtcon", "dgttrf", "dgttrs", "dpttrf", "dpttrs", "dtbtrs", "dst", "c2r",
 ]
 
 SCIPY_VERSION = "1.17.1"
@@ -70,21 +71,31 @@ dpttrs = _flapack.dpttrs
 dtbtrs = _flapack.dtbtrs
 
 
-def _r2r(transform, x: np.ndarray, type: int, axis: int) -> np.ndarray:
-    if getattr(x, "dtype", None) != np.float64 or not x.flags.aligned:
+def _check(x: np.ndarray, dtype: type, axis: int) -> None:
+    if getattr(x, "dtype", None) != dtype or not x.flags.aligned:
         got = getattr(x, "dtype", x.__class__.__name__)
-        raise ValueError(f"transform input must be an aligned float64 array, got {got}")
+        raise ValueError(f"transform input must be an aligned {dtype.__name__} array, got {got}")
     if x.shape[axis] < 1:
         raise ValueError(f"invalid number of data points ({x.shape[axis]}) specified")
-    # (axes, norm 0 = unnormalised forward, out None, 1 worker, orthogonalize None)
-    return transform(x, type, (axis,), 0, None, 1, None)
 
 
 def dst(x: np.ndarray, type: int, axis: int = -1) -> np.ndarray:
     """Unnormalised discrete sine transform of a float64 array along `axis`."""
-    return _r2r(_pocketfft.dst, x, type, axis)
+    _check(x, np.float64, axis)
+    # (axes, norm 0 = unnormalised forward, out None, 1 worker, orthogonalize None)
+    return _pocketfft.dst(x, type, (axis,), 0, None, 1, None)
 
 
-def dct(x: np.ndarray, type: int, axis: int = -1) -> np.ndarray:
-    """Unnormalised discrete cosine transform of a float64 array along `axis`."""
-    return _r2r(_pocketfft.dct, x, type, axis)
+def c2r(x: np.ndarray, lastsize: int) -> np.ndarray:
+    """Unnormalised backward real FFT of a complex128 half-spectrum along the last axis.
+
+    The output is the real inverse DFT, without its 1/lastsize factor, of the
+    Hermitian spectrum of length lastsize whose first n entries are x; for a
+    last axis of length n, lastsize is 2n - 2 or 2n - 1 and at least 1.
+    """
+    _check(x, np.complex128, -1)
+    n = x.shape[-1]
+    if lastsize < 1 or lastsize not in (2 * n - 2, 2 * n - 1):
+        raise ValueError(f"lastsize must be a positive 2n - 2 or 2n - 1, n = {n}, got {lastsize}")
+    # (axes, lastsize, forward False, norm 0 = unnormalised, out None, 1 worker)
+    return _pocketfft.c2r(x, (-1,), lastsize, False, 0, None, 1)

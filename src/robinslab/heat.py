@@ -17,7 +17,8 @@ lateral modes at once.
 RobinPropagator exposes this as a public spectral state: the z-sine slab
 modes and the wall moments, each with its per-mode exponential rate, so the
 flow is diagonal and t enters only through exp(rate * t).  Its synthesize
-method maps any such state back to a field; `at` is state_at followed by
+method maps any such state back to a field, taking eta and -(1/gamma) eta_z
+together from one backward real FFT; `at` is state_at followed by
 synthesize, and the Duhamel recurrence in picard sums states before one
 synthesis per slice.
 
@@ -29,9 +30,10 @@ factors it once as LDL^T.  Since I + cL = 2I - (I - cL), each time step is
 one symmetric tridiagonal solve over all modes and two in-place updates,
 with no explicit half-step.  It shares no code with the transform route.
 
-The type-1 DST and DCT and the LAPACK solves (dtbtrs for the bundle,
-dpttrf/dpttrs for the oracle) come from robinslab._kernels, which binds them
-from scipy's extension files without importing scipy.fft or scipy.linalg.
+The type-1 DST, the backward real FFT and the LAPACK solves (dtbtrs for the
+bundle, dpttrf/dpttrs for the oracle) come from robinslab._kernels, which
+binds them from scipy's extension files without importing scipy.fft or
+scipy.linalg.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import dct, dpttrf, dpttrs, dst, dtbtrs
+from ._kernels import c2r, dpttrf, dpttrs, dst, dtbtrs
 from .domain import (
     Discretization,
     ModelParams,
@@ -159,30 +161,9 @@ def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.nda
     return slab.T.reshape(residue.shape), cross
 
 
-# --- z-sine helpers (interior points carry the all-Dirichlet evolution) ----
-
-
 def _z_sine_analyze(vals: np.ndarray) -> np.ndarray:
     n = vals.shape[-1]
     return dst(vals[..., 1:-1], type=1, axis=-1) / (n - 1)
-
-
-def _z_sine_synthesize(coeffs: np.ndarray) -> np.ndarray:
-    vals = dst(coeffs, type=1, axis=-1) / 2.0
-    shape = list(vals.shape)
-    shape[-1] += 2
-    out = np.zeros(shape)
-    out[..., 1:-1] = vals
-    return out
-
-
-def _z_cosine_eval(coeffs: np.ndarray) -> np.ndarray:
-    """Values of sum_m c_m cos(m pi z / l_z) on the full grid."""
-    shape = list(coeffs.shape)
-    shape[-1] += 2
-    packed = np.zeros(shape)
-    packed[..., 1:-1] = 0.5 * coeffs
-    return dct(packed, type=1, axis=-1)
 
 
 def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
@@ -204,7 +185,8 @@ def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
 def _propagator_geometry(
     nu: float, gamma: float, a: float, disc: Discretization
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(zeta, wall profile, slab rates, wall rates), read-only.
+    """(synthesis factors -(zeta / gamma + i) / 2, wall profile, slab rates,
+    wall rates), read-only, with zeta the z wavenumbers m pi / l_z.
 
     They depend on the geometry only, so every propagator of a run shares
     one copy; the last few geometries are kept.
@@ -214,7 +196,7 @@ def _propagator_geometry(
     mu = disc.mode_rates(a)
     mu2 = (mu * mu)[:, :, None]
     return (
-        _readonly(zeta),
+        _readonly(-0.5 * (zeta / gamma + 1j)),
         _wall_kernel(gamma, disc)[0],
         _readonly(-nu * (mu2 + zeta**2)),
         _readonly(nu * (gamma * gamma - mu2[:, :, 0])),
@@ -246,7 +228,7 @@ class RobinPropagator:
         slab, wall_moments = build_transform_bundle(omega0, params.gamma)
         self.slab_modes = _readonly(_z_sine_analyze(slab))
         self.wall_moments = _readonly(wall_moments)
-        self._zeta, self._wall_profile, self.slab_rates, self.wall_rates = (
+        self._factors, self._wall_profile, self.slab_rates, self.wall_rates = (
             _propagator_geometry(
                 float(params.nu), float(params.gamma), float(params.a), omega0.disc
             )
@@ -254,6 +236,8 @@ class RobinPropagator:
 
     def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(slab modes, wall moments) at time t."""
+        if not math.isfinite(t):
+            raise ValueError(f"propagation time must be finite, got {t}")
         if t < 0:
             raise ValueError(f"propagation time must be nonnegative, got {t}")
         return (
@@ -262,14 +246,19 @@ class RobinPropagator:
         )
 
     def synthesize(self, slab_modes: np.ndarray, wall_moments: np.ndarray) -> SpectralField3:
-        """Field of a spectral state: slab values, their z derivative and the wall profile."""
-        slab_vals = _z_sine_synthesize(slab_modes)
-        slab_dz = _z_cosine_eval(slab_modes * self._zeta)
-        coeffs = (
-            -slab_dz / self.params.gamma
-            + slab_vals
-            + wall_moments[:, :, None] * self._wall_profile
-        )
+        """Field of a spectral state: eta - eta_z / gamma plus the wall profile.
+
+        At z_j the slab part sum_m c_m (sin(theta_m j) - (zeta_m / gamma)
+        cos(theta_m j)), theta_m = m pi / (n_z - 1), is Re sum_m c_m (-zeta_m
+        / gamma - i) e^{i theta_m j}: one unnormalised backward real FFT of
+        length 2 (n_z - 1) of c_m times the synthesis factor, zero at m = 0
+        and n_z - 1.
+        """
+        n_z = self.disc.n_z
+        spectrum = np.zeros(slab_modes.shape[:-1] + (n_z,), dtype=complex)
+        np.multiply(slab_modes, self._factors, out=spectrum[..., 1:-1])
+        coeffs = wall_moments[:, :, None] * self._wall_profile
+        coeffs += c2r(spectrum, 2 * (n_z - 1))[..., :n_z]
         return SpectralField3(coeffs, self.disc)
 
     def at(self, t: float) -> SpectralField3:

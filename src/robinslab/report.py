@@ -324,12 +324,10 @@ def write_snapshot(path, field: SpectralField3) -> None:
     quoting, and every line ends in \\r\\n.
     """
     coeffs = field.coeffs
-    index = np.nonzero(coeffs)
-    rows = zip(*(i.tolist() for i in index), coeffs[index].tolist())
+    k1, k2, j = np.nonzero(coeffs)
+    rows = zip((k1 + 1).tolist(), (k2 + 1).tolist(), j.tolist(), coeffs[k1, k2, j].tolist())
     lines = [",".join(_SNAPSHOT_COLUMNS) + "\r\n"]
-    lines += [
-        f"{k1 + 1},{k2 + 1},{j},{_FLOAT_FMT.format(value)}\r\n" for k1, k2, j, value in rows
-    ]
+    lines += ["%d,%d,%d,%.17g\r\n" % row for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
 

@@ -25,10 +25,13 @@ Each reference below is the earlier algorithm written out in full:
              against the same batched oracle;
   Simpson    scipy.integrate.simpson, against the uniform-grid composite
              Simpson in heat;
-  kernels    scipy's public scipy.fft.dst / dct and scipy.linalg.lapack,
+  kernels    scipy's public scipy.fft.dst / irfft and scipy.linalg.lapack,
              against the transforms and LAPACK routines robinslab._kernels
              binds from scipy's extension files, on every call shape the
              solver makes;
+  synthesis  the slab values from a type-1 DST and their z derivative from
+             a type-1 DCT, against the one backward real FFT of
+             RobinPropagator.synthesize;
   held-out   the calibrate command's own held-out ratio loops, against the
              ratio samplers elliptic_ratios and growth_ratios, and the
              calibrate command's whole output built from those loops in
@@ -49,12 +52,12 @@ Each reference below is the earlier algorithm written out in full:
              back, both for the certificate and for the picard command's
              whole output.
 
-The recurrence, the banded sweep, the sine matrices, the weight table and
-the half-step oracle reorder floating-point sums, so they are held to a
-tolerance a few hundred ulps wide; the stacked elliptic solve, the shared stencils, the batched
-oracle, the in-module Simpson, the bound kernels, the ratio samplers, the two
-sweeps and the two uniqueness routes run the same arithmetic and must agree
-bit for bit;
+The recurrence, the banded sweep, the sine matrices, the weight table, the
+half-step oracle and the one-FFT synthesis reorder floating-point sums, so
+they are held to a tolerance a few hundred ulps wide; the stacked elliptic
+solve, the shared stencils, the batched oracle, the in-module Simpson, the
+bound kernels, the ratio samplers, the two sweeps and the two uniqueness
+routes run the same arithmetic and must agree bit for bit;
 the snapshot writers and the picard outputs must agree byte for byte, and
 the two guards must stop at the same sweep.
 """
@@ -529,7 +532,7 @@ KERNEL_GRIDS = [(8, 256), (2, 1024), (4, 257), (4, 513)]
 
 
 @pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
-def test_bound_transforms_are_bit_identical_to_scipy_fft(k_max, n_z):
+def test_bound_transforms_are_bit_identical_to_scipy_fft(k_max, n_z, monkeypatch):
     rng = np.random.default_rng(k_max * n_z)
     vals = rng.standard_normal((k_max, k_max, n_z))
     coeffs = rng.standard_normal((k_max, k_max, n_z - 2))
@@ -537,17 +540,58 @@ def test_bound_transforms_are_bit_identical_to_scipy_fft(k_max, n_z):
     assert not strided.flags.c_contiguous and coeffs.flags.c_contiguous
     for x in (strided, coeffs):
         assert np.array_equal(_kernels.dst(x, 1, axis=-1), scipy.fft.dst(x, type=1, axis=-1))
-    assert np.array_equal(_kernels.dct(vals, 1, axis=-1), scipy.fft.dct(vals, type=1, axis=-1))
-    # and as heat's z-sine and z-cosine helpers call them
-    packed = np.zeros_like(vals)
-    packed[..., 1:-1] = 0.5 * coeffs
+    spectrum = vals + 1j * rng.standard_normal(vals.shape)
+    for lastsize in (2 * n_z - 2, 2 * n_z - 1):
+        assert np.array_equal(
+            _kernels.c2r(spectrum, lastsize),
+            scipy.fft.irfft(spectrum, lastsize, axis=-1, norm="forward"),
+        )
+    # and as heat's z-sine analysis and RobinPropagator.synthesize call them
     assert np.array_equal(
         heat._z_sine_analyze(vals), scipy.fft.dst(strided, type=1, axis=-1) / (n_z - 1)
     )
-    assert np.array_equal(
-        heat._z_sine_synthesize(coeffs)[..., 1:-1], scipy.fft.dst(coeffs, type=1, axis=-1) / 2.0
+    seen = []
+
+    def spy(x, lastsize):
+        got = _kernels.c2r(x, lastsize)
+        assert np.array_equal(got, scipy.fft.irfft(x, lastsize, axis=-1, norm="forward"))
+        seen.append((x.shape, lastsize))
+        return got
+
+    monkeypatch.setattr(heat, "c2r", spy)
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    f = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
+    RobinPropagator(f, PARAMS).at(0.1)
+    assert seen == [((k_max, k_max, n_z), 2 * (n_z - 1))]
+
+
+def synthesize_by_dst_and_dct(prop, slab_modes, wall_moments):
+    """Slab values from a type-1 DST, minus 1/gamma times their z derivative
+    from a type-1 DCT of zeta-weighted modes, plus the wall profile."""
+    n_z, l_z = prop.disc.n_z, prop.disc.l_z
+    slab_vals = np.zeros(slab_modes.shape[:-1] + (n_z,))
+    slab_vals[..., 1:-1] = dst(slab_modes, type=1, axis=-1) / 2.0
+    zeta = np.pi * np.arange(1, n_z - 1, dtype=float) / l_z
+    packed = np.zeros_like(slab_vals)
+    packed[..., 1:-1] = 0.5 * (slab_modes * zeta)
+    slab_dz = scipy.fft.dct(packed, type=1, axis=-1)
+    return (
+        -slab_dz / prop.params.gamma
+        + slab_vals
+        + wall_moments[:, :, None] * np.exp(-prop.params.gamma * prop.disc.z)
     )
-    assert np.array_equal(heat._z_cosine_eval(coeffs), scipy.fft.dct(packed, type=1, axis=-1))
+
+
+@pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
+def test_one_fft_synthesis_matches_the_sine_and_cosine_transforms(k_max, n_z):
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=PARAMS.gamma)
+    prop = RobinPropagator(f, PARAMS)
+    for t in (0.0, 1e-4, 0.1, 1.0):
+        state = prop.state_at(t)
+        want = synthesize_by_dst_and_dct(prop, *state)
+        got = prop.synthesize(*state).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 LAPACK_SITES = (
@@ -593,28 +637,49 @@ def test_bound_lapack_routines_are_bit_identical_to_scipy_lapack(k_max, n_z, mon
     assert set(seen) == {name for _, name in LAPACK_SITES}
 
 
-@pytest.mark.parametrize("transform", [_kernels.dst, _kernels.dct])
-@pytest.mark.parametrize("bad", [np.float32, np.complex128, np.int64, ">f8", list, "unaligned"])
-def test_bound_transforms_refuse_anything_but_aligned_float64(transform, bad):
+def _bad_input(bad, dtype):
+    """A (2, 9) input that is not an aligned `dtype` array in the way `bad` names."""
     if bad is list:
-        x = np.ones((2, 9)).tolist()
-    elif bad == "unaligned":
-        x = np.frombuffer(bytes(8 * 18 + 1), dtype=np.float64, offset=1).reshape(2, 9)
+        return np.ones((2, 9), dtype=dtype).tolist()
+    if bad == "unaligned":
+        size = np.dtype(dtype).itemsize
+        x = np.frombuffer(bytes(size * 18 + 1), dtype=dtype, offset=1).reshape(2, 9)
         assert not x.flags.aligned
-    else:
-        x = np.ones((2, 9), dtype=bad)
+        return x
+    return np.ones((2, 9), dtype=bad)
+
+
+@pytest.mark.parametrize("bad", [np.float32, np.complex128, np.int64, ">f8", list, "unaligned"])
+def test_bound_transforms_refuse_anything_but_aligned_float64(bad):
     with pytest.raises(ValueError, match="aligned float64"):
-        transform(x, 1)
+        _kernels.dst(_bad_input(bad, np.float64), 1)
 
 
-@pytest.mark.parametrize("transform", [_kernels.dst, _kernels.dct])
+@pytest.mark.parametrize("bad", [np.complex64, np.float64, np.int64, ">c16", list, "unaligned"])
+def test_bound_c2r_refuses_anything_but_aligned_complex128(bad):
+    with pytest.raises(ValueError, match="aligned complex128"):
+        _kernels.c2r(_bad_input(bad, np.complex128), 16)
+
+
 @pytest.mark.parametrize("shape, axis", [((3, 0), -1), ((0, 3), 0)])
-def test_bound_transforms_refuse_an_empty_axis_as_scipy_does(transform, shape, axis):
+def test_bound_transforms_refuse_an_empty_axis_as_scipy_does(shape, axis):
     x = np.ones(shape)
     with pytest.raises(ValueError, match="invalid number of data points"):
-        transform(x, 1, axis=axis)
+        _kernels.dst(x, 1, axis=axis)
     with pytest.raises(ValueError, match="invalid number of data points"):
-        getattr(scipy.fft, transform.__name__)(x, type=1, axis=axis)
+        scipy.fft.dst(x, type=1, axis=axis)
+
+
+@pytest.mark.parametrize("lastsize", [-2, 0, 1])
+def test_bound_c2r_refuses_an_empty_axis(lastsize):
+    with pytest.raises(ValueError, match="invalid number of data points"):
+        _kernels.c2r(np.ones((3, 0), dtype=complex), lastsize)
+
+
+@pytest.mark.parametrize("n, lastsize", [(9, 15), (9, 18), (9, 8), (9, -16), (1, 0), (1, 2)])
+def test_bound_c2r_refuses_a_lastsize_scipy_would_pad_or_truncate_to(n, lastsize):
+    with pytest.raises(ValueError, match="lastsize must be"):
+        _kernels.c2r(np.ones((2, n), dtype=complex), lastsize)
 
 
 def test_another_scipy_version_refuses_to_bind_the_kernels():
@@ -701,9 +766,10 @@ def test_snapshot_writer_is_byte_identical_to_csv_writer(tmp_path, k_max, n_z):
     magnitudes = 10.0 ** gen.uniform(-300.0, 300.0, size=(k_max, k_max, n_z))
     signs = gen.choice([-1.0, 1.0], size=magnitudes.shape)
     coeffs = signs * magnitudes * (gen.uniform(size=magnitudes.shape) > 0.3)
-    coeffs.flat[:4] = [1e-300, -1e300, 0.0, -0.0]
+    coeffs.flat[:7] = [1e-300, -1e300, 0.0, -0.0, 5e-324, -2.5e-310, np.nextafter(2.2e-308, 0)]
     field = SpectralField3(coeffs, disc)
     assert np.any(coeffs == 0.0) and np.any(coeffs < 0.0)
+    assert np.sum((coeffs != 0.0) & (np.abs(coeffs) < np.finfo(float).tiny)) == 3
     write_snapshot(tmp_path / "one_pass.csv", field)
     snapshot_by_csv_writer(tmp_path / "by_row.csv", field)
     assert (tmp_path / "one_pass.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()

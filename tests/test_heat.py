@@ -182,6 +182,15 @@ class TestPropagator:
         with pytest.raises(ValueError):
             prop.at(-0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        disc = Discretization(k_max=1, n_z=65, l_z=20.0)
+        prop = RobinPropagator(eigen_field(disc, PARAMS.gamma), PARAMS)
+        with pytest.raises(ValueError, match="must be finite"):
+            prop.state_at(t)
+        with pytest.raises(ValueError, match="must be finite"):
+            prop.at(t)
+
     def test_nonpositive_gamma_rejected(self):
         disc = Discretization(k_max=1, n_z=65, l_z=20.0)
         params = ModelParams(a=A, nu=1.0, gamma=-1.0, beta=1.0, s=2)

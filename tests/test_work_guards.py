@@ -7,7 +7,8 @@ sweep (their elliptic solve and the propagators of w0 and d_z(v0)) a solve
 computes once, and a slice holding the data reuses it.  A converging solve
 takes no norm for its ball guard beyond the start's, propagators on one
 geometry share their rates, and the elliptic band is factored once per
-geometry, not once per solve.  An H^3 norm applies the second-difference
+geometry, not once per solve.  One RobinPropagator.at synthesizes with one
+backward real FFT and no sine transform.  An H^3 norm applies the second-difference
 stencil once and differentiates that profile for order 3 rather than
 recomputing it.  The Crank-Nicolson oracle factors one
 block-diagonal band for all lateral modes as LDL^T and makes one
@@ -151,6 +152,28 @@ def test_propagators_on_one_geometry_share_their_rates():
     assert np.array_equal(other.slab_rates, 0.5 * first.slab_rates)
 
 
+def _count_heat_calls(monkeypatch, *names):
+    """Wrap each named heat kernel to count its calls; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def call(*args, _name=name, _real=getattr(heat, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(heat, name, call)
+    return counts
+
+
+def test_one_evaluation_makes_one_fft_and_no_sine_transform(monkeypatch):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(4), kind="robin", gamma=PARAMS.gamma)
+    prop = heat.RobinPropagator(f, PARAMS)
+    counts = _count_heat_calls(monkeypatch, "c2r", "dst")
+    prop.at(0.3)
+    assert counts == {"c2r": 1, "dst": 0}
+
+
 def test_h3_norm_applies_the_second_difference_once(monkeypatch):
     disc = Discretization(k_max=3, n_z=129, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(3), kind="generic")
@@ -170,19 +193,7 @@ def test_h3_norm_applies_the_second_difference_once(monkeypatch):
 def test_oracle_factors_once_and_solves_once_per_step(monkeypatch, k_max):
     disc = Discretization(k_max=k_max, n_z=65, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(k_max), kind="robin", gamma=PARAMS.gamma)
-    counts = {"dpttrf": 0, "dpttrs": 0}
-
-    def counting(name):
-        real = getattr(heat, name)
-
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(heat, "dpttrf", counting("dpttrf"))
-    monkeypatch.setattr(heat, "dpttrs", counting("dpttrs"))
+    counts = _count_heat_calls(monkeypatch, "dpttrf", "dpttrs")
     heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=11)
     assert counts == {"dpttrf": 1, "dpttrs": 11}
 
@@ -207,7 +218,7 @@ def test_oracle_runs_without_the_transform_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use the transform route")
 
-    for name in ("dst", "dct", "dtbtrs", "build_transform_bundle", "RobinPropagator"):
+    for name in ("dst", "c2r", "dtbtrs", "build_transform_bundle", "RobinPropagator"):
         monkeypatch.setattr(heat, name, forbidden)
     got = heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=40).coeffs
     assert np.array_equal(got, want)
