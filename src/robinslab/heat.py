@@ -14,13 +14,14 @@ with eta the auxiliary field; at t = 0 it reproduces w0 up to representation
 error.  The auxiliary field comes from one bidiagonal banded solve over all
 lateral modes at once.
 
-RobinPropagator exposes this as a public spectral state: the z-sine slab
-modes and the wall moments, each with its per-mode exponential rate, so the
-flow is diagonal and t enters only through exp(rate * t).  Its synthesize
-method maps any such state back to a field, taking eta and -(1/gamma) eta_z
-together from one backward real FFT; `at` is state_at followed by
-synthesize, and the Duhamel recurrence in picard sums states before one
-synthesis per slice.
+The flow is diagonal, P_t = S diag(exp(rates t)) A per lateral mode, in a
+public spectral state: one array of shape (k_max, k_max, n_z - 1) holding
+the z-sine coefficients of the slab part, then the wall moment.  robin_state
+is the analysis A, and RobinPropagator holds the state of its field with one
+read-only rates table of the same shape.  Its synthesize method is S: it
+maps any state back to a field, taking eta and -(1/gamma) eta_z together
+from one backward real FFT.  `at` is state_at followed by synthesize, and
+the Duhamel recurrence in picard sums states before one synthesis per slice.
 
 A Crank-Nicolson finite-difference oracle provides an independent route to
 the same solution for cross-checks.  It lays every lateral mode's
@@ -58,6 +59,7 @@ from .domain import (
 __all__ = [
     "exp_weighted_moment",
     "build_transform_bundle",
+    "robin_state",
     "warn_if_incompatible",
     "RobinPropagator",
     "fd_robin_oracle",
@@ -131,7 +133,7 @@ def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> np.ndarray:
 def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Split a field into slab and wall-decay parts.
 
-    Returns (slab, wall_moments): the auxiliary slab field on the z grid,
+    Returns (slab, moments): the auxiliary slab field on the z grid,
     which vanishes at z = 0 and evolves all-Dirichlet, shape
     (k_max, k_max, n_z), and the per-mode coefficients of e^{-gamma z},
     shape (k_max, k_max).
@@ -161,9 +163,17 @@ def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.nda
     return slab.T.reshape(residue.shape), cross
 
 
-def _z_sine_analyze(vals: np.ndarray) -> np.ndarray:
-    n = vals.shape[-1]
-    return dst(vals[..., 1:-1], type=1, axis=-1) / (n - 1)
+def robin_state(omega0: SpectralField3, gamma: float) -> np.ndarray:
+    """Spectral state of a field at t = 0, read-only, shape (k_max, k_max, n_z - 1).
+
+    Entries [..., :-1] are the z-sine coefficients of the slab part of
+    build_transform_bundle, and [..., -1] is its wall moment.
+    """
+    slab, cross = build_transform_bundle(omega0, gamma)
+    state = np.empty(cross.shape + (omega0.disc.n_z - 1,))
+    np.divide(dst(slab[..., 1:-1], type=1, axis=-1), omega0.disc.n_z - 1, out=state[..., :-1])
+    state[..., -1] = cross
+    return _readonly(state)
 
 
 def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
@@ -184,40 +194,38 @@ def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
 @lru_cache(maxsize=8)
 def _propagator_geometry(
     nu: float, gamma: float, a: float, disc: Discretization
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(synthesis factors -(zeta / gamma + i) / 2, wall profile, slab rates,
-    wall rates), read-only, with zeta the z wavenumbers m pi / l_z.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(synthesis factors -(zeta / gamma + i) / 2, wall profile, rates),
+    read-only, with zeta the z wavenumbers m pi / l_z.
 
-    They depend on the geometry only, so every propagator of a run shares
-    one copy; the last few geometries are kept.
+    The rates are laid out as a spectral state: -nu (mu^2 + zeta^2) for
+    the slab modes, then nu (gamma^2 - mu^2) for the wall moment.  They
+    depend on the geometry only, so every propagator of a run shares one
+    copy; the last few geometries are kept.
     """
     m = np.arange(1, disc.n_z - 1, dtype=float)
     zeta = (np.pi * m / disc.l_z)[None, None, :]
     mu = disc.mode_rates(a)
     mu2 = (mu * mu)[:, :, None]
-    return (
-        _readonly(-0.5 * (zeta / gamma + 1j)),
-        _wall_kernel(gamma, disc)[0],
-        _readonly(-nu * (mu2 + zeta**2)),
-        _readonly(nu * (gamma * gamma - mu2[:, :, 0])),
-    )
+    rates = np.empty((disc.k_max, disc.k_max, disc.n_z - 1))
+    rates[..., :-1] = -nu * (mu2 + zeta**2)
+    rates[..., -1] = nu * (gamma * gamma - mu2[:, :, 0])
+    return _readonly(-0.5 * (zeta / gamma + 1j)), _wall_kernel(gamma, disc)[0], _readonly(rates)
 
 
 class RobinPropagator:
     """Reusable propagator: one decomposition, evaluation at any t >= 0.
 
-    Spectral state, read-only:
+    state  robin_state of the field at t = 0: z-sine slab coefficients,
+           then the wall moment, shape (k_max, k_max, n_z - 1), read-only
+    rates  per-entry rates of state, same shape, read-only:
+           -nu (mu^2 + zeta^2) for the slab modes, nu (gamma^2 - mu^2)
+           for the wall moment
 
-    slab_modes    z-sine coefficients of the slab part at t = 0,
-                  shape (k_max, k_max, n_z - 2)
-    wall_moments  weighted wall moments at t = 0, shape (k_max, k_max)
-    slab_rates    per-mode rates -nu (mu^2 + zeta^2) of slab_modes
-    wall_rates    per-mode rates nu (gamma^2 - mu^2) of wall_moments
-
-    At time t the state is (slab_modes e^{slab_rates t}, wall_moments
-    e^{wall_rates t}).  The rates depend only on params and disc, so states
-    of propagators sharing both may be combined linearly before synthesize;
-    such propagators share one copy of the rates and the wall profile.
+    At time t the state is state e^{rates t}.  The rates depend only on
+    params and disc, so the states of fields on one disc may be combined
+    linearly before synthesize; propagators sharing params and disc share
+    one copy of the rates and the wall profile.
     """
 
     def __init__(self, omega0: SpectralField3, params: ModelParams):
@@ -225,27 +233,20 @@ class RobinPropagator:
             raise ValueError("Robin heat propagator requires gamma > 0")
         self.params = params
         self.disc = omega0.disc
-        slab, wall_moments = build_transform_bundle(omega0, params.gamma)
-        self.slab_modes = _readonly(_z_sine_analyze(slab))
-        self.wall_moments = _readonly(wall_moments)
-        self._factors, self._wall_profile, self.slab_rates, self.wall_rates = (
-            _propagator_geometry(
-                float(params.nu), float(params.gamma), float(params.a), omega0.disc
-            )
+        self.state = robin_state(omega0, params.gamma)
+        self._factors, self._wall_profile, self.rates = _propagator_geometry(
+            float(params.nu), float(params.gamma), float(params.a), omega0.disc
         )
 
-    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(slab modes, wall moments) at time t."""
+    def state_at(self, t: float) -> np.ndarray:
+        """Spectral state at time t."""
         if not math.isfinite(t):
             raise ValueError(f"propagation time must be finite, got {t}")
         if t < 0:
             raise ValueError(f"propagation time must be nonnegative, got {t}")
-        return (
-            self.slab_modes * np.exp(self.slab_rates * t),
-            self.wall_moments * np.exp(self.wall_rates * t),
-        )
+        return self.state * np.exp(self.rates * t)
 
-    def synthesize(self, slab_modes: np.ndarray, wall_moments: np.ndarray) -> SpectralField3:
+    def synthesize(self, state: np.ndarray) -> SpectralField3:
         """Field of a spectral state: eta - eta_z / gamma plus the wall profile.
 
         At z_j the slab part sum_m c_m (sin(theta_m j) - (zeta_m / gamma)
@@ -255,14 +256,14 @@ class RobinPropagator:
         and n_z - 1.
         """
         n_z = self.disc.n_z
-        spectrum = np.zeros(slab_modes.shape[:-1] + (n_z,), dtype=complex)
-        np.multiply(slab_modes, self._factors, out=spectrum[..., 1:-1])
-        coeffs = wall_moments[:, :, None] * self._wall_profile
+        spectrum = np.zeros(state.shape[:-1] + (n_z,), dtype=complex)
+        np.multiply(state[..., :-1], self._factors, out=spectrum[..., 1:-1])
+        coeffs = state[..., -1:] * self._wall_profile
         coeffs += c2r(spectrum, 2 * (n_z - 1))[..., :n_z]
         return SpectralField3(coeffs, self.disc)
 
     def at(self, t: float) -> SpectralField3:
-        return self.synthesize(*self.state_at(t))
+        return self.synthesize(self.state_at(t))
 
 
 def fd_robin_oracle(

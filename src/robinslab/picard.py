@@ -17,12 +17,12 @@ with C the calibrated heat growth constant (>= 1).  The iteration distance
 is the slice-wise maximum of the H^{s+1} norm of the v difference and the
 H^s norm of the w difference.
 
-The Duhamel term is evaluated in the spectral state of RobinPropagator
-(z-sine slab modes and wall moments), where P_t is a per-mode exponential:
-a one-step recurrence over the time cells accumulates the forcing, so a
-sweep builds one propagator per forcing slice and synthesizes each output
-slice once, O(n_t) work instead of the O(n_t^2) propagator evaluations of
-a direct sum.
+The Duhamel term is evaluated in the spectral state of heat.robin_state,
+one array per slice in which P_t is a per-entry exponential: a one-step
+recurrence over the time cells accumulates the forcing, so a sweep
+analyses each forcing slice once and synthesizes each output slice once
+through the one propagator of w0, O(n_t) work instead of the O(n_t^2)
+propagator evaluations of a direct sum.
 
 A PicardProblem is the map's one owner of the data, the horizon and the
 time grid, and of what the data alone feed into a sweep (slice 0's
@@ -47,7 +47,7 @@ from .domain import (
 )
 from .elliptic import solve_elliptic
 from .errors import NoConvergenceError, NonFiniteError
-from .heat import RobinPropagator
+from .heat import RobinPropagator, robin_state
 
 __all__ = [
     "PICARD_TOL",
@@ -185,19 +185,19 @@ def select_horizon(
 
 
 def duhamel_apply(
-    base: RobinPropagator, forcing_states: Iterable, t_grid: np.ndarray
+    base: RobinPropagator, forcing_states: Iterable[np.ndarray], t_grid: np.ndarray
 ) -> list[SpectralField3]:
     """Slices of P_t w0 + Int_0^t P_{t-s} g(s) ds at t_grid[1:].
 
     base is the propagator of w0 (the slice at t = 0 is w0 itself, which
-    the caller holds), and forcing_states yields the spectral state (slab
-    modes, wall moments) of g at every node of t_grid, read one at a time.
-    P is diagonal in that state, and the forcing part obeys the trapezoid
-    cell recurrence
+    the caller holds), and forcing_states yields the spectral state
+    (robin_state) of g at every node of t_grid, read one at a time.  P is
+    diagonal in that state, and the forcing part obeys the trapezoid cell
+    recurrence
 
         U_i = E U_{i-1} + (dt/2) E X_{i-1} + (dt/2) X_i,    U_0 = 0,
 
-    with X_j the state of forcing slice j and E = exp(rate dt) per mode.
+    with X_j the state of forcing slice j and E = exp(rates dt) per entry.
     The w0 part is evaluated at the exact t_i, and each output slice is one
     synthesis.
     """
@@ -205,29 +205,18 @@ def duhamel_apply(
         raise ValueError("Duhamel quadrature needs at least two slices")
     dt = t_grid[1] - t_grid[0]
     half = 0.5 * dt
-    # E and (dt/2) E for the slab modes, then for the wall moments
-    decays = (np.exp(base.slab_rates * dt), np.exp(base.wall_rates * dt))
-    cells = [(e, e * half) for e in decays]
+    decay = np.exp(base.rates * dt)
+    left = decay * half
 
     out = []
-    forced = [np.zeros_like(base.slab_rates), np.zeros_like(base.wall_rates)]
+    forced = np.zeros_like(base.rates)
     prev = None
-    for t, state in zip(t_grid, forcing_states, strict=True):
+    for t, x in zip(t_grid, forcing_states, strict=True):
         if prev is not None:
-            forced = [
-                e * u + left * x0 + half * x1
-                for (e, left), u, x0, x1 in zip(cells, forced, prev, state)
-            ]
-            free = base.state_at(t)
-            out.append(base.synthesize(free[0] + forced[0], free[1] + forced[1]))
-        prev = state
+            forced = decay * forced + left * prev + half * x
+            out.append(base.synthesize(base.state_at(t) + forced))
+        prev = x
     return out
-
-
-def _spectral_state(g: SpectralField3, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(slab modes, wall moments) of g's propagator at t = 0."""
-    prop = RobinPropagator(g, params)
-    return prop.slab_modes, prop.wall_moments
 
 
 # --- the iteration map ------------------------------------------------------
@@ -289,7 +278,7 @@ class PicardProblem:
     data itself (slice 0 after the first sweep, every slice of the
     constant-in-time start) takes its integrand v0 (K w0)_z and the spectral
     state of its forcing d_z(v0) from here, and every sweep's Duhamel term
-    takes the propagator of w0.
+    takes the one propagator of w0.
     """
 
     def __init__(
@@ -310,7 +299,7 @@ class PicardProblem:
         self.t_grid = np.linspace(0.0, horizon.T, v0.disc.n_t)
         self.t_grid.flags.writeable = False
         self.integrand = _integrand(v0, w0, params)
-        self.forcing_state = _spectral_state(d_z(v0), params)
+        self.forcing_state = robin_state(d_z(v0), params.gamma)
         self.w0_propagator = RobinPropagator(w0, params)
 
 
@@ -335,7 +324,7 @@ def picard_step(state: PicardState, problem: PicardProblem) -> PicardState:
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
 
     forcing_states = (
-        problem.forcing_state if v_j is v0 else _spectral_state(d_z(v_j), params)
+        problem.forcing_state if v_j is v0 else robin_state(d_z(v_j), params.gamma)
         for v_j in state.v_slices
     )
     w_new = duhamel_apply(problem.w0_propagator, forcing_states, t)

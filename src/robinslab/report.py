@@ -38,6 +38,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "build_field",
+    "json_safe",
     "write_report",
     "read_report",
     "write_norms_csv",
@@ -197,11 +198,11 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     # a config's time grid defaults to 9 slices, finer than the record's 2
     disc = _section(raw, "disc", Discretization, n_t=9)
 
-    seed = raw["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if seed_override is not None:
-        seed = seed_override
+    # an override replaces the config's seed; both must be valid
+    seeds = (raw["seed"],) if seed_override is None else (raw["seed"], seed_override)
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
     data_rec = raw.get("initial_data", {})
     _require_keys(data_rec, {"v", "w"}, set(), "initial_data")
@@ -271,15 +272,17 @@ def build_field(
 # --- serialization ----------------------------------------------------------
 
 
-def _json_safe(value):
+def json_safe(value):
+    """value as write_report writes it: numpy numbers and arrays as Python
+    numbers and lists, tuples as lists, a non-finite float as its string."""
     if isinstance(value, (np.floating, np.integer)):
-        return _json_safe(value.item())
+        return json_safe(value.item())
     if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
+        return [json_safe(v) for v in value.tolist()]
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [json_safe(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)  # "inf", "-inf" or "nan": strict JSON has no such number
     return value
@@ -287,7 +290,7 @@ def _json_safe(value):
 
 def write_report(path, report: dict) -> None:
     path = Path(path)
-    path.write_text(json.dumps(_json_safe(report), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(json_safe(report), sort_keys=True, indent=2) + "\n")
 
 
 def read_report(path) -> dict:

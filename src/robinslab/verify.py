@@ -29,6 +29,7 @@ __all__ = [
     "order_certificate",
     "min_order_certificate",
     "run_certificates",
+    "gronwall_samples",
     "gronwall_energy_check",
     "growth_bound_check",
     "elliptic_bound_check",
@@ -122,19 +123,26 @@ def _worst(values: list[float]) -> float:
     return float(np.max(values)) if values else 0.0
 
 
-def gronwall_energy_check(
-    times, energies, params: ModelParams, name: str = "gronwall-energy"
-) -> Certificate:
-    """E(t2) <= E(t1) e^{4 nu gamma^2 (t2 - t1)} along consecutive samples."""
+def gronwall_samples(times, energies) -> tuple[np.ndarray, np.ndarray]:
+    """(times, energies) as float arrays; raises ValueError unless they are
+    matching sequences of length >= 2 with strictly increasing times."""
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
     if times.shape != energies.shape or times.size < 2:
         raise ValueError("need matching time and energy sequences of length >= 2")
+    if np.any(times[1:] <= times[:-1]):
+        raise ValueError("times must be strictly increasing")
+    return times, energies
+
+
+def gronwall_energy_check(
+    times, energies, params: ModelParams, name: str = "gronwall-energy"
+) -> Certificate:
+    """E(t2) <= E(t1) e^{4 nu gamma^2 (t2 - t1)} along consecutive samples."""
+    times, energies = gronwall_samples(times, energies)
     rate = 4.0 * params.nu * params.gamma**2
     ratios = [0.0]
     for t1, t2, e1, e2 in zip(times[:-1], times[1:], energies[:-1], energies[1:]):
-        if t2 <= t1:
-            raise ValueError("times must be strictly increasing")
         allowed = e1 * math.exp(rate * (t2 - t1))
         if allowed == 0.0:
             ratios.append(0.0 if e2 == 0.0 else math.inf)

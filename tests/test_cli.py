@@ -372,6 +372,20 @@ class TestRunArtifacts:
               "--seed", "42"])
         assert read_report(out / "report.json")["config"]["seed"] == 42
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["--command", "heat", "--config", str(path), "--out", str(out),
+                     "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: seed must be a nonnegative integer, got {seed}\n"
+        assert not out.exists()
+
+    def test_valid_seed_flag_does_not_hide_an_invalid_config_seed(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(write_config(tmp_path, seed=-1), seed_override=3)
+
     def test_convergence_table_written(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "run"
@@ -513,6 +527,59 @@ class TestVerifyCommand:
         verify = read_report(out / "verify_report.json")
         flags = [c for c in verify["certificates"] if c["name"] == "stored-flags-consistent"]
         assert [c["passed"] for c in flags] == [True]
+
+    def test_verify_detects_a_tampered_margin(self, tmp_path):
+        out = self.heat_run(tmp_path)
+        report = read_report(out / "report.json")
+        report["certificates"][0]["margin"] *= 1.0 + 1e-9
+        (out / "report.json").write_text(json.dumps(report))
+        assert main(["--command", "verify", "--out", str(out)]) == 2
+        verify = read_report(out / "verify_report.json")
+        flags = [c for c in verify["certificates"] if c["name"] == "stored-flags-consistent"]
+        assert [c["measured"] for c in flags] == [1.0]
+
+    @staticmethod
+    def overflowing_heat_run(tmp_path):
+        # at gamma = 40 the Gronwall allowance overflows and the growth and
+        # route checks measure NaN
+        path = write_config(tmp_path, params={"gamma": 40.0})
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert main(["--command", "heat", "--config", str(path), "--out", str(out)]) == 2
+        return out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["heat", "elliptic"])
+    def test_verify_counts_no_mismatch_on_a_stored_nan_margin(self, tmp_path, command):
+        out = self.overflowing_heat_run(tmp_path)
+        report = read_report(out / "report.json")
+        assert "nan" in [c["margin"] for c in report["certificates"]]
+        report["command"] = command
+        write_report(out / "report.json", report)
+        assert main(["--command", "verify", "--out", str(out)]) == 2
+        verify = read_report(out / "verify_report.json")
+        flags = [c for c in verify["certificates"] if c["name"] == "stored-flags-consistent"]
+        assert [(c["measured"], c["passed"]) for c in flags] == [(0.0, True)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_turns_an_overflowing_gronwall_recheck_into_a_failed_certificate(
+        self, tmp_path
+    ):
+        out = self.overflowing_heat_run(tmp_path)
+        assert main(["--command", "verify", "--out", str(out)]) == 2
+        verify = read_report(out / "verify_report.json")
+        (recheck,) = [c for c in verify["certificates"] if c["name"] == "gronwall-recheck"]
+        assert recheck["passed"] is False
+        assert recheck["details"] == {"error": "OverflowError: math range error"}
+
+    @pytest.mark.parametrize("stored", [{}, {"command": "picard", "certificates": []}])
+    def test_verify_on_report_without_certificates_is_config_error(
+        self, tmp_path, capsys, stored
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        write_report(out / "report.json", stored)
+        self.assert_config_error_naming(out, capsys, "report.json")
 
     def test_verify_without_report_is_config_error(self, tmp_path, capsys):
         assert main(["--command", "verify", "--out", str(tmp_path / "empty")]) == 1

@@ -32,6 +32,9 @@ Each reference below is the earlier algorithm written out in full:
   synthesis  the slab values from a type-1 DST and their z derivative from
              a type-1 DCT, against the one backward real FFT of
              RobinPropagator.synthesize;
+  analysis   the type-1 DST of the bundle's slab part and the bundle's wall
+             moments, and the slab and wall rate formulas, against the one
+             state array of robin_state and the one rates table;
   held-out   the calibrate command's own held-out ratio loops, against the
              ratio samplers elliptic_ratios and growth_ratios, and the
              calibrate command's whole output built from those loops in
@@ -41,7 +44,7 @@ Each reference below is the earlier algorithm written out in full:
              guard that takes it only once the start's norm plus the moves
              passes the radius;
   sweep      a sweep recomputing every slice's elliptic solve, product and
-             forcing propagator and the propagator of w0, against the
+             forcing state and the propagator of w0, against the
              sweep that takes what the data alone feed from the work its
              PicardProblem computed once, and the uniqueness check's
              skewed start, whose slices share one pair, against the same
@@ -56,8 +59,9 @@ The recurrence, the banded sweep, the sine matrices, the weight table, the
 half-step oracle and the one-FFT synthesis reorder floating-point sums, so
 they are held to a tolerance a few hundred ulps wide; the stacked elliptic
 solve, the shared stencils, the batched oracle, the in-module Simpson, the
-bound kernels, the ratio samplers, the two sweeps and the two uniqueness
-routes run the same arithmetic and must agree bit for bit;
+bound kernels, the one-array analysis and rates, the ratio samplers, the
+two sweeps and the two uniqueness routes run the same arithmetic and must
+agree bit for bit;
 the snapshot writers and the picard outputs must agree byte for byte, and
 the two guards must stop at the same sweep.
 """
@@ -105,6 +109,7 @@ from robinslab.heat import (
     exp_weighted_moment,
     fd_robin_oracle,
     growth_ratios,
+    robin_state,
 )
 from robinslab.errors import NoConvergenceError
 from robinslab.picard import (
@@ -189,7 +194,7 @@ def test_recurrence_matches_sum_of_propagator_evaluations():
     g_slices = [random_field3(disc, gen, kind="generic") for _ in range(disc.n_t)]
     t_grid = np.linspace(0.0, 0.3, disc.n_t)
     got = duhamel_apply(
-        RobinPropagator(w0, PARAMS), [forcing_state(g, PARAMS) for g in g_slices], t_grid
+        RobinPropagator(w0, PARAMS), [robin_state(g, PARAMS.gamma) for g in g_slices], t_grid
     )
     ref = duhamel_by_sum(w0, g_slices, 0.3, PARAMS)
     for field, want in zip(got, ref[1:], strict=True):
@@ -546,10 +551,7 @@ def test_bound_transforms_are_bit_identical_to_scipy_fft(k_max, n_z, monkeypatch
             _kernels.c2r(spectrum, lastsize),
             scipy.fft.irfft(spectrum, lastsize, axis=-1, norm="forward"),
         )
-    # and as heat's z-sine analysis and RobinPropagator.synthesize call them
-    assert np.array_equal(
-        heat._z_sine_analyze(vals), scipy.fft.dst(strided, type=1, axis=-1) / (n_z - 1)
-    )
+    # and as RobinPropagator.synthesize calls them
     seen = []
 
     def spy(x, lastsize):
@@ -565,9 +567,32 @@ def test_bound_transforms_are_bit_identical_to_scipy_fft(k_max, n_z, monkeypatch
     assert seen == [((k_max, k_max, n_z), 2 * (n_z - 1))]
 
 
-def synthesize_by_dst_and_dct(prop, slab_modes, wall_moments):
+@pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
+def test_robin_state_is_the_sine_analysis_of_the_bundle_then_its_moments(k_max, n_z):
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=PARAMS.gamma)
+    slab, moments = build_transform_bundle(f, PARAMS.gamma)
+    state = robin_state(f, PARAMS.gamma)
+    assert state.shape == (k_max, k_max, n_z - 1)
+    assert not state.flags.writeable
+    assert np.array_equal(state[..., :-1], dst(slab[..., 1:-1], type=1, axis=-1) / (n_z - 1))
+    assert np.array_equal(state[..., -1], moments)
+    prop = RobinPropagator(f, PARAMS)
+    assert np.array_equal(prop.state, state)
+    # the rates of the slab modes and of the wall moments, as two formulas
+    nu, gamma = PARAMS.nu, PARAMS.gamma
+    zeta = (np.pi * np.arange(1, n_z - 1, dtype=float) / disc.l_z)[None, None, :]
+    mu = disc.mode_rates(PARAMS.a)
+    mu2 = (mu * mu)[:, :, None]
+    assert prop.rates.shape == state.shape
+    assert np.array_equal(prop.rates[..., :-1], -nu * (mu2 + zeta**2))
+    assert np.array_equal(prop.rates[..., -1], nu * (gamma * gamma - mu2[:, :, 0]))
+
+
+def synthesize_by_dst_and_dct(prop, state):
     """Slab values from a type-1 DST, minus 1/gamma times their z derivative
     from a type-1 DCT of zeta-weighted modes, plus the wall profile."""
+    slab_modes, wall_moments = state[..., :-1], state[..., -1]
     n_z, l_z = prop.disc.n_z, prop.disc.l_z
     slab_vals = np.zeros(slab_modes.shape[:-1] + (n_z,))
     slab_vals[..., 1:-1] = dst(slab_modes, type=1, axis=-1) / 2.0
@@ -589,8 +614,8 @@ def test_one_fft_synthesis_matches_the_sine_and_cosine_transforms(k_max, n_z):
     prop = RobinPropagator(f, PARAMS)
     for t in (0.0, 1e-4, 0.1, 1.0):
         state = prop.state_at(t)
-        want = synthesize_by_dst_and_dct(prop, *state)
-        got = prop.synthesize(*state).coeffs
+        want = synthesize_by_dst_and_dct(prop, state)
+        got = prop.synthesize(state).coeffs
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -832,15 +857,9 @@ def test_bounded_ball_guard_stops_where_the_per_sweep_guard_does():
     assert seen == {1, 2, None}
 
 
-def forcing_state(g, params):
-    """(slab modes, wall moments) of a freshly built propagator of g."""
-    prop = RobinPropagator(g, params)
-    return prop.slab_modes, prop.wall_moments
-
-
 def sweep_by_every_slice(state, v0, w0, params, t):
     """One sweep on the grid t recomputing every slice's integrand and
-    forcing propagator, and the propagator of w0."""
+    forcing state, and the propagator of w0."""
     dt = t[1] - t[0]
     integrands = [
         pointwise_product(v_j, d_z(solve_elliptic(w_j, params.beta, params.a))).coeffs
@@ -852,7 +871,9 @@ def sweep_by_every_slice(state, v0, w0, params, t):
         acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
     w_new = duhamel_apply(
-        RobinPropagator(w0, params), [forcing_state(d_z(v_j), params) for v_j in state.v_slices], t
+        RobinPropagator(w0, params),
+        [robin_state(d_z(v_j), params.gamma) for v_j in state.v_slices],
+        t,
     )
     return v_new, [w0] + w_new
 

@@ -26,7 +26,7 @@ from robinslab.domain import (
     zero_field3,
 )
 from robinslab.errors import NoConvergenceError, NonFiniteError
-from robinslab.heat import RobinPropagator
+from robinslab.heat import RobinPropagator, robin_state
 from robinslab.picard import (
     PICARD_TOL,
     HorizonSelection,
@@ -108,7 +108,7 @@ class TestDuhamel:
         g = field3_from_profile(disc, (1, 1), 0.7 * prof)
         t = np.linspace(0.0, 0.5, disc.n_t)
         base = RobinPropagator(zero_field3(disc), PARAMS)
-        slices = duhamel_apply(base, [RobinPropagator(g, PARAMS).state_at(0.0)] * disc.n_t, t)
+        slices = duhamel_apply(base, [robin_state(g, PARAMS.gamma)] * disc.n_t, t)
         r = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
         for i in (8, 16, 32):
             exact = 0.7 * (math.exp(r * t[i]) - 1.0) / r * prof
@@ -118,7 +118,7 @@ class TestDuhamel:
     def test_zero_forcing_reduces_to_propagation(self, rng):
         disc = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
-        zeros = [RobinPropagator(zero_field3(disc), PARAMS).state_at(0.0)] * disc.n_t
+        zeros = [robin_state(zero_field3(disc), PARAMS.gamma)] * disc.n_t
         prop = RobinPropagator(w0, PARAMS)
         t = np.linspace(0.0, 0.2, disc.n_t)
         slices = duhamel_apply(prop, zeros, t)
@@ -130,7 +130,7 @@ class TestDuhamel:
         disc = Discretization(k_max=1, n_z=65, l_z=20.0, n_t=5)
         w0 = zero_field3(disc)
         base = RobinPropagator(w0, PARAMS)
-        x = base.state_at(0.0)
+        x = robin_state(w0, PARAMS.gamma)
         with pytest.raises(ValueError):
             duhamel_apply(base, [x], np.array([0.0]))
         with pytest.raises(ValueError):  # fewer forcing states than grid nodes

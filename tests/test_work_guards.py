@@ -1,10 +1,11 @@
 """Guards on how much work a sweep does and on what the command imports.
 
-One Picard sweep evaluates the Duhamel term in the propagator's spectral
-state: it builds one propagator per forcing slice, and never evaluates a
-propagator through RobinPropagator.at.  What the data alone feed into a
-sweep (their elliptic solve and the propagators of w0 and d_z(v0)) a solve
-computes once, and a slice holding the data reuses it.  A converging solve
+One Picard sweep evaluates the Duhamel term in the spectral state: it
+analyses each forcing slice with robin_state, builds no propagator, and
+never evaluates one through RobinPropagator.at.  What the data alone feed
+into a sweep (their elliptic solve, the state of d_z(v0) and the one
+propagator of w0) a solve computes once, and a slice holding the data
+reuses it.  A converging solve
 takes no norm for its ball guard beyond the start's, propagators on one
 geometry share their rates, and the elliptic band is factored once per
 geometry, not once per solve.  One RobinPropagator.at synthesizes with one
@@ -45,13 +46,12 @@ from robinslab.picard import (
 PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
 
 
-def test_one_sweep_builds_per_slice_and_never_evaluates(monkeypatch):
-    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
-    gen = np.random.default_rng(8)
-    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
-    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
-    counts = {"at": 0, "build": 0}
+def _count_propagator_work(monkeypatch):
+    """Count RobinPropagator builds and .at calls, and robin_state analyses
+    wherever they are called from; returns the live counts."""
+    counts = {"at": 0, "build": 0, "analysis": 0}
     real_at, real_init = heat.RobinPropagator.at, heat.RobinPropagator.__init__
+    real_state = heat.robin_state
 
     def counting_at(self, t):
         counts["at"] += 1
@@ -61,17 +61,35 @@ def test_one_sweep_builds_per_slice_and_never_evaluates(monkeypatch):
         counts["build"] += 1
         real_init(self, *args, **kwargs)
 
+    def counting_state(*args, **kwargs):
+        counts["analysis"] += 1
+        return real_state(*args, **kwargs)
+
     monkeypatch.setattr(heat.RobinPropagator, "at", counting_at)
     monkeypatch.setattr(heat.RobinPropagator, "__init__", counting_init)
+    monkeypatch.setattr(heat, "robin_state", counting_state)
+    monkeypatch.setattr(picard, "robin_state", counting_state)
+    return counts
+
+
+def test_one_sweep_analyses_per_slice_and_builds_nothing(monkeypatch):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+    gen = np.random.default_rng(8)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
     horizon = HorizonSelection(
         T=0.02, M=1.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
     )
+    counts = _count_propagator_work(monkeypatch)
     problem = PicardProblem(v0, w0, PARAMS, horizon)
-    state = PicardState((v0,) * disc.n_t, (w0,) * disc.n_t)
+    # the propagator of w0, and the states of d_z(v0) and of w0
+    assert counts == {"at": 0, "build": 1, "analysis": 2}
+    state = picard_step(PicardState((v0,) * disc.n_t, (w0,) * disc.n_t), problem)
+    assert counts == {"at": 0, "build": 1, "analysis": 2}
     new = picard_step(state, problem)
     assert len(new.omega_slices) == disc.n_t
-    assert counts["at"] == 0
-    assert 0 < counts["build"] <= disc.n_t + 1
+    # every slice but slice 0, which holds the data
+    assert counts == {"at": 0, "build": 1, "analysis": 2 + disc.n_t - 1}
 
 
 def test_converging_solve_takes_no_norm_for_its_ball_guard(monkeypatch):
@@ -100,26 +118,24 @@ def test_a_solve_computes_what_the_data_feed_once(monkeypatch):
     gen = np.random.default_rng(8)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
-    counts = {"solve": 0, "build": 0}
-    real_solve, real_init = picard.solve_elliptic, heat.RobinPropagator.__init__
+    solves = []
+    real_solve = picard.solve_elliptic
 
     def counting_solve(*args, **kwargs):
-        counts["solve"] += 1
+        solves.append(args)
         return real_solve(*args, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
-        counts["build"] += 1
-        real_init(self, *args, **kwargs)
-
     monkeypatch.setattr(picard, "solve_elliptic", counting_solve)
-    monkeypatch.setattr(heat.RobinPropagator, "__init__", counting_init)
+    counts = _count_propagator_work(monkeypatch)
     result = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5)))
     assert result.iterations >= 2
-    # once per problem: the data's solve, and the propagators of w0 and of
-    # d_z(v0); the constant start holds the data in every slice, so its
-    # sweep adds nothing, and each later sweep skips slice 0
+    # once per problem: the data's solve, the one propagator of w0 and the
+    # states of w0 and of d_z(v0); the constant start holds the data in
+    # every slice, so its sweep adds nothing, and each later sweep skips
+    # slice 0
     later = (result.iterations - 1) * (disc.n_t - 1)
-    assert counts == {"solve": 1 + later, "build": 2 + later}
+    assert len(solves) == 1 + later
+    assert counts == {"at": 0, "build": 1, "analysis": 2 + later}
 
 
 def test_second_elliptic_solve_neither_factors_nor_band_solves(monkeypatch):
@@ -144,12 +160,12 @@ def test_propagators_on_one_geometry_share_their_rates():
     gen = np.random.default_rng(13)
     fields = [random_field3(disc, gen, kind="generic") for _ in range(3)]
     first, second = (heat.RobinPropagator(f, PARAMS) for f in fields[:2])
-    assert second.slab_rates is first.slab_rates
-    assert second.wall_rates is first.wall_rates
-    assert not first.slab_rates.flags.writeable
+    assert second.rates is first.rates
+    assert not first.rates.flags.writeable
+    assert not first.state.flags.writeable
     slower = ModelParams(a=PARAMS.a, nu=0.5, gamma=PARAMS.gamma, beta=PARAMS.beta)
     other = heat.RobinPropagator(fields[2], slower)
-    assert np.array_equal(other.slab_rates, 0.5 * first.slab_rates)
+    assert np.array_equal(other.rates, 0.5 * first.rates)
 
 
 def _count_heat_calls(monkeypatch, *names):
