@@ -8,7 +8,9 @@ array of shape (k_max, k_max, n_z).
 
 Collocation values and dealiased products go through dense sine matrices
 cached per (k_max, n_pad); Sobolev norms pair each z-derivative profile
-with a lateral weight table cached per (k_max, a, s).
+with a lateral weight table cached per (k_max, a, s).  The z stencils write
+into their output buffer and a norm reduces each profile by one row dot,
+so neither allocates a temporary of the field's size beyond the profiles.
 """
 
 from __future__ import annotations
@@ -195,13 +197,16 @@ def wall_slope(c: np.ndarray, dz: float) -> np.ndarray:
 # the stencil straddles two profiles it writes end points only, and those
 # are overwritten by the one-sided rows.  Both arrays must be C-contiguous:
 # reshape(-1) of any other layout is a copy, and writes to it would be lost.
+# Each operation writes into the output buffer, so a stencil allocates no
+# temporary of the field's size.
 
 
 def _dz1(c: np.ndarray, dz: float) -> np.ndarray:
     c = np.ascontiguousarray(c)
     out = np.empty(c.shape)
-    flat, flat_out = c.reshape(-1), out.reshape(-1)
-    flat_out[1:-1] = (flat[2:] - flat[:-2]) / (2.0 * dz)
+    flat, inner = c.reshape(-1), out.reshape(-1)[1:-1]
+    np.subtract(flat[2:], flat[:-2], out=inner)
+    inner /= 2.0 * dz
     out[..., 0] = wall_slope(c, dz)
     # the far end is the wall stencil mirrored: reversed z flips the sign
     out[..., -1] = -wall_slope(c[..., ::-1], dz)
@@ -212,8 +217,11 @@ def _dz2(c: np.ndarray, dz: float) -> np.ndarray:
     h2 = dz * dz
     c = np.ascontiguousarray(c)
     out = np.empty(c.shape)
-    flat, flat_out = c.reshape(-1), out.reshape(-1)
-    flat_out[1:-1] = (flat[2:] - 2.0 * flat[1:-1] + flat[:-2]) / h2
+    flat, inner = c.reshape(-1), out.reshape(-1)[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=inner)
+    np.subtract(flat[2:], inner, out=inner)
+    inner += flat[:-2]
+    inner /= h2
     out[..., 0] = (
         2.0 * c[..., 0] - 5.0 * c[..., 1] + 4.0 * c[..., 2] - c[..., 3]
     ) / h2
@@ -286,12 +294,9 @@ def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
         profiles.append(_dz2(c, dz))
     if s >= 3:
         profiles.append(_dz1(profiles[2], dz))
-    weights = _norm_weights(f.disc.k_max, float(a), s)
-    acc = 0.0
-    for w_r, p in zip(weights, profiles):
-        q = p * p
-        zint = dz * (q.sum(axis=-1) - 0.5 * (q[..., 0] + q[..., -1]))
-        acc += float(np.sum(w_r * zint))
+    # trapezoid sums of squares: one row dot per profile, less half its end squares
+    zint = [np.vecdot(p, p) - 0.5 * (p[..., 0] ** 2 + p[..., -1] ** 2) for p in profiles]
+    acc = dz * np.vdot(_norm_weights(f.disc.k_max, float(a), s), zint)
     return float(np.sqrt(acc))
 
 

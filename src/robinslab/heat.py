@@ -20,8 +20,15 @@ the z-sine coefficients of the slab part, then the wall moment.  robin_state
 is the analysis A, and RobinPropagator holds the state of its field with one
 read-only rates table of the same shape.  Its synthesize method is S: it
 maps any state back to a field, taking eta and -(1/gamma) eta_z together
-from one backward real FFT.  `at` is state_at followed by synthesize, and
-the Duhamel recurrence in picard sums states before one synthesis per slice.
+from one backward real FFT.  `at` is state_at followed by synthesize.
+
+Neither A nor S depends on the lateral mode.  Their array-level cores,
+robin_analysis and robin_synthesis, take z profiles and states of any
+leading shape, so run on identity rows they tabulate each as one matrix.
+The Picard solve, which applies both to every time slice of every sweep,
+tabulates them once per problem and sums states before one synthesis per
+slice; every other caller keeps the transforms, which cost less per
+application than a dense product at large n_z and hold no n_z^2 table.
 
 A Crank-Nicolson finite-difference oracle provides an independent route to
 the same solution for cross-checks.  It lays every lateral mode's
@@ -59,7 +66,9 @@ from .domain import (
 __all__ = [
     "exp_weighted_moment",
     "build_transform_bundle",
+    "robin_analysis",
     "robin_state",
+    "robin_synthesis",
     "warn_if_incompatible",
     "RobinPropagator",
     "fd_robin_oracle",
@@ -116,6 +125,14 @@ def _wall_kernel(gamma: float, disc: Discretization) -> tuple[np.ndarray, np.flo
     return _readonly(weight), _simpson(weight * weight, disc.dz)
 
 
+def _moments(values: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
+    """exp_weighted_moment of the z profiles of values, any leading shape."""
+    if gamma <= 0:
+        raise ValueError(f"moment requires gamma > 0, got {gamma}")
+    weight, mass = _wall_kernel(float(gamma), disc)
+    return _simpson(values * weight, disc.dz) / mass
+
+
 def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> np.ndarray:
     """Per-mode moment 2*gamma*Int w0(z) e^{-gamma z} dz, shape (k_max, k_max).
 
@@ -123,11 +140,26 @@ def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> np.ndarray:
     the kernel (2*gamma*Int e^{-2 gamma z} dz, which is 1 up to truncation),
     so the residue field's weighted moment vanishes identically on the grid.
     """
-    if gamma <= 0:
-        raise ValueError(f"moment requires gamma > 0, got {gamma}")
-    disc = omega0.disc
-    weight, mass = _wall_kernel(float(gamma), disc)
-    return _simpson(omega0.coeffs * weight, disc.dz) / mass
+    return _moments(omega0.coeffs, gamma, omega0.disc)
+
+
+def _bundle(
+    values: np.ndarray, gamma: float, disc: Discretization
+) -> tuple[np.ndarray, np.ndarray]:
+    """build_transform_bundle of the z profiles of values, any leading shape."""
+    cross = _moments(values, gamma, disc)
+    residue = values - cross[..., None] * _wall_kernel(float(gamma), disc)[0]
+
+    decay = np.exp(-gamma * disc.dz)
+    half = 0.5 * gamma * disc.dz
+    rhs = np.zeros_like(residue)
+    rhs[..., :-1] = half * (residue[..., :-1] + decay * residue[..., 1:])
+    bands = np.ones((2, disc.n_z))  # the unit diagonal (row 1) is never read
+    bands[0, 1:] = -decay
+    slab, info = dtbtrs(bands, rhs.reshape(-1, disc.n_z).T, uplo="U", diag="U", overwrite_b=1)
+    if info != 0:
+        raise RuntimeError(f"triangular solve failed: info={info}")
+    return slab.T.reshape(residue.shape), cross
 
 
 def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,20 +179,22 @@ def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.nda
     which is stable and O(n_z).  It is one unit upper-bidiagonal system per
     lateral mode, solved for all modes in a single banded triangular solve.
     """
-    disc = omega0.disc
-    cross = exp_weighted_moment(omega0, gamma)
-    residue = omega0.coeffs - cross[:, :, None] * _wall_kernel(float(gamma), disc)[0]
+    return _bundle(omega0.coeffs, gamma, omega0.disc)
 
-    decay = np.exp(-gamma * disc.dz)
-    half = 0.5 * gamma * disc.dz
-    rhs = np.zeros_like(residue)
-    rhs[:, :, :-1] = half * (residue[:, :, :-1] + decay * residue[:, :, 1:])
-    bands = np.ones((2, disc.n_z))  # the unit diagonal (row 1) is never read
-    bands[0, 1:] = -decay
-    slab, info = dtbtrs(bands, rhs.reshape(-1, disc.n_z).T, uplo="U", diag="U", overwrite_b=1)
-    if info != 0:
-        raise RuntimeError(f"triangular solve failed: info={info}")
-    return slab.T.reshape(residue.shape), cross
+
+def robin_analysis(values: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
+    """Spectral states of the z profiles along the last axis of values.
+
+    Any leading shape: (..., n_z) maps to (..., n_z - 1), each profile as
+    robin_state maps it.  The analysis is linear and the same for every
+    profile, so its states of the profiles D e_j, for a linear map D on
+    profiles, are the rows of one table T with state(D p) = p @ T.
+    """
+    slab, cross = _bundle(values, gamma, disc)
+    state = np.empty(cross.shape + (disc.n_z - 1,))
+    np.divide(dst(slab[..., 1:-1], type=1, axis=-1), disc.n_z - 1, out=state[..., :-1])
+    state[..., -1] = cross
+    return state
 
 
 def robin_state(omega0: SpectralField3, gamma: float) -> np.ndarray:
@@ -169,11 +203,7 @@ def robin_state(omega0: SpectralField3, gamma: float) -> np.ndarray:
     Entries [..., :-1] are the z-sine coefficients of the slab part of
     build_transform_bundle, and [..., -1] is its wall moment.
     """
-    slab, cross = build_transform_bundle(omega0, gamma)
-    state = np.empty(cross.shape + (omega0.disc.n_z - 1,))
-    np.divide(dst(slab[..., 1:-1], type=1, axis=-1), omega0.disc.n_z - 1, out=state[..., :-1])
-    state[..., -1] = cross
-    return _readonly(state)
+    return _readonly(robin_analysis(omega0.coeffs, gamma, omega0.disc))
 
 
 def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
@@ -191,26 +221,51 @@ def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
         print(COMPAT_WARNING, file=sys.stderr)
 
 
-@lru_cache(maxsize=8)
-def _propagator_geometry(
-    nu: float, gamma: float, a: float, disc: Discretization
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(synthesis factors -(zeta / gamma + i) / 2, wall profile, rates),
-    read-only, with zeta the z wavenumbers m pi / l_z.
+def _zeta(disc: Discretization) -> np.ndarray:
+    """z wavenumbers m pi / l_z of the slab modes m = 1 .. n_z - 2."""
+    return np.pi * np.arange(1, disc.n_z - 1, dtype=float) / disc.l_z
 
-    The rates are laid out as a spectral state: -nu (mu^2 + zeta^2) for
-    the slab modes, then nu (gamma^2 - mu^2) for the wall moment.  They
-    depend on the geometry only, so every propagator of a run shares one
-    copy; the last few geometries are kept.
+
+@lru_cache(maxsize=8)
+def _propagator_rates(nu: float, gamma: float, a: float, disc: Discretization) -> np.ndarray:
+    """Rates laid out as a spectral state, read-only: -nu (mu^2 + zeta^2)
+    for the slab modes, then nu (gamma^2 - mu^2) for the wall moment.
+
+    They depend on the geometry only, so every propagator of a run shares
+    one copy; the last few geometries are kept.
     """
-    m = np.arange(1, disc.n_z - 1, dtype=float)
-    zeta = (np.pi * m / disc.l_z)[None, None, :]
+    zeta = _zeta(disc)[None, None, :]
     mu = disc.mode_rates(a)
     mu2 = (mu * mu)[:, :, None]
     rates = np.empty((disc.k_max, disc.k_max, disc.n_z - 1))
     rates[..., :-1] = -nu * (mu2 + zeta**2)
     rates[..., -1] = nu * (gamma * gamma - mu2[:, :, 0])
-    return _readonly(-0.5 * (zeta / gamma + 1j)), _wall_kernel(gamma, disc)[0], _readonly(rates)
+    return _readonly(rates)
+
+
+@lru_cache(maxsize=8)
+def _synthesis_factors(gamma: float, disc: Discretization) -> np.ndarray:
+    """-(zeta / gamma + i) / 2 per slab mode, read-only."""
+    return _readonly(-0.5 * (_zeta(disc) / gamma + 1j))
+
+
+def robin_synthesis(state: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
+    """z profiles of spectral states: eta - eta_z / gamma plus the wall profile.
+
+    Any leading shape: (..., n_z - 1) maps to (..., n_z).  At z_j the slab
+    part sum_m c_m (sin(theta_m j) - (zeta_m / gamma) cos(theta_m j)),
+    theta_m = m pi / (n_z - 1), is Re sum_m c_m (-zeta_m / gamma - i)
+    e^{i theta_m j}: one unnormalised backward real FFT of length
+    2 (n_z - 1) of c_m times the synthesis factor, zero at m = 0 and
+    n_z - 1.  On the identity it tabulates S, with synthesis(state) =
+    state @ S.
+    """
+    n_z = disc.n_z
+    spectrum = np.zeros(state.shape[:-1] + (n_z,), dtype=complex)
+    np.multiply(state[..., :-1], _synthesis_factors(float(gamma), disc), out=spectrum[..., 1:-1])
+    values = state[..., -1:] * _wall_kernel(float(gamma), disc)[0]
+    values += c2r(spectrum, 2 * (n_z - 1))[..., :n_z]
+    return values
 
 
 class RobinPropagator:
@@ -234,7 +289,7 @@ class RobinPropagator:
         self.params = params
         self.disc = omega0.disc
         self.state = robin_state(omega0, params.gamma)
-        self._factors, self._wall_profile, self.rates = _propagator_geometry(
+        self.rates = _propagator_rates(
             float(params.nu), float(params.gamma), float(params.a), omega0.disc
         )
 
@@ -247,20 +302,8 @@ class RobinPropagator:
         return self.state * np.exp(self.rates * t)
 
     def synthesize(self, state: np.ndarray) -> SpectralField3:
-        """Field of a spectral state: eta - eta_z / gamma plus the wall profile.
-
-        At z_j the slab part sum_m c_m (sin(theta_m j) - (zeta_m / gamma)
-        cos(theta_m j)), theta_m = m pi / (n_z - 1), is Re sum_m c_m (-zeta_m
-        / gamma - i) e^{i theta_m j}: one unnormalised backward real FFT of
-        length 2 (n_z - 1) of c_m times the synthesis factor, zero at m = 0
-        and n_z - 1.
-        """
-        n_z = self.disc.n_z
-        spectrum = np.zeros(state.shape[:-1] + (n_z,), dtype=complex)
-        np.multiply(state[..., :-1], self._factors, out=spectrum[..., 1:-1])
-        coeffs = state[..., -1:] * self._wall_profile
-        coeffs += c2r(spectrum, 2 * (n_z - 1))[..., :n_z]
-        return SpectralField3(coeffs, self.disc)
+        """Field of a spectral state (robin_synthesis)."""
+        return SpectralField3(robin_synthesis(state, self.params.gamma, self.disc), self.disc)
 
     def at(self, t: float) -> SpectralField3:
         return self.synthesize(self.state_at(t))

@@ -21,12 +21,17 @@ The Duhamel term is evaluated in the spectral state of heat.robin_state,
 one array per slice in which P_t is a per-entry exponential: a one-step
 recurrence over the time cells accumulates the forcing, so a sweep
 analyses each forcing slice once and synthesizes each output slice once
-through the one propagator of w0, O(n_t) work instead of the O(n_t^2)
-propagator evaluations of a direct sum.
+with the rates of the one propagator of w0, O(n_t) work instead of the
+O(n_t^2) propagator evaluations of a direct sum.  Neither the forcing
+analysis A d_z nor the synthesis S depends on the lateral mode, so each
+is one matrix per problem, tabulated by heat's array-level routes on the
+identity: a slice's analysis and its synthesis are one matrix product
+each, over the stack of k_max x n_z blocks of the lateral modes.
 
 A PicardProblem is the map's one owner of the data, the horizon and the
 time grid, and of what the data alone feed into a sweep (slice 0's
-integrand and forcing, the propagator of w0), computed once per problem.
+integrand, the propagator of w0, the two tables), computed once per
+problem; a solve forked after the problem is built inherits all of it.
 """
 
 from __future__ import annotations
@@ -41,13 +46,14 @@ from .domain import (
     MAX_DERIVATIVE_ORDER,
     ModelParams,
     SpectralField3,
+    _dz1,
     d_z,
     pointwise_product,
     sobolev_norm,
 )
 from .elliptic import solve_elliptic
 from .errors import NoConvergenceError, NonFiniteError
-from .heat import RobinPropagator, robin_state
+from .heat import RobinPropagator, robin_analysis, robin_synthesis
 
 __all__ = [
     "PICARD_TOL",
@@ -126,7 +132,13 @@ def _check_orders(params: ModelParams) -> None:
 def horizon_from_norms(
     norm_v0: float, norm_w0: float, growth_constant: float, params: ModelParams
 ) -> HorizonSelection:
-    """Contraction horizon from precomputed data norms."""
+    """Contraction horizon from precomputed data norms.
+
+    Raises NonFiniteError when the growth constant is not finite or the
+    amplification C e^{nu gamma^2} overflows a float.
+    """
+    if not math.isfinite(growth_constant):
+        raise NonFiniteError(f"growth constant {growth_constant} is not finite")
     if growth_constant < 1.0:
         raise ValueError(
             f"growth constant below its t=0 value 1: {growth_constant}"
@@ -138,7 +150,16 @@ def horizon_from_norms(
             T=1.0, M=0.0, growth_constant=growth_constant,
             binding="unit cap", constraint_value=0.0,
         )
-    amp = growth_constant * math.exp(params.nu * params.gamma**2)
+    exponent = params.nu * params.gamma**2
+    try:
+        amp = growth_constant * math.exp(exponent)
+    except OverflowError:
+        amp = math.inf
+    if not math.isfinite(amp):
+        raise NonFiniteError(
+            f"amplification {growth_constant:g} e^{{nu gamma^2}} overflows "
+            f"at nu gamma^2 = {exponent:g}"
+        )
     r = amp * (float(norm_w0) + 2.0 * float(norm_v0))
     m = 2.0 * float(norm_v0) + r
     candidates = (
@@ -185,7 +206,10 @@ def select_horizon(
 
 
 def duhamel_apply(
-    base: RobinPropagator, forcing_states: Iterable[np.ndarray], t_grid: np.ndarray
+    base: RobinPropagator,
+    forcing_states: Iterable[np.ndarray],
+    t_grid: np.ndarray,
+    synthesis: np.ndarray,
 ) -> list[SpectralField3]:
     """Slices of P_t w0 + Int_0^t P_{t-s} g(s) ds at t_grid[1:].
 
@@ -199,7 +223,8 @@ def duhamel_apply(
 
     with X_j the state of forcing slice j and E = exp(rates dt) per entry.
     The w0 part is evaluated at the exact t_i, and each output slice is one
-    synthesis.
+    product with synthesis, the table robin_synthesis makes of the
+    identity.
     """
     if len(t_grid) < 2:
         raise ValueError("Duhamel quadrature needs at least two slices")
@@ -214,7 +239,7 @@ def duhamel_apply(
     for t, x in zip(t_grid, forcing_states, strict=True):
         if prev is not None:
             forced = decay * forced + left * prev + half * x
-            out.append(base.synthesize(base.state_at(t) + forced))
+            out.append(SpectralField3((base.state_at(t) + forced) @ synthesis, base.disc))
         prev = x
     return out
 
@@ -276,9 +301,14 @@ class PicardProblem:
     linspace(0, T, n_t) every iterate lives on, and computes once what the
     data alone feed into a sweep, whatever the iterate: a slice holding the
     data itself (slice 0 after the first sweep, every slice of the
-    constant-in-time start) takes its integrand v0 (K w0)_z and the spectral
-    state of its forcing d_z(v0) from here, and every sweep's Duhamel term
-    takes the one propagator of w0.
+    constant-in-time start) takes its integrand v0 (K w0)_z from here, and
+    every sweep's Duhamel term takes the one propagator of w0 and two
+    tables of the z direction:
+
+    forcing_analysis  n_z x (n_z - 1): robin_state(d_z(v)) is
+                      v.coeffs @ forcing_analysis
+    synthesis         (n_z - 1) x n_z: the field of a state is
+                      state @ synthesis
     """
 
     def __init__(
@@ -299,8 +329,11 @@ class PicardProblem:
         self.t_grid = np.linspace(0.0, horizon.T, v0.disc.n_t)
         self.t_grid.flags.writeable = False
         self.integrand = _integrand(v0, w0, params)
-        self.forcing_state = robin_state(d_z(v0), params.gamma)
         self.w0_propagator = RobinPropagator(w0, params)
+        disc, gamma = v0.disc, params.gamma
+        self.forcing_analysis = robin_analysis(_dz1(np.eye(disc.n_z), disc.dz), gamma, disc)
+        self.synthesis = robin_synthesis(np.eye(disc.n_z - 1), gamma, disc)
+        self.forcing_analysis.flags.writeable = self.synthesis.flags.writeable = False
 
 
 def picard_step(state: PicardState, problem: PicardProblem) -> PicardState:
@@ -323,11 +356,11 @@ def picard_step(state: PicardState, problem: PicardProblem) -> PicardState:
         acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
 
-    forcing_states = (
-        problem.forcing_state if v_j is v0 else robin_state(d_z(v_j), params.gamma)
-        for v_j in state.v_slices
-    )
-    w_new = duhamel_apply(problem.w0_propagator, forcing_states, t)
+    # matmul takes the stack one k_max x n_z block at a time; one product of
+    # all k_max^2 rows is big enough for a threaded BLAS to split, and its
+    # threads then contend with the forked solve running beside this one
+    forcing_states = (v_j.coeffs @ problem.forcing_analysis for v_j in state.v_slices)
+    w_new = duhamel_apply(problem.w0_propagator, forcing_states, t, problem.synthesis)
     return PicardState(
         v_slices=tuple(v_new),
         omega_slices=(w0, *w_new),

@@ -324,6 +324,31 @@ class TestExitCodes:
             assert err.startswith("config error: initial_data.w.mode (9, 9)"), err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, gamma",
+        # at gamma = 20 the calibration's norm squares overflow and its
+        # constant is NaN; at gamma = 40 e^{nu gamma^2} = e^{1600} overflows too
+        [("picard_smooth.json", 20.0), ("picard_smooth.json", 40.0), ("heat_eigenmode.json", 20.0)],
+    )
+    def test_picard_with_an_overflowing_growth_calibration_is_a_run_error(
+        self, tmp_path, name, gamma
+    ):
+        cfg = json.loads((ROOT / "configs" / name).read_text())
+        cfg["params"]["gamma"] = gamma
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "robinslab.cli", "--command", "picard",
+             "--config", str(path), "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert re.search(r"^run error: growth constant nan is not finite$", done.stderr, re.M)
+
     def test_heat_check_that_raises_keeps_its_certificate_name(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("boom")

@@ -35,6 +35,8 @@ Each reference below is the earlier algorithm written out in full:
   analysis   the type-1 DST of the bundle's slab part and the bundle's wall
              moments, and the slab and wall rate formulas, against the one
              state array of robin_state and the one rates table;
+  tables     robin_state of d_z and RobinPropagator.synthesize, against the
+             two z-operator tables a PicardProblem holds for its sweeps;
   held-out   the calibrate command's own held-out ratio loops, against the
              ratio samplers elliptic_ratios and growth_ratios, and the
              calibrate command's whole output built from those loops in
@@ -44,25 +46,25 @@ Each reference below is the earlier algorithm written out in full:
              guard that takes it only once the start's norm plus the moves
              passes the radius;
   sweep      a sweep recomputing every slice's elliptic solve, product and
-             forcing state and the propagator of w0, against the
-             sweep that takes what the data alone feed from the work its
-             PicardProblem computed once, and the uniqueness check's
-             skewed start, whose slices share one pair, against the same
-             sweep taking that pair's integrand once; a start with no grid
-             of its own, against the same sweeps on linspace(0, T, n_t);
+             forcing state (by the problem's tables) and the propagator of
+             w0, against the sweep that takes what the data alone feed from
+             the work its PicardProblem computed once, and the uniqueness
+             check's skewed start, whose slices share one pair, against the
+             same sweep taking that pair's integrand once; a start with no
+             grid of its own, against the same sweeps on linspace(0, T, n_t);
   uniqueness the second solve run in process after the main one, then
              x_distance, against the forked worker whose slices stream
              back, both for the certificate and for the picard command's
              whole output.
 
 The recurrence, the banded sweep, the sine matrices, the weight table, the
-half-step oracle and the one-FFT synthesis reorder floating-point sums, so
-they are held to a tolerance a few hundred ulps wide; the stacked elliptic
-solve, the shared stencils, the batched oracle, the in-module Simpson, the
-bound kernels, the one-array analysis and rates, the ratio samplers, the
-two sweeps and the two uniqueness routes run the same arithmetic and must
-agree bit for bit;
-the snapshot writers and the picard outputs must agree byte for byte, and
+half-step oracle, the one-FFT synthesis and the tables reorder
+floating-point sums, so they are held to a tolerance a few hundred ulps
+wide; the stacked elliptic solve, the shared stencils, the batched
+oracle, the in-module Simpson, the bound kernels, the one-array analysis
+and rates, the ratio samplers, the two sweeps and the two uniqueness
+routes run the same arithmetic and must agree bit for bit; the snapshot
+writers and the picard outputs must agree byte for byte, and
 the two guards must stop at the same sweep.
 """
 
@@ -109,7 +111,9 @@ from robinslab.heat import (
     exp_weighted_moment,
     fd_robin_oracle,
     growth_ratios,
+    robin_analysis,
     robin_state,
+    robin_synthesis,
 )
 from robinslab.errors import NoConvergenceError
 from robinslab.picard import (
@@ -194,7 +198,10 @@ def test_recurrence_matches_sum_of_propagator_evaluations():
     g_slices = [random_field3(disc, gen, kind="generic") for _ in range(disc.n_t)]
     t_grid = np.linspace(0.0, 0.3, disc.n_t)
     got = duhamel_apply(
-        RobinPropagator(w0, PARAMS), [robin_state(g, PARAMS.gamma) for g in g_slices], t_grid
+        RobinPropagator(w0, PARAMS),
+        [robin_state(g, PARAMS.gamma) for g in g_slices],
+        t_grid,
+        robin_synthesis(np.eye(disc.n_z - 1), PARAMS.gamma, disc),
     )
     ref = duhamel_by_sum(w0, g_slices, 0.3, PARAMS)
     for field, want in zip(got, ref[1:], strict=True):
@@ -619,6 +626,31 @@ def test_one_fft_synthesis_matches_the_sine_and_cosine_transforms(k_max, n_z):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
+@pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
+def test_tabulated_duhamel_operators_match_the_transform_route(k_max, n_z, gamma):
+    params = dataclasses.replace(PARAMS, gamma=gamma)
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0, n_t=5)
+    gen = np.random.default_rng(n_z)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=gamma, amplitude=0.2)
+    horizon = dataclasses.replace(select_horizon(v0, w0, params, 1.5), T=0.01)
+    problem = PicardProblem(v0, w0, params, horizon)
+    analysis, synthesis = problem.forcing_analysis, problem.synthesis
+    assert analysis.shape == (n_z, n_z - 1) and synthesis.shape == (n_z - 1, n_z)
+    assert not analysis.flags.writeable and not synthesis.flags.writeable
+    for f in (v0, random_field3(disc, gen, kind="generic")):
+        want = robin_state(d_z(f), gamma)
+        assert relative_gap(f.coeffs @ analysis, want) <= 1e-13
+    prop = problem.w0_propagator
+    for t in (0.0, 1e-3, 0.01):
+        state = prop.state_at(t)
+        assert relative_gap(state @ synthesis, prop.synthesize(state).coeffs) <= 1e-13
+    # the tables are the array-level routes run on identity rows
+    assert np.array_equal(analysis, robin_analysis(_dz1(np.eye(n_z), disc.dz), gamma, disc))
+    assert np.array_equal(synthesis, robin_synthesis(np.eye(n_z - 1), gamma, disc))
+
+
 LAPACK_SITES = (
     (heat, "dtbtrs"), (heat, "dpttrf"), (heat, "dpttrs"),
     (elliptic, "dgttrf"), (elliptic, "dgtcon"), (elliptic, "dgttrs"),
@@ -857,9 +889,10 @@ def test_bounded_ball_guard_stops_where_the_per_sweep_guard_does():
     assert seen == {1, 2, None}
 
 
-def sweep_by_every_slice(state, v0, w0, params, t):
+def sweep_by_every_slice(state, problem, t):
     """One sweep on the grid t recomputing every slice's integrand and
-    forcing state, and the propagator of w0."""
+    forcing state, and the propagator of w0, with the problem's tables."""
+    v0, w0, params = problem.v0, problem.w0, problem.params
     dt = t[1] - t[0]
     integrands = [
         pointwise_product(v_j, d_z(solve_elliptic(w_j, params.beta, params.a))).coeffs
@@ -872,8 +905,9 @@ def sweep_by_every_slice(state, v0, w0, params, t):
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
     w_new = duhamel_apply(
         RobinPropagator(w0, params),
-        [robin_state(d_z(v_j), params.gamma) for v_j in state.v_slices],
+        [v_j.coeffs @ problem.forcing_analysis for v_j in state.v_slices],
         t,
+        problem.synthesis,
     )
     return v_new, [w0] + w_new
 
@@ -901,7 +935,7 @@ def test_sweep_reusing_pinned_work_is_bit_identical_to_recomputing_it():
     # the two starts, then a state whose slice 0 alone holds the data
     for state in (constant, skewed_start(problem), picard_step(constant, problem)):
         got = picard_step(state, problem)
-        want_v, want_w = sweep_by_every_slice(state, v0, w0, PARAMS, t_grid)
+        want_v, want_w = sweep_by_every_slice(state, problem, t_grid)
         for field, want in zip(got.v_slices + got.omega_slices, want_v + want_w):
             assert np.array_equal(field.coeffs, want.coeffs)
 
@@ -923,7 +957,7 @@ def test_the_uniqueness_start_takes_its_shared_integrand_once(monkeypatch):
     monkeypatch.setattr(picard, "_integrand", counting_integrand)
     got = picard_step(start, problem)
     assert len(calls) == 1
-    want_v, want_w = sweep_by_every_slice(start, problem.v0, problem.w0, PARAMS, problem.t_grid)
+    want_v, want_w = sweep_by_every_slice(start, problem, problem.t_grid)
     for field, want in zip(got.v_slices + got.omega_slices, want_v + want_w, strict=True):
         assert np.array_equal(field.coeffs, want.coeffs)
 
@@ -934,7 +968,7 @@ def test_a_start_without_a_grid_solves_on_the_problem_grid():
     t_grid = np.linspace(0.0, problem.horizon.T, problem.v0.disc.n_t)
     state = skewed_start(problem)
     for _ in range(second.iterations):
-        v_slices, w_slices = sweep_by_every_slice(state, problem.v0, problem.w0, PARAMS, t_grid)
+        v_slices, w_slices = sweep_by_every_slice(state, problem, t_grid)
         state = PicardState(tuple(v_slices), tuple(w_slices))
     for field, want in zip(
         second.state.v_slices + second.state.omega_slices,

@@ -26,7 +26,7 @@ from robinslab.domain import (
     zero_field3,
 )
 from robinslab.errors import NoConvergenceError, NonFiniteError
-from robinslab.heat import RobinPropagator, robin_state
+from robinslab.heat import RobinPropagator, robin_state, robin_synthesis
 from robinslab.picard import (
     PICARD_TOL,
     HorizonSelection,
@@ -69,6 +69,24 @@ class TestHorizon:
         with pytest.raises(ValueError):
             horizon_from_norms(-1.0, 1.0, 2.0, PARAMS)
 
+    @pytest.mark.parametrize(
+        "constant, gamma, match",
+        [
+            (math.nan, 2.0, "growth constant nan is not finite"),
+            (math.inf, 2.0, "growth constant inf is not finite"),
+            # nu gamma^2 = 1600: e^{1600} overflows a float
+            (1.0, 40.0, r"amplification 1 e\^\{nu gamma\^2\} overflows at nu gamma\^2 = 1600"),
+            # e^{700} is finite, 1e10 times it is not
+            (1e10, math.sqrt(700.0), r"amplification 1e\+10 e\^\{nu gamma\^2\} overflows"),
+        ],
+    )
+    def test_non_finite_constant_or_amplification_is_a_non_finite_error(
+        self, constant, gamma, match
+    ):
+        params = dataclasses.replace(PARAMS, gamma=gamma)
+        with pytest.raises(NonFiniteError, match=match):
+            horizon_from_norms(0.1, 1.0, constant, params)
+
     @settings(max_examples=100, deadline=None)
     @given(
         nv=st.floats(min_value=0.0, max_value=100.0),
@@ -99,6 +117,10 @@ class TestHorizon:
             select_horizon(f, f, p3, 1.0)
 
 
+def synthesis_table(disc, gamma=PARAMS.gamma):
+    return robin_synthesis(np.eye(disc.n_z - 1), gamma, disc)
+
+
 class TestDuhamel:
     def test_constant_eigen_forcing_closed_form(self):
         # w0 = 0, g = G e^{-gamma z} on mode (1,1): w(t) = G (e^{rt} - 1)/r
@@ -108,7 +130,8 @@ class TestDuhamel:
         g = field3_from_profile(disc, (1, 1), 0.7 * prof)
         t = np.linspace(0.0, 0.5, disc.n_t)
         base = RobinPropagator(zero_field3(disc), PARAMS)
-        slices = duhamel_apply(base, [robin_state(g, PARAMS.gamma)] * disc.n_t, t)
+        states = [robin_state(g, PARAMS.gamma)] * disc.n_t
+        slices = duhamel_apply(base, states, t, synthesis_table(disc))
         r = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
         for i in (8, 16, 32):
             exact = 0.7 * (math.exp(r * t[i]) - 1.0) / r * prof
@@ -121,20 +144,22 @@ class TestDuhamel:
         zeros = [robin_state(zero_field3(disc), PARAMS.gamma)] * disc.n_t
         prop = RobinPropagator(w0, PARAMS)
         t = np.linspace(0.0, 0.2, disc.n_t)
-        slices = duhamel_apply(prop, zeros, t)
+        table = synthesis_table(disc)
+        slices = duhamel_apply(prop, zeros, t, table)
         assert len(slices) == disc.n_t - 1  # slice 0 is w0, which the caller holds
         for i in range(1, disc.n_t):
-            assert np.array_equal(slices[i - 1].coeffs, prop.at(t[i]).coeffs)
+            assert np.array_equal(slices[i - 1].coeffs, prop.state_at(t[i]) @ table)
 
     def test_validation(self):
         disc = Discretization(k_max=1, n_z=65, l_z=20.0, n_t=5)
         w0 = zero_field3(disc)
         base = RobinPropagator(w0, PARAMS)
         x = robin_state(w0, PARAMS.gamma)
+        table = synthesis_table(disc)
         with pytest.raises(ValueError):
-            duhamel_apply(base, [x], np.array([0.0]))
+            duhamel_apply(base, [x], np.array([0.0]), table)
         with pytest.raises(ValueError):  # fewer forcing states than grid nodes
-            duhamel_apply(base, [x] * 4, np.linspace(0.0, 0.5, disc.n_t))
+            duhamel_apply(base, [x] * 4, np.linspace(0.0, 0.5, disc.n_t), table)
         flat = HorizonSelection(
             T=0.0, M=0.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
         )
