@@ -26,9 +26,10 @@ Neither A nor S depends on the lateral mode.  Their array-level cores,
 robin_analysis and robin_synthesis, take z profiles and states of any
 leading shape, so run on identity rows they tabulate each as one matrix.
 The Picard solve, which applies both to every time slice of every sweep,
-tabulates them once per problem and sums states before one synthesis per
-slice; every other caller keeps the transforms, which cost less per
-application than a dense product at large n_z and hold no n_z^2 table.
+tabulates them once per problem on grids of at most a few hundred z points
+and sums states before one synthesis per slice.  Every other caller, and
+a Picard solve on a larger grid, keeps the transforms, which there cost
+less per application than a dense product and hold no n_z^2 table.
 
 A Crank-Nicolson finite-difference oracle provides an independent route to
 the same solution for cross-checks.  It lays every lateral mode's

@@ -23,15 +23,19 @@ recurrence over the time cells accumulates the forcing, so a sweep
 analyses each forcing slice once and synthesizes each output slice once
 with the rates of the one propagator of w0, O(n_t) work instead of the
 O(n_t^2) propagator evaluations of a direct sum.  Neither the forcing
-analysis A d_z nor the synthesis S depends on the lateral mode, so each
-is one matrix per problem, tabulated by heat's array-level routes on the
-identity: a slice's analysis and its synthesis are one matrix product
-each, over the stack of k_max x n_z blocks of the lateral modes.
+analysis A d_z nor the synthesis S depends on the lateral mode, so on a
+grid where it pays (tabulates) each is one matrix per problem, made by
+heat's array-level routes on the identity, and a slice's analysis and
+its synthesis are one matrix product each.  Past a few hundred z points
+a dense product costs more than the transforms, and a problem whose
+sweeps apply the operators to fewer rows than a table has would not
+repay building it; such a problem keeps the transforms.
 
 A PicardProblem is the map's one owner of the data, the horizon and the
 time grid, and of what the data alone feed into a sweep (slice 0's
-integrand, the propagator of w0, the two tables), computed once per
-problem; a solve forked after the problem is built inherits all of it.
+integrand and forcing state, the propagator of w0, the tables if any),
+computed once per problem; a solve forked after the problem is built
+inherits all of it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import numpy as np
 
 from .domain import (
     MAX_DERIVATIVE_ORDER,
+    Discretization,
     ModelParams,
     SpectralField3,
     _dz1,
@@ -53,7 +58,7 @@ from .domain import (
 )
 from .elliptic import solve_elliptic
 from .errors import NoConvergenceError, NonFiniteError
-from .heat import RobinPropagator, robin_analysis, robin_synthesis
+from .heat import RobinPropagator, robin_analysis, robin_state, robin_synthesis
 
 __all__ = [
     "PICARD_TOL",
@@ -64,6 +69,9 @@ __all__ = [
     "PicardResult",
     "horizon_from_norms",
     "select_horizon",
+    "TABLE_MAX_N_Z",
+    "tabulates",
+    "duhamel_tables",
     "duhamel_apply",
     "picard_step",
     "picard_solve",
@@ -205,11 +213,50 @@ def select_horizon(
 # --- Duhamel quadrature -----------------------------------------------------
 
 
+# Largest n_z at which a problem tabulates its Duhamel z-operators.  A
+# product with an n_z x n_z table reads the whole table for every block of
+# rows, and once the table outgrows the cache that costs more than the
+# transforms it replaces.  Per slice (analysis plus synthesis, one BLAS
+# thread, 2-core Xeon), tables against transforms: 0.05 against 0.13 ms at
+# k_max 2, n_z 256; 0.12 against 0.30 ms at (2, 384); 0.39 against 0.25 ms
+# at (2, 512); 3.2 against 0.47 ms at (2, 1024); 0.51 against 0.91 ms at
+# (8, 256); 3.7 against 2.4 ms at (8, 512).
+TABLE_MAX_N_Z = 384
+
+
+def tabulates(disc: Discretization) -> bool:
+    """Whether a Picard problem on disc applies its Duhamel z-operators as
+    the tables of duhamel_tables rather than by transforms.
+
+    Dense products are the cheaper route up to TABLE_MAX_N_Z points, where
+    a product costs about half what the transforms spend on the same rows.
+    Building the tables costs what the transforms spend on n_z rows, so a
+    solve repays it within a few sweeps only if one sweep applies each
+    operator to at least n_z rows: k_max^2 per slice, n_t - 1 slices.
+    """
+    return disc.n_z <= TABLE_MAX_N_Z and disc.k_max**2 * (disc.n_t - 1) >= disc.n_z
+
+
+def duhamel_tables(gamma: float, disc: Discretization) -> tuple[np.ndarray, np.ndarray]:
+    """(forcing analysis, synthesis) of the Duhamel term as read-only tables.
+
+    forcing analysis  n_z x (n_z - 1): robin_state(d_z(v), gamma) is
+                      v.coeffs @ it
+    synthesis         (n_z - 1) x n_z: the field of a state is state @ it
+
+    Each is heat's array-level route run once on the identity rows.
+    """
+    analysis = robin_analysis(_dz1(np.eye(disc.n_z), disc.dz), gamma, disc)
+    synthesis = robin_synthesis(np.eye(disc.n_z - 1), gamma, disc)
+    analysis.flags.writeable = synthesis.flags.writeable = False
+    return analysis, synthesis
+
+
 def duhamel_apply(
     base: RobinPropagator,
     forcing_states: Iterable[np.ndarray],
     t_grid: np.ndarray,
-    synthesis: np.ndarray,
+    synthesis: np.ndarray | None = None,
 ) -> list[SpectralField3]:
     """Slices of P_t w0 + Int_0^t P_{t-s} g(s) ds at t_grid[1:].
 
@@ -223,8 +270,8 @@ def duhamel_apply(
 
     with X_j the state of forcing slice j and E = exp(rates dt) per entry.
     The w0 part is evaluated at the exact t_i, and each output slice is one
-    product with synthesis, the table robin_synthesis makes of the
-    identity.
+    synthesis: base.synthesize, or a product with the synthesis table of
+    duhamel_tables when one is given.
     """
     if len(t_grid) < 2:
         raise ValueError("Duhamel quadrature needs at least two slices")
@@ -239,7 +286,11 @@ def duhamel_apply(
     for t, x in zip(t_grid, forcing_states, strict=True):
         if prev is not None:
             forced = decay * forced + left * prev + half * x
-            out.append(SpectralField3((base.state_at(t) + forced) @ synthesis, base.disc))
+            state = base.state_at(t) + forced
+            if synthesis is None:
+                out.append(base.synthesize(state))
+            else:
+                out.append(SpectralField3(state @ synthesis, base.disc))
         prev = x
     return out
 
@@ -301,14 +352,11 @@ class PicardProblem:
     linspace(0, T, n_t) every iterate lives on, and computes once what the
     data alone feed into a sweep, whatever the iterate: a slice holding the
     data itself (slice 0 after the first sweep, every slice of the
-    constant-in-time start) takes its integrand v0 (K w0)_z from here, and
-    every sweep's Duhamel term takes the one propagator of w0 and two
-    tables of the z direction:
-
-    forcing_analysis  n_z x (n_z - 1): robin_state(d_z(v)) is
-                      v.coeffs @ forcing_analysis
-    synthesis         (n_z - 1) x n_z: the field of a state is
-                      state @ synthesis
+    constant-in-time start) takes its integrand v0 (K w0)_z and the spectral
+    state of its forcing d_z(v0) from here, and every sweep's Duhamel term
+    takes the one propagator of w0.  On a grid that tabulates, the problem
+    also holds the two tables of duhamel_tables as forcing_analysis and
+    synthesis; elsewhere both are None and a sweep keeps the transforms.
     """
 
     def __init__(
@@ -330,10 +378,16 @@ class PicardProblem:
         self.t_grid.flags.writeable = False
         self.integrand = _integrand(v0, w0, params)
         self.w0_propagator = RobinPropagator(w0, params)
-        disc, gamma = v0.disc, params.gamma
-        self.forcing_analysis = robin_analysis(_dz1(np.eye(disc.n_z), disc.dz), gamma, disc)
-        self.synthesis = robin_synthesis(np.eye(disc.n_z - 1), gamma, disc)
-        self.forcing_analysis.flags.writeable = self.synthesis.flags.writeable = False
+        self.forcing_analysis, self.synthesis = (
+            duhamel_tables(params.gamma, v0.disc) if tabulates(v0.disc) else (None, None)
+        )
+        self.forcing_state = self.analyse_forcing(v0)
+
+    def analyse_forcing(self, v: SpectralField3) -> np.ndarray:
+        """robin_state(d_z(v), gamma), by the forcing table if the problem has one."""
+        if self.forcing_analysis is None:
+            return robin_state(d_z(v), self.params.gamma)
+        return v.coeffs @ self.forcing_analysis
 
 
 def picard_step(state: PicardState, problem: PicardProblem) -> PicardState:
@@ -356,10 +410,13 @@ def picard_step(state: PicardState, problem: PicardProblem) -> PicardState:
         acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
 
-    # matmul takes the stack one k_max x n_z block at a time; one product of
-    # all k_max^2 rows is big enough for a threaded BLAS to split, and its
-    # threads then contend with the forked solve running beside this one
-    forcing_states = (v_j.coeffs @ problem.forcing_analysis for v_j in state.v_slices)
+    # a table product takes the stack one k_max x n_z block at a time; one
+    # product of all k_max^2 rows is big enough for a threaded BLAS to
+    # split, and its threads then contend with the forked solve beside it
+    forcing_states = (
+        problem.forcing_state if v_j is v0 else problem.analyse_forcing(v_j)
+        for v_j in state.v_slices
+    )
     w_new = duhamel_apply(problem.w0_propagator, forcing_states, t, problem.synthesis)
     return PicardState(
         v_slices=tuple(v_new),

@@ -123,6 +123,7 @@ from robinslab.picard import (
     PicardProblem,
     PicardState,
     duhamel_apply,
+    duhamel_tables,
     picard_solve,
     picard_step,
     select_horizon,
@@ -630,19 +631,16 @@ def test_one_fft_synthesis_matches_the_sine_and_cosine_transforms(k_max, n_z):
 @pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
 def test_tabulated_duhamel_operators_match_the_transform_route(k_max, n_z, gamma):
     params = dataclasses.replace(PARAMS, gamma=gamma)
-    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0, n_t=5)
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     gen = np.random.default_rng(n_z)
-    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
-    w0 = random_field3(disc, gen, kind="robin", gamma=gamma, amplitude=0.2)
-    horizon = dataclasses.replace(select_horizon(v0, w0, params, 1.5), T=0.01)
-    problem = PicardProblem(v0, w0, params, horizon)
-    analysis, synthesis = problem.forcing_analysis, problem.synthesis
+    analysis, synthesis = duhamel_tables(gamma, disc)
     assert analysis.shape == (n_z, n_z - 1) and synthesis.shape == (n_z - 1, n_z)
     assert not analysis.flags.writeable and not synthesis.flags.writeable
-    for f in (v0, random_field3(disc, gen, kind="generic")):
+    for kind in ("vspace", "generic"):
+        f = random_field3(disc, gen, kind=kind)
         want = robin_state(d_z(f), gamma)
         assert relative_gap(f.coeffs @ analysis, want) <= 1e-13
-    prop = problem.w0_propagator
+    prop = RobinPropagator(random_field3(disc, gen, kind="robin", gamma=gamma), params)
     for t in (0.0, 1e-3, 0.01):
         state = prop.state_at(t)
         assert relative_gap(state @ synthesis, prop.synthesize(state).coeffs) <= 1e-13
@@ -891,7 +889,8 @@ def test_bounded_ball_guard_stops_where_the_per_sweep_guard_does():
 
 def sweep_by_every_slice(state, problem, t):
     """One sweep on the grid t recomputing every slice's integrand and
-    forcing state, and the propagator of w0, with the problem's tables."""
+    forcing state, and the propagator of w0, by the problem's route: its
+    tables if it holds them, the transforms otherwise."""
     v0, w0, params = problem.v0, problem.w0, problem.params
     dt = t[1] - t[0]
     integrands = [
@@ -903,17 +902,16 @@ def sweep_by_every_slice(state, problem, t):
     for i in range(1, len(t)):
         acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
-    w_new = duhamel_apply(
-        RobinPropagator(w0, params),
-        [v_j.coeffs @ problem.forcing_analysis for v_j in state.v_slices],
-        t,
-        problem.synthesis,
-    )
+    if problem.forcing_analysis is None:
+        states = [robin_state(d_z(v_j), params.gamma) for v_j in state.v_slices]
+    else:
+        states = [v_j.coeffs @ problem.forcing_analysis for v_j in state.v_slices]
+    w_new = duhamel_apply(RobinPropagator(w0, params), states, t, problem.synthesis)
     return v_new, [w0] + w_new
 
 
-def small_problem(seed=8):
-    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+def small_problem(seed=8, k_max=3, n_z=129):
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0, n_t=9)
     gen = np.random.default_rng(seed)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
@@ -938,6 +936,39 @@ def test_sweep_reusing_pinned_work_is_bit_identical_to_recomputing_it():
         want_v, want_w = sweep_by_every_slice(state, problem, t_grid)
         for field, want in zip(got.v_slices + got.omega_slices, want_v + want_w):
             assert np.array_equal(field.coeffs, want.coeffs)
+
+
+def test_a_tabulating_sweep_reusing_pinned_work_is_bit_identical_to_recomputing_it():
+    problem = small_problem(k_max=4, n_z=65)
+    assert problem.synthesis is not None
+    v0, w0 = problem.v0, problem.w0
+    n_t = v0.disc.n_t
+    constant = PicardState((v0,) * n_t, (w0,) * n_t)
+    for state in (constant, skewed_start(problem), picard_step(constant, problem)):
+        got = picard_step(state, problem)
+        want_v, want_w = sweep_by_every_slice(state, problem, problem.t_grid)
+        for field, want in zip(got.v_slices + got.omega_slices, want_v + want_w):
+            assert np.array_equal(field.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("k_max, n_z", [(3, 129), (4, 65)])
+def test_a_sweep_through_the_tables_matches_the_transform_sweep(k_max, n_z):
+    tables = small_problem(k_max=k_max, n_z=n_z)
+    transforms = small_problem(k_max=k_max, n_z=n_z)
+    disc = tables.v0.disc
+    tables.forcing_analysis, tables.synthesis = duhamel_tables(PARAMS.gamma, disc)
+    transforms.forcing_analysis = transforms.synthesis = None
+    tables.forcing_state = tables.analyse_forcing(tables.v0)
+    transforms.forcing_state = transforms.analyse_forcing(transforms.v0)
+    constant = PicardState((tables.v0,) * disc.n_t, (tables.w0,) * disc.n_t)
+    for state in (constant, picard_step(constant, transforms)):
+        got, want = picard_step(state, tables), picard_step(state, transforms)
+        for field, ref in zip(got.omega_slices, want.omega_slices, strict=True):
+            assert relative_gap(field.coeffs, ref.coeffs) <= 1e-13
+        assert all(
+            np.array_equal(a.coeffs, b.coeffs)
+            for a, b in zip(got.v_slices, want.v_slices, strict=True)
+        )
 
 
 def test_the_uniqueness_start_takes_its_shared_integrand_once(monkeypatch):

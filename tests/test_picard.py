@@ -7,8 +7,10 @@ M = 2e and horizon T = 1/(16e), bound by the data term.
 
 import dataclasses
 import gc
+import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,20 +28,23 @@ from robinslab.domain import (
     zero_field3,
 )
 from robinslab.errors import NoConvergenceError, NonFiniteError
-from robinslab.heat import RobinPropagator, robin_state, robin_synthesis
+from robinslab.heat import RobinPropagator, robin_state
 from robinslab.picard import (
     PICARD_TOL,
     HorizonSelection,
     PicardProblem,
     PicardState,
     duhamel_apply,
+    duhamel_tables,
     horizon_from_norms,
     picard_solve,
     picard_step,
     select_horizon,
+    tabulates,
     x_distance,
     x_norm,
 )
+from robinslab.report import parse_config
 
 A = math.pi
 PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
@@ -117,10 +122,6 @@ class TestHorizon:
             select_horizon(f, f, p3, 1.0)
 
 
-def synthesis_table(disc, gamma=PARAMS.gamma):
-    return robin_synthesis(np.eye(disc.n_z - 1), gamma, disc)
-
-
 class TestDuhamel:
     def test_constant_eigen_forcing_closed_form(self):
         # w0 = 0, g = G e^{-gamma z} on mode (1,1): w(t) = G (e^{rt} - 1)/r
@@ -130,8 +131,7 @@ class TestDuhamel:
         g = field3_from_profile(disc, (1, 1), 0.7 * prof)
         t = np.linspace(0.0, 0.5, disc.n_t)
         base = RobinPropagator(zero_field3(disc), PARAMS)
-        states = [robin_state(g, PARAMS.gamma)] * disc.n_t
-        slices = duhamel_apply(base, states, t, synthesis_table(disc))
+        slices = duhamel_apply(base, [robin_state(g, PARAMS.gamma)] * disc.n_t, t)
         r = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
         for i in (8, 16, 32):
             exact = 0.7 * (math.exp(r * t[i]) - 1.0) / r * prof
@@ -144,27 +144,83 @@ class TestDuhamel:
         zeros = [robin_state(zero_field3(disc), PARAMS.gamma)] * disc.n_t
         prop = RobinPropagator(w0, PARAMS)
         t = np.linspace(0.0, 0.2, disc.n_t)
-        table = synthesis_table(disc)
-        slices = duhamel_apply(prop, zeros, t, table)
+        slices = duhamel_apply(prop, zeros, t)
         assert len(slices) == disc.n_t - 1  # slice 0 is w0, which the caller holds
         for i in range(1, disc.n_t):
-            assert np.array_equal(slices[i - 1].coeffs, prop.state_at(t[i]) @ table)
+            assert np.array_equal(slices[i - 1].coeffs, prop.at(t[i]).coeffs)
+
+    def test_zero_forcing_through_the_synthesis_table_reduces_to_propagation(self, rng):
+        disc = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
+        w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
+        zeros = [robin_state(zero_field3(disc), PARAMS.gamma)] * disc.n_t
+        prop = RobinPropagator(w0, PARAMS)
+        t = np.linspace(0.0, 0.2, disc.n_t)
+        _, synthesis = duhamel_tables(PARAMS.gamma, disc)
+        slices = duhamel_apply(prop, zeros, t, synthesis)
+        assert len(slices) == disc.n_t - 1
+        for i in range(1, disc.n_t):
+            want = prop.at(t[i]).coeffs
+            assert np.max(np.abs(slices[i - 1].coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_validation(self):
         disc = Discretization(k_max=1, n_z=65, l_z=20.0, n_t=5)
         w0 = zero_field3(disc)
         base = RobinPropagator(w0, PARAMS)
         x = robin_state(w0, PARAMS.gamma)
-        table = synthesis_table(disc)
         with pytest.raises(ValueError):
-            duhamel_apply(base, [x], np.array([0.0]), table)
+            duhamel_apply(base, [x], np.array([0.0]))
         with pytest.raises(ValueError):  # fewer forcing states than grid nodes
-            duhamel_apply(base, [x] * 4, np.linspace(0.0, 0.5, disc.n_t), table)
+            duhamel_apply(base, [x] * 4, np.linspace(0.0, 0.5, disc.n_t))
         flat = HorizonSelection(
             T=0.0, M=0.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
         )
         with pytest.raises(ValueError, match="horizon must be positive"):
             PicardProblem(w0, w0, PARAMS, flat)
+
+
+class TestTabulation:
+    @pytest.mark.parametrize(
+        "config, tabulated",
+        [
+            ("picard_smooth.json", True),  # 64 rows x 32 slices >= 256
+            ("picard_zero.json", False),  # 16 rows x 8 slices < 256
+            ("heat_eigenmode.json", False),  # n_z 1024
+            ("elliptic_eigenmode.json", False),  # n_z 512
+        ],
+    )
+    def test_shipped_grids(self, config, tabulated):
+        path = Path(__file__).resolve().parents[1] / "configs" / config
+        disc = parse_config(json.loads(path.read_text())).disc
+        assert tabulates(disc) is tabulated
+
+    @pytest.mark.parametrize(
+        "k_max, n_z, n_t, tabulated",
+        [
+            (4, 65, 9, True),
+            (3, 129, 9, False),  # 72 rows per sweep, fewer than n_z
+            (3, 129, 17, True),
+            (8, 384, 33, True),
+            (8, 385, 33, False),  # past TABLE_MAX_N_Z
+        ],
+    )
+    def test_problem_holds_tables_where_the_grid_tabulates(self, k_max, n_z, n_t, tabulated):
+        disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0, n_t=n_t)
+        gen = np.random.default_rng(n_z)
+        v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+        w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+        horizon = HorizonSelection(
+            T=0.01, M=1.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
+        )
+        problem = PicardProblem(v0, w0, PARAMS, horizon)
+        assert tabulates(disc) is tabulated
+        if tabulated:
+            assert problem.forcing_analysis.shape == (n_z, n_z - 1)
+            assert problem.synthesis.shape == (n_z - 1, n_z)
+            assert np.array_equal(problem.forcing_state, v0.coeffs @ problem.forcing_analysis)
+        else:
+            assert problem.forcing_analysis is None and problem.synthesis is None
+            want = robin_state(picard.d_z(v0), PARAMS.gamma)
+            assert np.array_equal(problem.forcing_state, want)
 
 
 class TestPicardSolve:

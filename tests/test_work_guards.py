@@ -1,15 +1,16 @@
 """Guards on how much work a sweep does and on what the command imports.
 
-One Picard sweep evaluates the Duhamel term in the spectral state through
-the two z-operator tables of its problem: it makes no robin_state
-analysis, no sine transform and no backward FFT, builds no propagator,
-and never evaluates one through RobinPropagator.at.  What the data alone
-feed into a sweep (their elliptic solve, the one propagator of w0 and the
-two tables) a solve computes once, with the same transforms whatever n_t
-or the number of sweeps, and a slice holding the data reuses its
-integrand.  A converging solve takes no norm for its ball guard beyond
-the start's, propagators on one
-geometry share their rates, and the elliptic band is factored once per
+One Picard sweep evaluates the Duhamel term in the spectral state.  On a
+grid that tabulates, it goes through the two z-operator tables of its
+problem: it makes no robin_state analysis, no sine transform and no
+backward FFT.  On any other grid it analyses each forcing slice with
+robin_state.  Either way it builds no propagator and never evaluates one
+through RobinPropagator.at.  What the data alone feed into a sweep (their
+elliptic solve, the state of d_z(v0), the one propagator of w0 and the
+tables) a solve computes once, with the same transforms whatever n_t or
+the number of sweeps, and a slice holding the data reuses it.  A
+converging solve takes no norm for its ball guard beyond the start's,
+propagators on one
 geometry, not once per solve.  One RobinPropagator.at synthesizes with one
 backward real FFT and no sine transform.  An H^3 norm applies the second-difference
 stencil once and differentiates that profile for order 3 rather than
@@ -72,17 +73,42 @@ def _count_propagator_work(monkeypatch):
     monkeypatch.setattr(heat.RobinPropagator, "at", counting_at)
     monkeypatch.setattr(heat.RobinPropagator, "__init__", counting_init)
     monkeypatch.setattr(heat, "robin_state", counting_state)
+    monkeypatch.setattr(picard, "robin_state", counting_state)
     return counts
 
 
-# the propagator of w0 (its build, its state and that state's sine
-# transform), then one sine transform for the forcing table and one
-# backward FFT for the synthesis table
+def test_one_sweep_analyses_per_slice_and_builds_nothing(monkeypatch):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+    assert not picard.tabulates(disc)
+    gen = np.random.default_rng(8)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
+    horizon = HorizonSelection(
+        T=0.02, M=1.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
+    )
+    counts = _count_propagator_work(monkeypatch)
+    problem = PicardProblem(v0, w0, PARAMS, horizon)
+    # the propagator of w0, and the states of d_z(v0) and of w0
+    assert counts == {"at": 0, "build": 1, "analysis": 2, "dst": 2, "c2r": 0}
+    state = picard_step(PicardState((v0,) * disc.n_t, (w0,) * disc.n_t), problem)
+    assert counts == {"at": 0, "build": 1, "analysis": 2, "dst": 2, "c2r": disc.n_t - 1}
+    new = picard_step(state, problem)
+    assert len(new.omega_slices) == disc.n_t
+    # every slice but slice 0, which holds the data
+    n = disc.n_t - 1
+    assert counts == {"at": 0, "build": 1, "analysis": 2 + n, "dst": 2 + n, "c2r": 2 * n}
+
+
+# on a grid that tabulates: the propagator of w0 (its build, its state and
+# that state's sine transform), then one sine transform for the forcing
+# table and one backward FFT for the synthesis table; the state of d_z(v0)
+# is a product with the forcing table
 SETUP_WORK = {"at": 0, "build": 1, "analysis": 1, "dst": 2, "c2r": 1}
 
 
-def test_a_sweep_makes_no_analysis_and_no_transform(monkeypatch):
-    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)
+def test_a_tabulating_sweep_makes_no_analysis_and_no_transform(monkeypatch):
+    disc = Discretization(k_max=4, n_z=65, l_z=20.0, n_t=9)
+    assert picard.tabulates(disc)
     gen = np.random.default_rng(8)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
@@ -100,7 +126,8 @@ def test_a_sweep_makes_no_analysis_and_no_transform(monkeypatch):
 
 @pytest.mark.parametrize("n_t", [3, 9, 17])
 def test_problem_setup_makes_a_fixed_number_of_transforms(monkeypatch, n_t):
-    disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=n_t)
+    disc = Discretization(k_max=6, n_z=65, l_z=20.0, n_t=n_t)
+    assert picard.tabulates(disc)
     gen = np.random.default_rng(8)
     v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
     w0 = random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma, amplitude=0.2)
@@ -149,11 +176,14 @@ def test_a_solve_computes_what_the_data_feed_once(monkeypatch):
     counts = _count_propagator_work(monkeypatch)
     result = picard_solve(PicardProblem(v0, w0, PARAMS, select_horizon(v0, w0, PARAMS, 1.5)))
     assert result.iterations >= 2
-    # once per problem: the data's solve and what SETUP_WORK counts; the
-    # constant start holds the data in every slice, so its sweep solves
-    # nothing, and each later sweep skips slice 0
-    assert len(solves) == 1 + (result.iterations - 1) * (disc.n_t - 1)
-    assert counts == SETUP_WORK
+    # once per problem: the data's solve, the one propagator of w0 and the
+    # states of w0 and of d_z(v0); the constant start holds the data in
+    # every slice, so its sweep adds nothing, and each later sweep skips
+    # slice 0
+    later = (result.iterations - 1) * (disc.n_t - 1)
+    assert len(solves) == 1 + later
+    assert counts["build"] == 1 and counts["at"] == 0
+    assert counts["analysis"] == 2 + later
 
 
 def test_second_elliptic_solve_neither_factors_nor_band_solves(monkeypatch):
