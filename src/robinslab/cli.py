@@ -128,7 +128,7 @@ def run(command: str, config_path, out_dir, seed_override: int | None = None) ->
         if config_path is None:
             raise ConfigError(f"--config is required for the {command} command")
         config = load_config(config_path, seed_override)
-        report, extras = _DISPATCH[command](config)
+        report, extras = _DISPATCH[command](config, out_dir)
         report["command"] = command
         report["config"] = config.echo()
         report.setdefault("horizon", None)
@@ -163,6 +163,20 @@ def _timed_certificates(phases: dict, checks) -> list:
     return certs
 
 
+def _write_series(out_dir: Path, norms=None, snapshots=None) -> dict:
+    """Write norms.csv and any snapshots into out_dir; returns the report's
+    norm_timeseries."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    norms = norms or ([], [], [], [])
+    write_norms_csv(out_dir / "norms.csv", *norms)
+    if snapshots:
+        snap_dir = out_dir / "snapshots"
+        snap_dir.mkdir(exist_ok=True)
+        for stem, field in snapshots.items():
+            write_snapshot(snap_dir / f"{stem}.csv", field)
+    return dict(zip(NORM_COLUMNS, map(list, norms)))
+
+
 def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     name = "verify_report.json" if command == "verify" else "report.json"
@@ -171,15 +185,9 @@ def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows
             fh.write("sweep,n_z,error\n")
             for sweep, n_z, err in convergence_rows:
                 fh.write(f"{sweep},{n_z},{err:.17g}\n")
-    if command != "verify":
-        norms = norms or ([], [], [], [])
-        write_norms_csv(out_dir / "norms.csv", *norms)
-        report["norm_timeseries"] = dict(zip(NORM_COLUMNS, map(list, norms)))
-        if snapshots:
-            snap_dir = out_dir / "snapshots"
-            snap_dir.mkdir(exist_ok=True)
-            for stem, field in snapshots.items():
-                write_snapshot(snap_dir / f"{stem}.csv", field)
+    # a command that wrote its series early has its norm_timeseries already
+    if command != "verify" and "norm_timeseries" not in report:
+        report["norm_timeseries"] = _write_series(out_dir, norms, snapshots)
     certs = report["certificates"]
     report["certificates"] = [dataclasses.asdict(c) for c in certs]
     write_report(out_dir / name, report)
@@ -240,7 +248,7 @@ def _held_out(worker: Worker, index: int) -> list:
     return ratios
 
 
-def _cmd_calibrate(config: RunConfig):
+def _cmd_calibrate(config: RunConfig, out_dir: Path):
     params, disc = config.params, config.disc
     phases = {}
     # the held-out ensembles need only the config, so they run in a forked
@@ -281,7 +289,7 @@ def _cmd_calibrate(config: RunConfig):
 # --- elliptic ----------------------------------------------------------------
 
 
-def _cmd_elliptic(config: RunConfig):
+def _cmd_elliptic(config: RunConfig, out_dir: Path):
     params, disc = config.params, config.disc
     rng = np.random.default_rng(config.seed)
     f = build_field(config.initial_w, config, rng)
@@ -323,7 +331,7 @@ def _growth_constant_for(config: RunConfig) -> float:
     )
 
 
-def _cmd_heat(config: RunConfig):
+def _cmd_heat(config: RunConfig, out_dir: Path):
     params, disc = config.params, config.disc
     rng = np.random.default_rng(config.seed)
     w0 = build_field(config.initial_w, config, rng)
@@ -368,7 +376,7 @@ def _cmd_heat(config: RunConfig):
 # --- picard ------------------------------------------------------------------
 
 
-def _cmd_picard(config: RunConfig):
+def _cmd_picard(config: RunConfig, out_dir: Path):
     params = config.params
     rng = np.random.default_rng(config.seed)
     v0 = build_field(config.initial_v, config, rng)
@@ -379,41 +387,45 @@ def _cmd_picard(config: RunConfig):
         c_gs = 1.25 * _growth_constant_for(config)
     horizon = select_horizon(v0, w0, params, c_gs)
     problem = PicardProblem(v0, w0, params, horizon)
+    report = {
+        "measured_constants": {"growth_constant": c_gs},
+        "horizon": dataclasses.asdict(horizon),
+        "timing": {"phase_seconds": phases},
+    }
     # the uniqueness check's second solve needs only the problem, so it
     # runs in a forked child beside everything below
     with start_uniqueness_solve(problem) as second:
         with _phase(phases, "main_solve"):
             result = picard_solve(problem)
-        v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
-        w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
-        checks = [
-            ("contraction", lambda: contraction_check(result.ratios)),
-            ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, horizon, params)),
-            ("fixed-point-residual", lambda: fixed_point_residual_check(result)),
-            ("uniqueness", lambda: uniqueness_check(result, second)),
-        ]
-        certs = _timed_certificates(phases, checks)
+        # the residual sweep needs only the converged iterate, so a second
+        # child runs it while the parent writes the series and reads the
+        # uniqueness stream
+        with Worker.fork(lambda: fixed_point_residual_check(result)) as residual:
+            v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
+            w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
+            norms = (list(problem.t_grid), v_norms, w_norms, [n * n for n in w_norms])
+            report["norm_timeseries"] = _write_series(out_dir, norms, {
+                "v_final": result.state.v_slices[-1],
+                "omega_final": result.state.omega_slices[-1],
+            })
+            certs = _timed_certificates(phases, [
+                ("contraction", lambda: contraction_check(result.ratios)),
+                ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, horizon, params)),
+            ])
+            uniqueness = _timed_certificates(
+                phases, [("uniqueness", lambda: uniqueness_check(result, second))]
+            )
+            certs += _timed_certificates(phases, [("fixed-point-residual", residual.result)])
+            certs += uniqueness
+        _child_phase(phases, "residual_sweep", residual)
     _child_phase(phases, "uniqueness_solve", second)
-    energies = [n * n for n in w_norms]
-    report = {
-        "measured_constants": {"growth_constant": c_gs},
-        "certificates": certs,
-        "horizon": dataclasses.asdict(horizon),
-        "picard": {
-            "iterations": result.iterations,
-            "diffs": list(result.diffs),
-            "ratios": list(result.ratios),
-        },
-        "timing": {"phase_seconds": phases},
+    report["certificates"] = certs
+    report["picard"] = {
+        "iterations": result.iterations,
+        "diffs": list(result.diffs),
+        "ratios": list(result.ratios),
     }
-    extras = {
-        "norms": (list(problem.t_grid), v_norms, w_norms, energies),
-        "snapshots": {
-            "v_final": result.state.v_slices[-1],
-            "omega_final": result.state.omega_slices[-1],
-        },
-    }
-    return report, extras
+    return report, {"norms": norms}
 
 
 # --- verify ------------------------------------------------------------------
@@ -524,7 +536,7 @@ def _heat_sweep(config: RunConfig):
     return rows, run_certificates([("heat-route-error", sweep)])
 
 
-def _cmd_convergence(config: RunConfig):
+def _cmd_convergence(config: RunConfig, out_dir: Path):
     phases = {}
     with _phase(phases, "elliptic_sweep"):
         elliptic_rows, elliptic_certs = _elliptic_sweep()

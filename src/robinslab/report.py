@@ -328,11 +328,15 @@ def write_snapshot(path, field: SpectralField3) -> None:
     """
     coeffs = field.coeffs
     k1, k2, j = np.nonzero(coeffs)
-    rows = zip((k1 + 1).tolist(), (k2 + 1).tolist(), j.tolist(), coeffs[k1, k2, j].tolist())
-    lines = [",".join(_SNAPSHOT_COLUMNS) + "\r\n"]
-    lines += ["%d,%d,%d,%.17g\r\n" % row for row in rows]
+    # the rows' fields laid out flat, so one % formats the whole file
+    values = [None] * (4 * k1.size)
+    values[0::4] = (k1 + 1).tolist()
+    values[1::4] = (k2 + 1).tolist()
+    values[2::4] = j.tolist()
+    values[3::4] = coeffs[k1, k2, j].tolist()
+    rows = ("%d,%d,%d,%.17g\r\n" * k1.size) % tuple(values)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write(",".join(_SNAPSHOT_COLUMNS) + "\r\n" + rows)
 
 
 def read_snapshot(path, disc: Discretization) -> SpectralField3:

@@ -679,11 +679,11 @@ class TestTiming:
         phases, total = self.run_phases(tmp_path, "picard")
         assert set(phases) == {
             "growth_calibration", "main_solve", "contraction", "apriori",
-            "fixed_point_residual", "uniqueness", "uniqueness_solve",
+            "fixed_point_residual", "uniqueness", "uniqueness_solve", "residual_sweep",
         }
-        # the forked second solve overlaps the parent's phases
-        concurrent = phases.pop("uniqueness_solve")
-        assert concurrent <= total
+        # the forked second solve and residual sweep overlap the parent's phases
+        for concurrent in ("uniqueness_solve", "residual_sweep"):
+            assert phases.pop(concurrent) <= total
         assert sum(phases.values()) <= total
 
     def test_calibrate_reports_nonnegative_phase_seconds_within_the_total(self, tmp_path):

@@ -55,15 +55,19 @@ Each reference below is the earlier algorithm written out in full:
   uniqueness the second solve run in process after the main one, then
              x_distance, against the forked worker whose slices stream
              back, both for the certificate and for the picard command's
-             whole output.
+             whole output;
+  residual   the extra sweep from the converged iterate run in process,
+             against the forked child that sends back its certificate,
+             both for the certificate and for the picard command's whole
+             output.
 
 The recurrence, the banded sweep, the sine matrices, the weight table, the
 half-step oracle, the one-FFT synthesis and the tables reorder
 floating-point sums, so they are held to a tolerance a few hundred ulps
 wide; the stacked elliptic solve, the shared stencils, the batched
 oracle, the in-module Simpson, the bound kernels, the one-array analysis
-and rates, the ratio samplers, the two sweeps and the two uniqueness
-routes run the same arithmetic and must agree bit for bit; the snapshot
+and rates, the ratio samplers, the two sweeps and the two uniqueness and
+residual routes run the same arithmetic and must agree bit for bit; the snapshot
 writers and the picard outputs must agree byte for byte, and
 the two guards must stop at the same sweep.
 """
@@ -131,7 +135,10 @@ from robinslab.picard import (
     x_norm,
 )
 from robinslab.report import write_snapshot
-from robinslab.verify import make_certificate, start_uniqueness_solve, uniqueness_check
+from robinslab.verify import (
+    fixed_point_residual_check, make_certificate, start_uniqueness_solve, uniqueness_check,
+)
+from robinslab.worker import Worker
 
 A = math.pi
 PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
@@ -1029,7 +1036,38 @@ def test_forked_uniqueness_check_is_bit_identical_to_the_second_solve_in_process
     assert forked == want
 
 
-def test_picard_outputs_match_the_in_process_uniqueness_route(tmp_path, monkeypatch):
+def test_forked_fixed_point_residual_is_the_in_process_record():
+    first = picard_solve(small_problem())
+    with Worker.fork(lambda: fixed_point_residual_check(first)) as residual:
+        forked = residual.result()
+    want = fixed_point_residual_check(first)
+    assert forked.measured > 0.0
+    assert forked == want
+
+
+class InProcess:
+    """Worker's interface, with the job run in the parent when its result is asked."""
+
+    seconds = None
+
+    def __init__(self, job):
+        self._job = job
+
+    @classmethod
+    def fork(cls, job):
+        return cls(job)
+
+    def result(self):
+        return self._job()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+def test_picard_outputs_match_the_in_process_certificate_routes(tmp_path, monkeypatch):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
@@ -1055,5 +1093,6 @@ def test_picard_outputs_match_the_in_process_uniqueness_route(tmp_path, monkeypa
     monkeypatch.setattr(
         cli, "uniqueness_check", lambda first, second: uniqueness_by_second_solve(first)
     )
+    monkeypatch.setattr(cli, "Worker", InProcess)  # the residual sweep, after the main solve
     in_process = outputs(tmp_path / "in_process")
     assert forked == in_process

@@ -128,15 +128,15 @@ def picard_config(tmp_path):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Every worker the picard command starts, kept for inspection."""
+    """Every worker a run forks, in the order it forked them, kept for inspection."""
     started = []
-    real_start = cli.start_uniqueness_solve
+    real_fork = worker.Worker.fork.__func__
 
-    def recording_start(*args):
-        started.append(real_start(*args))
+    def recording_fork(cls, *args):
+        started.append(real_fork(cls, *args))
         return started[-1]
 
-    monkeypatch.setattr(cli, "start_uniqueness_solve", recording_start)
+    monkeypatch.setattr(worker.Worker, "fork", classmethod(recording_fork))
     return started
 
 
@@ -155,7 +155,7 @@ def test_a_failing_main_solve_kills_and_reaps_the_child(tmp_path, capsys, monkey
     assert run_picard(tmp_path) == 1
     assert time.monotonic() - started < PROMPT_S
     assert capsys.readouterr().err == "convergence error: no convergence in 30 sweeps (injected)\n"
-    [second] = workers
+    [second] = workers  # no residual child: there is no converged iterate to sweep
     assert second.status == -signal.SIGKILL
 
 
@@ -169,15 +169,15 @@ def test_a_failing_child_exits_two_and_leaves_no_process(tmp_path, capsys, monke
     [cert] = [c for c in report["certificates"] if c["name"] == "uniqueness"]
     assert cert["details"] == {"error": "NoConvergenceError: no convergence in 30 sweeps (injected)"}
     assert "FAIL uniqueness" in capsys.readouterr().out
-    [second] = workers
-    assert second.status == 0
+    [second, residual] = workers
+    assert second.status == residual.status == 0
 
 
-def test_a_passing_run_reaps_its_child(tmp_path, workers):
+def test_a_passing_run_reaps_its_children(tmp_path, workers):
     assert run_picard(tmp_path) == 0
-    [second] = workers
-    assert second.status == 0
-    assert second.seconds > 0.0
+    [second, residual] = workers
+    assert second.status == residual.status == 0
+    assert second.seconds > 0.0 and residual.seconds > 0.0
 
 
 def report_of(tmp_path):
@@ -187,23 +187,117 @@ def report_of(tmp_path):
 def test_a_killed_child_leaves_no_phase_unmeasured(tmp_path, monkeypatch, workers):
     monkeypatch.setattr(worker, "picard_solve", killed_self)
     assert run_picard(tmp_path) == 2
-    [second] = workers
+    [second, residual] = workers
     assert second.status == -signal.SIGKILL
     phases = report_of(tmp_path)["timing"]["phase_seconds"]
     assert "uniqueness_solve" not in phases
+    assert phases["residual_sweep"] == residual.seconds
     assert phases and all(isinstance(s, float) and s >= 0.0 for s in phases.values())
 
 
-@pytest.mark.parametrize("command", ["picard", "calibrate"])
-def test_a_failed_fork_closes_both_pipe_ends(tmp_path, capsys, monkeypatch, command):
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+# --- picard's residual sweep -------------------------------------------------
 
-    monkeypatch.setattr(worker.os, "fork", no_fork)
+
+def certificates_of(tmp_path):
+    return {c["name"]: c for c in report_of(tmp_path)["certificates"]}
+
+
+def test_a_residual_sweep_that_raises_fails_only_its_certificate(
+    tmp_path, capsys, monkeypatch, workers
+):
+    assert run_picard(tmp_path) == 0
+    passing = certificates_of(tmp_path)
+
+    def failing_check(result):
+        raise FloatingPointError("residual sweep failed (injected)")
+
+    monkeypatch.setattr(cli, "fixed_point_residual_check", failing_check)
+    assert run_picard(tmp_path) == 2
+    certs = certificates_of(tmp_path)
+    failed = certs.pop("fixed-point-residual")
+    assert failed["details"] == {"error": "FloatingPointError: residual sweep failed (injected)"}
+    assert not failed["passed"]
+    passing.pop("fixed-point-residual")
+    assert certs == passing
+    assert capsys.readouterr().out.count("FAIL") == 1
+    [*_, second, residual] = workers
+    assert second.status == residual.status == 0
+
+
+def test_a_killed_residual_child_fails_its_certificate_naming_the_signal(
+    tmp_path, monkeypatch, workers
+):
+    monkeypatch.setattr(cli, "fixed_point_residual_check", killed_self)
+    assert run_picard(tmp_path) == 2
+    [second, residual] = workers
+    assert second.status == 0
+    assert residual.status == -signal.SIGKILL
+    certs = certificates_of(tmp_path)
+    assert certs["fixed-point-residual"]["details"] == {"error": (
+        f"WorkerError: worker {residual.pid} ended before sending its result: "
+        "killed by signal 9"
+    )}
+    assert certs["uniqueness"]["passed"]
+    phases = report_of(tmp_path)["timing"]["phase_seconds"]
+    assert "residual_sweep" not in phases
+    assert phases["uniqueness_solve"] == second.seconds
+
+
+def failing_solve(*args, **kwargs):
+    raise NoConvergenceError("no convergence in 30 sweeps (injected)")
+
+
+def unwritable_snapshots(tmp_path):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "snapshots").write_text("a file where the directory goes")
+
+
+# each way a picard run can end: (what to patch, its stand-in, exit code)
+EXIT_PATHS = {
+    "passes": ([], 0),
+    "main solve fails": ([(cli, "picard_solve", failing_solve)], 1),
+    "second solve fails": ([(worker, "picard_solve", failing_solve)], 2),
+    "second solve killed": ([(worker, "picard_solve", killed_self)], 2),
+    "residual sweep raises": ([(cli, "fixed_point_residual_check", failing_solve)], 2),
+    "residual child killed": ([(cli, "fixed_point_residual_check", killed_self)], 2),
+    "outputs unwritable": ([], 1),
+}
+
+
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_a_picard_run_leaves_no_child_process_on_any_exit_path(
+    tmp_path, monkeypatch, workers, path
+):
+    patches, code = EXIT_PATHS[path]
+    for module, name, stand_in in patches:
+        monkeypatch.setattr(module, name, stand_in)
+    if path == "outputs unwritable":
+        unwritable_snapshots(tmp_path)
+    assert run_picard(tmp_path) == code
+    assert workers and all(w.status is not None for w in workers)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "command, failing_fork", [("picard", 1), ("picard", 2), ("calibrate", 1)]
+)
+def test_a_failed_fork_closes_both_pipe_ends(tmp_path, capsys, monkeypatch, command, failing_fork):
+    real_fork = os.fork
+    forks = []
+
+    def fork_failing_once():
+        forks.append(None)
+        if len(forks) == failing_fork:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(worker.os, "fork", fork_failing_once)
     config = ROOT / "configs" / "picard_zero.json"
     open_fds = len(os.listdir("/proc/self/fd"))
     argv = ["--command", command, "--config", str(config), "--out", str(tmp_path / "run")]
     assert main(argv) == 1
+    assert len(forks) == failing_fork
     assert len(os.listdir("/proc/self/fd")) == open_fds
     assert capsys.readouterr().err == "io error: [Errno 11] Resource temporarily unavailable\n"
 
