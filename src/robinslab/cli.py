@@ -387,11 +387,6 @@ def _cmd_picard(config: RunConfig, out_dir: Path):
         c_gs = 1.25 * _growth_constant_for(config)
     horizon = select_horizon(v0, w0, params, c_gs)
     problem = PicardProblem(v0, w0, params, horizon)
-    report = {
-        "measured_constants": {"growth_constant": c_gs},
-        "horizon": dataclasses.asdict(horizon),
-        "timing": {"phase_seconds": phases},
-    }
     # the uniqueness check's second solve needs only the problem, so it
     # runs in a forked child beside everything below
     with start_uniqueness_solve(problem) as second:
@@ -404,7 +399,7 @@ def _cmd_picard(config: RunConfig, out_dir: Path):
             v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
             w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
             norms = (list(problem.t_grid), v_norms, w_norms, [n * n for n in w_norms])
-            report["norm_timeseries"] = _write_series(out_dir, norms, {
+            series = _write_series(out_dir, norms, {
                 "v_final": result.state.v_slices[-1],
                 "omega_final": result.state.omega_slices[-1],
             })
@@ -412,6 +407,9 @@ def _cmd_picard(config: RunConfig, out_dir: Path):
                 ("contraction", lambda: contraction_check(result.ratios)),
                 ("apriori", lambda: apriori_bounds_check(v_norms, w_norms, horizon, params)),
             ])
+            # the uniqueness child, forked first, usually ends first, so its
+            # stream is read before the residual child is waited for; the
+            # report keeps the residual certificate before it
             uniqueness = _timed_certificates(
                 phases, [("uniqueness", lambda: uniqueness_check(result, second))]
             )
@@ -419,11 +417,17 @@ def _cmd_picard(config: RunConfig, out_dir: Path):
             certs += uniqueness
         _child_phase(phases, "residual_sweep", residual)
     _child_phase(phases, "uniqueness_solve", second)
-    report["certificates"] = certs
-    report["picard"] = {
-        "iterations": result.iterations,
-        "diffs": list(result.diffs),
-        "ratios": list(result.ratios),
+    report = {
+        "measured_constants": {"growth_constant": c_gs},
+        "certificates": certs,
+        "horizon": dataclasses.asdict(horizon),
+        "norm_timeseries": series,
+        "picard": {
+            "iterations": result.iterations,
+            "diffs": list(result.diffs),
+            "ratios": list(result.ratios),
+        },
+        "timing": {"phase_seconds": phases},
     }
     return report, {"norms": norms}
 
@@ -554,6 +558,8 @@ def _cmd_convergence(config: RunConfig, out_dir: Path):
     return report, {"convergence_rows": rows}
 
 
+# each command takes its config and the output directory; picard writes its
+# series there itself, before its last certificates, and _emit the others'
 _DISPATCH = {
     "calibrate": _cmd_calibrate,
     "elliptic": _cmd_elliptic,

@@ -8,13 +8,23 @@ a child that has not sent everything and always reaps it, so no command
 leaves a process behind on any exit path.  A child that fails outside the
 job prints its traceback on stderr before it exits 1.
 
-Two commands fork.  `picard` runs the uniqueness check's second solve in
-a SolveWorker (fork_solve): its header holds the sweep count, and the raw
-float64 coefficient bytes of every slice's v and w follow in slice order.
-The parent reads the slices one pair at a time, so the converged state is
-never pickled and never whole in the parent's memory.  `calibrate` runs
-its held-out ensembles in a plain Worker, whose header holds their ratio
-lists.
+The forks, in the order a run makes them:
+
+  picard      once the horizon is selected, the uniqueness check's second
+              solve, in a SolveWorker (fork_solve).  Its header holds the
+              sweep count, and the raw float64 coefficient bytes of every
+              slice's v and w follow in slice order.  The parent reads the
+              slices one pair at a time, so the converged state is never
+              pickled and never whole in the parent's memory.
+  picard      right after the main solve, the fixed-point-residual sweep,
+              in a plain Worker whose child inherits the converged iterate
+              copy-on-write and whose header holds the certificate.
+  calibrate   its held-out ensembles, in a plain Worker whose header holds
+              their ratio lists.
+
+So up to three picard processes share the machine while the residual sweep
+runs.  No child is sent anything after the fork: each job takes all it
+needs from the parent's memory as it was at the fork.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""The forked children, the uniqueness solve and calibrate's held-out
-ensembles, on every path they can end by.
+"""The forked children, picard's uniqueness solve and residual sweep and
+calibrate's held-out ensembles, on every path they can end by.
 
 The uniqueness worker's child runs the second Picard solve and streams its
-slices back; calibrate's child samples the two held-out ensembles and
-sends their ratio lists.  The parent must turn each way a child can end
+slices back; the residual child runs the extra sweep from the converged
+iterate and sends its certificate; calibrate's child samples the two
+held-out ensembles and sends their ratio lists.  The parent must turn each way a child can end
 into the same certificates the in-process work would give, or into failed
 certificates naming how the child ended, and must never leave a process
 behind or wait on one that will not answer.  A fork that fails leaves no
