@@ -303,16 +303,16 @@ class RobinPropagator:
             raise ValueError(f"propagation time must be nonnegative, got {t}")
         return np.exp(self.rates * t)
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Spectral state at time t."""
-        return self.state * self.decay(t)
+    def state_at(self, t: float, decay: np.ndarray | None = None) -> np.ndarray:
+        """Spectral state at time t; decay, when given, is decay(t) taken before."""
+        return self.state * (self.decay(t) if decay is None else decay)
 
     def synthesize(self, state: np.ndarray) -> SpectralField3:
         """Field of a spectral state (robin_synthesis)."""
         return SpectralField3(robin_synthesis(state, self.params.gamma, self.disc), self.disc)
 
-    def at(self, t: float) -> SpectralField3:
-        return self.synthesize(self.state_at(t))
+    def at(self, t: float, decay: np.ndarray | None = None) -> SpectralField3:
+        return self.synthesize(self.state_at(t, decay))
 
 
 def fd_robin_oracle(
@@ -429,8 +429,8 @@ def growth_ratios(
                 continue
             if t not in decays:
                 decays[t] = prop.decay(t)
-            field = prop.synthesize(prop.state * decays[t])
-            ratios.append(growth_ratio(sobolev_norm(field, s, params.a), base, t, params))
+            norm = sobolev_norm(prop.at(t, decays[t]), s, params.a)
+            ratios.append(growth_ratio(norm, base, t, params))
     return ratios
 
 

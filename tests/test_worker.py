@@ -4,12 +4,12 @@ calibrate's held-out ensembles, on every path they can end by.
 The uniqueness worker's child runs the second Picard solve and streams its
 slices back; the residual child runs the extra sweep from the converged
 iterate and sends its certificate; calibrate's child samples the two
-held-out ensembles and sends their ratio lists.  The parent must turn each way a child can end
-into the same certificates the in-process work would give, or into failed
-certificates naming how the child ended, and must never leave a process
-behind or wait on one that will not answer.  A fork that fails leaves no
-descriptor open.  The autouse fixture in conftest.py fails any test here
-that leaves a child unreaped.
+held-out ensembles and sends their ratio lists.  The parent must turn
+each way a child can end into the same certificates the in-process work
+would give, or into failed certificates naming how the child ended, and
+must never leave a process behind or wait on one that will not answer.
+A fork that fails leaves no descriptor open.  The autouse fixture in
+conftest.py fails any test here that leaves a child unreaped.
 """
 
 import errno
