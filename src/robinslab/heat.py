@@ -429,8 +429,8 @@ def growth_ratios(
                 continue
             if t not in decays:
                 decays[t] = prop.decay(t)
-            norm = sobolev_norm(prop.at(t, decays[t]), s, params.a)
-            ratios.append(growth_ratio(norm, base, t, params))
+            field = prop.at(t, decays[t])
+            ratios.append(growth_ratio(sobolev_norm(field, s, params.a), base, t, params))
     return ratios
 
 
