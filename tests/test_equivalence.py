@@ -1067,7 +1067,7 @@ class InProcess:
         pass
 
 
-def test_picard_outputs_match_the_in_process_certificate_routes(tmp_path, monkeypatch):
+def test_picard_outputs_match_the_in_process_uniqueness_route(tmp_path, monkeypatch):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},

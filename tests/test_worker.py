@@ -174,7 +174,7 @@ def test_a_failing_child_exits_two_and_leaves_no_process(tmp_path, capsys, monke
     assert second.status == residual.status == 0
 
 
-def test_a_passing_run_reaps_its_children(tmp_path, workers):
+def test_a_passing_run_reaps_its_child(tmp_path, workers):
     assert run_picard(tmp_path) == 0
     [second, residual] = workers
     assert second.status == residual.status == 0
@@ -281,7 +281,9 @@ def test_a_picard_run_leaves_no_child_process_on_any_exit_path(
 
 
 @pytest.mark.parametrize(
-    "command, failing_fork", [("picard", 1), ("picard", 2), ("calibrate", 1)]
+    "command, failing_fork",
+    [("picard", 1), ("picard", 2), ("calibrate", 1)],
+    ids=["picard", "picard-residual", "calibrate"],
 )
 def test_a_failed_fork_closes_both_pipe_ends(tmp_path, capsys, monkeypatch, command, failing_fork):
     real_fork = os.fork
