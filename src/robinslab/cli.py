@@ -128,7 +128,9 @@ def run(command: str, config_path, out_dir, seed_override: int | None = None) ->
         if config_path is None:
             raise ConfigError(f"--config is required for the {command} command")
         config = load_config(config_path, seed_override)
-        report, extras = _DISPATCH[command](config, out_dir)
+        handler = _DISPATCH[command]
+        # picard writes its series itself, while its children run
+        report, extras = handler(config, out_dir) if command == "picard" else handler(config)
         report["command"] = command
         report["config"] = config.echo()
         report.setdefault("horizon", None)
@@ -177,7 +179,7 @@ def _write_series(out_dir: Path, norms=None, snapshots=None) -> dict:
     return dict(zip(NORM_COLUMNS, map(list, norms)))
 
 
-def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows=None):
+def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows=None, series=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     name = "verify_report.json" if command == "verify" else "report.json"
     if convergence_rows is not None:
@@ -185,9 +187,11 @@ def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows
             fh.write("sweep,n_z,error\n")
             for sweep, n_z, err in convergence_rows:
                 fh.write(f"{sweep},{n_z},{err:.17g}\n")
-    # a command that wrote its series early has its norm_timeseries already
-    if command != "verify" and "norm_timeseries" not in report:
-        report["norm_timeseries"] = _write_series(out_dir, norms, snapshots)
+    if command != "verify":
+        # series is the norm_timeseries of a command that wrote its own
+        if series is None:
+            series = _write_series(out_dir, norms, snapshots)
+        report["norm_timeseries"] = series
     certs = report["certificates"]
     report["certificates"] = [dataclasses.asdict(c) for c in certs]
     write_report(out_dir / name, report)
@@ -248,7 +252,7 @@ def _held_out(worker: Worker, index: int) -> list:
     return ratios
 
 
-def _cmd_calibrate(config: RunConfig, out_dir: Path):
+def _cmd_calibrate(config: RunConfig):
     params, disc = config.params, config.disc
     phases = {}
     # the held-out ensembles need only the config, so they run in a forked
@@ -289,7 +293,7 @@ def _cmd_calibrate(config: RunConfig, out_dir: Path):
 # --- elliptic ----------------------------------------------------------------
 
 
-def _cmd_elliptic(config: RunConfig, out_dir: Path):
+def _cmd_elliptic(config: RunConfig):
     params, disc = config.params, config.disc
     rng = np.random.default_rng(config.seed)
     f = build_field(config.initial_w, config, rng)
@@ -331,7 +335,7 @@ def _growth_constant_for(config: RunConfig) -> float:
     )
 
 
-def _cmd_heat(config: RunConfig, out_dir: Path):
+def _cmd_heat(config: RunConfig):
     params, disc = config.params, config.disc
     rng = np.random.default_rng(config.seed)
     w0 = build_field(config.initial_w, config, rng)
@@ -421,7 +425,6 @@ def _cmd_picard(config: RunConfig, out_dir: Path):
         "measured_constants": {"growth_constant": c_gs},
         "certificates": certs,
         "horizon": dataclasses.asdict(horizon),
-        "norm_timeseries": series,
         "picard": {
             "iterations": result.iterations,
             "diffs": list(result.diffs),
@@ -429,7 +432,7 @@ def _cmd_picard(config: RunConfig, out_dir: Path):
         },
         "timing": {"phase_seconds": phases},
     }
-    return report, {"norms": norms}
+    return report, {"norms": norms, "series": series}
 
 
 # --- verify ------------------------------------------------------------------
@@ -540,7 +543,7 @@ def _heat_sweep(config: RunConfig):
     return rows, run_certificates([("heat-route-error", sweep)])
 
 
-def _cmd_convergence(config: RunConfig, out_dir: Path):
+def _cmd_convergence(config: RunConfig):
     phases = {}
     with _phase(phases, "elliptic_sweep"):
         elliptic_rows, elliptic_certs = _elliptic_sweep()
@@ -558,8 +561,6 @@ def _cmd_convergence(config: RunConfig, out_dir: Path):
     return report, {"convergence_rows": rows}
 
 
-# each command takes its config and the output directory; picard writes its
-# series there itself, before its last certificates, and _emit the others'
 _DISPATCH = {
     "calibrate": _cmd_calibrate,
     "elliptic": _cmd_elliptic,

@@ -294,25 +294,20 @@ class RobinPropagator:
             float(params.nu), float(params.gamma), float(params.a), omega0.disc
         )
 
-    def decay(self, t: float) -> np.ndarray:
-        """Factors e^{rates t} that take the state to time t; propagators
-        sharing a rates table share them."""
+    def state_at(self, t: float) -> np.ndarray:
+        """Spectral state at time t."""
         if not math.isfinite(t):
             raise ValueError(f"propagation time must be finite, got {t}")
         if t < 0:
             raise ValueError(f"propagation time must be nonnegative, got {t}")
-        return np.exp(self.rates * t)
-
-    def state_at(self, t: float, decay: np.ndarray | None = None) -> np.ndarray:
-        """Spectral state at time t; decay, when given, is decay(t) taken before."""
-        return self.state * (self.decay(t) if decay is None else decay)
+        return self.state * np.exp(self.rates * t)
 
     def synthesize(self, state: np.ndarray) -> SpectralField3:
         """Field of a spectral state (robin_synthesis)."""
         return SpectralField3(robin_synthesis(state, self.params.gamma, self.disc), self.disc)
 
-    def at(self, t: float, decay: np.ndarray | None = None) -> SpectralField3:
-        return self.synthesize(self.state_at(t, decay))
+    def at(self, t: float) -> SpectralField3:
+        return self.synthesize(self.state_at(t))
 
 
 def fd_robin_oracle(
@@ -411,26 +406,18 @@ def growth_ratios(
 
     The flow at t = 0 is the identity, so it records exactly 1.0 there:
     RobinPropagator.at(0) reproduces w0 only up to representation error.
-    The decay factors of each t are taken once for every field whose
-    propagator shares the rates table of the one before.
     """
     ratios = []
-    rates, decays = None, {}
     for w0 in fields:
         base = sobolev_norm(w0, s, params.a)
         if base == 0.0:
             continue
         prop = RobinPropagator(w0, params)
-        if prop.rates is not rates:
-            rates, decays = prop.rates, {}
         for t in times:
             if t == 0.0:
                 ratios.append(1.0)
                 continue
-            if t not in decays:
-                decays[t] = prop.decay(t)
-            field = prop.at(t, decays[t])
-            ratios.append(growth_ratio(sobolev_norm(field, s, params.a), base, t, params))
+            ratios.append(growth_ratio(sobolev_norm(prop.at(t), s, params.a), base, t, params))
     return ratios
 
 

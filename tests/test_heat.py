@@ -388,22 +388,6 @@ class TestGrowthAndSmoothing:
         at_zero = sobolev_norm(RobinPropagator(f, PARAMS).at(0.0), 2, A)
         assert at_zero != sobolev_norm(f, 2, A)
 
-    def test_growth_ratios_take_each_geometrys_own_decay(self):
-        # the decay factors shared along an ensemble are retaken when the
-        # next field lies on another grid
-        rate = PARAMS.nu * PARAMS.gamma**2
-        fields = [
-            random_field3(Discretization(k_max=k, n_z=n_z, l_z=20.0), np.random.default_rng(k),
-                          kind="robin", gamma=PARAMS.gamma)
-            for k, n_z in ((2, 129), (2, 129), (3, 97), (2, 129))
-        ]
-        want = [
-            sobolev_norm(RobinPropagator(f, PARAMS).at(t), 2, A) * math.exp(-rate * t)
-            / sobolev_norm(f, 2, A)
-            for f in fields for t in (0.1, 0.5)
-        ]
-        assert growth_ratios(fields, [0.1, 0.5], 2, PARAMS) == want
-
     def test_growth_seed_reproducibility(self):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0)
         c1 = calibrate_growth_constant(5, 2, [0.0, 0.5], 3, PARAMS, disc)
