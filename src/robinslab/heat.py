@@ -35,9 +35,18 @@ A Crank-Nicolson finite-difference oracle provides an independent route to
 the same solution for cross-checks.  It lays every lateral mode's
 tridiagonal system side by side as one block-diagonal band with zero
 couplings between blocks, symmetrises it by scaling the wall unknown, and
-factors it once as LDL^T.  Since I + cL = 2I - (I - cL), each time step is
-one symmetric tridiagonal solve over all modes and two in-place updates,
-with no explicit half-step.  It shares no code with the transform route.
+factors it once as LDL^T, every mode whether or not it carries data, so
+whether a step is refused does not depend on the data.  Since
+I + cL = 2I - (I - cL), each time step is one symmetric tridiagonal solve
+and two in-place updates, with no explicit half-step, over the modes whose
+data are not all zero; a mode without data stays exactly 0.  It shares no
+code with the transform route.
+
+The growth calibration samples ||P_t w0|| over a random ensemble and a few
+times.  growth_ratios takes the decay factors e^{rates t} once per call and
+synthesizes each field's states at all its nonzero times in one
+robin_synthesis call, which gives bit for bit what RobinPropagator.at
+gives one time at a time.
 
 The type-1 DST, the backward real FFT and the LAPACK solves (dtbtrs for the
 bundle, dpttrf/dpttrs for the oracle) come from robinslab._kernels, which
@@ -244,6 +253,14 @@ def _propagator_rates(nu: float, gamma: float, a: float, disc: Discretization) -
     return _readonly(rates)
 
 
+def _check_time(t: float) -> None:
+    """Refuse a propagation time that is not finite or is negative."""
+    if not math.isfinite(t):
+        raise ValueError(f"propagation time must be finite, got {t}")
+    if t < 0:
+        raise ValueError(f"propagation time must be nonnegative, got {t}")
+
+
 @lru_cache(maxsize=8)
 def _synthesis_factors(gamma: float, disc: Discretization) -> np.ndarray:
     """-(zeta / gamma + i) / 2 per slab mode, read-only."""
@@ -296,10 +313,7 @@ class RobinPropagator:
 
     def state_at(self, t: float) -> np.ndarray:
         """Spectral state at time t."""
-        if not math.isfinite(t):
-            raise ValueError(f"propagation time must be finite, got {t}")
-        if t < 0:
-            raise ValueError(f"propagation time must be nonnegative, got {t}")
+        _check_time(t)
         return self.state * np.exp(self.rates * t)
 
     def synthesize(self, state: np.ndarray) -> SpectralField3:
@@ -323,16 +337,20 @@ def fd_robin_oracle(
     at l_z.  Every lateral mode's tridiagonal system is one block of a
     block-diagonal band in (k1, k2) row-major order; the last off-diagonal
     entry of each block is zero, so no block couples to the next and each
-    mode gets the arithmetic of its own solve.
+    mode gets the arithmetic of its own solve.  The whole band is factored,
+    but only the blocks of modes whose n_z - 1 unknowns are not all zero
+    are stepped, with their slices of the factors; the other modes stay
+    exactly 0, so the work per step is (modes with data) * (n_z - 1).
 
     The ghost row makes L nonsymmetric (2/h^2 above the wall, 1/h^2 below);
     the wall unknown is scaled by 1/sqrt(2) on entry and by sqrt(2) on exit,
     which turns both entries into sqrt(2)/h^2 and A = I - cL into a symmetric
     tridiagonal matrix, factored once as LDL^T.  As I + cL = 2I - A, each
-    step is x = 2 A^{-1} w - w: one solve and two in-place updates over all
-    modes.  Raises ValueError when A is not positive definite, i.e. when
-    the growing wall mode outruns the step and the Crank-Nicolson
-    amplification is infinite or at most -1.  Used only for cross-checks.
+    step is x = 2 A^{-1} w - w: one solve and two in-place updates over the
+    stepped modes.  Raises ValueError when A is not positive definite in
+    any mode, with data or not, i.e. when the growing wall mode outruns the
+    step and the Crank-Nicolson amplification is infinite or at most -1.
+    Used only for cross-checks.
     """
     if not math.isfinite(t):
         raise ValueError(f"oracle time must be finite, got {t}")
@@ -367,8 +385,17 @@ def fd_robin_oracle(
         )
     if info != 0:
         raise RuntimeError(f"tridiagonal factorization failed: info={info}")
-    w = omega0.coeffs[:, :, :n_unknown].copy()
-    w[:, :, 0] /= sqrt2
+    out = np.zeros_like(omega0.coeffs)
+    rows = out.reshape(-1, disc.n_z)  # one row per lateral mode, a view of out
+    data = omega0.coeffs.reshape(rows.shape)[:, :n_unknown]
+    live = np.flatnonzero(np.any(data != 0.0, axis=1))
+    if live.size == 0:
+        return SpectralField3(out, disc)
+    # the live blocks' factors; each block's row of e ends in its zero coupling
+    d = d.reshape(-1, n_unknown)[live].ravel()
+    e = np.append(e, 0.0).reshape(-1, n_unknown)[live].ravel()[:-1]
+    w = data[live]
+    w[:, 0] /= sqrt2
     w = w.ravel()
     for _ in range(n_steps):
         x, info = dpttrs(d, e, w)
@@ -377,9 +404,9 @@ def fd_robin_oracle(
         x *= 2.0
         x -= w
         w = x
-    out = np.zeros_like(omega0.coeffs)
-    out[:, :, :n_unknown] = w.reshape(disc.k_max, disc.k_max, n_unknown)
-    out[:, :, 0] *= sqrt2
+    w = w.reshape(live.size, n_unknown)
+    w[:, 0] *= sqrt2
+    rows[live, :n_unknown] = w
     return SpectralField3(out, disc)
 
 
@@ -406,18 +433,30 @@ def growth_ratios(
 
     The flow at t = 0 is the identity, so it records exactly 1.0 there:
     RobinPropagator.at(0) reproduces w0 only up to representation error.
+    The decay factors e^{rates t} of the nonzero times are taken once per
+    rates table, which the propagators of one geometry share.  Each field's
+    states at all those times are stacked and synthesized in one
+    robin_synthesis call, then normed one time at a time; every ratio is
+    bit for bit what RobinPropagator.at gives, and a time state_at would
+    refuse raises the same ValueError.
     """
+    later = [t for t in times if t != 0.0]
     ratios = []
+    rates = decays = None
     for w0 in fields:
         base = sobolev_norm(w0, s, params.a)
         if base == 0.0:
             continue
         prop = RobinPropagator(w0, params)
+        if prop.rates is not rates:
+            for t in later:
+                _check_time(t)
+            rates = prop.rates
+            decays = np.exp(rates * np.array(later, dtype=float)[:, None, None, None])
+        grown = robin_synthesis(prop.state * decays, params.gamma, prop.disc)
+        norms = (sobolev_norm(SpectralField3(g, prop.disc), s, params.a) for g in grown)
         for t in times:
-            if t == 0.0:
-                ratios.append(1.0)
-                continue
-            ratios.append(growth_ratio(sobolev_norm(prop.at(t), s, params.a), base, t, params))
+            ratios.append(1.0 if t == 0.0 else growth_ratio(next(norms), base, t, params))
     return ratios
 
 

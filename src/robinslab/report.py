@@ -341,6 +341,7 @@ def write_snapshot(path, field: SpectralField3) -> None:
 
 def read_snapshot(path, disc: Discretization) -> SpectralField3:
     coeffs = np.zeros((disc.k_max, disc.k_max, disc.n_z))
+    line_of = np.zeros(coeffs.shape, dtype=int)  # the line that set each entry, 0 if none
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -368,5 +369,12 @@ def read_snapshot(path, disc: Discretization) -> SpectralField3:
                     f"{where}: coefficient {row['coefficient']!r} of mode ({k1}, {k2}) "
                     f"at j = {j} is not finite"
                 )
+            first = line_of[k1 - 1, k2 - 1, j]
+            if first:
+                raise ConfigError(
+                    f"{path}: mode ({k1}, {k2}) at j = {j} is given twice, "
+                    f"on lines {first} and {reader.line_num}"
+                )
+            line_of[k1 - 1, k2 - 1, j] = reader.line_num
             coeffs[k1 - 1, k2 - 1, j] = value
     return SpectralField3(coeffs, disc)

@@ -492,6 +492,29 @@ class TestRunArtifacts:
             assert err.startswith("config error"), (command, err)
             assert "w0.csv: line 7" in err
 
+    def test_repeated_snapshot_row_is_config_error(self, tmp_path, capsys):
+        disc = Discretization(k_max=2, n_z=128, l_z=20.0, n_t=5)
+        coeffs = np.zeros((2, 2, 128))
+        coeffs[0, 0] = np.exp(-2.0 * disc.z)
+        write_snapshot(tmp_path / "w0.csv", SpectralField3(coeffs, disc))
+        lines = (tmp_path / "w0.csv").read_text().splitlines(keepends=True)
+        assert lines[3].rstrip() == f"1,1,2,{coeffs[0, 0, 2]:.17g}"
+        lines.insert(9, "1,1,2,0.5\n")  # line 4's entry again, as line 10
+        (tmp_path / "w0.csv").write_text("".join(lines))
+        path = write_config(
+            tmp_path, initial_data={"w": {"family": "file", "path": "w0.csv"}}
+        )
+        config = load_config(path)
+        message = r"w0\.csv: mode \(1, 1\) at j = 2 is given twice, on lines 4 and 10$"
+        with pytest.raises(ConfigError, match=message):
+            report.build_field(config.initial_w, config, np.random.default_rng(0))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["--command", "heat", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert re.search(message, err, re.M), err
+
     def test_report_writes_non_finite_numbers_as_strings(self, tmp_path):
         write_report(tmp_path / "r.json", {"a": math.nan, "b": [math.inf, np.float64(-math.inf)]})
 

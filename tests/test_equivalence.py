@@ -20,7 +20,8 @@ Each reference below is the earlier algorithm written out in full:
   oracle     symmetrised Crank-Nicolson stepping with one LDL^T
              factorisation and n_steps solves per lateral mode, against the
              one block-diagonal factorisation and one solve per step over
-             all modes; and the unsymmetrised ghost-row matrix with an
+             the modes that carry data, on fields with and without
+             data-free modes; and the unsymmetrised ghost-row matrix with an
              explicit half-step and one LU solve per step, per mode,
              against the same batched oracle;
   Simpson    scipy.integrate.simpson, against the uniform-grid composite
@@ -38,7 +39,8 @@ Each reference below is the earlier algorithm written out in full:
   tables     robin_state of d_z and RobinPropagator.synthesize, against the
              two z-operator tables a PicardProblem holds for its sweeps;
   held-out   the calibrate command's own held-out ratio loops, against the
-             ratio samplers elliptic_ratios and growth_ratios, and the
+             ratio samplers elliptic_ratios and growth_ratios (one stacked
+             synthesis per field, at the shipped grids too), and the
              calibrate command's whole output built from those loops in
              process, against the command whose forked child samples them;
   snapshot   csv.writer row by row, against the one-pass snapshot writer;
@@ -100,6 +102,7 @@ from robinslab.domain import (
     _dz1,
     _dz2,
     d_z,
+    field3_from_profile,
     field_from_lateral_values,
     lateral_values,
     multi_indices,
@@ -475,18 +478,26 @@ def oracle_refuses(n_z, gamma, n_steps):
 @pytest.mark.parametrize("n_z", [9, 65, 257, 1024])
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
 def test_batched_oracle_is_bit_identical_to_per_mode(k_max, n_z, gamma):
+    """A random Robin field, an eigenmode field, and the random field with
+    one row of modes zeroed (at k_max 1, every mode): the batched oracle
+    steps only the modes with data, and the rest stay exactly 0."""
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
     f = random_field3(disc, np.random.default_rng(k_max * n_z), kind="robin", gamma=gamma)
-    for t, n_steps in ORACLE_CASES:
-        if oracle_refuses(n_z, gamma, n_steps):
-            with pytest.raises(ValueError, match="not positive definite"):
-                oracle_by_mode(f, t, params, n_steps)
-            with pytest.raises(ValueError, match="raise n_steps"):
-                fd_robin_oracle(f, t, params, n_steps=n_steps)
-            continue
-        want = oracle_by_mode(f, t, params, n_steps)
-        assert np.array_equal(fd_robin_oracle(f, t, params, n_steps=n_steps).coeffs, want)
+    eigen = field3_from_profile(disc, (k_max, 1), np.exp(-gamma * disc.z))
+    zeroed = f.coeffs.copy()
+    zeroed[k_max // 2] = 0.0
+    for field in (f, eigen, SpectralField3(zeroed, disc)):
+        for t, n_steps in ORACLE_CASES:
+            if oracle_refuses(n_z, gamma, n_steps):
+                with pytest.raises(ValueError, match="not positive definite"):
+                    oracle_by_mode(field, t, params, n_steps)
+                with pytest.raises(ValueError, match="raise n_steps"):
+                    fd_robin_oracle(field, t, params, n_steps=n_steps)
+                continue
+            want = oracle_by_mode(field, t, params, n_steps)
+            got = fd_robin_oracle(field, t, params, n_steps=n_steps).coeffs
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 4])
@@ -776,6 +787,24 @@ def test_ratio_samplers_equal_the_held_out_loops(s, seed):
     want = held_out_growth_by_loop(params, disc, seed + 1, 6, times)
     assert len(want) == 18
     assert growth_ratios(robin, times, s, params) == want
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("k_max, n_z", [(8, 256), (2, 1024), (4, 256)])
+def test_growth_ratios_at_the_shipped_grids_equal_the_held_out_loop(k_max, n_z, s):
+    """One synthesis per field for all its times, against one .at per time;
+    a zero field in the stream is skipped and t = 0 records exactly 1.0."""
+    disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
+    params = dataclasses.replace(PARAMS, s=s)
+    rng = np.random.default_rng(n_z + s)
+    fields = [random_field3(disc, rng, kind="robin", gamma=params.gamma) for _ in range(4)]
+    fields.insert(2, SpectralField3(np.zeros_like(fields[0].coeffs), disc))
+    want = held_out_growth_by_loop(params, disc, n_z + s, 4, cli._CAL_TIMES)
+    assert len(want) == 12
+    assert growth_ratios(iter(fields), cli._CAL_TIMES, s, params) == want
+    pinned = growth_ratios(iter(fields), (0.0,) + cli._CAL_TIMES, s, params)
+    assert pinned[0::4] == [1.0] * 4
+    assert [r for i, r in enumerate(pinned) if i % 4] == want
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23])

@@ -388,6 +388,19 @@ class TestGrowthAndSmoothing:
         at_zero = sobolev_norm(RobinPropagator(f, PARAMS).at(0.0), 2, A)
         assert at_zero != sobolev_norm(f, 2, A)
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [(-0.1, "must be nonnegative, got -0.1"), (math.nan, "must be finite, got nan"),
+         (math.inf, "must be finite, got inf"), (-math.inf, "must be finite, got -inf")],
+    )
+    def test_growth_ratios_refuse_a_time_as_state_at_does(self, t, message):
+        disc = Discretization(k_max=2, n_z=129, l_z=20.0)
+        f = random_field3(disc, np.random.default_rng(4), kind="robin", gamma=PARAMS.gamma)
+        with pytest.raises(ValueError, match=f"^propagation time {message}$"):
+            RobinPropagator(f, PARAMS).state_at(t)
+        with pytest.raises(ValueError, match=f"^propagation time {message}$"):
+            growth_ratios([zero_field3(disc), f], [0.0, 0.2, t], 2, PARAMS)
+
     def test_growth_seed_reproducibility(self):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0)
         c1 = calibrate_growth_constant(5, 2, [0.0, 0.5], 3, PARAMS, disc)

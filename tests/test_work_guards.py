@@ -15,10 +15,13 @@ geometry, not once per solve.  One RobinPropagator.at synthesizes with one
 backward real FFT and no sine transform.  An H^3 norm applies the second-difference
 stencil once and differentiates that profile for order 3 rather than
 recomputing it.  The Crank-Nicolson oracle factors one
-block-diagonal band for all lateral modes as LDL^T and makes one
-tridiagonal solve per step, keeps the modes uncoupled, and never touches the transform
-route.  Importing the command module must not pull in scipy.signal,
-scipy.integrate, scipy.optimize, scipy.sparse.linalg, scipy.linalg,
+block-diagonal band for all lateral modes as LDL^T, so whether it refuses a
+step does not depend on the data, and makes one tridiagonal solve per step
+over the modes that carry data alone; it keeps the modes uncoupled and
+never touches the transform route.  The growth sampler synthesizes each
+nonzero field's states at all its times in one call and never goes
+through RobinPropagator.at.  Importing the command module must not pull
+in scipy.signal, scipy.integrate, scipy.optimize, scipy.sparse.linalg, scipy.linalg,
 scipy.fft, scipy.special or scipy's array-API layer with the numpy.f2py and
 numpy.testing it loads, which cost every command set-up time and memory;
 only the kernel module imports scipy at all.  Only the worker module forks
@@ -260,6 +263,70 @@ def test_oracle_factors_once_and_solves_once_per_step(monkeypatch, k_max):
     counts = _count_heat_calls(monkeypatch, "dpttrf", "dpttrs")
     heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=11)
     assert counts == {"dpttrf": 1, "dpttrs": 11}
+
+
+def _count_heat_rows(monkeypatch, *names):
+    """Wrap each named heat kernel to record the length of its first
+    argument (the rows of the band it factors or solves) per call."""
+    rows = {name: [] for name in names}
+    for name in names:
+
+        def call(d, *args, _name=name, _real=getattr(heat, name), **kwargs):
+            rows[_name].append(len(d))
+            return _real(d, *args, **kwargs)
+
+        monkeypatch.setattr(heat, name, call)
+    return rows
+
+
+def test_oracle_factors_every_mode_and_steps_the_modes_with_data(monkeypatch):
+    disc = Discretization(k_max=3, n_z=65, l_z=20.0)
+    profile = random_field3(disc, np.random.default_rng(6), kind="robin", gamma=PARAMS.gamma)
+    coeffs = np.zeros_like(profile.coeffs)
+    coeffs[0, 1] = profile.coeffs[0, 1]
+    coeffs[2, 0] = profile.coeffs[2, 0]
+    rows = _count_heat_rows(monkeypatch, "dpttrf", "dpttrs")
+    heat.fd_robin_oracle(SpectralField3(coeffs, disc), 0.3, PARAMS, n_steps=11)
+    assert rows == {"dpttrf": [9 * 64], "dpttrs": [2 * 64] * 11}
+
+
+def test_oracle_of_a_zero_field_is_exact_zeros_with_no_solve(monkeypatch):
+    disc = Discretization(k_max=3, n_z=65, l_z=20.0)
+    rows = _count_heat_rows(monkeypatch, "dpttrf", "dpttrs")
+    out = heat.fd_robin_oracle(domain.zero_field3(disc), 0.3, PARAMS, n_steps=11).coeffs
+    assert rows == {"dpttrf": [9 * 64], "dpttrs": []}
+    assert out.shape == (3, 3, 65) and np.all(out == 0.0)
+
+
+def test_oracle_refuses_a_step_whatever_modes_carry_data():
+    # at gamma 6 on 65 points the (1, 1) wall mode grows at about 21 > 1 / c
+    # = 6.7 for c = 0.15, while the (4, 4) mode, mu^2 = 32, decays
+    params = ModelParams(a=math.pi, nu=1.0, gamma=6.0, beta=1.0, s=2)
+    disc = Discretization(k_max=4, n_z=65, l_z=20.0)
+    profile = np.exp(-params.gamma * disc.z)
+    corner = domain.field3_from_profile(disc, (4, 4), profile)
+    with pytest.raises(ValueError, match="raise n_steps"):
+        heat.fd_robin_oracle(corner, 0.3, params, n_steps=1)
+    # the same block alone, as the (1, 1) mode of a box where mu^2 = 32
+    alone = domain.field3_from_profile(Discretization(k_max=1, n_z=65, l_z=20.0), (1, 1), profile)
+    narrow = ModelParams(a=math.pi / 4, nu=1.0, gamma=6.0, beta=1.0, s=2)
+    assert np.all(np.isfinite(heat.fd_robin_oracle(alone, 0.3, narrow, n_steps=1).coeffs))
+
+
+@pytest.mark.parametrize(
+    "times", [(0.1,), (0.0, 0.1, 0.5, 1.0), (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0)]
+)
+def test_growth_ratios_synthesize_once_per_nonzero_field(monkeypatch, times):
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0)
+    gen = np.random.default_rng(11)
+    fields = [random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma) for _ in range(3)]
+    fields.insert(1, domain.zero_field3(disc))
+    counts = _count_propagator_work(monkeypatch)
+    syntheses = _count_heat_calls(monkeypatch, "robin_synthesis")
+    ratios = heat.growth_ratios(fields, times, 2, PARAMS)
+    assert len(ratios) == 3 * len(times)
+    assert syntheses == {"robin_synthesis": 3}
+    assert counts == {"at": 0, "build": 3, "analysis": 3, "dst": 3, "c2r": 3}
 
 
 def test_oracle_keeps_lateral_modes_uncoupled():
