@@ -3,15 +3,20 @@
 The solver needs six LAPACK routines, the type-1 sine transform and the
 backward real FFT.  Importing them through `scipy.linalg` and `scipy.fft`
 would load scipy's array-API layer, which in turn loads numpy.f2py,
-numpy.testing, numpy.ma and scipy.special, and costs every process far more
-than the kernels themselves.  This module instead loads the two extension modules
-that hold the kernels, `scipy/linalg/_flapack` and
-`scipy/fft/_pocketfft/pypocketfft`, by file location, under their own
-names, so a later `import scipy.linalg` or `import scipy.fft` reuses them.
+numpy.testing, numpy.ma and scipy.special, and even a bare `import scipy`
+loads its test utilities with subprocess, sysconfig and locale: all cost
+every process more than the kernels themselves.  This module runs none of
+scipy's package code.  It finds scipy's directory with
+`importlib.util.find_spec`, which does not execute the package, reads the
+installed version from that directory's `version.py` without registering
+a module, and loads the two extension modules that hold the kernels,
+`linalg/_flapack` and `fft/_pocketfft/pypocketfft`, by file location
+under their scipy names, so a later `import scipy.linalg` or
+`import scipy.fft` reuses them.
 
 Reaching into those files ties this module to one scipy release: any other
 version raises ImportError.  It is the only module of the package that
-imports scipy.
+names scipy.
 
 dst makes the call `scipy.fft.dst` makes for real float64 input with the
 default norm and workers, and c2r the call `scipy.fft.irfft(x, lastsize,
@@ -28,7 +33,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 __all__ = [
     "SCIPY_VERSION", "dgtcon", "dgttrf", "dgttrs", "dpttrf", "dpttrs", "dtbtrs", "dst", "c2r",
@@ -36,29 +40,46 @@ __all__ = [
 
 SCIPY_VERSION = "1.17.1"
 
-if scipy.__version__ != SCIPY_VERSION:
-    raise ImportError(
-        f"robinslab binds scipy {SCIPY_VERSION}'s kernel files, "
-        f"but scipy {scipy.__version__} is installed"
-    )
+
+def _scipy_directory() -> str:
+    """The installed scipy package's directory, found without running the package."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    return spec.submodule_search_locations[0]
+
+
+def _exec_file(name: str, path: str):
+    """The module that the file at path defines, executed under name."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_extension(name: str):
     """Load scipy's extension module `name` from its file, or reuse a loaded one."""
     if name in sys.modules:
         return sys.modules[name]
-    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    stem = os.path.join(_SCIPY_DIR, *name.split(".")[1:])
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.exists(stem + suffix):
             break
     else:
         raise ImportError(f"no extension module file for {name} at {stem}")
-    spec = importlib.util.spec_from_file_location(name, stem + suffix)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _exec_file(name, stem + suffix)
     sys.modules[name] = module
     return module
 
+
+_SCIPY_DIR = _scipy_directory()
+# read as scipy/__init__.py reads it, but never entered in sys.modules
+_installed = _exec_file("scipy.version", os.path.join(_SCIPY_DIR, "version.py")).version
+if _installed != SCIPY_VERSION:
+    raise ImportError(
+        f"robinslab binds scipy {SCIPY_VERSION}'s kernel files, "
+        f"but scipy {_installed} is installed"
+    )
 
 _flapack = _load_extension("scipy.linalg._flapack")
 _pocketfft = _load_extension("scipy.fft._pocketfft.pypocketfft")

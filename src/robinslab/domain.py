@@ -125,7 +125,9 @@ class Discretization:
             )
 
 
-@dataclass(frozen=True)
+# no generated ==, hash or repr: the first two would fail on the arrays,
+# and generating them costs every process set-up time
+@dataclass(frozen=True, eq=False, repr=False)
 class SpectralField3:
     """Sine-mode x z-grid coefficients of a 3-d field.
 

@@ -81,7 +81,9 @@ def _condition_estimate(ab: np.ndarray) -> float:
     return 1.0 / rcond if rcond > 0.0 else math.inf
 
 
-@dataclass(frozen=True)
+# no generated ==, hash or repr: the first two would fail on the arrays,
+# and generating them costs every process set-up time
+@dataclass(frozen=True, eq=False, repr=False)
 class EllipticOperator:
     """The Robin-wall inverse for one (beta, a, disc), all modes at once.
 

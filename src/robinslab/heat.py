@@ -50,8 +50,8 @@ gives one time at a time.
 
 The type-1 DST, the backward real FFT and the LAPACK solves (dtbtrs for the
 bundle, dpttrf/dpttrs for the oracle) come from robinslab._kernels, which
-binds them from scipy's extension files without importing scipy.fft or
-scipy.linalg.
+binds them from scipy's extension files without importing scipy,
+scipy.fft or scipy.linalg.
 """
 
 from __future__ import annotations

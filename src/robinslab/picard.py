@@ -105,7 +105,9 @@ class HorizonSelection:
     constraint_value: float
 
 
-@dataclass(frozen=True)
+# no generated ==, hash or repr: the first two would fail on the arrays,
+# and generating them costs every process set-up time
+@dataclass(frozen=True, eq=False, repr=False)
 class PicardState:
     """One iterate: per-slice field pairs on its problem's time grid."""
 
@@ -114,7 +116,9 @@ class PicardState:
     iteration_index: int = 0
 
 
-@dataclass(frozen=True)
+# no generated ==, hash or repr: the first two would fail on the arrays,
+# and generating them costs every process set-up time
+@dataclass(frozen=True, eq=False, repr=False)
 class PicardResult:
     """A converged solve together with the problem it solved, so a check of
     the result re-runs the map on exactly that problem."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -251,9 +252,13 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
 def build_field(
     spec: dict,
     config: RunConfig,
-    rng: np.random.Generator,
+    rng: Callable[[], np.random.Generator],
 ) -> SpectralField3:
-    """Materialize a parsed initial-data family spec on the configured grid."""
+    """Materialize a parsed initial-data family spec on the configured grid.
+
+    rng returns the generator a random family draws from; only that family
+    calls it, so it may make the generator on its first call.
+    """
     disc, params = config.disc, config.params
     family = spec["family"]
     if family == "zero":
@@ -263,7 +268,7 @@ def build_field(
         return field3_from_profile(disc, tuple(spec["mode"]), profile)
     if family == "random":
         return random_field3(
-            disc, rng, kind=spec["kind"], gamma=params.gamma,
+            disc, rng(), kind=spec["kind"], gamma=params.gamma,
             amplitude=spec["amplitude"],
         )
     return read_snapshot(spec["path"], disc)

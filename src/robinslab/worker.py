@@ -34,7 +34,6 @@ import pickle
 import signal
 import sys
 import time
-import traceback
 
 import numpy as np
 
@@ -81,7 +80,11 @@ class Worker:
                     cls._serve(out, job)
                 code = 0
             except Exception:
-                # the parent sees only the exit status, so say why here
+                # the parent sees only the exit status, so say why here;
+                # traceback is imported on this path alone, as no command
+                # needs it otherwise
+                import traceback
+
                 traceback.print_exc()
                 sys.stderr.flush()
             finally:

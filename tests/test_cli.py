@@ -507,7 +507,7 @@ class TestRunArtifacts:
         config = load_config(path)
         message = r"w0\.csv: mode \(1, 1\) at j = 2 is given twice, on lines 4 and 10$"
         with pytest.raises(ConfigError, match=message):
-            report.build_field(config.initial_w, config, np.random.default_rng(0))
+            report.build_field(config.initial_w, config, lambda: np.random.default_rng(0))
         capsys.readouterr()
         out = tmp_path / "run"
         assert main(["--command", "heat", "--config", str(path), "--out", str(out)]) == 1

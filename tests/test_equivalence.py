@@ -755,11 +755,18 @@ def test_bound_c2r_refuses_a_lastsize_scipy_would_pad_or_truncate_to(n, lastsize
         _kernels.c2r(np.ones((2, n), dtype=complex), lastsize)
 
 
-def test_another_scipy_version_refuses_to_bind_the_kernels():
+def test_another_scipy_version_refuses_to_bind_the_kernels(tmp_path):
+    """A scipy package first on the path whose version.py says 1.16.0 is the
+    one found, and refused before any of its files is bound; its package
+    code, which would raise, is never run."""
+    fake = tmp_path / "scipy"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("raise AssertionError('scipy/__init__.py ran')\n")
+    (fake / "version.py").write_text("version = '1.16.0'\n")
     src = str(Path(robinslab.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import scipy; scipy.__version__ = '1.16.0'; import robinslab._kernels"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), src, env.get("PYTHONPATH")]))
+    probe = "import robinslab._kernels"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )

@@ -23,8 +23,11 @@ nonzero field's states at all its times in one call and never goes
 through RobinPropagator.at.  Importing the command module must not pull
 in scipy.signal, scipy.integrate, scipy.optimize, scipy.sparse.linalg, scipy.linalg,
 scipy.fft, scipy.special or scipy's array-API layer with the numpy.f2py and
-numpy.testing it loads, which cost every command set-up time and memory;
-only the kernel module imports scipy at all.  Only the worker module forks
+numpy.testing it loads, which cost every command set-up time and memory.
+No module imports scipy, and only the kernel module names it: importing
+the command module runs none of scipy's package code and does not import
+traceback, and an elliptic run on eigenmode data never loads numpy.random.
+Only the worker module forks
 or opens a pipe, so every child process goes through its one fork, reap
 and kill path.  Every name the package or one of its modules lists in
 __all__ must exist.
@@ -35,6 +38,7 @@ import importlib
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +376,36 @@ def test_importing_the_cli_does_not_load_heavy_scipy_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_cli_runs_no_scipy_package_code_and_draws_no_rng_without_random_data(tmp_path):
+    """The kernels are bound without running scipy/__init__.py, the worker's
+    traceback is imported only when a child fails, an elliptic run on
+    eigenmode data never loads numpy.random, and a later import of
+    scipy.linalg and scipy.fft reuses the extension modules bound first."""
+    src = str(Path(robinslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    config = Path(__file__).resolve().parents[1] / "configs" / "elliptic_eigenmode.json"
+    argv = ["--command", "elliptic", "--config", str(config), "--out", str(tmp_path / "run")]
+    probe = (
+        "import sys, robinslab.cli\n"
+        "loaded = [m for m in ('scipy', 'traceback') if m in sys.modules]\n"
+        f"code = robinslab.cli.main({argv!r})\n"
+        "loaded += [m for m in ('numpy.random',) if m in sys.modules]\n"
+        "import scipy.linalg, scipy.fft\n"
+        "from robinslab import _kernels\n"
+        "reused = [\n"
+        "    sys.modules['scipy.linalg.lapack']._flapack is _kernels._flapack,\n"
+        "    sys.modules['scipy.fft._pocketfft.basic'].pfft is _kernels._pocketfft,\n"
+        "]\n"
+        "print(code, loaded, reused)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "0 [] [True, True]"
+
+
 def _imported_modules(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -380,14 +414,42 @@ def _imported_modules(path):
             yield node.module
 
 
+def _names_scipy(path) -> bool:
+    """Whether a file's code, outside its docstrings and comments, names
+    scipy: in an import or in a string, such as a module name handed to
+    importlib."""
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    strings = (
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+    )
+    return any(re.search(r"\bscipy\b", text) for text in strings) or any(
+        name.split(".")[0] == "scipy" for name in _imported_modules(path)
+    )
+
+
 def test_only_the_kernel_module_imports_scipy():
-    package = Path(robinslab.__file__).parent
+    """No module imports scipy, and the kernel module, which binds its
+    extension files by location, is the only one that names it at all."""
+    files = sorted(Path(robinslab.__file__).parent.rglob("*.py"))
     importers = [
         path.name
-        for path in sorted(package.rglob("*.py"))
+        for path in files
         if any(name.split(".")[0] == "scipy" for name in _imported_modules(path))
     ]
-    assert importers == ["_kernels.py"]
+    assert importers == []
+    assert [path.name for path in files if _names_scipy(path)] == ["_kernels.py"]
 
 
 def _os_names(path):
