@@ -1,7 +1,8 @@
 """Command line driver.
 
-One process per run: parse the config, dispatch the command, write
-report.json / norms.csv / snapshots into the output directory, and exit
+One process per run: parse the config, create the output directory, and
+dispatch the command, which writes norms.csv and its other artifacts
+there itself; run then adds report.json.  It exits
 0 only when every certificate passed (2 on a certificate failure, 1 on
 an operational error).  All randomness flows through the single config
 seed, so repeating a run reproduces the report byte for byte except for
@@ -124,21 +125,22 @@ def run(command: str, config_path, out_dir, seed_override: int | None = None) ->
     out_dir = Path(out_dir)
     started = time.perf_counter()
     if command == "verify":
-        report, extras = _cmd_verify(out_dir), {}
+        report, timing = _cmd_verify(out_dir), {}
     else:
         if config_path is None:
             raise ConfigError(f"--config is required for the {command} command")
         config = load_config(config_path, seed_override)
-        handler = _DISPATCH[command]
-        # picard writes its series itself, while its children run
-        report, extras = handler(config, out_dir) if command == "picard" else handler(config)
-        report["command"] = command
+        # made before any work, so an unwritable --out costs no computation
+        out_dir.mkdir(parents=True, exist_ok=True)
+        phases = {}
+        report = _DISPATCH[command](config, out_dir, phases)
         report["config"] = config.echo()
         report.setdefault("horizon", None)
-        times = extras["norms"][0] if "norms" in extras else []
-        report["error_budget"] = _error_budget(config, times)
-    report.setdefault("timing", {})["total_seconds"] = time.perf_counter() - started
-    return _emit(command, out_dir, report, **extras)
+        report["error_budget"] = _error_budget(config, report["norm_timeseries"]["t"])
+        timing = {"phase_seconds": phases}
+    report["command"] = command
+    report["timing"] = {**timing, "total_seconds": time.perf_counter() - started}
+    return _emit(command, out_dir, report)
 
 
 @contextmanager
@@ -168,8 +170,7 @@ def _timed_certificates(phases: dict, checks) -> list:
 
 def _write_series(out_dir: Path, norms=None, snapshots=None) -> dict:
     """Write norms.csv and any snapshots into out_dir; returns the report's
-    norm_timeseries."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    norm_timeseries.  Without norms the file holds only its header."""
     norms = norms or ([], [], [], [])
     write_norms_csv(out_dir / "norms.csv", *norms)
     if snapshots:
@@ -180,19 +181,9 @@ def _write_series(out_dir: Path, norms=None, snapshots=None) -> dict:
     return dict(zip(NORM_COLUMNS, map(list, norms)))
 
 
-def _emit(command, out_dir, report, norms=None, snapshots=None, convergence_rows=None, series=None):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _emit(command, out_dir, report) -> int:
+    """Write the report, print its certificates; returns the exit code."""
     name = "verify_report.json" if command == "verify" else "report.json"
-    if convergence_rows is not None:
-        with open(out_dir / "convergence.csv", "w", newline="") as fh:
-            fh.write("sweep,n_z,error\n")
-            for sweep, n_z, err in convergence_rows:
-                fh.write(f"{sweep},{n_z},{err:.17g}\n")
-    if command != "verify":
-        # series is the norm_timeseries of a command that wrote its own
-        if series is None:
-            series = _write_series(out_dir, norms, snapshots)
-        report["norm_timeseries"] = series
     certs = report["certificates"]
     report["certificates"] = [dataclasses.asdict(c) for c in certs]
     write_report(out_dir / name, report)
@@ -259,9 +250,8 @@ def _held_out(worker: Worker, index: int) -> list:
     return ratios
 
 
-def _cmd_calibrate(config: RunConfig):
+def _cmd_calibrate(config: RunConfig, out_dir: Path, phases: dict) -> dict:
     params, disc = config.params, config.disc
-    phases = {}
     # the held-out ensembles need only the config, so they run in a forked
     # child beside the calibrations
     with Worker.fork(lambda: _held_out_ratios(config)) as held_out:
@@ -289,22 +279,20 @@ def _cmd_calibrate(config: RunConfig):
             ],
         )
     _child_phase(phases, "held_out_ensembles", held_out)
-    report = {
+    return {
         "measured_constants": {"elliptic_constant": c_s, "growth_constant": c_gs},
         "certificates": certs,
-        "timing": {"phase_seconds": phases},
+        "norm_timeseries": _write_series(out_dir),
     }
-    return report, {}
 
 
 # --- elliptic ----------------------------------------------------------------
 
 
-def _cmd_elliptic(config: RunConfig):
+def _cmd_elliptic(config: RunConfig, out_dir: Path, phases: dict) -> dict:
     params, disc = config.params, config.disc
     rng = _seeded_rng(config.seed)
     f = build_field(config.initial_w, config, rng)
-    phases = {}
     with _phase(phases, "solve"):
         v = solve_elliptic(f, params.beta, params.a)
     scale = max(1.0, float(np.max(np.abs(v.coeffs))))
@@ -324,12 +312,11 @@ def _cmd_elliptic(config: RunConfig):
     with _phase(phases, "norms"):
         f_norm = sobolev_norm(f, params.s, params.a)
         norms = ([0.0], [sobolev_norm(v, params.s + 1, params.a)], [f_norm], [f_norm**2])
-    report = {
+    return {
         "measured_constants": {},
         "certificates": certs,
-        "timing": {"phase_seconds": phases},
+        "norm_timeseries": _write_series(out_dir, norms, {"solution": v}),
     }
-    return report, {"norms": norms, "snapshots": {"solution": v}}
 
 
 # --- heat --------------------------------------------------------------------
@@ -342,11 +329,10 @@ def _growth_constant_for(config: RunConfig) -> float:
     )
 
 
-def _cmd_heat(config: RunConfig):
+def _cmd_heat(config: RunConfig, out_dir: Path, phases: dict) -> dict:
     params, disc = config.params, config.disc
     rng = _seeded_rng(config.seed)
     w0 = build_field(config.initial_w, config, rng)
-    phases = {}
     with _phase(phases, "growth_calibration"):
         c_gs = _growth_constant_for(config)
     warn_if_incompatible(w0, params.gamma)
@@ -376,23 +362,21 @@ def _cmd_heat(config: RunConfig):
         ],
     )
     norms = (list(t_grid), [0.0] * len(slices), w_norms, energies)
-    report = {
+    return {
         "measured_constants": {"growth_constant": c_gs},
         "certificates": certs,
-        "timing": {"phase_seconds": phases},
+        "norm_timeseries": _write_series(out_dir, norms, {"omega_final": slices[-1]}),
     }
-    return report, {"norms": norms, "snapshots": {"omega_final": slices[-1]}}
 
 
 # --- picard ------------------------------------------------------------------
 
 
-def _cmd_picard(config: RunConfig, out_dir: Path):
+def _cmd_picard(config: RunConfig, out_dir: Path, phases: dict) -> dict:
     params = config.params
     rng = _seeded_rng(config.seed)
     v0 = build_field(config.initial_v, config, rng)
     w0 = build_field(config.initial_w, config, rng)
-    phases = {}
     with _phase(phases, "growth_calibration"):
         # small ensemble: pad the max before trusting it as a uniform constant
         c_gs = 1.25 * _growth_constant_for(config)
@@ -428,7 +412,7 @@ def _cmd_picard(config: RunConfig, out_dir: Path):
             certs += uniqueness
         _child_phase(phases, "residual_sweep", residual)
     _child_phase(phases, "uniqueness_solve", second)
-    report = {
+    return {
         "measured_constants": {"growth_constant": c_gs},
         "certificates": certs,
         "horizon": dataclasses.asdict(horizon),
@@ -437,9 +421,8 @@ def _cmd_picard(config: RunConfig, out_dir: Path):
             "diffs": list(result.diffs),
             "ratios": list(result.ratios),
         },
-        "timing": {"phase_seconds": phases},
+        "norm_timeseries": series,
     }
-    return report, {"norms": norms, "series": series}
 
 
 # --- verify ------------------------------------------------------------------
@@ -490,11 +473,7 @@ def _cmd_verify(out_dir: Path) -> dict:
             "gronwall-recheck",
             lambda: gronwall_energy_check(times, energies, params, name="gronwall-recheck"),
         )])
-    return {
-        "command": "verify",
-        "source": report_path.name,
-        "certificates": certs,
-    }
+    return {"source": report_path.name, "certificates": certs}
 
 
 # --- convergence -------------------------------------------------------------
@@ -550,22 +529,24 @@ def _heat_sweep(config: RunConfig):
     return rows, run_certificates([("heat-route-error", sweep)])
 
 
-def _cmd_convergence(config: RunConfig):
-    phases = {}
+def _cmd_convergence(config: RunConfig, out_dir: Path, phases: dict) -> dict:
     with _phase(phases, "elliptic_sweep"):
         elliptic_rows, elliptic_certs = _elliptic_sweep()
     with _phase(phases, "heat_sweep"):
         heat_rows, heat_certs = _heat_sweep(config)
     rows = elliptic_rows + heat_rows
-    report = {
+    with open(out_dir / "convergence.csv", "w", newline="") as fh:
+        fh.write("sweep,n_z,error\n")
+        for sweep, n_z, err in rows:
+            fh.write(f"{sweep},{n_z},{err:.17g}\n")
+    return {
         "measured_constants": {},
         "certificates": elliptic_certs + heat_certs,
         "convergence_table": [
             {"sweep": sweep, "n_z": n_z, "error": err} for sweep, n_z, err in rows
         ],
-        "timing": {"phase_seconds": phases},
+        "norm_timeseries": _write_series(out_dir),
     }
-    return report, {"convergence_rows": rows}
 
 
 _DISPATCH = {

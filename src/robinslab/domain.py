@@ -152,10 +152,6 @@ class SpectralField3:
     def scaled(self, factor: float) -> "SpectralField3":
         return SpectralField3(self.coeffs * factor, self.disc)
 
-    def __add__(self, other: "SpectralField3") -> "SpectralField3":
-        _require_same_disc(self, other)
-        return SpectralField3(self.coeffs + other.coeffs, self.disc)
-
     def __sub__(self, other: "SpectralField3") -> "SpectralField3":
         _require_same_disc(self, other)
         return SpectralField3(self.coeffs - other.coeffs, self.disc)

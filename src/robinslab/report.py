@@ -201,9 +201,10 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
 
     # an override replaces the config's seed; both must be valid
     seeds = (raw["seed"],) if seed_override is None else (raw["seed"], seed_override)
-    for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    for value in seeds:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {value!r}")
+    seed = seeds[-1]
 
     data_rec = raw.get("initial_data", {})
     _require_keys(data_rec, {"v", "w"}, set(), "initial_data")

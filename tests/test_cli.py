@@ -281,6 +281,26 @@ class TestExitCodes:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["calibrate", "picard"])
+    def test_an_out_dir_that_cannot_be_made_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run computed before it made --out")
+
+        # the first work each command does: a calibration, or a fork
+        for name in ("calibrate_elliptic_constant", "calibrate_growth_constant"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli.Worker, "fork", classmethod(no_work))
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code = main([
+            "--command", command, "--config", str(write_config(tmp_path)),
+            "--out", str(blocker / "run"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("io error")
+
     def test_certificate_failure_exits_two(self, tmp_path, capsys):
         # the two heat routes agree to 5e-3 only from n_z ~ 512 up; this
         # coarse random-data run must fail the route certificate honestly
