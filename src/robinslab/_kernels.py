@@ -1,6 +1,6 @@
 """The compiled kernels the solver uses, bound straight from scipy's files.
 
-The solver needs six LAPACK routines, the type-1 sine transform and the
+The solver needs seven LAPACK routines, the type-1 sine transform and the
 backward real FFT.  Importing them through `scipy.linalg` and `scipy.fft`
 would load scipy's array-API layer, which in turn loads numpy.f2py,
 numpy.testing, numpy.ma and scipy.special, and even a bare `import scipy`
@@ -35,7 +35,8 @@ import sys
 import numpy as np
 
 __all__ = [
-    "SCIPY_VERSION", "dgtcon", "dgttrf", "dgttrs", "dpttrf", "dpttrs", "dtbtrs", "dst", "c2r",
+    "SCIPY_VERSION", "dgtcon", "dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstevd", "dtbtrs", "dst",
+    "c2r",
 ]
 
 SCIPY_VERSION = "1.17.1"
@@ -89,6 +90,7 @@ dgttrf = _flapack.dgttrf
 dgttrs = _flapack.dgttrs
 dpttrf = _flapack.dpttrf
 dpttrs = _flapack.dpttrs
+dstevd = _flapack.dstevd
 dtbtrs = _flapack.dtbtrs
 
 

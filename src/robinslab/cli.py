@@ -33,6 +33,7 @@ from .elliptic import (
 from .errors import (
     ConfigError,
     NoConvergenceError,
+    NonFiniteError,
     ResonanceError,
     RobinSlabError,
 )
@@ -124,23 +125,39 @@ def run(command: str, config_path, out_dir, seed_override: int | None = None) ->
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     out_dir = Path(out_dir)
     started = time.perf_counter()
-    if command == "verify":
-        report, timing = _cmd_verify(out_dir), {}
-    else:
-        if config_path is None:
-            raise ConfigError(f"--config is required for the {command} command")
-        config = load_config(config_path, seed_override)
-        # made before any work, so an unwritable --out costs no computation
-        out_dir.mkdir(parents=True, exist_ok=True)
-        phases = {}
-        report = _DISPATCH[command](config, out_dir, phases)
-        report["config"] = config.echo()
-        report.setdefault("horizon", None)
-        report["error_budget"] = _error_budget(config, report["norm_timeseries"]["t"])
-        timing = {"phase_seconds": phases}
+    with _finite_arithmetic():
+        if command == "verify":
+            report, timing = _cmd_verify(out_dir), {}
+        else:
+            if config_path is None:
+                raise ConfigError(f"--config is required for the {command} command")
+            config = load_config(config_path, seed_override)
+            # made before any work, so an unwritable --out costs no computation
+            out_dir.mkdir(parents=True, exist_ok=True)
+            phases = {}
+            report = _DISPATCH[command](config, out_dir, phases)
+            report["config"] = config.echo()
+            report.setdefault("horizon", None)
+            report["error_budget"] = _error_budget(config, report["norm_timeseries"]["t"])
+            timing = {"phase_seconds": phases}
     report["command"] = command
     report["timing"] = {**timing, "total_seconds": time.perf_counter() - started}
     return _emit(command, out_dir, report)
+
+
+@contextmanager
+def _finite_arithmetic():
+    """Make numpy raise on overflow, invalid operations and division by zero,
+    not warn; underflow stays silent.  Forked children inherit the state.
+
+    Inside run_certificates such a FloatingPointError fails its certificate
+    with the message; one that reaches here is a NonFiniteError.
+    """
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NonFiniteError(f"non-finite arithmetic: {exc}") from exc
 
 
 @contextmanager
@@ -516,13 +533,16 @@ def _heat_sweep(config: RunConfig):
         for n_z, n_steps in ((257, 500), (513, 1000)):
             disc = Discretization(k_max=4, n_z=n_z, l_z=20.0)
             f = random_field3(disc, rng, kind="robin", gamma=params.gamma)
-            err = transform_oracle_certificate(f, 0.3, params, n_steps=n_steps).measured
-            rows.append(("heat-route", n_z, err))
-            errors.append(err)
+            level = transform_oracle_certificate(f, 0.3, params, n_steps=n_steps)
+            rows.append(("heat-route", n_z, level.measured))
+            errors.append(level.measured)
             steps.append(disc.dz)
         order = math.log(errors[0] / errors[1]) / math.log(steps[0] / steps[1])
         return [
-            make_certificate("heat-route-error", errors[-1], 5e-3, n_z=513),
+            make_certificate(
+                "heat-route-error", errors[-1], 5e-3, n_z=513,
+                oracle_route=level.details["oracle_route"],
+            ),
             min_order_certificate("heat-joint-order", order, 1.8),
         ]
 

@@ -6,8 +6,8 @@ as sine modes sin(k1*pi*x1/a) * sin(k2*pi*x2/a) with 1 <= k1, k2 <= k_max,
 while z stays a uniform point grid. A 3-d field is therefore a coefficient
 array of shape (k_max, k_max, n_z).
 
-Collocation values and dealiased products go through dense sine matrices
-cached per (k_max, n_pad); Sobolev norms pair each z-derivative profile
+Collocation values and products on a padded grid go through dense sine
+matrices cached per (k_max, n_pad); Sobolev norms pair each z-derivative profile
 with a lateral weight table cached per (k_max, a, s).  The z stencils write
 into their output buffer and a norm reduces each profile by one row dot,
 so neither allocates a temporary of the field's size beyond the profiles.
@@ -299,7 +299,7 @@ def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lateral collocation transforms and dealiased products.
+# Lateral collocation transforms and padded products.
 #
 # Values live on the interior sine-collocation grid x_j = j a / (m + 1),
 # j = 1..m, per direction.  Synthesis is the dense matrix
@@ -307,8 +307,12 @@ def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
 # resolved band is P = 2/(m + 1) S^T, exact for modes k <= m by discrete
 # sine orthogonality.  Each map contracts the two lateral axes with one
 # matmul apiece.  Products are formed on a padded grid (2*k_max + 1 points
-# per direction, above the 3/2 minimum) and projected back, so no quadratic
-# mode aliases into the kept band.
+# per direction) and projected back.  That padding would dealias a cosine
+# or Fourier series, but not a sine series: sin(jx) sin(kx) is a cosine
+# series, whose sine coefficients decay only like k^-3, so every mode past
+# the grid aliases into the kept band.  For sin^2 x on (0, pi) the exact
+# mode-1 sine coefficient is 0.848826; projection from 3 points gives
+# 0.853553 and from 5 points 0.849679.
 
 
 def _pad_points(k_max: int) -> int:
@@ -354,7 +358,8 @@ def field_from_lateral_values(vals: np.ndarray, disc: Discretization) -> Spectra
 
 
 def pointwise_product(u: SpectralField3, v: SpectralField3) -> SpectralField3:
-    """Dealiased pointwise product of two fields."""
+    """Pointwise product of two fields on the padded grid, projected back
+    onto the resolved band; for sine series it still aliases (see above)."""
     _require_same_disc(u, v)
     m = _pad_points(u.disc.k_max)
     vals = lateral_values(u, m) * lateral_values(v, m)

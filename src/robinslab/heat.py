@@ -38,9 +38,14 @@ couplings between blocks, symmetrises it by scaling the wall unknown, and
 factors it once as LDL^T, every mode whether or not it carries data, so
 whether a step is refused does not depend on the data.  Since
 I + cL = 2I - (I - cL), each time step is one symmetric tridiagonal solve
-and two in-place updates, with no explicit half-step, over the modes whose
-data are not all zero; a mode without data stays exactly 0.  It shares no
-code with the transform route.
+and two in-place updates, with no explicit half-step.  Every step applies
+the same symmetric operator, so the whole march is also one function of
+the second difference: from one eigendecomposition of it, n_steps steps
+are two products with its eigenvectors and a power per entry.
+oracle_route picks the march or that eigen route from the grid and the
+step count, never from the data, and either evaluates only the modes
+whose data are not all zero; a mode without data stays exactly 0.  It
+shares no code with the transform route.
 
 The growth calibration samples ||P_t w0|| over a random ensemble and a few
 times.  growth_ratios takes the decay factors e^{rates t} once per call and
@@ -48,10 +53,10 @@ synthesizes each field's states at all its nonzero times in one
 robin_synthesis call, which gives bit for bit what RobinPropagator.at
 gives one time at a time.
 
-The type-1 DST, the backward real FFT and the LAPACK solves (dtbtrs for the
-bundle, dpttrf/dpttrs for the oracle) come from robinslab._kernels, which
-binds them from scipy's extension files without importing scipy,
-scipy.fft or scipy.linalg.
+The type-1 DST, the backward real FFT and the LAPACK routines (dtbtrs for
+the bundle, dpttrf/dpttrs and dstevd for the oracle) come from
+robinslab._kernels, which binds them from scipy's extension files without
+importing scipy, scipy.fft or scipy.linalg.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import c2r, dpttrf, dpttrs, dst, dtbtrs
+from ._kernels import c2r, dpttrf, dpttrs, dst, dstevd, dtbtrs
 from .domain import (
     Discretization,
     ModelParams,
@@ -81,6 +86,8 @@ __all__ = [
     "robin_synthesis",
     "warn_if_incompatible",
     "RobinPropagator",
+    "ORACLE_EIGEN_RATIO",
+    "oracle_route",
     "fd_robin_oracle",
     "boundary_residual",
     "growth_ratio",
@@ -324,6 +331,67 @@ class RobinPropagator:
         return self.synthesize(self.state_at(t))
 
 
+# The oracle's two evaluations of the same n_steps Crank-Nicolson steps,
+# chosen by k_max^2 n_steps > ORACLE_EIGEN_RATIO (n_z - 1).  Measured with
+# one BLAS thread on a 2-core Xeon, on data in every mode: a march step
+# costs 8.5-12 ns per unknown, so about 9 k_max^2 (n_z - 1) n_steps ns in
+# all, and the eigen route about 50-68 ns (n_z - 1)^2 for its dstevd and
+# little more for its products with Q.  The routes cost the same at
+# k_max^2 n_steps / (n_z - 1) = 4.4-10.2 over k_max 2-8 and n_z 129-1024.
+# The march's cost scales with the modes that carry data, which the rule
+# does not count, so it asks for more than that: heat_eigenmode.json's
+# eigenmode, one mode of four at (2, 1024, 2000 steps), ratio 7.8, marches
+# in 22 ms where the eigen route takes 73.  convergence's levels, ratio 31,
+# take 3.4 and 16 ms on the eigen route against 18 and 73 marching, and
+# dense heat on picard_smooth.json, ratio 502, 3.9 ms against 260.  16
+# sits between 7.8 and 31.  Q holds (n_z - 1)^2 doubles and dstevd's
+# workspace as many again: 17 MB at n_z 1024.
+ORACLE_EIGEN_RATIO = 16
+
+
+def oracle_route(disc: Discretization, n_steps: int) -> str:
+    """The evaluation fd_robin_oracle makes of n_steps steps on disc:
+    "eigen" when k_max^2 n_steps > ORACLE_EIGEN_RATIO (n_z - 1), else
+    "march".  It depends on the grid and the step count, never on the data.
+    """
+    if disc.k_max**2 * n_steps > ORACLE_EIGEN_RATIO * (disc.n_z - 1):
+        return "eigen"
+    return "march"
+
+
+def _march(d: np.ndarray, e: np.ndarray, w: np.ndarray, n_steps: int) -> np.ndarray:
+    """n_steps steps x = 2 A^{-1} w - w of the rows of w, A = LDL^T given
+    by dpttrf's (d, e) over the rows laid end to end."""
+    shape = w.shape
+    w = w.ravel()
+    for _ in range(n_steps):
+        x, info = dpttrs(d, e, w)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal solve failed: info={info}")
+        x *= 2.0
+        x -= w
+        w = x
+    return w.reshape(shape)
+
+
+def _eigen_power(
+    lap: np.ndarray, lap_off: np.ndarray, c: float, mu2: np.ndarray, w: np.ndarray, n_steps: int
+) -> np.ndarray:
+    """_march's result by one eigendecomposition.
+
+    lap and lap_off are the diagonal and off-diagonal of the symmetrised
+    second difference L, and mu2 holds each row's mu^2 as a column.  With
+    L = Q diag(lam) Q^T from dstevd, a row's step 2 A^{-1} - I is
+    Q diag(g) Q^T, g = (1 - c mu^2 + c lam) / (1 + c mu^2 - c lam), so the
+    n_steps steps are two products with Q and a power per entry.
+    """
+    lam, q, info = dstevd(lap, lap_off)
+    if info != 0:
+        raise RuntimeError(f"tridiagonal eigensolver failed: info={info}")
+    r = c * (lam - mu2)
+    return ((w @ q) * ((1.0 + r) / (1.0 - r)) ** n_steps) @ q.T
+
+
 def fd_robin_oracle(
     omega0: SpectralField3,
     t: float,
@@ -336,20 +404,29 @@ def fd_robin_oracle(
     difference L with a ghost-point Robin closure at z=0 and a Dirichlet cap
     at l_z.  Every lateral mode's tridiagonal system is one block of a
     block-diagonal band in (k1, k2) row-major order; the last off-diagonal
-    entry of each block is zero, so no block couples to the next and each
-    mode gets the arithmetic of its own solve.  The whole band is factored,
-    but only the blocks of modes whose n_z - 1 unknowns are not all zero
-    are stepped, with their slices of the factors; the other modes stay
-    exactly 0, so the work per step is (modes with data) * (n_z - 1).
+    entry of each block is zero, so no block couples to the next.
 
     The ghost row makes L nonsymmetric (2/h^2 above the wall, 1/h^2 below);
     the wall unknown is scaled by 1/sqrt(2) on entry and by sqrt(2) on exit,
-    which turns both entries into sqrt(2)/h^2 and A = I - cL into a symmetric
-    tridiagonal matrix, factored once as LDL^T.  As I + cL = 2I - A, each
-    step is x = 2 A^{-1} w - w: one solve and two in-place updates over the
-    stepped modes.  Raises ValueError when A is not positive definite in
-    any mode, with data or not, i.e. when the growing wall mode outruns the
-    step and the Crank-Nicolson amplification is infinite or at most -1.
+    which turns both entries into sqrt(2)/h^2 and A = I - c(L - mu^2) into
+    a symmetric tridiagonal matrix.  The whole band is factored once as
+    LDL^T, every mode whether or not it carries data.  Raises ValueError
+    when A is not positive definite in any mode, i.e. when the growing wall
+    mode outruns the step and the Crank-Nicolson amplification is infinite
+    or at most -1, so whether a step is refused does not depend on the data.
+
+    Only the modes whose n_z - 1 unknowns are not all zero are evaluated;
+    the others stay exactly 0.  As I + cL = 2I - A, each step is
+    x = 2 A^{-1} w - w, and oracle_route picks, from the grid and n_steps,
+    one of two evaluations of the n_steps steps:
+
+      march  one dpttrs solve with the mode's slice of the factors and two
+             in-place updates per step, each mode with the arithmetic of
+             its own solve;
+      eigen  one dstevd of L, shared by every mode, then two products with
+             its eigenvectors and a power per entry: the same discrete
+             solution up to roundoff.
+
     Used only for cross-checks.
     """
     if not math.isfinite(t):
@@ -370,14 +447,15 @@ def fd_robin_oracle(
     mu2 = (disc.mode_rates(params.a) ** 2).reshape(-1, 1)
     sqrt2 = math.sqrt(2.0)
 
-    # symmetrised L = second difference with the Robin ghost row, minus mu^2
-    diag = np.repeat(-2.0 / h**2 - mu2, n_unknown, axis=1)
-    diag[:, 0] = (-2.0 + 2.0 * h * gamma) / h**2 - mu2[:, 0]
-    off = np.full_like(diag, 1.0 / h**2)
-    off[:, 0] = sqrt2 / h**2
-    off[:, -1] = 0.0
+    # one block of the symmetrised L: the second difference with the Robin
+    # ghost row, then the block's zero coupling to the next
+    lap = np.full(n_unknown, -2.0 / h**2)
+    lap[0] = (-2.0 + 2.0 * h * gamma) / h**2
+    lap_off = np.full(n_unknown, 1.0 / h**2)
+    lap_off[0] = sqrt2 / h**2
+    lap_off[-1] = 0.0
 
-    d, e, info = dpttrf((1.0 - c * diag).ravel(), (-c * off).ravel()[:-1])
+    d, e, info = dpttrf((1.0 - c * (lap - mu2)).ravel(), np.tile(-c * lap_off, len(mu2))[:-1])
     if info > 0:
         raise ValueError(
             f"Crank-Nicolson step t/n_steps = {t / n_steps:g} is too long for the "
@@ -391,20 +469,15 @@ def fd_robin_oracle(
     live = np.flatnonzero(np.any(data != 0.0, axis=1))
     if live.size == 0:
         return SpectralField3(out, disc)
-    # the live blocks' factors; each block's row of e ends in its zero coupling
-    d = d.reshape(-1, n_unknown)[live].ravel()
-    e = np.append(e, 0.0).reshape(-1, n_unknown)[live].ravel()[:-1]
     w = data[live]
     w[:, 0] /= sqrt2
-    w = w.ravel()
-    for _ in range(n_steps):
-        x, info = dpttrs(d, e, w)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed: info={info}")
-        x *= 2.0
-        x -= w
-        w = x
-    w = w.reshape(live.size, n_unknown)
+    if oracle_route(disc, n_steps) == "eigen":
+        w = _eigen_power(lap, lap_off[:-1], c, mu2[live], w, n_steps)
+    else:
+        # the live blocks' factors; each block's row of e ends in its zero coupling
+        d = d.reshape(-1, n_unknown)[live].ravel()
+        e = np.append(e, 0.0).reshape(-1, n_unknown)[live].ravel()[:-1]
+        w = _march(d, e, w, n_steps)
     w[:, 0] *= sqrt2
     rows[live, :n_unknown] = w
     return SpectralField3(out, disc)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import ModelParams, SpectralField3
-from .heat import RobinPropagator, fd_robin_oracle
+from .heat import RobinPropagator, fd_robin_oracle, oracle_route
 from .picard import (
     PICARD_TOL, HorizonSelection, PicardProblem, PicardResult, PicardState, pairs_distance,
     picard_step, x_distance,
@@ -247,12 +247,20 @@ def transform_oracle_certificate(
     params: ModelParams,
     n_steps: int = 2000,
 ) -> Certificate:
-    """Transform propagator against the Crank-Nicolson route on one field, to 5e-3."""
-    prop = RobinPropagator(w0, params).at(t)
+    """Transform propagator against the Crank-Nicolson route on one field, to 5e-3.
+
+    The details name, besides t and n_steps, the evaluation that
+    heat.oracle_route picks for the grid and n_steps (oracle_route); on a
+    zero field neither evaluation runs.  The oracle runs first, so a step
+    it refuses is what a failed certificate reports, not the transform
+    route's overflow at that gamma.
+    """
     ref = fd_robin_oracle(w0, t, params, n_steps=n_steps)
+    prop = RobinPropagator(w0, params).at(t)
     scale = float(np.max(np.abs(ref.coeffs)))
     diff = float(np.max(np.abs(prop.coeffs - ref.coeffs)))
     measured = diff if scale == 0.0 else diff / scale
     return make_certificate(
-        "heat-route-agreement", measured, 5e-3, t=float(t), n_steps=int(n_steps)
+        "heat-route-agreement", measured, 5e-3, t=float(t), n_steps=int(n_steps),
+        oracle_route=oracle_route(w0.disc, n_steps),
     )

@@ -6,6 +6,7 @@ certificates pass, 2 certificate failure, 1 operational error), the file
 set written per run, and byte determinism of report.json modulo timing.
 """
 
+import contextlib
 import dataclasses
 import gc
 import json
@@ -37,6 +38,8 @@ from robinslab.verify import Certificate
 
 A = math.pi
 ROOT = Path(__file__).parents[1]
+# the one stderr line of a run whose arithmetic overflowed
+OVERFLOW_ERROR = r"run error: non-finite arithmetic: (overflow|invalid value) encountered in \w+\n"
 
 BASE = {
     "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
@@ -346,13 +349,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "name, gamma",
-        # at gamma = 20 the calibration's norm squares overflow and its
-        # constant is NaN; at gamma = 40 e^{nu gamma^2} = e^{1600} overflows too
+        # at gamma = 20 the calibration's norm squares overflow; at gamma = 40
+        # e^{nu gamma^2} = e^{1600} overflows before them
         [("picard_smooth.json", 20.0), ("picard_smooth.json", 40.0), ("heat_eigenmode.json", 20.0)],
     )
     def test_picard_with_an_overflowing_growth_calibration_is_a_run_error(
         self, tmp_path, name, gamma
     ):
+        done = self.run_at_gamma(tmp_path, "picard", name, gamma)
+        assert done.returncode == 1, done.stderr
+        assert re.fullmatch(OVERFLOW_ERROR, done.stderr), done.stderr
+
+    @pytest.mark.parametrize("gamma", [20.0, 40.0])
+    @pytest.mark.parametrize("command", ["heat", "calibrate", "picard"])
+    def test_an_overflowing_run_prints_one_named_error_and_no_warning(
+        self, tmp_path, command, gamma
+    ):
+        # before the growth calibration raised, heat and calibrate exited 2
+        # with NaN certificates, and every command printed numpy
+        # RuntimeWarnings carrying absolute source paths
+        done = self.run_at_gamma(tmp_path, command, "heat_eigenmode.json", gamma)
+        assert done.returncode == 1, done.stderr
+        assert "RuntimeWarning" not in done.stderr and "/" not in done.stderr
+        assert re.fullmatch(OVERFLOW_ERROR, done.stderr), done.stderr
+
+    @staticmethod
+    def run_at_gamma(tmp_path, command, name, gamma):
+        """The command on a shipped config with gamma replaced, in a fresh process."""
         cfg = json.loads((ROOT / "configs" / name).read_text())
         cfg["params"]["gamma"] = gamma
         path = tmp_path / "cfg.json"
@@ -360,14 +383,11 @@ class TestExitCodes:
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "robinslab.cli", "--command", "picard",
+        return subprocess.run(
+            [sys.executable, "-m", "robinslab.cli", "--command", command,
              "--config", str(path), "--out", str(tmp_path / "run")],
             env=env, capture_output=True, text=True, timeout=300,
         )
-        assert done.returncode == 1, done.stderr
-        assert "Traceback" not in done.stderr
-        assert re.search(r"^run error: growth constant nan is not finite$", done.stderr, re.M)
 
     def test_heat_check_that_raises_keeps_its_certificate_name(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -439,9 +459,6 @@ class TestRunArtifacts:
         assert lines[0] == "sweep,n_z,error"
         assert sum(1 for l in lines if l.startswith("elliptic-eigenfunction")) == 4
 
-    # e^{gamma^2 t} overflows the transform route at any gamma the oracle refuses
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_convergence_fails_the_route_error_its_oracle_refuses(self, tmp_path, capsys):
         # at gamma = 300 the oracle's wall mode outruns the sweep's 500 steps
         path = write_config(tmp_path, params={"gamma": 300.0})
@@ -578,8 +595,6 @@ class TestVerifyCommand:
         (out / "report.json").write_text(json.dumps(report))
         assert main(["--command", "verify", "--out", str(out)]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_verify_accepts_the_certificate_of_a_check_that_raised(self, tmp_path):
         # at gamma = 300 the oracle refuses its step, so heat-route-error raises
         cfg = json.loads((ROOT / "configs" / "picard_smooth.json").read_text())
@@ -607,19 +622,23 @@ class TestVerifyCommand:
         assert [c["measured"] for c in flags] == [1.0]
 
     @staticmethod
-    def overflowing_heat_run(tmp_path):
-        # at gamma = 40 the Gronwall allowance overflows and the growth and
-        # route checks measure NaN
+    def overflowing_heat_run(tmp_path, monkeypatch):
+        # a report as heat wrote it at gamma = 40 before runs raised on
+        # floating-point errors: the Gronwall allowance overflows and the
+        # growth and route checks measure NaN
         path = write_config(tmp_path, params={"gamma": 40.0})
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
+        with monkeypatch.context() as patched, np.errstate(all="ignore"):
+            patched.setattr(cli, "_finite_arithmetic", contextlib.nullcontext)
             assert main(["--command", "heat", "--config", str(path), "--out", str(out)]) == 2
         return out
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["heat", "elliptic"])
-    def test_verify_counts_no_mismatch_on_a_stored_nan_margin(self, tmp_path, command):
-        out = self.overflowing_heat_run(tmp_path)
+    def test_verify_counts_no_mismatch_on_a_stored_nan_margin(
+        self, tmp_path, monkeypatch, command
+    ):
+        out = self.overflowing_heat_run(tmp_path, monkeypatch)
         report = read_report(out / "report.json")
         assert "nan" in [c["margin"] for c in report["certificates"]]
         report["command"] = command
@@ -631,9 +650,9 @@ class TestVerifyCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_turns_an_overflowing_gronwall_recheck_into_a_failed_certificate(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        out = self.overflowing_heat_run(tmp_path)
+        out = self.overflowing_heat_run(tmp_path, monkeypatch)
         assert main(["--command", "verify", "--out", str(out)]) == 2
         verify = read_report(out / "verify_report.json")
         (recheck,) = [c for c in verify["certificates"] if c["name"] == "gronwall-recheck"]

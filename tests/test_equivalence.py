@@ -474,20 +474,26 @@ def oracle_refuses(n_z, gamma, n_steps):
     return gamma == 6.0 and n_steps == 1 and n_z > 9
 
 
-@pytest.mark.parametrize("k_max", [1, 2, 4])
-@pytest.mark.parametrize("n_z", [9, 65, 257, 1024])
-@pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
-def test_batched_oracle_is_bit_identical_to_per_mode(k_max, n_z, gamma):
+def oracle_fields(k_max, n_z, gamma):
     """A random Robin field, an eigenmode field, and the random field with
-    one row of modes zeroed (at k_max 1, every mode): the batched oracle
-    steps only the modes with data, and the rest stay exactly 0."""
+    one row of modes zeroed (at k_max 1, every mode)."""
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
-    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
     f = random_field3(disc, np.random.default_rng(k_max * n_z), kind="robin", gamma=gamma)
     eigen = field3_from_profile(disc, (k_max, 1), np.exp(-gamma * disc.z))
     zeroed = f.coeffs.copy()
     zeroed[k_max // 2] = 0.0
-    for field in (f, eigen, SpectralField3(zeroed, disc)):
+    return f, eigen, SpectralField3(zeroed, disc)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4])
+@pytest.mark.parametrize("n_z", [9, 65, 257, 1024])
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
+def test_batched_oracle_is_bit_identical_to_per_mode(k_max, n_z, gamma, monkeypatch):
+    """The march, on every case whatever route the rule picks, steps only
+    the modes with data, and the rest stay exactly 0."""
+    monkeypatch.setattr(heat, "oracle_route", lambda disc, n_steps: "march")
+    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+    for field in oracle_fields(k_max, n_z, gamma):
         for t, n_steps in ORACLE_CASES:
             if oracle_refuses(n_z, gamma, n_steps):
                 with pytest.raises(ValueError, match="not positive definite"):
@@ -498,6 +504,25 @@ def test_batched_oracle_is_bit_identical_to_per_mode(k_max, n_z, gamma):
             want = oracle_by_mode(field, t, params, n_steps)
             got = fd_robin_oracle(field, t, params, n_steps=n_steps).coeffs
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4])
+@pytest.mark.parametrize("n_z", [9, 65, 257, 1024])
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
+def test_oracle_matches_per_mode_on_the_route_it_picks(k_max, n_z, gamma):
+    """The eigen route is the march's discrete solution up to roundoff;
+    modes without data stay exactly 0 on either route."""
+    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+    for field in oracle_fields(k_max, n_z, gamma):
+        for t, n_steps in ORACLE_CASES:
+            if oracle_refuses(n_z, gamma, n_steps):
+                with pytest.raises(ValueError, match="raise n_steps"):
+                    fd_robin_oracle(field, t, params, n_steps=n_steps)
+                continue
+            want = oracle_by_mode(field, t, params, n_steps)
+            got = fd_robin_oracle(field, t, params, n_steps=n_steps).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+            assert np.all(got[~np.any(field.coeffs[..., :-1] != 0.0, axis=-1)] == 0.0)
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 4])
@@ -668,7 +693,7 @@ def test_tabulated_duhamel_operators_match_the_transform_route(k_max, n_z, gamma
 
 
 LAPACK_SITES = (
-    (heat, "dtbtrs"), (heat, "dpttrf"), (heat, "dpttrs"),
+    (heat, "dtbtrs"), (heat, "dpttrf"), (heat, "dpttrs"), (heat, "dstevd"),
     (elliptic, "dgttrf"), (elliptic, "dgtcon"), (elliptic, "dgttrs"),
 )
 
@@ -706,6 +731,9 @@ def test_bound_lapack_routines_are_bit_identical_to_scipy_lapack(k_max, n_z, mon
     f = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=PARAMS.gamma)
     build_transform_bundle(f, PARAMS.gamma)
     fd_robin_oracle(f, 0.3, PARAMS, n_steps=3)
+    eigen_steps = heat.ORACLE_EIGEN_RATIO * (n_z - 1) // k_max**2 + 1
+    assert heat.oracle_route(disc, eigen_steps) == "eigen"
+    fd_robin_oracle(f, 0.3, PARAMS, n_steps=eigen_steps)
     elliptic.elliptic_operator.__wrapped__(PARAMS.beta, A, disc).solve(f)
     assert set(seen) == {name for _, name in LAPACK_SITES}
 

@@ -296,10 +296,30 @@ def test_oracle_factors_every_mode_and_steps_the_modes_with_data(monkeypatch):
 
 def test_oracle_of_a_zero_field_is_exact_zeros_with_no_solve(monkeypatch):
     disc = Discretization(k_max=3, n_z=65, l_z=20.0)
-    rows = _count_heat_rows(monkeypatch, "dpttrf", "dpttrs")
-    out = heat.fd_robin_oracle(domain.zero_field3(disc), 0.3, PARAMS, n_steps=11).coeffs
-    assert rows == {"dpttrf": [9 * 64], "dpttrs": []}
-    assert out.shape == (3, 3, 65) and np.all(out == 0.0)
+    rows = _count_heat_rows(monkeypatch, "dpttrf", "dpttrs", "dstevd")
+    for n_steps, route in ((11, "march"), (2000, "eigen")):
+        assert heat.oracle_route(disc, n_steps) == route
+        out = heat.fd_robin_oracle(domain.zero_field3(disc), 0.3, PARAMS, n_steps=n_steps).coeffs
+        assert out.shape == (3, 3, 65) and np.all(out == 0.0)
+    assert rows == {"dpttrf": [9 * 64] * 2, "dpttrs": [], "dstevd": []}
+
+
+def test_dense_oracle_takes_one_eigendecomposition_and_no_step(monkeypatch):
+    # heat's route agreement on picard_smooth.json: every mode carries data
+    disc = Discretization(k_max=8, n_z=256, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(21), kind="robin", gamma=PARAMS.gamma)
+    counts = _count_heat_calls(monkeypatch, "dpttrf", "dpttrs", "dstevd")
+    heat.fd_robin_oracle(f, 0.5, PARAMS, n_steps=2000)
+    assert counts == {"dpttrf": 1, "dpttrs": 0, "dstevd": 1}
+
+
+def test_one_mode_on_a_long_grid_marches(monkeypatch):
+    # heat's route agreement on heat_eigenmode.json: one mode of four has data
+    disc = Discretization(k_max=2, n_z=1024, l_z=20.0)
+    f = domain.field3_from_profile(disc, (1, 1), np.exp(-PARAMS.gamma * disc.z))
+    counts = _count_heat_calls(monkeypatch, "dpttrf", "dpttrs", "dstevd")
+    heat.fd_robin_oracle(f, 0.5, PARAMS, n_steps=2000)
+    assert counts == {"dpttrf": 1, "dpttrs": 2000, "dstevd": 0}
 
 
 def test_oracle_refuses_a_step_whatever_modes_carry_data():
@@ -348,15 +368,18 @@ def test_oracle_keeps_lateral_modes_uncoupled():
 def test_oracle_runs_without_the_transform_route(monkeypatch):
     disc = Discretization(k_max=3, n_z=129, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(9), kind="robin", gamma=PARAMS.gamma)
-    want = heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=40).coeffs
+    routes = ((40, "march"), (400, "eigen"))
+    want = [heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=n).coeffs for n, _ in routes]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use the transform route")
 
     for name in ("dst", "c2r", "dtbtrs", "build_transform_bundle", "RobinPropagator"):
         monkeypatch.setattr(heat, name, forbidden)
-    got = heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=40).coeffs
-    assert np.array_equal(got, want)
+    for (n_steps, route), before in zip(routes, want):
+        assert heat.oracle_route(disc, n_steps) == route
+        got = heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=n_steps).coeffs
+        assert np.array_equal(got, before)
 
 
 def test_importing_the_cli_does_not_load_heavy_scipy_modules():
