@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Discretization, ModelParams, field3_from_profile, random_field3, sobolev_norm
+from .domain import SOBOLEV_S, Discretization, field3_from_profile, random_field3, sobolev_norm
 from .elliptic import (
     calibrate_elliptic_constant,
     elliptic_ratios,
@@ -38,6 +38,7 @@ from .errors import (
     RobinSlabError,
 )
 from .heat import (
+    CALIBRATION_TIMES,
     RobinPropagator,
     boundary_residual,
     calibrate_growth_constant,
@@ -52,6 +53,7 @@ from .report import (
     build_field,
     json_safe,
     load_config,
+    parse_config,
     read_norms_csv,
     read_report,
     write_norms_csv,
@@ -79,9 +81,6 @@ from .worker import Worker
 __all__ = ["main", "run", "COMMANDS"]
 
 COMMANDS = ("calibrate", "elliptic", "heat", "picard", "verify", "convergence")
-
-# t samples shared by the growth-constant calibration and its held-out check
-_CAL_TIMES = (0.1, 0.5, 1.0)
 
 
 def main(argv=None) -> int:
@@ -247,8 +246,8 @@ def _held_out_ratios(config: RunConfig) -> list:
     robin_rng = np.random.default_rng(config.seed + 3)
     robin = (random_field3(disc, robin_rng, kind="robin", gamma=params.gamma) for _ in range(50))
     samplers = (
-        lambda: elliptic_ratios(generic, params.s, params.a, params.beta),
-        lambda: growth_ratios(robin, _CAL_TIMES, params.s, params),
+        lambda: elliptic_ratios(generic, params.a, params.beta),
+        lambda: growth_ratios(robin, CALIBRATION_TIMES, params),
     )
     outcomes = []
     for sample in samplers:
@@ -273,19 +272,15 @@ def _cmd_calibrate(config: RunConfig, out_dir: Path, phases: dict) -> dict:
     # child beside the calibrations
     with Worker.fork(lambda: _held_out_ratios(config)) as held_out:
         with _phase(phases, "elliptic_calibration"):
-            c_s = calibrate_elliptic_constant(50, params.s, config.seed, disc, params.a, params.beta)
+            c_s = calibrate_elliptic_constant(config.seed, disc, params.a, params.beta)
         with _phase(phases, "growth_calibration"):
-            c_gs = calibrate_growth_constant(
-                50, params.s, (0.0,) + _CAL_TIMES, config.seed + 1, params, disc
-            )
+            c_gs = calibrate_growth_constant(50, config.seed + 1, params, disc)
         certs = _timed_certificates(
             phases,
             [
                 (
                     "elliptic-held-out",
-                    lambda: elliptic_bound_check(
-                        _held_out(held_out, 0), c_s, name="elliptic-held-out"
-                    ),
+                    lambda: elliptic_bound_check(_held_out(held_out, 0), c_s),
                 ),
                 (
                     "growth-held-out",
@@ -327,8 +322,8 @@ def _cmd_elliptic(config: RunConfig, out_dir: Path, phases: dict) -> dict:
             ),
         ]
     with _phase(phases, "norms"):
-        f_norm = sobolev_norm(f, params.s, params.a)
-        norms = ([0.0], [sobolev_norm(v, params.s + 1, params.a)], [f_norm], [f_norm**2])
+        f_norm = sobolev_norm(f, SOBOLEV_S, params.a)
+        norms = ([0.0], [sobolev_norm(v, SOBOLEV_S + 1, params.a)], [f_norm], [f_norm**2])
     return {
         "measured_constants": {},
         "certificates": certs,
@@ -340,10 +335,7 @@ def _cmd_elliptic(config: RunConfig, out_dir: Path, phases: dict) -> dict:
 
 
 def _growth_constant_for(config: RunConfig) -> float:
-    return calibrate_growth_constant(
-        20, config.params.s, (0.0,) + _CAL_TIMES, config.seed + 1,
-        config.params, config.disc,
-    )
+    return calibrate_growth_constant(20, config.seed + 1, config.params, config.disc)
 
 
 def _cmd_heat(config: RunConfig, out_dir: Path, phases: dict) -> dict:
@@ -357,7 +349,7 @@ def _cmd_heat(config: RunConfig, out_dir: Path, phases: dict) -> dict:
     with _phase(phases, "propagation"):
         prop = RobinPropagator(w0, params)
         slices = [w0] + [prop.at(t) for t in t_grid[1:]]
-        w_norms = [sobolev_norm(w, params.s, params.a) for w in slices]
+        w_norms = [sobolev_norm(w, SOBOLEV_S, params.a) for w in slices]
     energies = [n * n for n in w_norms]
     base = w_norms[0]
     ratios = (
@@ -408,8 +400,8 @@ def _cmd_picard(config: RunConfig, out_dir: Path, phases: dict) -> dict:
         # child runs it while the parent writes the series and reads the
         # uniqueness stream
         with Worker.fork(lambda: fixed_point_residual_check(result)) as residual:
-            v_norms = [sobolev_norm(v, params.s + 1, params.a) for v in result.state.v_slices]
-            w_norms = [sobolev_norm(w, params.s, params.a) for w in result.state.omega_slices]
+            v_norms = [sobolev_norm(v, SOBOLEV_S + 1, params.a) for v in result.state.v_slices]
+            w_norms = [sobolev_norm(w, SOBOLEV_S, params.a) for w in result.state.omega_slices]
             norms = (list(problem.t_grid), v_norms, w_norms, [n * n for n in w_norms])
             series = _write_series(out_dir, norms, {
                 "v_final": result.state.v_slices[-1],
@@ -450,6 +442,8 @@ def _artifact(path: Path):
     """Re-raise what a malformed stored artifact raises as a ConfigError naming it."""
     try:
         yield
+    except (ConfigError, ResonanceError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed artifact: {type(exc).__name__}: {exc}") from exc
 
@@ -480,8 +474,9 @@ def _cmd_verify(out_dir: Path) -> dict:
         make_certificate("stored-flags-consistent", float(mismatches), 0.0)
     )
     if stored.get("command") == "heat":
+        # the config echo must be one that a config could produce
         with _artifact(report_path):
-            params = ModelParams(**stored["config"]["params"])
+            params = parse_config(stored["config"]).params
         norms_path = out_dir / "norms.csv"
         with _artifact(norms_path):
             series = read_norms_csv(norms_path)

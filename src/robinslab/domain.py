@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "MAX_DERIVATIVE_ORDER",
+    "SOBOLEV_S",
     "TAIL_TOL",
     "ModelParams",
     "Discretization",
@@ -41,9 +42,12 @@ __all__ = [
     "multi_indices",
 ]
 
-# Highest z-derivative order the norm machinery supports.  H^{s+1} norms of
-# the velocity-square component need order s+1, so s = 2 uses all of it.
-MAX_DERIVATIVE_ORDER = 3
+# The paper's Sobolev index s: the Picard iteration runs with v in H^{s+1}
+# and w in H^s.
+SOBOLEV_S = 2
+# Highest z-derivative order the norm machinery supports; the H^{s+1} norm
+# of the velocity-square component uses all of it.
+MAX_DERIVATIVE_ORDER = SOBOLEV_S + 1
 # largest z-truncation tail e^{-rate l_z} a discretization may leave
 TAIL_TOL = 1e-10
 
@@ -56,23 +60,21 @@ class ModelParams:
     nu     viscosity of the vorticity equation
     gamma  Robin coefficient of the vorticity wall condition at z = 0
     beta   Robin coefficient of the stream-function wall condition
-    s      Sobolev index used by the solver (integer, >= 2)
+
+    The Sobolev index of the construction is not a parameter: it is the
+    constant SOBOLEV_S.
     """
 
     a: float
     nu: float
     gamma: float
     beta: float
-    s: int = 2
 
     def __post_init__(self):
         if not self.a > 0:
             raise ValueError(f"lateral size a must be positive, got {self.a}")
         if not self.nu > 0:
             raise ValueError(f"viscosity nu must be positive, got {self.nu}")
-        if int(self.s) != self.s or self.s < 2:
-            raise ValueError(f"Sobolev index s must be an integer >= 2, got {self.s}")
-        object.__setattr__(self, "s", int(self.s))
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,6 @@ class SpectralField3:
     def __sub__(self, other: "SpectralField3") -> "SpectralField3":
         _require_same_disc(self, other)
         return SpectralField3(self.coeffs - other.coeffs, self.disc)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
 
 def _require_same_disc(u, v) -> None:

@@ -70,6 +70,7 @@ import numpy as np
 
 from ._kernels import c2r, dpttrf, dpttrs, dst, dstevd, dtbtrs
 from .domain import (
+    SOBOLEV_S,
     Discretization,
     ModelParams,
     SpectralField3,
@@ -79,8 +80,6 @@ from .domain import (
 )
 
 __all__ = [
-    "exp_weighted_moment",
-    "build_transform_bundle",
     "robin_analysis",
     "robin_state",
     "robin_synthesis",
@@ -92,6 +91,7 @@ __all__ = [
     "boundary_residual",
     "growth_ratio",
     "growth_ratios",
+    "CALIBRATION_TIMES",
     "calibrate_growth_constant",
 ]
 
@@ -143,27 +143,38 @@ def _wall_kernel(gamma: float, disc: Discretization) -> tuple[np.ndarray, np.flo
 
 
 def _moments(values: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
-    """exp_weighted_moment of the z profiles of values, any leading shape."""
+    """Moment 2*gamma*Int w0(z) e^{-gamma z} dz of each z profile w0 of
+    values, any leading shape: (..., n_z) maps to (...).
+
+    Computed with composite Simpson and normalized by the measured mass of
+    the kernel (2*gamma*Int e^{-2 gamma z} dz, which is 1 up to truncation),
+    so the residue field's weighted moment vanishes identically on the grid.
+    """
     if gamma <= 0:
         raise ValueError(f"moment requires gamma > 0, got {gamma}")
     weight, mass = _wall_kernel(float(gamma), disc)
     return _simpson(values * weight, disc.dz) / mass
 
 
-def exp_weighted_moment(omega0: SpectralField3, gamma: float) -> np.ndarray:
-    """Per-mode moment 2*gamma*Int w0(z) e^{-gamma z} dz, shape (k_max, k_max).
-
-    Computed with composite Simpson and normalized by the measured mass of
-    the kernel (2*gamma*Int e^{-2 gamma z} dz, which is 1 up to truncation),
-    so the residue field's weighted moment vanishes identically on the grid.
-    """
-    return _moments(omega0.coeffs, gamma, omega0.disc)
-
-
 def _bundle(
     values: np.ndarray, gamma: float, disc: Discretization
 ) -> tuple[np.ndarray, np.ndarray]:
-    """build_transform_bundle of the z profiles of values, any leading shape."""
+    """Split the z profiles of values, any leading shape, into slab and
+    wall-decay parts.
+
+    Returns (slab, moments): the auxiliary slab profiles on the z grid,
+    which vanish at z = 0 and evolve all-Dirichlet, shape (..., n_z), and
+    the _moments coefficients of e^{-gamma z}, shape (...).
+
+    The slab part solves  -(1/gamma) c' + c = residue  with c(0) = 0 by a
+    backward exponential-kernel sweep:
+
+        c(z_j) = e^{-gamma dz} c(z_{j+1})
+                 + (gamma dz / 2) * (f(z_j) + e^{-gamma dz} f(z_{j+1}))
+
+    which is stable and O(n_z).  It is one unit upper-bidiagonal system per
+    profile, solved for all profiles in a single banded triangular solve.
+    """
     cross = _moments(values, gamma, disc)
     residue = values - cross[..., None] * _wall_kernel(float(gamma), disc)[0]
 
@@ -177,26 +188,6 @@ def _bundle(
     if info != 0:
         raise RuntimeError(f"triangular solve failed: info={info}")
     return slab.T.reshape(residue.shape), cross
-
-
-def build_transform_bundle(omega0: SpectralField3, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split a field into slab and wall-decay parts.
-
-    Returns (slab, moments): the auxiliary slab field on the z grid,
-    which vanishes at z = 0 and evolves all-Dirichlet, shape
-    (k_max, k_max, n_z), and the per-mode coefficients of e^{-gamma z},
-    shape (k_max, k_max).
-
-    The slab part solves  -(1/gamma) c' + c = residue  with c(0) = 0 by a
-    backward exponential-kernel sweep:
-
-        c(z_j) = e^{-gamma dz} c(z_{j+1})
-                 + (gamma dz / 2) * (f(z_j) + e^{-gamma dz} f(z_{j+1}))
-
-    which is stable and O(n_z).  It is one unit upper-bidiagonal system per
-    lateral mode, solved for all modes in a single banded triangular solve.
-    """
-    return _bundle(omega0.coeffs, gamma, omega0.disc)
 
 
 def robin_analysis(values: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
@@ -218,7 +209,7 @@ def robin_state(omega0: SpectralField3, gamma: float) -> np.ndarray:
     """Spectral state of a field at t = 0, read-only, shape (k_max, k_max, n_z - 1).
 
     Entries [..., :-1] are the z-sine coefficients of the slab part of
-    build_transform_bundle, and [..., -1] is its wall moment.
+    _bundle, and [..., -1] is its wall moment.
     """
     return _readonly(robin_analysis(omega0.coeffs, gamma, omega0.disc))
 
@@ -497,12 +488,10 @@ def growth_ratio(norm_t: float, norm_0: float, t: float, params: ModelParams) ->
 
 
 def growth_ratios(
-    fields: Iterable[SpectralField3],
-    times: Sequence[float],
-    s: int,
-    params: ModelParams,
+    fields: Iterable[SpectralField3], times: Sequence[float], params: ModelParams
 ) -> list[float]:
-    """growth_ratio per field and time, read lazily; zero fields skipped.
+    """growth_ratio per field and time, in H^s with s = SOBOLEV_S, read
+    lazily; zero fields skipped.
 
     The flow at t = 0 is the identity, so it records exactly 1.0 there:
     RobinPropagator.at(0) reproduces w0 only up to representation error.
@@ -517,7 +506,7 @@ def growth_ratios(
     ratios = []
     rates = decays = None
     for w0 in fields:
-        base = sobolev_norm(w0, s, params.a)
+        base = sobolev_norm(w0, SOBOLEV_S, params.a)
         if base == 0.0:
             continue
         prop = RobinPropagator(w0, params)
@@ -527,37 +516,33 @@ def growth_ratios(
             rates = prop.rates
             decays = np.exp(rates * np.array(later, dtype=float)[:, None, None, None])
         grown = robin_synthesis(prop.state * decays, params.gamma, prop.disc)
-        norms = (sobolev_norm(SpectralField3(g, prop.disc), s, params.a) for g in grown)
+        norms = (sobolev_norm(SpectralField3(g, prop.disc), SOBOLEV_S, params.a) for g in grown)
         for t in times:
             ratios.append(1.0 if t == 0.0 else growth_ratio(next(norms), base, t, params))
     return ratios
 
 
+# t samples shared by the growth-constant calibration and its held-out check
+CALIBRATION_TIMES = (0.1, 0.5, 1.0)
+
+
 def calibrate_growth_constant(
-    ensemble_size: int,
-    s: int,
-    t_grid,
-    seed: int,
-    params: ModelParams,
-    disc: Discretization,
+    ensemble_size: int, seed: int, params: ModelParams, disc: Discretization
 ) -> float:
-    """Max of growth_ratios over a seeded random ensemble and t_grid.
+    """Max of growth_ratios over a seeded random ensemble at t = 0 and
+    CALIBRATION_TIMES.
 
     Ensemble members satisfy the Robin wall condition (the data class the
-    propagator is built for).  Including t = 0 in the grid pins the result
-    at >= 1.
+    propagator is built for).  Including t = 0 pins the result at >= 1.
     """
     if ensemble_size < 1:
         raise ValueError("calibration ensemble must be nonempty")
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid:
-        raise ValueError("t_grid must be nonempty")
     rng = np.random.default_rng(seed)
     fields = (
         random_field3(disc, rng, kind="robin", gamma=params.gamma)
         for _ in range(ensemble_size)
     )
-    ratios = growth_ratios(fields, t_grid, s, params)
+    ratios = growth_ratios(fields, (0.0,) + CALIBRATION_TIMES, params)
     if not ratios:
         raise ValueError("calibration ensemble produced no usable fields")
     return float(np.max(ratios))

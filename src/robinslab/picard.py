@@ -15,7 +15,8 @@ so that the map contracts on a ball:
 
 with C the calibrated heat growth constant (>= 1).  The iteration distance
 is the slice-wise maximum of the H^{s+1} norm of the v difference and the
-H^s norm of the w difference.
+H^s norm of the w difference.  The index s is the code's constant
+domain.SOBOLEV_S = 2, so v is measured in H^3 and w in H^2.
 
 The Duhamel term is evaluated in the spectral state of heat.robin_state,
 one array per slice in which P_t is a per-entry exponential: a one-step
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    MAX_DERIVATIVE_ORDER,
+    SOBOLEV_S,
     Discretization,
     ModelParams,
     SpectralField3,
@@ -133,14 +134,6 @@ class PicardResult:
         return self.state.iteration_index
 
 
-def _check_orders(params: ModelParams) -> None:
-    if params.s + 1 > MAX_DERIVATIVE_ORDER:
-        raise ValueError(
-            f"iteration norms need H^{params.s + 1} on v, above the supported "
-            f"derivative order {MAX_DERIVATIVE_ORDER}"
-        )
-
-
 def horizon_from_norms(
     norm_v0: float, norm_w0: float, growth_constant: float, params: ModelParams
 ) -> HorizonSelection:
@@ -205,10 +198,9 @@ def select_horizon(
     growth_constant: float,
 ) -> HorizonSelection:
     """Contraction horizon measured directly from the initial fields."""
-    _check_orders(params)
     return horizon_from_norms(
-        sobolev_norm(v0, params.s + 1, params.a),
-        sobolev_norm(w0, params.s, params.a),
+        sobolev_norm(v0, SOBOLEV_S + 1, params.a),
+        sobolev_norm(w0, SOBOLEV_S, params.a),
         growth_constant,
         params,
     )
@@ -307,10 +299,9 @@ def _worst_norm(pairs, params: ModelParams) -> float:
 
     Python's max can drop a NaN, and a NaN iterate would read as converged.
     """
-    a, s = params.a, params.s
     norms = [0.0]
     for v, w in pairs:
-        norms += [sobolev_norm(v, s + 1, a), sobolev_norm(w, s, a)]
+        norms += [sobolev_norm(v, SOBOLEV_S + 1, params.a), sobolev_norm(w, SOBOLEV_S, params.a)]
     return float(np.max(norms))
 
 
@@ -370,7 +361,6 @@ class PicardProblem:
         params: ModelParams,
         horizon: HorizonSelection,
     ):
-        _check_orders(params)
         if v0.disc is not w0.disc and v0.disc != w0.disc:
             raise ValueError("v0 and w0 must share a discretization")
         if not (np.all(np.isfinite(v0.coeffs)) and np.all(np.isfinite(w0.coeffs))):

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .domain import (
-    MAX_DERIVATIVE_ORDER,
     RANDOM_KINDS,
     Discretization,
     ModelParams,
@@ -150,12 +149,13 @@ def _path(value, where: str) -> str:
     return value
 
 
-# each initial-data family's keys, as key: (default, reader)
+# each initial-data family's keys, as key: (default, reader); a key whose
+# default is MISSING is required
 _FAMILIES = {
     "zero": {},
     "eigenmode": {"mode": ([1, 1], _mode), "amplitude": (1.0, _number)},
     "random": {"kind": ("robin", _kind), "amplitude": (1.0, _number)},
-    "file": {"path": (None, _path)},
+    "file": {"path": (MISSING, _path)},
 }
 
 
@@ -171,7 +171,8 @@ def _normalize_family(spec, where: str) -> dict:
             f"{where}.family must be one of {sorted(_FAMILIES)}, got {family!r}"
         )
     keys = _FAMILIES[family]
-    _require_keys(spec, {"family", *keys}, {"family"}, where)
+    required = {key for key, (default, _) in keys.items() if default is MISSING}
+    _require_keys(spec, {"family", *keys}, {"family", *required}, where)
     out = {"family": family}
     for key, (default, read) in keys.items():
         out[key] = read(spec.get(key, default), f"{where}.{key}")
@@ -191,11 +192,6 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     # the vorticity wall condition and the tail check need gamma > 0
     if not params.gamma > 0:
         raise ConfigError(f"params: gamma must be positive, got {params.gamma}")
-    # picard's iteration norm takes H^{s+1} of v
-    if params.s + 1 > MAX_DERIVATIVE_ORDER:
-        raise ConfigError(
-            f"params: s = {params.s} above the supported maximum {MAX_DERIVATIVE_ORDER - 1}"
-        )
     # a config's time grid defaults to 9 slices, finer than the record's 2
     disc = _section(raw, "disc", Discretization, n_t=9)
 

@@ -81,21 +81,18 @@ def make_certificate(name: str, measured: float, bound: float, **details) -> Cer
     )
 
 
-def order_certificate(name: str, observed: float, **details) -> Certificate:
+def order_certificate(name: str, observed: float) -> Certificate:
     """Convergence order inside 2 +- ORDER_WINDOW: every stencil is second order."""
     return make_certificate(
-        name, abs(observed - 2.0), ORDER_WINDOW, observed_order=float(observed), **details
+        name, abs(observed - 2.0), ORDER_WINDOW, observed_order=float(observed)
     )
 
 
-def min_order_certificate(
-    name: str, observed: float, required: float, **details
-) -> Certificate:
+def min_order_certificate(name: str, observed: float, required: float) -> Certificate:
     """Convergence order at least required (encoded as required/observed <= 1)."""
     measured = math.inf if observed <= 0 else required / observed
     return make_certificate(
-        name, measured, 1.0, observed_order=float(observed), required_order=float(required),
-        **details,
+        name, measured, 1.0, observed_order=float(observed), required_order=float(required)
     )
 
 
@@ -162,18 +159,17 @@ def growth_bound_check(
     )
 
 
-def elliptic_bound_check(
-    ratios, elliptic_constant: float, name: str = "elliptic-bound"
-) -> Certificate:
+def elliptic_bound_check(ratios, elliptic_constant: float) -> Certificate:
+    """Held-out elliptic ratios against 1.1x the calibrated constant."""
     return make_certificate(
-        name, _worst([float(r) for r in ratios]), CALIBRATION_MARGIN * elliptic_constant,
-        elliptic_constant=float(elliptic_constant),
+        "elliptic-held-out", _worst([float(r) for r in ratios]),
+        CALIBRATION_MARGIN * elliptic_constant, elliptic_constant=float(elliptic_constant),
     )
 
 
-def contraction_check(ratios, name: str = "contraction") -> Certificate:
+def contraction_check(ratios) -> Certificate:
     ratios = [float(r) for r in ratios]
-    return make_certificate(name, _worst(ratios), CONTRACTION_BOUND, sweeps=len(ratios))
+    return make_certificate("contraction", _worst(ratios), CONTRACTION_BOUND, sweeps=len(ratios))
 
 
 def apriori_bounds_check(

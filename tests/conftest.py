@@ -45,7 +45,7 @@ def unfrozen_heap():
 @pytest.fixture
 def params_pi():
     """Unit-viscosity model on the a = pi box, growing Robin wall."""
-    return ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
+    return ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0)
 
 
 @pytest.fixture

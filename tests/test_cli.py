@@ -42,7 +42,7 @@ ROOT = Path(__file__).parents[1]
 OVERFLOW_ERROR = r"run error: non-finite arithmetic: (overflow|invalid value) encountered in \w+\n"
 
 BASE = {
-    "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
+    "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0},
     "disc": {"k_max": 2, "n_z": 128, "l_z": 20.0, "n_t": 5},
     "seed": 3,
     "initial_data": {"w": {"family": "eigenmode", "mode": [1, 1], "amplitude": 1.0}},
@@ -211,16 +211,6 @@ class TestExitCodes:
             assert err == "config error: unknown keys in config: ['tolerances']\n", err
             assert not out.exists()
 
-    def test_sobolev_index_above_two_is_config_error(self, tmp_path, capsys):
-        # picard's H^{s+1} norm of v needs z-derivative order s + 1 <= 3
-        path = write_config(tmp_path, params={"s": 3})
-        for command in ("calibrate", "elliptic", "heat", "picard", "convergence"):
-            code = main(
-                ["--command", command, "--config", str(path), "--out", str(tmp_path / command)]
-            )
-            assert code == 1, command
-            assert capsys.readouterr().err.startswith("config error"), command
-
     @pytest.mark.parametrize(
         "retired, message",
         [
@@ -228,8 +218,10 @@ class TestExitCodes:
             # every run calibrates its own growth constant, so no config can
             # loosen the growth bound or the Picard horizon
             ({"constants": {"growth_constant": 1e3}}, "unknown keys in config: ['constants']"),
+            # the Sobolev index is the code's constant domain.SOBOLEV_S
+            ({"params": {"s": 2}}, "unknown keys in params: ['s']"),
         ],
-        ids=["disc-quad_nodes", "constants-growth_constant"],
+        ids=["disc-quad_nodes", "constants-growth_constant", "params-s"],
     )
     def test_retired_keys_are_config_errors(self, tmp_path, capsys, retired, message):
         path = write_config(tmp_path, **retired)
@@ -507,6 +499,15 @@ class TestRunArtifacts:
             ["--command", "elliptic", "--config", str(path), "--out", str(tmp_path / "run")]
         ) == 0
 
+    def test_file_family_without_path_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, initial_data={"w": {"family": "file"}})
+        for command in ("heat", "elliptic", "picard"):
+            out = tmp_path / command
+            assert main(["--command", command, "--config", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == "config error: missing keys in initial_data.w: ['path']\n", err
+            assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "abc", ""])
     def test_bad_snapshot_row_is_config_error(self, tmp_path, capsys, bad):
         disc = Discretization(k_max=2, n_z=128, l_z=20.0, n_t=5)
@@ -698,6 +699,7 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {out / artifact}: "), err
         assert not (out / "verify_report.json").exists()
+        return err
 
     def test_verify_on_report_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -711,6 +713,28 @@ class TestVerifyCommand:
         del stored["certificates"][1]["measured"]
         write_report(out / "report.json", stored)
         self.assert_config_error_naming(out, capsys, "report.json")
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # a report written while s was still a config key
+            ({"s": 2}, "unknown keys in params: ['s']"),
+            # a z-truncation tail e^{-gamma l_z} above TAIL_TOL
+            ({"gamma": 0.5}, "l_z=20.0 too short: exp(-0.5*l_z)"),
+            # JSON's true is no number, though ModelParams would read it as 1
+            ({"nu": True}, "params.nu must be a number, got True"),
+        ],
+        ids=["retired-s", "tail", "boolean-nu"],
+    )
+    def test_verify_on_a_heat_echo_no_config_could_produce_is_config_error(
+        self, tmp_path, capsys, params, message
+    ):
+        out = self.heat_run(tmp_path)
+        stored = read_report(out / "report.json")
+        stored["config"]["params"].update(params)
+        write_report(out / "report.json", stored)
+        err = self.assert_config_error_naming(out, capsys, "report.json")
+        assert err.startswith(f"config error: {out / 'report.json'}: {message}"), err
 
     def test_verify_on_heat_norms_below_two_rows_is_config_error(self, tmp_path, capsys):
         out = self.heat_run(tmp_path)

@@ -143,8 +143,8 @@ class TestDz:
     def test_constant_profile_derivative_vanishes(self):
         disc = Discretization(k_max=1, n_z=32, l_z=5.0)
         f = field3_from_profile(disc, (1, 1), np.ones(disc.n_z))
-        assert d_z(f, 1).max_abs() < 1e-13
-        assert d_z(f, 2).max_abs() < 1e-12
+        assert np.max(np.abs(d_z(f, 1).coeffs)) < 1e-13
+        assert np.max(np.abs(d_z(f, 2).coeffs)) < 1e-12
 
     def test_rejects_unsupported_order(self):
         f = eigen_exp_field(fine_disc(n_z=64))
@@ -294,8 +294,6 @@ class TestValidation:
             ModelParams(a=-1.0, nu=1.0, gamma=1.0, beta=0.5)
         with pytest.raises(ValueError):
             ModelParams(a=1.0, nu=0.0, gamma=1.0, beta=0.5)
-        with pytest.raises(ValueError):
-            ModelParams(a=1.0, nu=1.0, gamma=1.0, beta=0.5, s=1)
 
     def test_disc_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -95,7 +95,7 @@ class TestSolve:
     def test_zero_source_gives_zero(self):
         disc = Discretization(k_max=3, n_z=128, l_z=20.0)
         v = solve_elliptic(zero_field3(disc), 1.0, A)
-        assert v.max_abs() == 0.0
+        assert np.max(np.abs(v.coeffs)) == 0.0
 
     def test_robin_compatible_exponential_closed_form(self):
         # v = e^{-beta z} satisfies the wall condition exactly, so
@@ -185,20 +185,20 @@ class TestCalibration:
         # every derivative factor is 1 -> sqrt(#multi-indices) = sqrt(10).
         disc = Discretization(k_max=2, n_z=1025, l_z=30.0)
         f = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
-        (c,) = elliptic_ratios([f], 2, A, 1.0)
+        (c,) = elliptic_ratios([f], A, 1.0)
         assert c == pytest.approx(math.sqrt(10.0), rel=5e-3)
 
     def test_seed_reproducibility(self):
         disc = Discretization(k_max=3, n_z=128, l_z=20.0)
-        c1 = calibrate_elliptic_constant(5, 2, 42, disc, A, 1.0)
-        c2 = calibrate_elliptic_constant(5, 2, 42, disc, A, 1.0)
-        c3 = calibrate_elliptic_constant(5, 2, 43, disc, A, 1.0)
+        c1 = calibrate_elliptic_constant(42, disc, A, 1.0)
+        c2 = calibrate_elliptic_constant(42, disc, A, 1.0)
+        c3 = calibrate_elliptic_constant(43, disc, A, 1.0)
         assert c1 == c2
         assert c1 != c3
 
     def test_held_out_fields_under_margin(self, rng):
         disc = Discretization(k_max=3, n_z=256, l_z=20.0)
-        c = calibrate_elliptic_constant(40, 2, 2024, disc, A, 1.0)
+        c = calibrate_elliptic_constant(2024, disc, A, 1.0)
         for _ in range(10):
             f = random_field3(disc, rng, kind="generic")
             denom = sobolev_norm(f, 0, A)
@@ -207,8 +207,6 @@ class TestCalibration:
 
     def test_empty_ensemble_rejected(self):
         disc = Discretization(k_max=2, n_z=64, l_z=20.0)
-        with pytest.raises(ValueError):
-            calibrate_elliptic_constant(0, 2, 0, disc, A, 1.0)
         # an empty ensemble, or one of zero fields only, yields no ratio at all
-        assert elliptic_ratios([], 2, A, 1.0) == []
-        assert elliptic_ratios([zero_field3(disc)], 2, A, 1.0) == []
+        assert elliptic_ratios([], A, 1.0) == []
+        assert elliptic_ratios([zero_field3(disc)], A, 1.0) == []

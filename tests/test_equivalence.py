@@ -96,6 +96,7 @@ import robinslab
 from robinslab import _kernels, cli, elliptic, heat, picard, verify
 from robinslab.cli import main
 from robinslab.domain import (
+    SOBOLEV_S,
     Discretization,
     ModelParams,
     SpectralField3,
@@ -112,10 +113,11 @@ from robinslab.domain import (
 )
 from robinslab.elliptic import elliptic_ratios, interior_residual, solve_elliptic
 from robinslab.heat import (
+    CALIBRATION_TIMES,
     RobinPropagator,
+    _bundle,
+    _moments,
     _simpson,
-    build_transform_bundle,
-    exp_weighted_moment,
     fd_robin_oracle,
     growth_ratios,
     robin_analysis,
@@ -144,7 +146,7 @@ from robinslab.verify import (
 from robinslab.worker import Worker
 
 A = math.pi
-PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
+PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0)
 
 
 def duhamel_by_sum(w0, g_slices, horizon, params):
@@ -225,7 +227,7 @@ def test_recurrence_matches_sum_of_propagator_evaluations():
 def test_banded_bundle_sweep_matches_backward_loop(n_z, gamma):
     disc = Discretization(k_max=3, n_z=n_z, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(n_z), kind="generic")
-    got, _ = build_transform_bundle(f, gamma)
+    got, _ = _bundle(f.coeffs, gamma, disc)
     ref = slab_by_loop(f, gamma)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -492,7 +494,7 @@ def test_batched_oracle_is_bit_identical_to_per_mode(k_max, n_z, gamma, monkeypa
     """The march, on every case whatever route the rule picks, steps only
     the modes with data, and the rest stay exactly 0."""
     monkeypatch.setattr(heat, "oracle_route", lambda disc, n_steps: "march")
-    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0)
     for field in oracle_fields(k_max, n_z, gamma):
         for t, n_steps in ORACLE_CASES:
             if oracle_refuses(n_z, gamma, n_steps):
@@ -512,7 +514,7 @@ def test_batched_oracle_is_bit_identical_to_per_mode(k_max, n_z, gamma, monkeypa
 def test_oracle_matches_per_mode_on_the_route_it_picks(k_max, n_z, gamma):
     """The eigen route is the march's discrete solution up to roundoff;
     modes without data stay exactly 0 on either route."""
-    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0)
     for field in oracle_fields(k_max, n_z, gamma):
         for t, n_steps in ORACLE_CASES:
             if oracle_refuses(n_z, gamma, n_steps):
@@ -530,7 +532,7 @@ def test_oracle_matches_per_mode_on_the_route_it_picks(k_max, n_z, gamma):
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
 def test_symmetric_oracle_matches_the_half_step_lu_formulation(k_max, n_z, gamma):
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
-    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+    params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0)
     f = random_field3(disc, np.random.default_rng(k_max * n_z), kind="robin", gamma=gamma)
     for t, n_steps in ORACLE_CASES:
         if oracle_refuses(n_z, gamma, n_steps):
@@ -549,7 +551,7 @@ def test_simpson_is_bit_identical_to_scipy(n_z):
     assert np.array_equal(_simpson(y, disc.dz), simpson(y, dx=disc.dz, axis=-1))
     assert _simpson(weight * weight, disc.dz) == simpson(weight * weight, dx=disc.dz)
     moment = simpson(y, dx=disc.dz, axis=-1) / simpson(weight * weight, dx=disc.dz)
-    assert np.array_equal(exp_weighted_moment(f, 2.0), moment)
+    assert np.array_equal(_moments(f.coeffs, 2.0, disc), moment)
 
 
 def held_out_elliptic_by_loop(params, disc, seed, size):
@@ -558,11 +560,11 @@ def held_out_elliptic_by_loop(params, disc, seed, size):
     ratios = []
     for _ in range(size):
         f = random_field3(disc, rng, kind="generic")
-        denom = sobolev_norm(f, params.s - 2, params.a)
+        denom = sobolev_norm(f, SOBOLEV_S - 2, params.a)
         if denom == 0.0:
             continue
         v = solve_elliptic(f, params.beta, params.a)
-        ratios.append(sobolev_norm(v, params.s, params.a) / denom)
+        ratios.append(sobolev_norm(v, SOBOLEV_S, params.a) / denom)
     return ratios
 
 
@@ -573,12 +575,12 @@ def held_out_growth_by_loop(params, disc, seed, size, times):
     ratios = []
     for _ in range(size):
         w0 = random_field3(disc, rng, kind="robin", gamma=params.gamma)
-        base = sobolev_norm(w0, params.s, params.a)
+        base = sobolev_norm(w0, SOBOLEV_S, params.a)
         if base == 0.0:
             continue
         prop = RobinPropagator(w0, params)
         for t in times:
-            grown = sobolev_norm(prop.at(t), params.s, params.a)
+            grown = sobolev_norm(prop.at(t), SOBOLEV_S, params.a)
             ratios.append(grown * math.exp(-rate * t) / base)
     return ratios
 
@@ -622,7 +624,7 @@ def test_bound_transforms_are_bit_identical_to_scipy_fft(k_max, n_z, monkeypatch
 def test_robin_state_is_the_sine_analysis_of_the_bundle_then_its_moments(k_max, n_z):
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=PARAMS.gamma)
-    slab, moments = build_transform_bundle(f, PARAMS.gamma)
+    slab, moments = _bundle(f.coeffs, PARAMS.gamma, disc)
     state = robin_state(f, PARAMS.gamma)
     assert state.shape == (k_max, k_max, n_z - 1)
     assert not state.flags.writeable
@@ -729,7 +731,7 @@ def test_bound_lapack_routines_are_bit_identical_to_scipy_lapack(k_max, n_z, mon
         monkeypatch.setattr(module, name, spy)
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=PARAMS.gamma)
-    build_transform_bundle(f, PARAMS.gamma)
+    _bundle(f.coeffs, PARAMS.gamma, disc)
     fd_robin_oracle(f, 0.3, PARAMS, n_steps=3)
     eigen_steps = heat.ORACLE_EIGEN_RATIO * (n_z - 1) // k_max**2 + 1
     assert heat.oracle_route(disc, eigen_steps) == "eigen"
@@ -804,40 +806,37 @@ def test_another_scipy_version_refuses_to_bind_the_kernels(tmp_path):
     assert "1.16.0" in last and _kernels.SCIPY_VERSION in last
 
 
-@pytest.mark.parametrize("s", [2, 3])
 @pytest.mark.parametrize("seed", [0, 23])
-def test_ratio_samplers_equal_the_held_out_loops(s, seed):
+def test_ratio_samplers_equal_the_held_out_loops(seed):
     disc = Discretization(k_max=3, n_z=64, l_z=20.0)
-    params = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=s)
+    params = PARAMS
     times = (0.1, 0.5, 1.0)
     generic_rng = np.random.default_rng(seed)
     generic = (random_field3(disc, generic_rng, kind="generic") for _ in range(6))
     want = held_out_elliptic_by_loop(params, disc, seed, 6)
     assert len(want) == 6
-    assert elliptic_ratios(generic, s, A, params.beta) == want
+    assert elliptic_ratios(generic, A, params.beta) == want
     robin_rng = np.random.default_rng(seed + 1)
     robin = (
         random_field3(disc, robin_rng, kind="robin", gamma=params.gamma) for _ in range(6)
     )
     want = held_out_growth_by_loop(params, disc, seed + 1, 6, times)
     assert len(want) == 18
-    assert growth_ratios(robin, times, s, params) == want
+    assert growth_ratios(robin, times, params) == want
 
 
-@pytest.mark.parametrize("s", [2, 3])
 @pytest.mark.parametrize("k_max, n_z", [(8, 256), (2, 1024), (4, 256)])
-def test_growth_ratios_at_the_shipped_grids_equal_the_held_out_loop(k_max, n_z, s):
+def test_growth_ratios_at_the_shipped_grids_equal_the_held_out_loop(k_max, n_z):
     """One synthesis per field for all its times, against one .at per time;
     a zero field in the stream is skipped and t = 0 records exactly 1.0."""
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
-    params = dataclasses.replace(PARAMS, s=s)
-    rng = np.random.default_rng(n_z + s)
-    fields = [random_field3(disc, rng, kind="robin", gamma=params.gamma) for _ in range(4)]
+    rng = np.random.default_rng(n_z + 2)
+    fields = [random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma) for _ in range(4)]
     fields.insert(2, SpectralField3(np.zeros_like(fields[0].coeffs), disc))
-    want = held_out_growth_by_loop(params, disc, n_z + s, 4, cli._CAL_TIMES)
+    want = held_out_growth_by_loop(PARAMS, disc, n_z + 2, 4, CALIBRATION_TIMES)
     assert len(want) == 12
-    assert growth_ratios(iter(fields), cli._CAL_TIMES, s, params) == want
-    pinned = growth_ratios(iter(fields), (0.0,) + cli._CAL_TIMES, s, params)
+    assert growth_ratios(iter(fields), CALIBRATION_TIMES, PARAMS) == want
+    pinned = growth_ratios(iter(fields), (0.0,) + CALIBRATION_TIMES, PARAMS)
     assert pinned[0::4] == [1.0] * 4
     assert [r for i, r in enumerate(pinned) if i % 4] == want
 
@@ -846,7 +845,7 @@ def test_growth_ratios_at_the_shipped_grids_equal_the_held_out_loop(k_max, n_z, 
 def test_calibrate_outputs_match_the_serial_held_out_loops(tmp_path, monkeypatch, seed):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
-        "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
+        "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0},
         "disc": {"k_max": 2, "n_z": 129, "l_z": 20.0, "n_t": 5},
         "seed": seed,
         "initial_data": {"w": {"family": "eigenmode", "mode": [1, 1], "amplitude": 1.0}},
@@ -866,7 +865,7 @@ def test_calibrate_outputs_match_the_serial_held_out_loops(tmp_path, monkeypatch
     disc = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
     serial = [
         held_out_elliptic_by_loop(PARAMS, disc, seed + 2, 50),
-        held_out_growth_by_loop(PARAMS, disc, seed + 3, 50, cli._CAL_TIMES),
+        held_out_growth_by_loop(PARAMS, disc, seed + 3, 50, CALIBRATION_TIMES),
     ]
     monkeypatch.setattr(cli, "_held_out", lambda worker, index: serial[index])
     in_process = outputs(tmp_path / "in_process")
@@ -1134,7 +1133,7 @@ class InProcess:
 def test_picard_outputs_match_the_in_process_uniqueness_route(tmp_path, monkeypatch):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
-        "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
+        "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0},
         "disc": {"k_max": 3, "n_z": 129, "l_z": 20.0, "n_t": 9},
         "seed": 8,
         "initial_data": {

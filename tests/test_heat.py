@@ -34,17 +34,17 @@ from robinslab.domain import (
 from robinslab.heat import (
     COMPAT_WARNING,
     RobinPropagator,
+    _bundle,
+    _moments,
     boundary_residual,
-    build_transform_bundle,
     calibrate_growth_constant,
-    exp_weighted_moment,
     fd_robin_oracle,
     growth_ratios,
     warn_if_incompatible,
 )
 
 A = math.pi
-PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
+PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0)
 
 
 def eigen_field(disc, gamma, mode=(1, 1)):
@@ -80,7 +80,7 @@ class TestMoment:
         # numerator and denominator integrate the same array, so this is
         # exact, not approximate
         disc = Discretization(k_max=2, n_z=257, l_z=20.0)
-        m = exp_weighted_moment(eigen_field(disc, PARAMS.gamma), PARAMS.gamma)
+        m = _moments(eigen_field(disc, PARAMS.gamma).coeffs, PARAMS.gamma, disc)
         assert m[0, 0] == 1.0
 
     def test_cubed_decay_closed_form(self):
@@ -90,14 +90,14 @@ class TestMoment:
         for n_z in (513, 1025):
             disc = Discretization(k_max=1, n_z=n_z, l_z=20.0)
             f = field3_from_profile(disc, (1, 1), np.exp(-3 * PARAMS.gamma * disc.z))
-            errs[n_z] = abs(exp_weighted_moment(f, PARAMS.gamma)[0, 0] - 0.5)
+            errs[n_z] = abs(_moments(f.coeffs, PARAMS.gamma, disc)[0, 0] - 0.5)
         assert errs[513] < 1e-4
         assert 12.0 < errs[513] / errs[1025] < 20.0
 
     def test_residue_moment_vanishes_on_grid(self, rng):
         disc = Discretization(k_max=3, n_z=257, l_z=20.0)
         f = random_field3(disc, rng, kind="generic")
-        m = exp_weighted_moment(f, PARAMS.gamma)
+        m = _moments(f.coeffs, PARAMS.gamma, disc)
         weight = np.exp(-PARAMS.gamma * disc.z)
         residue = f.coeffs - m[:, :, None] * weight
         left = simpson(residue * weight, dx=disc.dz, axis=-1)
@@ -106,13 +106,13 @@ class TestMoment:
     def test_rejects_nonpositive_gamma(self):
         disc = Discretization(k_max=1, n_z=65, l_z=20.0)
         with pytest.raises(ValueError):
-            exp_weighted_moment(eigen_field(disc, 1.0), 0.0)
+            _moments(eigen_field(disc, 1.0).coeffs, 0.0, disc)
 
 
 class TestTransform:
     def test_slab_part_of_eigen_profile_is_exactly_zero(self):
         disc = Discretization(k_max=2, n_z=257, l_z=20.0)
-        slab, moments = build_transform_bundle(eigen_field(disc, PARAMS.gamma), PARAMS.gamma)
+        slab, moments = _bundle(eigen_field(disc, PARAMS.gamma).coeffs, PARAMS.gamma, disc)
         assert np.max(np.abs(slab)) == 0.0
         assert moments[0, 0] == 1.0
 
@@ -122,7 +122,7 @@ class TestTransform:
         for n_z in (513, 1025):
             disc = Discretization(k_max=1, n_z=n_z, l_z=20.0)
             f = field3_from_profile(disc, (1, 1), (1 + disc.z) * np.exp(-disc.z))
-            slab, moments = build_transform_bundle(f, 1.0)
+            slab, moments = _bundle(f.coeffs, 1.0, disc)
             assert moments[0, 0] == pytest.approx(1.5, rel=1e-6)
             errs[n_z] = np.max(np.abs(slab[0, 0] - 0.5 * disc.z * np.exp(-disc.z)))
         assert errs[513] < 5e-4
@@ -137,7 +137,7 @@ class TestTransform:
             f = random_field3(
                 disc, np.random.default_rng(9), kind="robin", gamma=PARAMS.gamma
             )
-            slab, _ = build_transform_bundle(f, PARAMS.gamma)
+            slab, _ = _bundle(f.coeffs, PARAMS.gamma, disc)
             vals[n_z] = np.max(np.abs(slab[:, :, 0]))
         assert vals[513] < 1e-4
         assert 3.0 < vals[513] / vals[1025] < 5.0
@@ -157,7 +157,7 @@ class TestPropagator:
     def test_mode22_worked_decay_factor(self):
         # gamma = 1, mode (2,2): rate nu (gamma^2 - mu^2) = -7, so
         # t = 0.2 scales the field by e^{-1.4}
-        params = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0, s=2)
+        params = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0)
         disc = Discretization(k_max=2, n_z=257, l_z=20.0)
         w0 = eigen_field(disc, 1.0, mode=(2, 2))
         w = RobinPropagator(w0, params).at(0.2)
@@ -193,7 +193,7 @@ class TestPropagator:
 
     def test_nonpositive_gamma_rejected(self):
         disc = Discretization(k_max=1, n_z=65, l_z=20.0)
-        params = ModelParams(a=A, nu=1.0, gamma=-1.0, beta=1.0, s=2)
+        params = ModelParams(a=A, nu=1.0, gamma=-1.0, beta=1.0)
         with pytest.raises(ValueError):
             RobinPropagator(eigen_field(disc, 1.0), params)
 
@@ -253,7 +253,7 @@ class TestOracleAgreement:
     )
     def test_oracle_is_the_dense_crank_nicolson_power(self, n_z, gamma, t, n_steps):
         disc = Discretization(k_max=2, n_z=n_z, l_z=20.0)
-        params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0, s=2)
+        params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0)
         c = 0.5 * params.nu * t / n_steps
         mu2 = disc.mode_rates(A) ** 2
         steps = {
@@ -326,7 +326,7 @@ class TestSemigroup:
     def test_generic_composition_defect_small_on_fine_grid(self):
         # re-splitting the intermediate field costs O(dz^2); at this grid the
         # defect sits near 5e-10
-        params = ModelParams(a=A, nu=1.0, gamma=1.25, beta=1.0, s=2)
+        params = ModelParams(a=A, nu=1.0, gamma=1.25, beta=1.0)
         disc = Discretization(k_max=1, n_z=50001, l_z=25.0)
         f = random_field3(disc, np.random.default_rng(5), kind="generic")
         prop = RobinPropagator(f, params)
@@ -338,7 +338,7 @@ class TestSemigroup:
         assert defect < 1e-8
 
     def test_composition_defect_decays_at_second_order(self):
-        params = ModelParams(a=A, nu=1.0, gamma=1.25, beta=1.0, s=2)
+        params = ModelParams(a=A, nu=1.0, gamma=1.25, beta=1.0)
         defects = []
         for n_z in (2001, 4001):
             disc = Discretization(k_max=1, n_z=n_z, l_z=25.0)
@@ -359,12 +359,12 @@ class TestGrowthAndSmoothing:
         # at a = pi every resolved rate has mu^2 >= 2, so all t > 0 ratios
         # fall below the t = 0 identity and the constant is exactly 1
         disc = Discretization(k_max=4, n_z=257, l_z=20.0)
-        c = calibrate_growth_constant(20, 2, [0.0, 0.1, 0.5, 1.0], 7, PARAMS, disc)
+        c = calibrate_growth_constant(20, 7, PARAMS, disc)
         assert c == 1.0
 
     def test_held_out_fields_under_margin(self):
         disc = Discretization(k_max=4, n_z=257, l_z=20.0)
-        c = calibrate_growth_constant(20, 2, [0.0, 0.1, 0.5, 1.0], 7, PARAMS, disc)
+        c = calibrate_growth_constant(20, 7, PARAMS, disc)
         rng = np.random.default_rng(1234)
         rate = PARAMS.nu * PARAMS.gamma**2
         for _ in range(10):
@@ -381,7 +381,7 @@ class TestGrowthAndSmoothing:
         # are skipped
         disc = Discretization(k_max=2, n_z=129, l_z=20.0)
         f = random_field3(disc, np.random.default_rng(4), kind="robin", gamma=PARAMS.gamma)
-        ratios = growth_ratios([f, zero_field3(disc), f], [0.0, 0.2], 2, PARAMS)
+        ratios = growth_ratios([f, zero_field3(disc), f], [0.0, 0.2], PARAMS)
         assert len(ratios) == 4
         assert ratios[0] == ratios[2] == 1.0
         assert ratios[1] == ratios[3] < 1.0
@@ -399,12 +399,12 @@ class TestGrowthAndSmoothing:
         with pytest.raises(ValueError, match=f"^propagation time {message}$"):
             RobinPropagator(f, PARAMS).state_at(t)
         with pytest.raises(ValueError, match=f"^propagation time {message}$"):
-            growth_ratios([zero_field3(disc), f], [0.0, 0.2, t], 2, PARAMS)
+            growth_ratios([zero_field3(disc), f], [0.0, 0.2, t], PARAMS)
 
     def test_growth_seed_reproducibility(self):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0)
-        c1 = calibrate_growth_constant(5, 2, [0.0, 0.5], 3, PARAMS, disc)
-        c2 = calibrate_growth_constant(5, 2, [0.0, 0.5], 3, PARAMS, disc)
+        c1 = calibrate_growth_constant(5, 3, PARAMS, disc)
+        c2 = calibrate_growth_constant(5, 3, PARAMS, disc)
         assert c1 == c2
 
     def test_instant_smoothing_of_rough_data(self):

@@ -47,13 +47,13 @@ from robinslab.picard import (
 from robinslab.report import parse_config
 
 A = math.pi
-PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
+PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0)
 T_WORKED = 1.0 / (16.0 * math.e)  # 0.022992465073215146
 
 
 class TestHorizon:
     def test_worked_example(self):
-        p = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0, s=2)
+        p = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0)
         h = horizon_from_norms(0.0, 1.0, 2.0, p)
         assert h.T == pytest.approx(T_WORKED, rel=1e-14)
         assert h.M == pytest.approx(2.0 * math.e, rel=1e-14)
@@ -113,13 +113,6 @@ class TestHorizon:
             sobolev_norm(v0, 3, A), sobolev_norm(w0, 2, A), 1.0, PARAMS
         )
         assert h == ref
-
-    def test_sobolev_index_above_derivative_support_rejected(self, rng):
-        disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
-        p3 = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=3)
-        f = random_field3(disc, rng, kind="robin", gamma=2.0)
-        with pytest.raises(ValueError):
-            select_horizon(f, f, p3, 1.0)
 
 
 class TestDuhamel:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from robinslab.domain import Discretization, ModelParams, random_field3, sobolev_norm
+from robinslab.domain import SOBOLEV_S, Discretization, ModelParams, random_field3, sobolev_norm
 from robinslab.picard import PicardProblem, picard_solve, select_horizon
 from robinslab.verify import (
     Certificate,
@@ -31,7 +31,7 @@ from robinslab.verify import (
 )
 
 A = math.pi
-PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0, s=2)
+PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0)
 
 
 class TestCertificate:
@@ -78,7 +78,7 @@ class TestCertificate:
 
 class TestGronwall:
     def test_decaying_series_passes(self):
-        p = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0, s=2)
+        p = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0)
         t = np.linspace(0.0, 1.0, 9)
         e = 3.0 * np.exp(-14.0 * t)
         c = gronwall_energy_check(t, e, p)
@@ -91,7 +91,7 @@ class TestGronwall:
         assert gronwall_energy_check(t, e, PARAMS).passed
 
     def test_violation_fails(self):
-        p = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0, s=2)
+        p = ModelParams(a=A, nu=1.0, gamma=1.0, beta=1.0)
         t = np.linspace(0.0, 1.0, 9)
         e = np.exp(20.0 * t)  # rate 20 > allowance rate 4
         c = gronwall_energy_check(t, e, p)
@@ -178,8 +178,8 @@ def small_run():
 
 def slice_norms(state):
     """Per-slice ||v||_{H^{s+1}} and ||w||_{H^s}, as the picard command takes them."""
-    v_norms = [sobolev_norm(v, PARAMS.s + 1, A) for v in state.v_slices]
-    w_norms = [sobolev_norm(w, PARAMS.s, A) for w in state.omega_slices]
+    v_norms = [sobolev_norm(v, SOBOLEV_S + 1, A) for v in state.v_slices]
+    w_norms = [sobolev_norm(w, SOBOLEV_S, A) for w in state.omega_slices]
     return v_norms, w_norms
 
 
@@ -188,8 +188,8 @@ class TestSolverChecks:
         v0, w0, res = small_run
         v_norms, w_norms = slice_norms(res.state)
         # slice 0 is the data itself, so the balls match norms of v0 and w0
-        assert v_norms[0] == sobolev_norm(v0, PARAMS.s + 1, A)
-        assert w_norms[0] == sobolev_norm(w0, PARAMS.s, A)
+        assert v_norms[0] == sobolev_norm(v0, SOBOLEV_S + 1, A)
+        assert w_norms[0] == sobolev_norm(w0, SOBOLEV_S, A)
         certs = apriori_bounds_check(v_norms, w_norms, res.problem.horizon, PARAMS)
         assert [c.name for c in certs] == ["apriori-velocity", "apriori-vorticity"]
         assert all(c.passed for c in certs)
@@ -212,7 +212,7 @@ class TestSolverChecks:
     def test_a_refused_oracle_step_fails_route_agreement_with_its_message(self, rng):
         # the wall mode grows at about gamma^2 = 36, so one step of c = 0.15 is refused
         disc = Discretization(k_max=2, n_z=65, l_z=20.0)
-        params = ModelParams(a=A, nu=1.0, gamma=6.0, beta=1.0, s=2)
+        params = ModelParams(a=A, nu=1.0, gamma=6.0, beta=1.0)
         w0 = random_field3(disc, rng, kind="robin", gamma=params.gamma)
         [cert] = run_certificates(
             [

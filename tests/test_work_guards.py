@@ -53,7 +53,7 @@ from robinslab.picard import (
     HorizonSelection, PicardProblem, PicardState, picard_solve, picard_step, select_horizon,
 )
 
-PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
+PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0)
 
 
 def _count_propagator_work(monkeypatch):
@@ -325,7 +325,7 @@ def test_one_mode_on_a_long_grid_marches(monkeypatch):
 def test_oracle_refuses_a_step_whatever_modes_carry_data():
     # at gamma 6 on 65 points the (1, 1) wall mode grows at about 21 > 1 / c
     # = 6.7 for c = 0.15, while the (4, 4) mode, mu^2 = 32, decays
-    params = ModelParams(a=math.pi, nu=1.0, gamma=6.0, beta=1.0, s=2)
+    params = ModelParams(a=math.pi, nu=1.0, gamma=6.0, beta=1.0)
     disc = Discretization(k_max=4, n_z=65, l_z=20.0)
     profile = np.exp(-params.gamma * disc.z)
     corner = domain.field3_from_profile(disc, (4, 4), profile)
@@ -333,7 +333,7 @@ def test_oracle_refuses_a_step_whatever_modes_carry_data():
         heat.fd_robin_oracle(corner, 0.3, params, n_steps=1)
     # the same block alone, as the (1, 1) mode of a box where mu^2 = 32
     alone = domain.field3_from_profile(Discretization(k_max=1, n_z=65, l_z=20.0), (1, 1), profile)
-    narrow = ModelParams(a=math.pi / 4, nu=1.0, gamma=6.0, beta=1.0, s=2)
+    narrow = ModelParams(a=math.pi / 4, nu=1.0, gamma=6.0, beta=1.0)
     assert np.all(np.isfinite(heat.fd_robin_oracle(alone, 0.3, narrow, n_steps=1).coeffs))
 
 
@@ -347,7 +347,7 @@ def test_growth_ratios_synthesize_once_per_nonzero_field(monkeypatch, times):
     fields.insert(1, domain.zero_field3(disc))
     counts = _count_propagator_work(monkeypatch)
     syntheses = _count_heat_calls(monkeypatch, "robin_synthesis")
-    ratios = heat.growth_ratios(fields, times, 2, PARAMS)
+    ratios = heat.growth_ratios(fields, times, PARAMS)
     assert len(ratios) == 3 * len(times)
     assert syntheses == {"robin_synthesis": 3}
     assert counts == {"at": 0, "build": 3, "analysis": 3, "dst": 3, "c2r": 3}
@@ -374,7 +374,7 @@ def test_oracle_runs_without_the_transform_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use the transform route")
 
-    for name in ("dst", "c2r", "dtbtrs", "build_transform_bundle", "RobinPropagator"):
+    for name in ("dst", "c2r", "dtbtrs", "_bundle", "RobinPropagator"):
         monkeypatch.setattr(heat, name, forbidden)
     for (n_steps, route), before in zip(routes, want):
         assert heat.oracle_route(disc, n_steps) == route

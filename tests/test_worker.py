@@ -33,7 +33,7 @@ from robinslab.verify import (
     Certificate, growth_bound_check, run_certificates, start_uniqueness_solve, uniqueness_check,
 )
 
-PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0, s=2)
+PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0)
 # every wait on a child here ends in well under this many seconds
 PROMPT_S = 20.0
 ROOT = Path(__file__).parents[1]
@@ -116,7 +116,7 @@ def test_a_child_failing_outside_the_solve_prints_why(first, monkeypatch, capfd)
 def picard_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        "params": {"a": math.pi, "nu": 1.0, "gamma": 2.0, "beta": 1.0, "s": 2},
+        "params": {"a": math.pi, "nu": 1.0, "gamma": 2.0, "beta": 1.0},
         "disc": {"k_max": 2, "n_z": 129, "l_z": 20.0, "n_t": 5},
         "seed": 3,
         "initial_data": {
