@@ -211,6 +211,18 @@ class TestExitCodes:
             assert err == "config error: unknown keys in config: ['tolerances']\n", err
             assert not out.exists()
 
+    def test_sobolev_index_above_two_is_config_error(self, tmp_path, capsys):
+        # picard's H^{s+1} norm of v needs z-derivative order s + 1 <= 3, and
+        # the index is no config key, so no command can be asked for s = 3
+        path = write_config(tmp_path, params={"s": 3})
+        for command in ("calibrate", "elliptic", "heat", "picard", "convergence"):
+            out = tmp_path / command
+            code = main(["--command", command, "--config", str(path), "--out", str(out)])
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert err == "config error: unknown keys in params: ['s']\n", (command, err)
+            assert not out.exists(), command
+
     @pytest.mark.parametrize(
         "retired, message",
         [

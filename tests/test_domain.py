@@ -6,6 +6,7 @@ below, so the discrete norms are checked against closed forms rather than
 against themselves.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,12 @@ class TestValidation:
             ModelParams(a=-1.0, nu=1.0, gamma=1.0, beta=0.5)
         with pytest.raises(ValueError):
             ModelParams(a=1.0, nu=0.0, gamma=1.0, beta=0.5)
+
+    def test_params_carry_no_sobolev_index(self):
+        # the index is the constant SOBOLEV_S, not a field a run could set
+        assert [f.name for f in dataclasses.fields(ModelParams)] == ["a", "nu", "gamma", "beta"]
+        with pytest.raises(TypeError):
+            ModelParams(a=1.0, nu=1.0, gamma=1.0, beta=0.5, s=2)
 
     def test_disc_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from robinslab import picard
 from robinslab.domain import (
+    MAX_DERIVATIVE_ORDER,
+    SOBOLEV_S,
     Discretization,
     ModelParams,
     SpectralField3,
@@ -113,6 +115,15 @@ class TestHorizon:
             sobolev_norm(v0, 3, A), sobolev_norm(w0, 2, A), 1.0, PARAMS
         )
         assert h == ref
+
+    def test_sobolev_index_above_derivative_support_rejected(self, rng):
+        # the horizon reads v in H^{s+1}, the highest order the norms support;
+        # one index more would need a derivative order they refuse
+        assert SOBOLEV_S + 1 == MAX_DERIVATIVE_ORDER
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0, n_t=5)
+        f = random_field3(disc, rng, kind="robin", gamma=2.0)
+        with pytest.raises(ValueError, match="above supported maximum"):
+            sobolev_norm(f, SOBOLEV_S + 2, A)
 
 
 class TestDuhamel:
