@@ -310,9 +310,7 @@ def _cmd_elliptic(config: RunConfig, out_dir: Path, phases: dict) -> dict:
     scale = max(1.0, float(np.max(np.abs(v.coeffs))))
     with _phase(phases, "residuals"):
         certs = [
-            make_certificate(
-                "interior-residual", interior_residual(v, f, params.beta, params.a), 1e-8
-            ),
+            make_certificate("interior-residual", interior_residual(v, f, params.a), 1e-8),
             # one-sided wall stencil carries O(dz^2); 50x covers the profile's
             # third derivative on any data the families produce
             make_certificate(

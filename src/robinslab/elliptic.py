@@ -8,12 +8,14 @@ a two-point boundary value problem on [0, l_z]:
 
 The wall condition is closed with a centered ghost point, and the far end is
 a Dirichlet cap standing in for decay at infinity, so each mode is a
-tridiagonal system.  An EllipticOperator, built once per (beta, a, disc),
-concatenates every mode's bands into one block-diagonal band (the couplings
-between blocks zeroed), factors it once and holds the worst-mode condition
-estimate; a solve is then the two triangular sweeps of those factors over
-all modes.  Uniqueness fails exactly when beta collides with one of the
-mode rates mu, so admissibility is checked first.
+tridiagonal system.  elliptic_operator is the one place the inverse is
+checked, built and factored, once per (beta, a, disc): it refuses a beta
+that collides with a mode rate mu (where uniqueness fails), broadcasts every
+mode's bands into one block-diagonal band (the couplings between blocks
+zeroed), factors it once, and refuses it if the worst mode's condition
+estimate, taken on that mode's slice of the shared factors, passes
+CONDITION_CAP.  A solve is then the two triangular sweeps of those factors
+over all modes, with nothing left to check.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ __all__ = [
 
 # smallest gap between beta and a resolved mode rate that a solve accepts
 RESONANCE_TOL = 1e-8
-# worst-mode condition estimate above which a solve is refused
+# worst-mode condition estimate above which an operator is refused
 CONDITION_CAP = 1e12
 
 
@@ -58,47 +60,20 @@ def require_admissible(beta: float, disc: Discretization, a: float) -> None:
         )
 
 
-def _mode_bands(mu2: float, beta: float, dz: float, n_unknown: int) -> np.ndarray:
-    """Banded matrix (ab form) of one mode's two-point problem."""
-    h2 = dz * dz
-    ab = np.zeros((3, n_unknown))
-    ab[1, :] = 2.0 / h2 + mu2
-    ab[1, 0] = 2.0 / h2 - 2.0 * beta / dz + mu2  # ghost-point Robin row
-    ab[0, 1:] = -1.0 / h2
-    ab[0, 1] = -2.0 / h2
-    ab[2, :-1] = -1.0 / h2
-    return ab
-
-
-def _condition_estimate(ab: np.ndarray) -> float:
-    """1-norm condition estimate of one mode's banded matrix; inf if singular."""
-    # column sums of |A|: ab rows hold (upper, diag, lower) per column
-    norm_a = np.max(np.abs(ab[0]) + np.abs(ab[1]) + np.abs(ab[2]))
-    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-    if info > 0:  # an exactly zero pivot
-        return math.inf
-    rcond, _ = dgtcon(dl, d, du, du2, ipiv, norm_a, norm="1")
-    return 1.0 / rcond if rcond > 0.0 else math.inf
-
-
 # no generated ==, hash or repr: the first two would fail on the arrays,
 # and generating them costs every process set-up time
 @dataclass(frozen=True, eq=False, repr=False)
 class EllipticOperator:
     """The Robin-wall inverse for one (beta, a, disc), all modes at once.
 
-    disc            discretization the factors were built for
-    factors         dgttrf's (dl, d, du, du2, ipiv) of the block-diagonal
-                    system of length k_max**2 * (n_z - 1), modes in (k1, k2)
-                    row-major order, couplings between blocks zeroed
-    condition       1-norm condition estimate of the worst mode
-    condition_mode  the (k1, k2) mode attaining it
+    disc     discretization the factors were built for
+    factors  dgttrf's (dl, d, du, du2, ipiv) of the block-diagonal system
+             of length k_max**2 * (n_z - 1), modes in (k1, k2) row-major
+             order, couplings between blocks zeroed
     """
 
     disc: Discretization
     factors: tuple[np.ndarray, ...]
-    condition: float
-    condition_mode: tuple[int, int]
 
     def solve(self, f: SpectralField3) -> SpectralField3:
         disc = self.disc
@@ -119,49 +94,61 @@ class EllipticOperator:
 
 @lru_cache(maxsize=8)
 def elliptic_operator(beta: float, a: float, disc: Discretization) -> EllipticOperator:
-    """Operator for one geometry; the last few are kept, since every solve of a run shares one."""
-    n_unknown = disc.n_z - 1
-    rates = disc.mode_rates(a)
-    # each block leaves its unused corners ab[0, 0] and ab[2, -1] at zero, so
-    # side by side they zero the couplings between neighbouring blocks
-    blocks = [
-        _mode_bands(rates[k1, k2] ** 2, beta, disc.dz, n_unknown)
-        for k1 in range(disc.k_max)
-        for k2 in range(disc.k_max)
-    ]
+    """Check, build and factor the operator for one geometry; the last few
+    are kept, since every solve of a run shares one.
+
+    Raises ResonanceError for an inadmissible beta and SingularSystemError,
+    naming the worst mode, when its 1-norm condition estimate exceeds
+    CONDITION_CAP, so no operator exists for either.
+    """
+    require_admissible(beta, disc, a)
+    n = disc.n_z - 1
+    h2 = disc.dz * disc.dz
+    mu2 = (disc.mode_rates(a) ** 2).reshape(-1, 1)
+    # every mode's band in ab form, rows (upper, diag, lower) per column; each
+    # block leaves its unused corners ab[0, :, 0] and ab[2, :, -1] at zero,
+    # so side by side they zero the couplings between neighbouring blocks
+    ab = np.zeros((3, len(mu2), n))
+    ab[0, :, 1:] = -1.0 / h2
+    ab[0, :, 1] = -2.0 / h2
+    ab[1] = 2.0 / h2 + mu2
+    ab[1, :, 0] = 2.0 / h2 - 2.0 * beta / disc.dz + mu2[:, 0]  # ghost-point Robin row
+    ab[2, :, :-1] = -1.0 / h2
+    # column sums of |A| per block
+    norm_a = np.max(np.abs(ab[0]) + np.abs(ab[1]) + np.abs(ab[2]), axis=1)
+    bands = ab.reshape(3, -1)
+    # no coupling means no pivot crosses a block: each block is factored as
+    # alone, and a zero pivot (info > 0) leaves its block's rcond at 0 below
+    *factors, _ = dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    dl, d, du, du2, ipiv = factors
     worst = (0.0, (1, 1))
     for k1 in range(disc.k_max):
         for k2 in range(k1 + 1):  # mu depends on |k| only; mirror symmetric
-            cond = _condition_estimate(blocks[k1 * disc.k_max + k2])
+            b = k1 * disc.k_max + k2
+            o = b * n
+            rcond, _ = dgtcon(
+                dl[o : o + n - 1], d[o : o + n], du[o : o + n - 1], du2[o : o + n - 2],
+                ipiv[o : o + n] - o, norm_a[b], norm="1",
+            )
+            cond = 1.0 / rcond if rcond > 0.0 else math.inf
             if cond > worst[0]:
                 worst = (cond, (k1 + 1, k2 + 1))
-    bands = np.concatenate(blocks, axis=1)
-    # no coupling means no pivot crosses a block: each block is factored as alone
-    *factors, info = dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    if worst[0] > CONDITION_CAP:
+        raise SingularSystemError(
+            f"mode {worst[1]} system condition estimate {worst[0]:.3e} "
+            f"exceeds cap {CONDITION_CAP:.3e}"
+        )
     for arr in factors:
         arr.flags.writeable = False
-    # a zero pivot (info > 0) makes some mode's condition infinite, and
-    # solve_elliptic refuses that operator before it solves
-    return EllipticOperator(
-        disc=disc, factors=tuple(factors), condition=worst[0], condition_mode=worst[1]
-    )
+    return EllipticOperator(disc=disc, factors=tuple(factors))
 
 
 def solve_elliptic(f: SpectralField3, beta: float, a: float) -> SpectralField3:
     """Invert -Delta with the Robin wall condition, all modes in one factored solve."""
-    require_admissible(beta, f.disc, a)
-    op = elliptic_operator(float(beta), float(a), f.disc)
-    if op.condition > CONDITION_CAP:
-        raise SingularSystemError(
-            f"mode {op.condition_mode} system condition estimate {op.condition:.3e} "
-            f"exceeds cap {CONDITION_CAP:.3e}"
-        )
-    return op.solve(f)
+    return elliptic_operator(float(beta), float(a), f.disc).solve(f)
 
 
-def interior_residual(
-    v: SpectralField3, f: SpectralField3, beta: float, a: float
-) -> float:
+def interior_residual(v: SpectralField3, f: SpectralField3, a: float) -> float:
     """Max interior residual of -v'' + mu^2 v - f, relative to max|f|."""
     mu2 = v.disc.mode_rates(a)[:, :, None] ** 2
     vc, fc = v.coeffs, f.coeffs

@@ -26,8 +26,6 @@ from robinslab.domain import (
 from robinslab.elliptic import (
     RESONANCE_TOL,
     calibrate_elliptic_constant,
-    _condition_estimate,
-    _mode_bands,
     elliptic_ratios,
     interior_residual,
     require_admissible,
@@ -59,6 +57,16 @@ def dense_mode_oracle(f_vals: np.ndarray, mu2: float, beta: float, l_z: float) -
         rhs[j] = f_vals[j]
     m[n - 1, n - 1] = 1.0
     return np.linalg.solve(m, rhs)
+
+
+def mode_matrix(mu2: float, beta: float, dz: float, n: int) -> np.ndarray:
+    """Dense matrix of one mode's ghost-point Robin system, written out."""
+    h2 = dz * dz
+    m = np.diag(np.full(n, 2.0 / h2 + mu2))
+    m[0, 0] = 2.0 / h2 - 2.0 * beta / dz + mu2
+    m += np.diag(np.full(n - 1, -1.0 / h2), 1) + np.diag(np.full(n - 1, -1.0 / h2), -1)
+    m[0, 1] = -2.0 / h2
+    return m
 
 
 class TestAdmissibility:
@@ -129,7 +137,7 @@ class TestSolve:
         disc = Discretization(k_max=3, n_z=256, l_z=20.0)
         f = random_field3(disc, rng, kind="generic")
         v = solve_elliptic(f, 1.0, A)
-        assert interior_residual(v, f, 1.0, A) < 1e-10
+        assert interior_residual(v, f, A) < 1e-10
 
     def test_against_dense_one_sided_oracle(self, rng):
         # coarse ghost-point solve vs dense one-sided solve at 8x resolution
@@ -164,18 +172,56 @@ class TestSolve:
         disc = Discretization(k_max=2, n_z=64, l_z=20.0)
         f = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
         monkeypatch.setattr(elliptic, "CONDITION_CAP", 1.0)
+        # the cap is checked when the operator is built, so drop any cached one
+        elliptic.elliptic_operator.cache_clear()
         with pytest.raises(SingularSystemError):
             solve_elliptic(f, 1.0, A)
 
-    def test_condition_estimate_matches_dense_one_norm_condition(self):
+    def test_refusal_threshold_is_worst_dense_one_norm_condition(self, monkeypatch):
         disc = Discretization(k_max=3, n_z=64, l_z=20.0)
-        for mu in disc.mode_rates(A).ravel():
-            ab = _mode_bands(mu**2, 1.0, disc.dz, disc.n_z - 1)
-            dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-            assert _condition_estimate(ab) == pytest.approx(np.linalg.cond(dense, 1), rel=1e-10)
+        worst = max(
+            np.linalg.cond(mode_matrix(mu**2, 1.0, disc.dz, disc.n_z - 1), 1)
+            for mu in disc.mode_rates(A).ravel()
+        )
+        build = elliptic.elliptic_operator.__wrapped__
+        monkeypatch.setattr(elliptic, "CONDITION_CAP", worst * (1.0 + 1e-9))
+        build(1.0, A, disc)
+        monkeypatch.setattr(elliptic, "CONDITION_CAP", worst * (1.0 - 1e-9))
+        with pytest.raises(SingularSystemError, match="exceeds cap"):
+            build(1.0, A, disc)
 
-    def test_exactly_singular_band_reads_as_infinite_condition(self):
-        assert _condition_estimate(np.zeros((3, 5))) == math.inf
+    def test_block_with_zero_rcond_reads_as_infinite_condition(self, monkeypatch):
+        disc = Discretization(k_max=3, n_z=64, l_z=20.0)
+        real_dgtcon = elliptic.dgtcon
+        calls = 0
+
+        def dgtcon(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            rcond, info = real_dgtcon(*args, **kwargs)
+            # the fourth distinct mode, (3, 1), reads as exactly singular
+            return (0.0 if calls == 4 else rcond), info
+
+        monkeypatch.setattr(elliptic, "dgtcon", dgtcon)
+        with pytest.raises(SingularSystemError, match=r"mode \(3, 1\) .* estimate inf"):
+            elliptic.elliptic_operator.__wrapped__(1.0, A, disc)
+
+    def test_shared_factors_hold_each_mode_factored_alone(self):
+        disc = Discretization(k_max=3, n_z=64, l_z=20.0)
+        n = disc.n_z - 1
+        # beta = 3.5 takes the wall row's diagonal below its neighbour's
+        # coupling in most modes, so their blocks swap rows as they factor
+        for beta in (1.0, 3.5):
+            dl, d, du, du2, ipiv = elliptic.elliptic_operator.__wrapped__(beta, A, disc).factors
+            for b, mu in enumerate(disc.mode_rates(A).ravel()):
+                m = mode_matrix(mu**2, beta, disc.dz, n)
+                want = elliptic.dgttrf(np.diag(m, -1), np.diag(m).copy(), np.diag(m, 1))
+                o = b * n
+                got = (
+                    dl[o : o + n - 1], d[o : o + n], du[o : o + n - 1],
+                    du2[o : o + n - 2], ipiv[o : o + n] - o, 0,
+                )
+                assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 class TestCalibration:

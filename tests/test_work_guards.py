@@ -60,7 +60,7 @@ def _count_propagator_work(monkeypatch):
     """Count RobinPropagator builds and .at calls, robin_state analyses and
     heat's sine transforms and backward FFTs wherever they are called from;
     returns the live counts."""
-    counts = _count_heat_calls(monkeypatch, "dst", "c2r")
+    counts = _count_calls(monkeypatch, heat, "dst", "c2r")
     counts.update(at=0, build=0, analysis=0)
     real_at, real_init = heat.RobinPropagator.at, heat.RobinPropagator.__init__
     real_state = heat.robin_state
@@ -202,12 +202,20 @@ def test_second_elliptic_solve_neither_factors_nor_band_solves(monkeypatch):
     elliptic.solve_elliptic(first, PARAMS.beta, PARAMS.a)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a solve on a known geometry must reuse its factors")
+        raise AssertionError("a solve on a known geometry must reuse its checked factors")
 
-    monkeypatch.setattr(elliptic, "dgttrf", forbidden)
-    monkeypatch.setattr(elliptic, "solve_banded", forbidden, raising=False)
+    for name in ("dgttrf", "dgtcon", "require_admissible"):
+        monkeypatch.setattr(elliptic, name, forbidden)
     got = elliptic.solve_elliptic(second, PARAMS.beta, PARAMS.a).coeffs
     assert np.array_equal(got, want)
+
+
+def test_an_operator_build_factors_once_and_estimates_each_distinct_mode(monkeypatch):
+    disc = Discretization(k_max=4, n_z=129, l_z=20.0)
+    counts = _count_calls(monkeypatch, elliptic, "dgttrf", "dgtcon")
+    elliptic.elliptic_operator.__wrapped__(PARAMS.beta, PARAMS.a, disc)
+    # mu depends on |k| only, so k_max (k_max + 1) / 2 modes are distinct
+    assert counts == {"dgttrf": 1, "dgtcon": 10}
 
 
 def test_propagators_on_one_geometry_share_their_rates():
@@ -223,16 +231,16 @@ def test_propagators_on_one_geometry_share_their_rates():
     assert np.array_equal(other.rates, 0.5 * first.rates)
 
 
-def _count_heat_calls(monkeypatch, *names):
-    """Wrap each named heat kernel to count its calls; returns the live counts."""
+def _count_calls(monkeypatch, module, *names):
+    """Wrap each named kernel of module to count its calls; returns the live counts."""
     counts = dict.fromkeys(names, 0)
     for name in names:
 
-        def call(*args, _name=name, _real=getattr(heat, name), **kwargs):
+        def call(*args, _name=name, _real=getattr(module, name), **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(heat, name, call)
+        monkeypatch.setattr(module, name, call)
     return counts
 
 
@@ -240,7 +248,7 @@ def test_one_evaluation_makes_one_fft_and_no_sine_transform(monkeypatch):
     disc = Discretization(k_max=3, n_z=129, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(4), kind="robin", gamma=PARAMS.gamma)
     prop = heat.RobinPropagator(f, PARAMS)
-    counts = _count_heat_calls(monkeypatch, "c2r", "dst")
+    counts = _count_calls(monkeypatch, heat, "c2r", "dst")
     prop.at(0.3)
     assert counts == {"c2r": 1, "dst": 0}
 
@@ -264,7 +272,7 @@ def test_h3_norm_applies_the_second_difference_once(monkeypatch):
 def test_oracle_factors_once_and_solves_once_per_step(monkeypatch, k_max):
     disc = Discretization(k_max=k_max, n_z=65, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(k_max), kind="robin", gamma=PARAMS.gamma)
-    counts = _count_heat_calls(monkeypatch, "dpttrf", "dpttrs")
+    counts = _count_calls(monkeypatch, heat, "dpttrf", "dpttrs")
     heat.fd_robin_oracle(f, 0.3, PARAMS, n_steps=11)
     assert counts == {"dpttrf": 1, "dpttrs": 11}
 
@@ -308,7 +316,7 @@ def test_dense_oracle_takes_one_eigendecomposition_and_no_step(monkeypatch):
     # heat's route agreement on picard_smooth.json: every mode carries data
     disc = Discretization(k_max=8, n_z=256, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(21), kind="robin", gamma=PARAMS.gamma)
-    counts = _count_heat_calls(monkeypatch, "dpttrf", "dpttrs", "dstevd")
+    counts = _count_calls(monkeypatch, heat, "dpttrf", "dpttrs", "dstevd")
     heat.fd_robin_oracle(f, 0.5, PARAMS, n_steps=2000)
     assert counts == {"dpttrf": 1, "dpttrs": 0, "dstevd": 1}
 
@@ -317,7 +325,7 @@ def test_one_mode_on_a_long_grid_marches(monkeypatch):
     # heat's route agreement on heat_eigenmode.json: one mode of four has data
     disc = Discretization(k_max=2, n_z=1024, l_z=20.0)
     f = domain.field3_from_profile(disc, (1, 1), np.exp(-PARAMS.gamma * disc.z))
-    counts = _count_heat_calls(monkeypatch, "dpttrf", "dpttrs", "dstevd")
+    counts = _count_calls(monkeypatch, heat, "dpttrf", "dpttrs", "dstevd")
     heat.fd_robin_oracle(f, 0.5, PARAMS, n_steps=2000)
     assert counts == {"dpttrf": 1, "dpttrs": 2000, "dstevd": 0}
 
@@ -346,7 +354,7 @@ def test_growth_ratios_synthesize_once_per_nonzero_field(monkeypatch, times):
     fields = [random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma) for _ in range(3)]
     fields.insert(1, domain.zero_field3(disc))
     counts = _count_propagator_work(monkeypatch)
-    syntheses = _count_heat_calls(monkeypatch, "robin_synthesis")
+    syntheses = _count_calls(monkeypatch, heat, "robin_synthesis")
     ratios = heat.growth_ratios(fields, times, PARAMS)
     assert len(ratios) == 3 * len(times)
     assert syntheses == {"robin_synthesis": 3}
