@@ -471,10 +471,10 @@ def _cmd_verify(out_dir: Path) -> dict:
     certs.append(
         make_certificate("stored-flags-consistent", float(mismatches), 0.0)
     )
+    # the config echo must be one that a config could produce
+    with _artifact(report_path):
+        params = parse_config(stored["config"]).params
     if stored.get("command") == "heat":
-        # the config echo must be one that a config could produce
-        with _artifact(report_path):
-            params = parse_config(stored["config"]).params
         norms_path = out_dir / "norms.csv"
         with _artifact(norms_path):
             series = read_norms_csv(norms_path)

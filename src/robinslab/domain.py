@@ -90,7 +90,7 @@ class Discretization:
     k_max: int
     n_z: int
     l_z: float
-    n_t: int = 2
+    n_t: int = 9
 
     def __post_init__(self):
         if self.k_max < 1:

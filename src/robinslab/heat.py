@@ -12,7 +12,9 @@ w'(0) + gamma*w(0) = 0.  The solver splits the initial field into
 The reconstruction is  w = -(1/gamma) * eta_z + eta + (cross) * e^{-gamma z}
 with eta the auxiliary field; at t = 0 it reproduces w0 up to representation
 error.  The auxiliary field comes from one bidiagonal banded solve over all
-lateral modes at once.
+lateral modes at once.  What gamma and the grid fix has one cached owner,
+_geometry, which is also the transform route's one refusal of a gamma that
+is not finite and positive.
 
 The flow is diagonal, P_t = S diag(exp(rates t)) A per lateral mode, in a
 public spectral state: one array of shape (k_max, k_max, n_z - 1) holding
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
@@ -131,15 +134,33 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=8)
-def _wall_kernel(gamma: float, disc: Discretization) -> tuple[np.ndarray, np.floating]:
-    """(e^{-gamma z} on the z grid, read-only; its Simpson mass Int e^{-2 gamma z} dz).
+def _zeta(disc: Discretization) -> np.ndarray:
+    """z wavenumbers m pi / l_z of the slab modes m = 1 .. n_z - 2."""
+    return np.pi * np.arange(1, disc.n_z - 1, dtype=float) / disc.l_z
 
-    They depend on gamma and the grid only, so every moment, residue and
-    propagator of a run shares one copy; the last few geometries are kept.
+
+# the fields of _geometry, in its docstring's order
+_Geometry = namedtuple("_Geometry", "wall mass decay half bands factors")
+
+
+@lru_cache(maxsize=8)
+def _geometry(gamma: float, disc: Discretization) -> _Geometry:
+    """The one check of gamma, then what it and the grid fix, read-only:
+    the wall profile e^{-gamma z} and its Simpson mass Int e^{-2 gamma z} dz,
+    the slab sweep's e^{-gamma dz}, gamma dz / 2 and unit upper-bidiagonal
+    band (row 1 is never read), and the synthesis factors
+    -(zeta / gamma + i) / 2.  Every moment, bundle, synthesis and
+    propagator on one geometry shares them; the last few are kept.
     """
-    weight = np.exp(-gamma * disc.z)
-    return _readonly(weight), _simpson(weight * weight, disc.dz)
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"the Robin heat flow requires a finite gamma > 0, got {gamma}")
+    wall = _readonly(np.exp(-gamma * disc.z))
+    decay = np.exp(-gamma * disc.dz)
+    bands = np.ones((2, disc.n_z))
+    bands[0, 1:] = -decay
+    factors = _readonly(-0.5 * (_zeta(disc) / gamma + 1j))
+    half = 0.5 * gamma * disc.dz
+    return _Geometry(wall, _simpson(wall * wall, disc.dz), decay, half, _readonly(bands), factors)
 
 
 def _moments(values: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
@@ -150,10 +171,8 @@ def _moments(values: np.ndarray, gamma: float, disc: Discretization) -> np.ndarr
     the kernel (2*gamma*Int e^{-2 gamma z} dz, which is 1 up to truncation),
     so the residue field's weighted moment vanishes identically on the grid.
     """
-    if gamma <= 0:
-        raise ValueError(f"moment requires gamma > 0, got {gamma}")
-    weight, mass = _wall_kernel(float(gamma), disc)
-    return _simpson(values * weight, disc.dz) / mass
+    geo = _geometry(float(gamma), disc)
+    return _simpson(values * geo.wall, disc.dz) / geo.mass
 
 
 def _bundle(
@@ -175,16 +194,12 @@ def _bundle(
     which is stable and O(n_z).  It is one unit upper-bidiagonal system per
     profile, solved for all profiles in a single banded triangular solve.
     """
+    geo = _geometry(float(gamma), disc)
     cross = _moments(values, gamma, disc)
-    residue = values - cross[..., None] * _wall_kernel(float(gamma), disc)[0]
-
-    decay = np.exp(-gamma * disc.dz)
-    half = 0.5 * gamma * disc.dz
+    residue = values - cross[..., None] * geo.wall
     rhs = np.zeros_like(residue)
-    rhs[..., :-1] = half * (residue[..., :-1] + decay * residue[..., 1:])
-    bands = np.ones((2, disc.n_z))  # the unit diagonal (row 1) is never read
-    bands[0, 1:] = -decay
-    slab, info = dtbtrs(bands, rhs.reshape(-1, disc.n_z).T, uplo="U", diag="U", overwrite_b=1)
+    rhs[..., :-1] = geo.half * (residue[..., :-1] + geo.decay * residue[..., 1:])
+    slab, info = dtbtrs(geo.bands, rhs.reshape(-1, disc.n_z).T, uplo="U", diag="U", overwrite_b=1)
     if info != 0:
         raise RuntimeError(f"triangular solve failed: info={info}")
     return slab.T.reshape(residue.shape), cross
@@ -229,11 +244,6 @@ def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
         print(COMPAT_WARNING, file=sys.stderr)
 
 
-def _zeta(disc: Discretization) -> np.ndarray:
-    """z wavenumbers m pi / l_z of the slab modes m = 1 .. n_z - 2."""
-    return np.pi * np.arange(1, disc.n_z - 1, dtype=float) / disc.l_z
-
-
 @lru_cache(maxsize=8)
 def _propagator_rates(nu: float, gamma: float, a: float, disc: Discretization) -> np.ndarray:
     """Rates laid out as a spectral state, read-only: -nu (mu^2 + zeta^2)
@@ -259,12 +269,6 @@ def _check_time(t: float) -> None:
         raise ValueError(f"propagation time must be nonnegative, got {t}")
 
 
-@lru_cache(maxsize=8)
-def _synthesis_factors(gamma: float, disc: Discretization) -> np.ndarray:
-    """-(zeta / gamma + i) / 2 per slab mode, read-only."""
-    return _readonly(-0.5 * (_zeta(disc) / gamma + 1j))
-
-
 def robin_synthesis(state: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
     """z profiles of spectral states: eta - eta_z / gamma plus the wall profile.
 
@@ -276,10 +280,11 @@ def robin_synthesis(state: np.ndarray, gamma: float, disc: Discretization) -> np
     n_z - 1.  On the identity it tabulates S, with synthesis(state) =
     state @ S.
     """
+    geo = _geometry(float(gamma), disc)
     n_z = disc.n_z
     spectrum = np.zeros(state.shape[:-1] + (n_z,), dtype=complex)
-    np.multiply(state[..., :-1], _synthesis_factors(float(gamma), disc), out=spectrum[..., 1:-1])
-    values = state[..., -1:] * _wall_kernel(float(gamma), disc)[0]
+    np.multiply(state[..., :-1], geo.factors, out=spectrum[..., 1:-1])
+    values = state[..., -1:] * geo.wall
     values += c2r(spectrum, 2 * (n_z - 1))[..., :n_z]
     return values
 
@@ -300,8 +305,6 @@ class RobinPropagator:
     """
 
     def __init__(self, omega0: SpectralField3, params: ModelParams):
-        if params.gamma <= 0:
-            raise ValueError("Robin heat propagator requires gamma > 0")
         self.params = params
         self.disc = omega0.disc
         self.state = robin_state(omega0, params.gamma)

@@ -11,11 +11,13 @@ so that the map contracts on a ball:
 
     R = C e^{nu gamma^2} (||w0||_{H^s} + 2 ||v0||_{H^{s+1}})
     M = 2 ||v0||_{H^{s+1}} + R
-    T = min( 1/(8R), 1/(2 C e^{nu gamma^2}), 1/(2M), 1 )
+    T = min( 1/(8R), 1/(2 C e^{nu gamma^2}) )
 
-with C the calibrated heat growth constant (>= 1).  The iteration distance
-is the slice-wise maximum of the H^{s+1} norm of the v difference and the
-H^s norm of the w difference.  The index s is the code's constant
+with C the calibrated heat growth constant (>= 1), and T = 1 for zero
+data.  C >= 1 gives M <= 2R and 1/(2 C e^{nu gamma^2}) <= 1/2, so neither
+1/(2M) nor a cap of 1 is ever the smaller.  The iteration distance is the
+slice-wise maximum of the H^{s+1} norm of the v difference and the H^s
+norm of the w difference.  The index s is the code's constant
 domain.SOBOLEV_S = 2, so v is measured in H^3 and w in H^2.
 
 The Duhamel term is evaluated in the spectral state of heat.robin_state,
@@ -93,9 +95,9 @@ DIVERGENCE_FACTOR = 10.0
 class HorizonSelection:
     """Contraction horizon and ball radius derived from the data norms.
 
-    binding names the active minimum: "data-bound" (1/(8R)),
-    "propagator-bound" (1/(2 C e^{nu gamma^2})), "ball-radius" (1/(2M)) or
-    "unit cap".  constraint_value is 8 C T e^{nu gamma^2 T} (||w0|| +
+    binding names the active minimum: "data-bound" (1/(8R)) or
+    "propagator-bound" (1/(2 C e^{nu gamma^2})), or "unit cap" (T = 1) for
+    zero data.  constraint_value is 8 C T e^{nu gamma^2 T} (||w0|| +
     2 T ||v0||), which the selection keeps at or below 1.
     """
 
@@ -167,13 +169,8 @@ def horizon_from_norms(
         )
     r = amp * (float(norm_w0) + 2.0 * float(norm_v0))
     m = 2.0 * float(norm_v0) + r
-    candidates = (
-        (1.0 / (8.0 * r), "data-bound"),
-        (1.0 / (2.0 * amp), "propagator-bound"),
-        (1.0 / (2.0 * m), "ball-radius"),
-        (1.0, "unit cap"),
-    )
-    t_sel, binding = min(candidates, key=lambda c: c[0])
+    bounds = ((1.0 / (8.0 * r), "data-bound"), (1.0 / (2.0 * amp), "propagator-bound"))
+    t_sel, binding = min(bounds, key=lambda c: c[0])
     constraint = (
         8.0
         * growth_constant

@@ -106,16 +106,16 @@ def _integer(value, where: str) -> int:
 _READERS = {"float": _number, "int": _integer}
 
 
-def _section(raw: dict, name: str, cls, **defaults):
+def _section(raw: dict, name: str, cls):
     """The dataclass cls read from the record raw[name].
 
-    The record's keys are cls's fields; those without a default in cls or
-    in defaults are required.  Each value goes through the reader of its
-    field's annotation, and cls's own checks become ConfigErrors.
+    The record's keys are cls's fields; those without a default in cls are
+    required.  Each value goes through the reader of its field's
+    annotation, and cls's own checks become ConfigErrors.
     """
     record = raw.get(name, {})
     members = fields(cls)
-    required = {f.name for f in members if f.default is MISSING and f.name not in defaults}
+    required = {f.name for f in members if f.default is MISSING}
     _require_keys(record, {f.name for f in members}, required, name)
     values = {
         f.name: _READERS[f.type](record[f.name], f"{name}.{f.name}")
@@ -123,7 +123,7 @@ def _section(raw: dict, name: str, cls, **defaults):
         if f.name in record
     }
     try:
-        return cls(**{**defaults, **values})
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -192,8 +192,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     # the vorticity wall condition and the tail check need gamma > 0
     if not params.gamma > 0:
         raise ConfigError(f"params: gamma must be positive, got {params.gamma}")
-    # a config's time grid defaults to 9 slices, finer than the record's 2
-    disc = _section(raw, "disc", Discretization, n_t=9)
+    disc = _section(raw, "disc", Discretization)
 
     # an override replaces the config's seed; both must be valid
     seeds = (raw["seed"],) if seed_override is None else (raw["seed"], seed_override)

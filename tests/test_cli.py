@@ -699,10 +699,10 @@ class TestVerifyCommand:
         assert not (out / "verify_report.json").exists()
 
     @staticmethod
-    def heat_run(tmp_path):
+    def heat_run(tmp_path, command="heat"):
         path = write_config(tmp_path, disc={"n_z": 513, "n_t": 5})
         out = tmp_path / "run"
-        assert main(["--command", "heat", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["--command", command, "--config", str(path), "--out", str(out)]) == 0
         return out
 
     def assert_config_error_naming(self, out, capsys, artifact):
@@ -727,21 +727,24 @@ class TestVerifyCommand:
         self.assert_config_error_naming(out, capsys, "report.json")
 
     @pytest.mark.parametrize(
-        "params, message",
+        "command, params, message",
         [
             # a report written while s was still a config key
-            ({"s": 2}, "unknown keys in params: ['s']"),
+            ("heat", {"s": 2}, "unknown keys in params: ['s']"),
             # a z-truncation tail e^{-gamma l_z} above TAIL_TOL
-            ({"gamma": 0.5}, "l_z=20.0 too short: exp(-0.5*l_z)"),
+            ("heat", {"gamma": 0.5}, "l_z=20.0 too short: exp(-0.5*l_z)"),
             # JSON's true is no number, though ModelParams would read it as 1
-            ({"nu": True}, "params.nu must be a number, got True"),
+            ("heat", {"nu": True}, "params.nu must be a number, got True"),
+            # every report's echo is re-parsed, not only a heat run's
+            ("picard", {"gamma": 0.5}, "l_z=20.0 too short: exp(-0.5*l_z)"),
+            ("elliptic", {"s": 2}, "unknown keys in params: ['s']"),
         ],
-        ids=["retired-s", "tail", "boolean-nu"],
+        ids=["retired-s", "tail", "boolean-nu", "picard", "elliptic"],
     )
     def test_verify_on_a_heat_echo_no_config_could_produce_is_config_error(
-        self, tmp_path, capsys, params, message
+        self, tmp_path, capsys, command, params, message
     ):
-        out = self.heat_run(tmp_path)
+        out = self.heat_run(tmp_path, command)
         stored = read_report(out / "report.json")
         stored["config"]["params"].update(params)
         write_report(out / "report.json", stored)

@@ -13,6 +13,7 @@ itself is held to the N-th power of the dense per-mode Crank-Nicolson
 matrix, written from the ghost-point stencil with numpy alone.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -40,8 +41,12 @@ from robinslab.heat import (
     calibrate_growth_constant,
     fd_robin_oracle,
     growth_ratios,
+    robin_analysis,
+    robin_state,
+    robin_synthesis,
     warn_if_incompatible,
 )
+from robinslab.picard import duhamel_tables
 
 A = math.pi
 PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0)
@@ -196,6 +201,27 @@ class TestPropagator:
         params = ModelParams(a=A, nu=1.0, gamma=-1.0, beta=1.0)
         with pytest.raises(ValueError):
             RobinPropagator(eigen_field(disc, 1.0), params)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_every_entry_point_refuses_a_gamma_not_finite_and_positive(self, gamma):
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0)
+        w0 = eigen_field(disc, 1.0)
+        params = dataclasses.replace(PARAMS, gamma=gamma)
+        calls = (
+            lambda: _moments(w0.coeffs, gamma, disc),
+            lambda: _bundle(w0.coeffs, gamma, disc),
+            lambda: robin_analysis(w0.coeffs, gamma, disc),
+            lambda: robin_state(w0, gamma),
+            lambda: robin_synthesis(np.zeros((2, 2, disc.n_z - 1)), gamma, disc),
+            lambda: RobinPropagator(w0, params),
+            lambda: growth_ratios([w0], (0.1,), params),
+            lambda: duhamel_tables(gamma, disc),
+        )
+        refusal = f"the Robin heat flow requires a finite gamma > 0, got {gamma}"
+        for call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == refusal
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robinslab import picard
@@ -104,7 +104,26 @@ class TestHorizon:
         h = horizon_from_norms(nv, nw, c, PARAMS)
         assert 0.0 < h.T <= 1.0
         assert h.constraint_value <= 1.0
-        assert h.binding in {"data-bound", "propagator-bound", "ball-radius", "unit cap"}
+        assert h.binding in {"data-bound", "propagator-bound", "unit cap"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nv=st.floats(min_value=0.0, max_value=1e6),
+        nw=st.floats(min_value=0.0, max_value=1e6),
+        c=st.floats(min_value=1.0, max_value=10.0),
+        nu=st.floats(min_value=1e-3, max_value=10.0),
+        gamma=st.floats(min_value=1e-3, max_value=5.0),
+    )
+    def test_only_the_data_and_propagator_bounds_bind_nonzero_data(self, nv, nw, c, nu, gamma):
+        # amp = C e^{nu gamma^2} >= 1, so M = 2||v0|| + R <= 2R gives
+        # 1/(2M) >= 1/(4R) > 1/(8R), and 1/(2 amp) <= 1/2 < 1
+        assume(nv > 0.0 or nw > 0.0)
+        h = horizon_from_norms(nv, nw, c, dataclasses.replace(PARAMS, nu=nu, gamma=gamma))
+        amp = c * math.exp(nu * gamma**2)
+        r = amp * (nw + 2.0 * nv)
+        assert h.binding in {"data-bound", "propagator-bound"}
+        assert h.T == min(1.0 / (8.0 * r), 1.0 / (2.0 * amp))
+        assert h.T <= 1.0 / (2.0 * h.M) and h.T < 1.0
 
     def test_select_measures_field_norms(self, rng):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0, n_t=9)

@@ -10,11 +10,13 @@ elliptic solve, the state of d_z(v0), the one propagator of w0 and the
 tables) a solve computes once, with the same transforms whatever n_t or
 the number of sweeps, and a slice holding the data reuses it.  A
 converging solve takes no norm for its ball guard beyond the start's,
-propagators on one
-geometry, not once per solve.  One RobinPropagator.at synthesizes with one
-backward real FFT and no sine transform.  An H^3 norm applies the second-difference
-stencil once and differentiates that profile for order 3 rather than
-recomputing it.  The Crank-Nicolson oracle factors one
+propagators on one geometry share their rates, and the elliptic band is
+factored once per geometry, not once per solve.  The transform route
+checks gamma and builds what it and the grid fix once per geometry.  One
+RobinPropagator.at synthesizes with one backward real FFT and no sine
+transform.  An H^3 norm applies the second-difference stencil once and
+differentiates that profile for order 3 rather than recomputing it.  The
+Crank-Nicolson oracle factors one
 block-diagonal band for all lateral modes as LDL^T, so whether it refuses a
 step does not depend on the data, and makes one tridiagonal solve per step
 over the modes that carry data alone; it keeps the modes uncoupled and
@@ -231,6 +233,17 @@ def test_propagators_on_one_geometry_share_their_rates():
     assert np.array_equal(other.rates, 0.5 * first.rates)
 
 
+def test_the_transform_route_checks_and_builds_a_geometry_once():
+    disc = Discretization(k_max=3, n_z=129, l_z=20.0)
+    f = random_field3(disc, np.random.default_rng(14), kind="robin", gamma=PARAMS.gamma)
+    heat._geometry.cache_clear()
+    state = heat.robin_analysis(f.coeffs, PARAMS.gamma, disc)
+    heat.robin_synthesis(state, PARAMS.gamma, disc)
+    heat.RobinPropagator(f, PARAMS).at(0.1)
+    heat.growth_ratios([f], (0.0, 0.1), PARAMS)
+    assert heat._geometry.cache_info().misses == 1
+
+
 def _count_calls(monkeypatch, module, *names):
     """Wrap each named kernel of module to count its calls; returns the live counts."""
     counts = dict.fromkeys(names, 0)
@@ -382,7 +395,7 @@ def test_oracle_runs_without_the_transform_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use the transform route")
 
-    for name in ("dst", "c2r", "dtbtrs", "_bundle", "RobinPropagator"):
+    for name in ("dst", "c2r", "dtbtrs", "_bundle", "_geometry", "RobinPropagator"):
         monkeypatch.setattr(heat, name, forbidden)
     for (n_steps, route), before in zip(routes, want):
         assert heat.oracle_route(disc, n_steps) == route
