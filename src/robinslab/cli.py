@@ -217,7 +217,7 @@ def _seeded_rng(seed: int):
 def _error_budget(config: RunConfig, times) -> dict:
     """A-priori error scales; dt^2 only for a run with a time series in times."""
     disc, params = config.disc, config.params
-    mu_min = math.pi * math.sqrt(2.0) / params.a
+    mu_min = disc.lateral.mu_min(params.a)
     budget = {
         "tail_gamma": math.exp(-params.gamma * disc.l_z),
         "tail_mu_min": math.exp(-mu_min * disc.l_z),

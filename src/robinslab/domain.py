@@ -1,16 +1,15 @@
-"""Geometry, spectral-grid fields, and discrete Sobolev calculus.
+"""Geometry, the lateral basis, spectral-grid fields, and discrete Sobolev calculus.
 
 The domain is the box (0, a) x (0, a) x (0, inf), truncated at z = l_z.
 Fields vanish on the lateral walls, so the lateral directions are carried
-as sine modes sin(k1*pi*x1/a) * sin(k2*pi*x2/a) with 1 <= k1, k2 <= k_max,
-while z stays a uniform point grid. A 3-d field is therefore a coefficient
-array of shape (k_max, k_max, n_z).
-
-Collocation values and products on a padded grid go through dense sine
-matrices cached per (k_max, n_pad); Sobolev norms pair each z-derivative profile
-with a lateral weight table cached per (k_max, a, s).  The z stencils write
-into their output buffer and a norm reduces each profile by one row dot,
-so neither allocates a temporary of the field's size beyond the profiles.
+in sine modes while z stays a uniform point grid.  One LateralBasis, each
+Discretization's `lateral`, owns all the basis fixes: the mode labels, the
+coefficient shape lateral.shape(n_z) of a 3-d field, the rates mu, the L2
+and Sobolev weights, and the collocation matrices of values and products.
+Its tables are cached by value, so equal discretizations share them.  The
+z stencils write into their output buffer and a norm reduces each profile
+by one row dot, so neither allocates a temporary of the field's size
+beyond the profiles.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ __all__ = [
     "SOBOLEV_S",
     "TAIL_TOL",
     "ModelParams",
+    "LateralBasis",
     "Discretization",
     "SpectralField3",
     "zero_field3",
@@ -48,7 +48,9 @@ SOBOLEV_S = 2
 # Highest z-derivative order the norm machinery supports; the H^{s+1} norm
 # of the velocity-square component uses all of it.
 MAX_DERIVATIVE_ORDER = SOBOLEV_S + 1
-# largest z-truncation tail e^{-rate l_z} a discretization may leave
+# largest z-truncation tail e^{-rate l_z} a discretization may leave; a
+# config is refused unless both gamma and the slowest lateral rate mu_min
+# keep within it
 TAIL_TOL = 1e-10
 
 
@@ -75,6 +77,86 @@ class ModelParams:
             raise ValueError(f"lateral size a must be positive, got {self.a}")
         if not self.nu > 0:
             raise ValueError(f"viscosity nu must be positive, got {self.nu}")
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class LateralBasis:
+    """The lateral sine modes sin(k1*pi*x1/a) * sin(k2*pi*x2/a), 1 <= k1, k2 <= k_max.
+
+    coeffs[i1, i2, ...] of a field multiply the mode labelled
+    mode((i1, i2)) = (i1 + 1, i2 + 1).  Bases compare by k_max, and each
+    table is cached per basis and argument, so equal bases share one
+    read-only copy.
+    """
+
+    k_max: int
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """Mode numbers 1..k_max of one direction, as floats, read-only."""
+        return _readonly(np.arange(1, self.k_max + 1, dtype=float))
+
+    def shape(self, *trailing: int) -> tuple[int, ...]:
+        """Shape of lateral coefficients: (k_max, k_max), then trailing."""
+        return (self.k_max, self.k_max, *trailing)
+
+    def mode(self, index) -> tuple:
+        """Mode label (k1, k2) of an array index (i1, i2), or of index arrays."""
+        return tuple(i + 1 for i in index)
+
+    def index(self, mode) -> tuple:
+        """Array index of a mode label: the inverse of mode."""
+        return tuple(k - 1 for k in mode)
+
+    def in_band(self, mode) -> bool:
+        """Whether the mode label (k1, k2) is resolved."""
+        return all(1 <= k <= self.k_max for k in mode)
+
+    @lru_cache(maxsize=16)
+    def mu(self, a: float) -> np.ndarray:
+        """Rates pi*|k|/a over the (k1, k2) grid, read-only."""
+        k = self.k
+        return _readonly(np.pi * np.sqrt(k[:, None] ** 2 + k[None, :] ** 2) / a)
+
+    def mu_min(self, a: float) -> float:
+        """The slowest rate, pi*sqrt(2)/a of mode (1, 1)."""
+        return float(self.mu(a)[0, 0])
+
+    @staticmethod
+    def l2_weight(a: float) -> float:
+        """One direction's squared L2 norm of every mode, Int_0^a sin^2(k pi x/a) dx."""
+        return 0.5 * a
+
+    @lru_cache(maxsize=16)
+    def norm_weights(self, a: float, s: int) -> np.ndarray:
+        """W[r] of the H^s norm (below), shape (s + 1, k_max, k_max), times l2_weight^2."""
+        kk = (np.pi * self.k / a) ** 2  # kx = kk[k1 - 1], ky = kk[k2 - 1]
+        weights = np.zeros((s + 1, *self.shape()))
+        for a1, a2, r in multi_indices(s):
+            weights[r] += kk[:, None] ** a1 * kk[None, :] ** a2
+        w = self.l2_weight(a)
+        weights *= w * w
+        return _readonly(weights)
+
+    @property
+    def pad_points(self) -> int:
+        """Collocation points per direction a product is formed on."""
+        return 2 * self.k_max + 1
+
+    @lru_cache(maxsize=16)
+    def collocation(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Synthesis S (m, k_max) and projection P (k_max, m) on m points, read-only."""
+        if m < self.k_max:
+            raise ValueError("collocation grid smaller than the resolved band")
+        j = np.arange(1, m + 1, dtype=float)
+        synth = np.sin(np.pi * j[:, None] * self.k[None, :] / (m + 1))
+        proj = (2.0 / (m + 1)) * synth.T
+        return _readonly(synth), _readonly(proj)
 
 
 @dataclass(frozen=True)
@@ -104,18 +186,16 @@ class Discretization:
 
     @cached_property
     def z(self) -> np.ndarray:
-        grid = np.linspace(0.0, self.l_z, self.n_z)
-        grid.flags.writeable = False
-        return grid
+        return _readonly(np.linspace(0.0, self.l_z, self.n_z))
+
+    @cached_property
+    def lateral(self) -> LateralBasis:
+        """The lateral basis; equal discretizations' bases share its tables."""
+        return LateralBasis(self.k_max)
 
     @property
     def dz(self) -> float:
         return self.l_z / (self.n_z - 1)
-
-    def mode_rates(self, a: float) -> np.ndarray:
-        """Table of pi*|k|/a over the resolved (k1, k2) grid."""
-        k = np.arange(1, self.k_max + 1, dtype=float)
-        return np.pi * np.sqrt(k[:, None] ** 2 + k[None, :] ** 2) / a
 
     def check_tail(self, rate: float) -> None:
         """Require exp(-rate*l_z) below TAIL_TOL so truncation stays in budget."""
@@ -131,22 +211,22 @@ class Discretization:
 # and generating them costs every process set-up time
 @dataclass(frozen=True, eq=False, repr=False)
 class SpectralField3:
-    """Sine-mode x z-grid coefficients of a 3-d field.
+    """Lateral-mode x z-grid coefficients of a 3-d field.
 
-    coeffs[k1-1, k2-1, j] multiplies sin(k1*pi*x1/a)*sin(k2*pi*x2/a) at z_j.
-    Instances are immutable; operations return new fields.
+    coeffs has shape disc.lateral.shape(n_z): coeffs[i1, i2, j] multiplies
+    the lateral mode disc.lateral.mode((i1, i2)) at z_j.  Instances are
+    immutable; operations return new fields.
     """
 
     coeffs: np.ndarray
     disc: Discretization
 
     def __post_init__(self):
-        shape = (self.disc.k_max, self.disc.k_max, self.disc.n_z)
+        shape = self.disc.lateral.shape(self.disc.n_z)
         arr = np.array(self.coeffs, dtype=float)
         if arr.shape != shape:
             raise ValueError(f"coefficient array must have shape {shape}, got {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _readonly(arr))
 
     def replace_coeffs(self, coeffs: np.ndarray) -> "SpectralField3":
         return SpectralField3(coeffs, self.disc)
@@ -165,18 +245,17 @@ def _require_same_disc(u, v) -> None:
 
 
 def zero_field3(disc: Discretization) -> SpectralField3:
-    return SpectralField3(np.zeros((disc.k_max, disc.k_max, disc.n_z)), disc)
+    return SpectralField3(np.zeros(disc.lateral.shape(disc.n_z)), disc)
 
 
 def field3_from_profile(
     disc: Discretization, mode: tuple[int, int], profile: np.ndarray
 ) -> SpectralField3:
     """Single lateral mode with the given z profile."""
-    k1, k2 = mode
-    if not (1 <= k1 <= disc.k_max and 1 <= k2 <= disc.k_max):
+    if not disc.lateral.in_band(mode):
         raise ValueError(f"mode {mode} outside resolved range 1..{disc.k_max}")
-    coeffs = np.zeros((disc.k_max, disc.k_max, disc.n_z))
-    coeffs[k1 - 1, k2 - 1, :] = np.asarray(profile, dtype=float)
+    coeffs = np.zeros(disc.lateral.shape(disc.n_z))
+    coeffs[disc.lateral.index(mode)] = np.asarray(profile, dtype=float)
     return SpectralField3(coeffs, disc)
 
 
@@ -244,8 +323,9 @@ def d_z(f: SpectralField3, order: int = 1) -> SpectralField3:
 # Lateral derivatives act mode-wise (sin <-> cos flips preserve the mode's L2
 # weight a/2 per direction), so the lateral part of the sum collapses into a
 # weight table W[r] = sum_{a1 + a2 <= s - r} kx^a1 ky^a2 per mode, with
-# kx = (pi k1/a)^2 and ky = (pi k2/a)^2, paired with the trapezoid integral
-# of the squared r-th z-derivative profile (stencils above).
+# kx = (pi k1/a)^2 and ky = (pi k2/a)^2 (LateralBasis.norm_weights), paired
+# with the trapezoid integral of the squared r-th z-derivative profile
+# (stencils above).
 
 
 def multi_indices(s: int) -> list[tuple[int, int, int]]:
@@ -257,20 +337,6 @@ def multi_indices(s: int) -> list[tuple[int, int, int]]:
             if a3 >= 0:
                 out.append((a1, a2, a3))
     return out
-
-
-@lru_cache(maxsize=16)
-def _norm_weights(k_max: int, a: float, s: int) -> np.ndarray:
-    """W[r], shape (s + 1, k_max, k_max), times the lateral L2 weight a^2/4."""
-    k = np.arange(1, k_max + 1, dtype=float)
-    kx = (np.pi * k[:, None] / a) ** 2
-    ky = (np.pi * k[None, :] / a) ** 2
-    weights = np.zeros((s + 1, k_max, k_max))
-    for a1, a2, r in multi_indices(s):
-        weights[r] += kx**a1 * ky**a2
-    weights *= 0.25 * a * a
-    weights.flags.writeable = False
-    return weights
 
 
 def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
@@ -293,7 +359,7 @@ def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
         profiles.append(_dz1(profiles[2], dz))
     # trapezoid sums of squares: one row dot per profile, less half its end squares
     zint = [np.vecdot(p, p) - 0.5 * (p[..., 0] ** 2 + p[..., -1] ** 2) for p in profiles]
-    acc = dz * np.vdot(_norm_weights(f.disc.k_max, float(a), s), zint)
+    acc = dz * np.vdot(f.disc.lateral.norm_weights(float(a), s), zint)
     return float(np.sqrt(acc))
 
 
@@ -314,22 +380,6 @@ def sobolev_norm(f: SpectralField3, s: int, a: float) -> float:
 # 0.853553 and from 5 points 0.849679.
 
 
-def _pad_points(k_max: int) -> int:
-    return 2 * k_max + 1
-
-
-@lru_cache(maxsize=16)
-def _sine_matrices(k_max: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesis S (m, k_max) and projection P (k_max, m) on m points."""
-    j = np.arange(1, m + 1, dtype=float)
-    k = np.arange(1, k_max + 1, dtype=float)
-    synth = np.sin(np.pi * j[:, None] * k[None, :] / (m + 1))
-    proj = (2.0 / (m + 1)) * synth.T
-    synth.flags.writeable = False
-    proj.flags.writeable = False
-    return synth, proj
-
-
 def _contract_lateral(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """mat applied along both lateral axes of arr (shape (n, n, n_z))."""
     n, _, n_z = arr.shape
@@ -339,20 +389,14 @@ def _contract_lateral(mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
 
 def lateral_values(f: SpectralField3, n_pad: int | None = None) -> np.ndarray:
     """Evaluate on the interior sine-collocation grid, shape (M, M, n_z)."""
-    disc = f.disc
-    m = n_pad if n_pad is not None else _pad_points(disc.k_max)
-    if m < disc.k_max:
-        raise ValueError("collocation grid smaller than the resolved band")
-    synth, _ = _sine_matrices(disc.k_max, m)
+    lateral = f.disc.lateral
+    synth, _ = lateral.collocation(n_pad if n_pad is not None else lateral.pad_points)
     return _contract_lateral(synth, f.coeffs)
 
 
 def field_from_lateral_values(vals: np.ndarray, disc: Discretization) -> SpectralField3:
     """Project collocation values back onto the resolved sine band."""
-    m = vals.shape[0]
-    if m < disc.k_max:
-        raise ValueError("collocation grid smaller than the resolved band")
-    _, proj = _sine_matrices(disc.k_max, m)
+    _, proj = disc.lateral.collocation(vals.shape[0])
     return SpectralField3(_contract_lateral(proj, vals), disc)
 
 
@@ -360,7 +404,7 @@ def pointwise_product(u: SpectralField3, v: SpectralField3) -> SpectralField3:
     """Pointwise product of two fields on the padded grid, projected back
     onto the resolved band; for sine series it still aliases (see above)."""
     _require_same_disc(u, v)
-    m = _pad_points(u.disc.k_max)
+    m = u.disc.lateral.pad_points
     vals = lateral_values(u, m) * lateral_values(v, m)
     return field_from_lateral_values(vals, u.disc)
 
@@ -395,30 +439,28 @@ def random_field3(
            "vspace"   z**3-type profiles: value, slope and curvature vanish at z=0
            "flat"     slowly decaying lateral amplitudes 1/(k1*k2), rough data
     """
-    K, n = disc.k_max, disc.n_z
-    z = disc.z
-    kk1 = np.arange(1, K + 1, dtype=float)[:, None]
-    kk2 = np.arange(1, K + 1, dtype=float)[None, :]
+    lateral, z = disc.lateral, disc.z
+    kk1, kk2 = lateral.k[:, None], lateral.k[None, :]
     if kind == "flat":
-        amps = rng.choice([-1.0, 1.0], size=(K, K)) / (kk1 * kk2)
+        amps = rng.choice([-1.0, 1.0], size=lateral.shape()) / (kk1 * kk2)
     else:
-        amps = rng.normal(size=(K, K)) / (kk1**2 + kk2**2) ** 1.5
+        amps = rng.normal(size=lateral.shape()) / (kk1**2 + kk2**2) ** 1.5
 
     if kind in ("generic", "flat"):
-        p = rng.uniform(1.0, 2.0, size=(K, K, 1))
-        q = rng.uniform(2.0, 3.0, size=(K, K, 1))
-        g = rng.uniform(-1.0, 1.0, size=(K, K, 1))
+        p = rng.uniform(1.0, 2.0, size=lateral.shape(1))
+        q = rng.uniform(2.0, 3.0, size=lateral.shape(1))
+        g = rng.uniform(-1.0, 1.0, size=lateral.shape(1))
         profiles = np.exp(-p * z) + g * np.exp(-q * z)
     elif kind == "robin":
         if gamma is None or gamma <= 0:
             raise ValueError("robin profiles need gamma > 0")
-        p = gamma * rng.uniform(1.3, 2.2, size=(K, K, 1))
-        q = gamma * rng.uniform(2.3, 3.2, size=(K, K, 1))
+        p = gamma * rng.uniform(1.3, 2.2, size=lateral.shape(1))
+        q = gamma * rng.uniform(2.3, 3.2, size=lateral.shape(1))
         # c(z) = e^{-pz} + w e^{-qz} with w chosen so c'(0) + gamma c(0) = 0
         w = -(gamma - p) / (gamma - q)
         profiles = np.exp(-p * z) + w * np.exp(-q * z)
     elif kind == "vspace":
-        p = rng.uniform(1.5, 2.5, size=(K, K, 1))
+        p = rng.uniform(1.5, 2.5, size=lateral.shape(1))
         raw = z**3 * np.exp(-p * z)
         profiles = raw / np.max(raw, axis=-1, keepdims=True)
     else:

@@ -50,8 +50,8 @@ CONDITION_CAP = 1e12
 
 def require_admissible(beta: float, disc: Discretization, a: float) -> None:
     """Raise ResonanceError naming every mode with rate pi*|k|/a within RESONANCE_TOL of beta."""
-    gaps = np.abs(beta - disc.mode_rates(a))
-    offending = tuple((int(k1) + 1, int(k2) + 1) for k1, k2 in np.argwhere(gaps < RESONANCE_TOL))
+    gaps = np.abs(beta - disc.lateral.mu(a))
+    offending = tuple(map(disc.lateral.mode, np.argwhere(gaps < RESONANCE_TOL).tolist()))
     if offending:
         raise ResonanceError(
             "Robin coefficient beta={:.12g} resonates with lateral mode(s) {} "
@@ -88,7 +88,7 @@ class EllipticOperator:
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed: info={info}")
         out = np.zeros_like(f.coeffs)
-        out[:, :, :n_unknown] = x.reshape(disc.k_max, disc.k_max, n_unknown)
+        out[:, :, :n_unknown] = x.reshape(disc.lateral.shape(n_unknown))
         return f.replace_coeffs(out)
 
 
@@ -104,7 +104,7 @@ def elliptic_operator(beta: float, a: float, disc: Discretization) -> EllipticOp
     require_admissible(beta, disc, a)
     n = disc.n_z - 1
     h2 = disc.dz * disc.dz
-    mu2 = (disc.mode_rates(a) ** 2).reshape(-1, 1)
+    mu2 = (disc.lateral.mu(a) ** 2).reshape(-1, 1)
     # every mode's band in ab form, rows (upper, diag, lower) per column; each
     # block leaves its unused corners ab[0, :, 0] and ab[2, :, -1] at zero,
     # so side by side they zero the couplings between neighbouring blocks
@@ -121,18 +121,18 @@ def elliptic_operator(beta: float, a: float, disc: Discretization) -> EllipticOp
     # alone, and a zero pivot (info > 0) leaves its block's rcond at 0 below
     *factors, _ = dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
     dl, d, du, du2, ipiv = factors
-    worst = (0.0, (1, 1))
-    for k1 in range(disc.k_max):
-        for k2 in range(k1 + 1):  # mu depends on |k| only; mirror symmetric
-            b = k1 * disc.k_max + k2
-            o = b * n
-            rcond, _ = dgtcon(
-                dl[o : o + n - 1], d[o : o + n], du[o : o + n - 1], du2[o : o + n - 2],
-                ipiv[o : o + n] - o, norm_a[b], norm="1",
-            )
-            cond = 1.0 / rcond if rcond > 0.0 else math.inf
-            if cond > worst[0]:
-                worst = (cond, (k1 + 1, k2 + 1))
+    worst = (0.0, disc.lateral.mode((0, 0)))
+    for b, index in enumerate(np.ndindex(disc.lateral.shape())):
+        if index[1] > index[0]:
+            continue  # mu depends on |k| only; mirror symmetric
+        o = b * n
+        rcond, _ = dgtcon(
+            dl[o : o + n - 1], d[o : o + n], du[o : o + n - 1], du2[o : o + n - 2],
+            ipiv[o : o + n] - o, norm_a[b], norm="1",
+        )
+        cond = 1.0 / rcond if rcond > 0.0 else math.inf
+        if cond > worst[0]:
+            worst = (cond, disc.lateral.mode(index))
     if worst[0] > CONDITION_CAP:
         raise SingularSystemError(
             f"mode {worst[1]} system condition estimate {worst[0]:.3e} "
@@ -150,7 +150,7 @@ def solve_elliptic(f: SpectralField3, beta: float, a: float) -> SpectralField3:
 
 def interior_residual(v: SpectralField3, f: SpectralField3, a: float) -> float:
     """Max interior residual of -v'' + mu^2 v - f, relative to max|f|."""
-    mu2 = v.disc.mode_rates(a)[:, :, None] ** 2
+    mu2 = v.disc.lateral.mu(a)[:, :, None] ** 2
     vc, fc = v.coeffs, f.coeffs
     lap = d_z(v, 2).coeffs[:, :, 1:-1]
     res = -lap + mu2 * vc[:, :, 1:-1] - fc[:, :, 1:-1]

@@ -47,7 +47,8 @@ are two products with its eigenvectors and a power per entry.
 oracle_route picks the march or that eigen route from the grid and the
 step count, never from the data, and either evaluates only the modes
 whose data are not all zero; a mode without data stays exactly 0.  It
-shares no code with the transform route.
+shares no code with the transform route: of the lateral basis it reads
+the plain mu table alone, and it checks gamma itself.
 
 The growth calibration samples ||P_t w0|| over a random ensemble and a few
 times.  growth_ratios takes the decay factors e^{rates t} once per call and
@@ -77,6 +78,7 @@ from .domain import (
     Discretization,
     ModelParams,
     SpectralField3,
+    _readonly,
     random_field3,
     sobolev_norm,
     wall_slope,
@@ -127,11 +129,6 @@ def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
         eta = (1 * h**3) / (6 * h * (h + h))
         out += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
     return out
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _zeta(disc: Discretization) -> np.ndarray:
@@ -253,9 +250,9 @@ def _propagator_rates(nu: float, gamma: float, a: float, disc: Discretization) -
     one copy; the last few geometries are kept.
     """
     zeta = _zeta(disc)[None, None, :]
-    mu = disc.mode_rates(a)
+    mu = disc.lateral.mu(a)
     mu2 = (mu * mu)[:, :, None]
-    rates = np.empty((disc.k_max, disc.k_max, disc.n_z - 1))
+    rates = np.empty(disc.lateral.shape(disc.n_z - 1))
     rates[..., :-1] = -nu * (mu2 + zeta**2)
     rates[..., -1] = nu * (gamma * gamma - mu2[:, :, 0])
     return _readonly(rates)
@@ -404,7 +401,8 @@ def fd_robin_oracle(
     the wall unknown is scaled by 1/sqrt(2) on entry and by sqrt(2) on exit,
     which turns both entries into sqrt(2)/h^2 and A = I - c(L - mu^2) into
     a symmetric tridiagonal matrix.  The whole band is factored once as
-    LDL^T, every mode whether or not it carries data.  Raises ValueError
+    LDL^T, every mode whether or not it carries data.  Raises ValueError,
+    before any factoring, for a gamma that is not finite and positive, and
     when A is not positive definite in any mode, i.e. when the growing wall
     mode outruns the step and the Crank-Nicolson amplification is infinite
     or at most -1, so whether a step is refused does not depend on the data.
@@ -431,6 +429,11 @@ def fd_robin_oracle(
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    # the oracle's own gamma check: it shares nothing with _geometry
+    if not (math.isfinite(params.gamma) and params.gamma > 0):
+        raise ValueError(
+            f"the Crank-Nicolson oracle requires a finite gamma > 0, got {params.gamma}"
+        )
     disc = omega0.disc
     if t == 0:
         return SpectralField3(omega0.coeffs.copy(), disc)
@@ -438,7 +441,7 @@ def fd_robin_oracle(
     h = disc.dz
     c = 0.5 * nu * (t / n_steps)
     n_unknown = disc.n_z - 1
-    mu2 = (disc.mode_rates(params.a) ** 2).reshape(-1, 1)
+    mu2 = (disc.lateral.mu(params.a) ** 2).reshape(-1, 1)
     sqrt2 = math.sqrt(2.0)
 
     # one block of the symmetrised L: the second difference with the Robin
@@ -481,7 +484,7 @@ def boundary_residual(omega: SpectralField3, gamma: float, a: float) -> float:
     """L2 wall norm of the one-sided Robin residual (w_z + gamma w)|_{z=0}."""
     c = omega.coeffs
     res = wall_slope(c, omega.disc.dz) + gamma * c[:, :, 0]
-    return float(0.5 * a * np.sqrt(np.sum(res * res)))
+    return float(omega.disc.lateral.l2_weight(a) * np.sqrt(np.sum(res * res)))
 
 
 def growth_ratio(norm_t: float, norm_0: float, t: float, params: ModelParams) -> float:

@@ -2,7 +2,8 @@
 
 Config files are flat JSON with nested records; parsing is strict (unknown
 keys are errors) and every range constraint is checked up front, including
-that the z-truncation tail e^{-gamma l_z} stays below domain.TAIL_TOL and
+that the z-truncation tails e^{-gamma l_z} and e^{-mu_min l_z}, of the wall
+decay and of the slowest lateral mode, stay below domain.TAIL_TOL, and
 that beta stays elliptic.RESONANCE_TOL away from every resolved mode rate.
 Reports serialize with sorted keys and full float precision so identical
 runs produce byte-identical files; timing lives in its own block, the only
@@ -207,7 +208,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     for name in ("v", "w"):
         where = f"initial_data.{name}"
         spec = _normalize_family(data_rec.get(name, {"family": "zero"}), where)
-        if spec["family"] == "eigenmode" and max(spec["mode"]) > disc.k_max:
+        if spec["family"] == "eigenmode" and not disc.lateral.in_band(spec["mode"]):
             raise ConfigError(
                 f"{where}.mode {tuple(spec['mode'])} outside the resolved band 1..{disc.k_max}"
             )
@@ -215,6 +216,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> RunConfig:
 
     try:
         disc.check_tail(params.gamma)
+        disc.check_tail(disc.lateral.mu_min(params.a))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     require_admissible(params.beta, disc, params.a)
@@ -328,20 +330,21 @@ def write_snapshot(path, field: SpectralField3) -> None:
     quoting, and every line ends in \\r\\n.
     """
     coeffs = field.coeffs
-    k1, k2, j = np.nonzero(coeffs)
+    nonzero = np.nonzero(coeffs)
+    k1, k2 = field.disc.lateral.mode(nonzero[:2])
     # the rows' fields laid out flat, so one % formats the whole file
     values = [None] * (4 * k1.size)
-    values[0::4] = (k1 + 1).tolist()
-    values[1::4] = (k2 + 1).tolist()
-    values[2::4] = j.tolist()
-    values[3::4] = coeffs[k1, k2, j].tolist()
+    values[0::4] = k1.tolist()
+    values[1::4] = k2.tolist()
+    values[2::4] = nonzero[2].tolist()
+    values[3::4] = coeffs[nonzero].tolist()
     rows = ("%d,%d,%d,%.17g\r\n" * k1.size) % tuple(values)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_SNAPSHOT_COLUMNS) + "\r\n" + rows)
 
 
 def read_snapshot(path, disc: Discretization) -> SpectralField3:
-    coeffs = np.zeros((disc.k_max, disc.k_max, disc.n_z))
+    coeffs = np.zeros(disc.lateral.shape(disc.n_z))
     line_of = np.zeros(coeffs.shape, dtype=int)  # the line that set each entry, 0 if none
     try:
         fh = open(path, newline="")
@@ -361,7 +364,7 @@ def read_snapshot(path, disc: Discretization) -> SpectralField3:
                 value = float(row["coefficient"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{where}: unreadable row {row}: {exc}") from exc
-            if not (1 <= k1 <= disc.k_max and 1 <= k2 <= disc.k_max):
+            if not disc.lateral.in_band((k1, k2)):
                 raise ConfigError(f"{path}: mode ({k1}, {k2}) outside resolved band")
             if not 0 <= j < disc.n_z:
                 raise ConfigError(f"{path}: grid index {j} outside [0, {disc.n_z})")
@@ -370,12 +373,13 @@ def read_snapshot(path, disc: Discretization) -> SpectralField3:
                     f"{where}: coefficient {row['coefficient']!r} of mode ({k1}, {k2}) "
                     f"at j = {j} is not finite"
                 )
-            first = line_of[k1 - 1, k2 - 1, j]
+            at = disc.lateral.index((k1, k2)) + (j,)
+            first = line_of[at]
             if first:
                 raise ConfigError(
                     f"{path}: mode ({k1}, {k2}) at j = {j} is given twice, "
                     f"on lines {first} and {reader.line_num}"
                 )
-            line_of[k1 - 1, k2 - 1, j] = reader.line_num
-            coeffs[k1 - 1, k2 - 1, j] = value
+            line_of[at] = reader.line_num
+            coeffs[at] = value
     return SpectralField3(coeffs, disc)

@@ -201,7 +201,7 @@ class SolveWorker(Worker):
 
     def _read_field(self) -> SpectralField3:
         disc = self._disc
-        coeffs = np.empty((disc.k_max, disc.k_max, disc.n_z))
+        coeffs = np.empty(disc.lateral.shape(disc.n_z))
         if self._stream.readinto(coeffs) != coeffs.nbytes:
             raise self._ended()
         return SpectralField3(coeffs, disc)

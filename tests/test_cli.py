@@ -94,6 +94,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_slowest_lateral_mode_tail_checked_at_parse_time(self, tmp_path, capsys):
+        # a = 12 leaves mu_min l_z = pi sqrt(2) 20 / 12 = 7.4, a tail of 6.1e-4,
+        # while the gamma tail e^{-40} passes
+        cfg = json.loads((ROOT / "configs" / "elliptic_eigenmode.json").read_text())
+        cfg["params"]["a"] = 12.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main(["--command", "elliptic", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: l_z=20.0 too short: exp(-0.37024*l_z)=6.083e-04 "
+            "exceeds tail tolerance 1e-10\n"
+        ), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"])
     def test_bad_json_is_a_config_error(self, tmp_path, content):
         path = tmp_path / "cfg.json"

@@ -91,7 +91,7 @@ class TestAdmissibility:
     def test_solver_raises_exactly_when_inadmissible(self, beta):
         disc = Discretization(k_max=2, n_z=16, l_z=20.0)
         f = field3_from_profile(disc, (1, 1), np.exp(-disc.z))
-        gap = np.min(np.abs(beta - disc.mode_rates(A)))
+        gap = np.min(np.abs(beta - disc.lateral.mu(A)))
         if gap >= RESONANCE_TOL:
             solve_elliptic(f, beta, A)
         else:
@@ -181,7 +181,7 @@ class TestSolve:
         disc = Discretization(k_max=3, n_z=64, l_z=20.0)
         worst = max(
             np.linalg.cond(mode_matrix(mu**2, 1.0, disc.dz, disc.n_z - 1), 1)
-            for mu in disc.mode_rates(A).ravel()
+            for mu in disc.lateral.mu(A).ravel()
         )
         build = elliptic.elliptic_operator.__wrapped__
         monkeypatch.setattr(elliptic, "CONDITION_CAP", worst * (1.0 + 1e-9))
@@ -213,7 +213,7 @@ class TestSolve:
         # coupling in most modes, so their blocks swap rows as they factor
         for beta in (1.0, 3.5):
             dl, d, du, du2, ipiv = elliptic.elliptic_operator.__wrapped__(beta, A, disc).factors
-            for b, mu in enumerate(disc.mode_rates(A).ravel()):
+            for b, mu in enumerate(disc.lateral.mu(A).ravel()):
                 m = mode_matrix(mu**2, beta, disc.dz, n)
                 want = elliptic.dgttrf(np.diag(m, -1), np.diag(m).copy(), np.diag(m, 1))
                 o = b * n

@@ -190,7 +190,7 @@ def elliptic_by_mode(f, beta, a):
     disc = f.disc
     n = disc.n_z - 1
     h2 = disc.dz**2
-    rates = disc.mode_rates(a)
+    rates = disc.lateral.mu(a)
     out = np.zeros_like(f.coeffs)
     for k1 in range(disc.k_max):
         for k2 in range(disc.k_max):
@@ -341,7 +341,7 @@ def test_shared_stencils_are_bit_identical_to_their_copies():
     # interior_residual's former inline Laplacian, h^2 written as dz**2
     lap = (c[:, :, 2:] - 2.0 * c[:, :, 1:-1] + c[:, :, :-2]) / dz**2
     assert np.array_equal(d_z(v, 2).coeffs[:, :, 1:-1], lap)
-    mu2 = disc.mode_rates(A)[:, :, None] ** 2
+    mu2 = disc.lateral.mu(A)[:, :, None] ** 2
     res = -lap + mu2 * c[:, :, 1:-1] - f.coeffs[:, :, 1:-1]
     want = float(np.max(np.abs(res)) / np.max(np.abs(f.coeffs)))
     assert interior_residual(v, f, A) == want
@@ -401,7 +401,7 @@ def oracle_by_mode(omega0, t, params, n_steps):
     h = disc.dz
     dt = t / n_steps
     n_unknown = disc.n_z - 1
-    mu = disc.mode_rates(params.a)
+    mu = disc.lateral.mu(params.a)
     if t == 0:
         return omega0.coeffs.copy()
     out = np.zeros_like(omega0.coeffs)
@@ -438,7 +438,7 @@ def oracle_by_mode_half_step(omega0, t, params, n_steps):
     h = disc.dz
     dt = t / n_steps
     n_unknown = disc.n_z - 1
-    mu = disc.mode_rates(params.a)
+    mu = disc.lateral.mu(params.a)
     if t == 0:
         return omega0.coeffs.copy()
     out = np.zeros_like(omega0.coeffs)
@@ -636,7 +636,7 @@ def test_robin_state_is_the_sine_analysis_of_the_bundle_then_its_moments(k_max, 
     # the rates of the slab modes and of the wall moments, as two formulas
     nu, gamma = PARAMS.nu, PARAMS.gamma
     zeta = (np.pi * np.arange(1, n_z - 1, dtype=float) / disc.l_z)[None, None, :]
-    mu = disc.mode_rates(PARAMS.a)
+    mu = disc.lateral.mu(PARAMS.a)
     mu2 = (mu * mu)[:, :, None]
     assert prop.rates.shape == state.shape
     assert np.array_equal(prop.rates[..., :-1], -nu * (mu2 + zeta**2))

@@ -281,7 +281,7 @@ class TestOracleAgreement:
         disc = Discretization(k_max=2, n_z=n_z, l_z=20.0)
         params = ModelParams(a=A, nu=1.0, gamma=gamma, beta=1.0)
         c = 0.5 * params.nu * t / n_steps
-        mu2 = disc.mode_rates(A) ** 2
+        mu2 = disc.lateral.mu(A) ** 2
         steps = {
             (k1, k2): dense_cn_matrix(n_z, disc.dz, gamma, mu2[k1, k2], c)
             for k1 in range(2) for k2 in range(2)
@@ -312,6 +312,14 @@ class TestOracleAgreement:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 fd_robin_oracle(eigen_field(disc, PARAMS.gamma), t, PARAMS, n_steps=10)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+    def test_oracle_rejects_a_gamma_that_is_not_finite_and_positive(self, gamma):
+        disc = Discretization(k_max=2, n_z=65, l_z=20.0)
+        params = dataclasses.replace(PARAMS, gamma=gamma)
+        message = r"^the Crank-Nicolson oracle requires a finite gamma > 0, got "
+        with pytest.raises(ValueError, match=message):
+            fd_robin_oracle(eigen_field(disc, 2.0), 0.1, params, n_steps=20)
 
     @pytest.mark.parametrize("n_steps", [2.0, 2.5, "2", None, True])
     def test_oracle_rejects_a_step_count_that_is_not_an_integer(self, n_steps):

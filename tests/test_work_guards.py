@@ -12,7 +12,10 @@ the number of sweeps, and a slice holding the data reuses it.  A
 converging solve takes no norm for its ball guard beyond the start's,
 propagators on one geometry share their rates, and the elliptic band is
 factored once per geometry, not once per solve.  The transform route
-checks gamma and builds what it and the grid fix once per geometry.  One
+checks gamma and builds what it and the grid fix once per geometry.  A
+solve, from its config to its error budget, builds one lateral rate table
+per (k_max, a) and one collocation pair per point count, which equal
+discretizations share.  One
 RobinPropagator.at synthesizes with one backward real FFT and no sine
 transform.  An H^3 norm applies the second-difference stencil once and
 differentiates that profile for order 3 rather than recomputing it.  The
@@ -49,7 +52,7 @@ import numpy as np
 import pytest
 
 import robinslab
-from robinslab import domain, elliptic, heat, picard
+from robinslab import cli, domain, elliptic, heat, picard, report
 from robinslab.domain import Discretization, ModelParams, SpectralField3, random_field3
 from robinslab.picard import (
     HorizonSelection, PicardProblem, PicardState, picard_solve, picard_step, select_horizon,
@@ -242,6 +245,33 @@ def test_the_transform_route_checks_and_builds_a_geometry_once():
     heat.RobinPropagator(f, PARAMS).at(0.1)
     heat.growth_ratios([f], (0.0, 0.1), PARAMS)
     assert heat._geometry.cache_info().misses == 1
+
+
+def test_a_solve_builds_each_lateral_basis_table_once():
+    raw = {
+        "params": {"a": PARAMS.a, "nu": PARAMS.nu, "gamma": PARAMS.gamma, "beta": PARAMS.beta},
+        "disc": {"k_max": 3, "n_z": 65, "l_z": 20.0},
+        "seed": 1,
+    }
+    basis = domain.LateralBasis
+    tables = (basis.mu, basis.collocation, basis.norm_weights)
+    for cache in tables + (elliptic.elliptic_operator, heat._propagator_rates):
+        cache.cache_clear()
+    config = report.parse_config(raw)
+    disc, params = config.disc, config.params
+    other = Discretization(k_max=3, n_z=129, l_z=10.0).lateral
+    assert other == disc.lateral and other.mu(params.a) is disc.lateral.mu(params.a)
+    f = random_field3(disc, np.random.default_rng(15), kind="robin", gamma=params.gamma)
+    v = elliptic.solve_elliptic(f, params.beta, params.a)
+    w = heat.RobinPropagator(f, params).at(0.1)
+    product = domain.pointwise_product(v, w)
+    for field in (f, v, w, product):
+        domain.sobolev_norm(field, 2, params.a)
+    cli._error_budget(config, [0.0])
+    # one mu table for (k_max, a), one collocation pair for the padded grid,
+    # one weight table for (a, s); every other read is a hit
+    assert [t.cache_info().misses for t in tables] == [1, 1, 1]
+    assert all(t.cache_info().hits > 0 for t in tables)
 
 
 def _count_calls(monkeypatch, module, *names):
@@ -522,6 +552,7 @@ def test_every_exported_name_resolves():
         for info in pkgutil.iter_modules(robinslab.__path__)
     ]
     assert len(modules) > 1
+    assert "LateralBasis" in domain.__all__
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], module.__name__
