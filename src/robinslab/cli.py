@@ -131,6 +131,8 @@ def run(command: str, config_path, out_dir, seed_override: int | None = None) ->
             if config_path is None:
                 raise ConfigError(f"--config is required for the {command} command")
             config = load_config(config_path, seed_override)
+            if command in ("calibrate", "heat", "picard"):
+                _refuse_overflowing_growth(config)
             # made before any work, so an unwritable --out costs no computation
             out_dir.mkdir(parents=True, exist_ok=True)
             phases = {}
@@ -142,6 +144,22 @@ def run(command: str, config_path, out_dir, seed_override: int | None = None) ->
     report["command"] = command
     report["timing"] = {**timing, "total_seconds": time.perf_counter() - started}
     return _emit(command, out_dir, report)
+
+
+def _refuse_overflowing_growth(config: RunConfig) -> None:
+    """Raise ConfigError when the growth calibration's H^s norms would
+    square the fastest wall growth past the largest float: when
+    2 nu (gamma^2 - mu_min^2) max(CALIBRATION_TIMES) reaches its ln."""
+    params = config.params
+    mu_min = config.disc.lateral.mu_min(params.a)
+    exponent = 2.0 * params.nu * (params.gamma**2 - mu_min**2) * max(CALIBRATION_TIMES)
+    limit = math.log(sys.float_info.max)
+    if exponent >= limit:
+        raise ConfigError(
+            f"the growth calibration would overflow: its squared wall growth "
+            f"exponent 2 nu (gamma^2 - mu_min^2) t_max = {exponent:.6g} reaches "
+            f"ln of the largest float, {limit:.6g}"
+        )
 
 
 @contextmanager

@@ -12,26 +12,27 @@ w'(0) + gamma*w(0) = 0.  The solver splits the initial field into
 The reconstruction is  w = -(1/gamma) * eta_z + eta + (cross) * e^{-gamma z}
 with eta the auxiliary field; at t = 0 it reproduces w0 up to representation
 error.  The auxiliary field comes from one bidiagonal banded solve over all
-lateral modes at once.  What gamma and the grid fix has one cached owner,
-_geometry, which is also the transform route's one refusal of a gamma that
-is not finite and positive.
+lateral modes at once.
 
 The flow is diagonal, P_t = S diag(exp(rates t)) A per lateral mode, in a
 public spectral state: one array of shape (k_max, k_max, n_z - 1) holding
-the z-sine coefficients of the slab part, then the wall moment.  robin_state
-is the analysis A, and RobinPropagator holds the state of its field with one
-read-only rates table of the same shape.  Its synthesize method is S: it
-maps any state back to a field, taking eta and -(1/gamma) eta_z together
-from one backward real FFT.  `at` is state_at followed by synthesize.
+the z-sine coefficients of the slab part, then the wall moment.  One
+RobinFlow per (nu, gamma, a, grid), built and kept by robin_flow, owns the
+whole route: its construction is the route's one refusal of a gamma that
+is not finite and positive, and its analyse (A), synthesize (S) and decays
+(exp(rates t), and the one refusal of a bad time) are the route's only
+arithmetic.  synthesize takes eta and -(1/gamma) eta_z together from one
+backward real FFT.  RobinPropagator is a flow and the read-only state of
+one field; `at` is state_at followed by synthesize.
 
-Neither A nor S depends on the lateral mode.  Their array-level cores,
-robin_analysis and robin_synthesis, take z profiles and states of any
-leading shape, so run on identity rows they tabulate each as one matrix.
-The Picard solve, which applies both to every time slice of every sweep,
-tabulates them once per problem on grids of at most a few hundred z points
-and sums states before one synthesis per slice.  Every other caller, and
-a Picard solve on a larger grid, keeps the transforms, which there cost
-less per application than a dense product and hold no n_z^2 table.
+Neither A nor S depends on the lateral mode: both take z profiles and
+states of any leading shape, so run on identity rows they tabulate each
+as one matrix.  The Picard solve, which applies both to every time slice
+of every sweep, tabulates them once per problem on grids of at most a few
+hundred z points and sums states before one synthesis per slice.  Every
+other caller, and a Picard solve on a larger grid, keeps the transforms,
+which there cost less per application than a dense product and hold no
+n_z^2 table.
 
 A Crank-Nicolson finite-difference oracle provides an independent route to
 the same solution for cross-checks.  It lays every lateral mode's
@@ -51,13 +52,12 @@ shares no code with the transform route: of the lateral basis it reads
 the plain mu table alone, and it checks gamma itself.
 
 The growth calibration samples ||P_t w0|| over a random ensemble and a few
-times.  growth_ratios takes the decay factors e^{rates t} once per call and
-synthesizes each field's states at all its nonzero times in one
-robin_synthesis call, which gives bit for bit what RobinPropagator.at
-gives one time at a time.
+times.  growth_ratios takes the decay factors once per flow and
+synthesizes each field's states at all its nonzero times in one call,
+which gives bit for bit what RobinPropagator.at gives one time at a time.
 
 The type-1 DST, the backward real FFT and the LAPACK routines (dtbtrs for
-the bundle, dpttrf/dpttrs and dstevd for the oracle) come from
+the slab sweep, dpttrf/dpttrs and dstevd for the oracle) come from
 robinslab._kernels, which binds them from scipy's extension files without
 importing scipy, scipy.fft or scipy.linalg.
 """
@@ -66,9 +66,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,9 +84,8 @@ from .domain import (
 )
 
 __all__ = [
-    "robin_analysis",
-    "robin_state",
-    "robin_synthesis",
+    "RobinFlow",
+    "robin_flow",
     "warn_if_incompatible",
     "RobinPropagator",
     "ORACLE_EIGEN_RATIO",
@@ -136,94 +134,137 @@ def _zeta(disc: Discretization) -> np.ndarray:
     return np.pi * np.arange(1, disc.n_z - 1, dtype=float) / disc.l_z
 
 
-# the fields of _geometry, in its docstring's order
-_Geometry = namedtuple("_Geometry", "wall mass decay half bands factors")
+class RobinFlow:
+    """The flow P_t = S diag(e^{rates t}) A of one (nu, gamma, a, disc),
+    every lateral mode at once; robin_flow builds and keeps it.
+
+    analyse     A, the spectral states of z profiles
+    synthesize  S, the z profiles of spectral states
+    decays      e^{rates t}, and the one refusal of a time that is not
+                finite or is negative
+
+    Construction is the route's one refusal of a gamma that is not finite
+    and positive, and fixes read-only: the wall profile e^{-gamma z} and its
+    Simpson mass Int e^{-2 gamma z} dz, the slab sweep's sweep_decay
+    e^{-gamma dz}, sweep_weight gamma dz / 2 and unit upper-bidiagonal
+    sweep_band (row 1 is never read), and the synthesis factors
+    -(zeta / gamma + i) / 2.  rates is made on first use.
+    """
+
+    def __init__(self, nu: float, gamma: float, a: float, disc: Discretization):
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError(f"the Robin heat flow requires a finite gamma > 0, got {gamma}")
+        self.nu, self.gamma, self.a, self.disc = nu, gamma, a, disc
+        self.wall = _readonly(np.exp(-gamma * disc.z))
+        self.sweep_decay = np.exp(-gamma * disc.dz)
+        band = np.ones((2, disc.n_z))
+        band[0, 1:] = -self.sweep_decay
+        self.sweep_band = _readonly(band)
+        self.factors = _readonly(-0.5 * (_zeta(disc) / gamma + 1j))
+        self.sweep_weight = 0.5 * gamma * disc.dz
+        self.mass = _simpson(self.wall * self.wall, disc.dz)
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Rates laid out as a spectral state, read-only: -nu (mu^2 + zeta^2)
+        for the slab modes, then nu (gamma^2 - mu^2) for the wall moment."""
+        disc = self.disc
+        zeta = _zeta(disc)[None, None, :]
+        mu = disc.lateral.mu(self.a)
+        mu2 = (mu * mu)[:, :, None]
+        rates = np.empty(disc.lateral.shape(disc.n_z - 1))
+        rates[..., :-1] = -self.nu * (mu2 + zeta**2)
+        rates[..., -1] = self.nu * (self.gamma * self.gamma - mu2[:, :, 0])
+        return _readonly(rates)
+
+    def _split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split the z profiles of values, any leading shape, into slab and
+        wall-decay parts: (slab, moments), shapes (..., n_z) and (...).
+
+        A moment 2 gamma Int w0 e^{-gamma z} dz is taken by composite Simpson
+        over the measured mass of the kernel (1 up to truncation), so the
+        residue's weighted moment vanishes identically on the grid.  The
+        slab part, which vanishes at z = 0 and evolves all-Dirichlet, solves
+        -(1/gamma) c' + c = residue with c(0) = 0 by a backward
+        exponential-kernel sweep, stable and O(n_z):
+
+            c(z_j) = e^{-gamma dz} c(z_{j+1})
+                     + (gamma dz / 2) * (f(z_j) + e^{-gamma dz} f(z_{j+1}))
+
+        one unit upper-bidiagonal system per profile, all solved in a single
+        banded triangular solve.
+        """
+        cross = _simpson(values * self.wall, self.disc.dz) / self.mass
+        residue = values - cross[..., None] * self.wall
+        rhs = np.zeros_like(residue)
+        rhs[..., :-1] = self.sweep_weight * (
+            residue[..., :-1] + self.sweep_decay * residue[..., 1:]
+        )
+        rows = rhs.reshape(-1, self.disc.n_z).T
+        slab, info = dtbtrs(self.sweep_band, rows, uplo="U", diag="U", overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"triangular solve failed: info={info}")
+        return slab.T.reshape(residue.shape), cross
+
+    def analyse(self, values: np.ndarray) -> np.ndarray:
+        """Spectral states of the z profiles of values, any leading shape:
+        (..., n_z) maps to (..., n_z - 1), the z-sine coefficients of the
+        slab part, then its wall moment.  The analysis is linear and the same for every
+        profile, so its states of the profiles D e_j, for a linear map D on
+        profiles, are the rows of one table T with state(D p) = p @ T.
+        """
+        slab, cross = self._split(values)
+        state = np.empty(cross.shape + (self.disc.n_z - 1,))
+        np.divide(dst(slab[..., 1:-1], type=1, axis=-1), self.disc.n_z - 1, out=state[..., :-1])
+        state[..., -1] = cross
+        return state
+
+    def decays(self, t: float | Sequence[float]) -> np.ndarray:
+        """e^{rates t} for one time t, of the shape of rates, or for a
+        sequence of times, stacked along a new first axis.
+
+        Raises ValueError for a time that is not finite or is negative.
+        """
+        times = np.asarray(t, dtype=float)
+        for s in times.flat:
+            if not math.isfinite(s):
+                raise ValueError(f"propagation time must be finite, got {s}")
+            if s < 0:
+                raise ValueError(f"propagation time must be nonnegative, got {s}")
+        return np.exp(self.rates * times[..., None, None, None])
+
+    def synthesize(self, state: np.ndarray) -> np.ndarray:
+        """z profiles of spectral states: eta - eta_z / gamma plus the wall profile.
+
+        Any leading shape: (..., n_z - 1) maps to (..., n_z).  At z_j the slab
+        part sum_m c_m (sin(theta_m j) - (zeta_m / gamma) cos(theta_m j)),
+        theta_m = m pi / (n_z - 1), is Re sum_m c_m (-zeta_m / gamma - i)
+        e^{i theta_m j}: one unnormalised backward real FFT of length
+        2 (n_z - 1) of c_m times the synthesis factor, zero at m = 0 and
+        n_z - 1.  On the identity it tabulates S, with synthesize(state) =
+        state @ S.
+        """
+        n_z = self.disc.n_z
+        spectrum = np.zeros(state.shape[:-1] + (n_z,), dtype=complex)
+        np.multiply(state[..., :-1], self.factors, out=spectrum[..., 1:-1])
+        values = state[..., -1:] * self.wall
+        values += c2r(spectrum, 2 * (n_z - 1))[..., :n_z]
+        return values
 
 
 @lru_cache(maxsize=8)
-def _geometry(gamma: float, disc: Discretization) -> _Geometry:
-    """The one check of gamma, then what it and the grid fix, read-only:
-    the wall profile e^{-gamma z} and its Simpson mass Int e^{-2 gamma z} dz,
-    the slab sweep's e^{-gamma dz}, gamma dz / 2 and unit upper-bidiagonal
-    band (row 1 is never read), and the synthesis factors
-    -(zeta / gamma + i) / 2.  Every moment, bundle, synthesis and
-    propagator on one geometry shares them; the last few are kept.
-    """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"the Robin heat flow requires a finite gamma > 0, got {gamma}")
-    wall = _readonly(np.exp(-gamma * disc.z))
-    decay = np.exp(-gamma * disc.dz)
-    bands = np.ones((2, disc.n_z))
-    bands[0, 1:] = -decay
-    factors = _readonly(-0.5 * (_zeta(disc) / gamma + 1j))
-    half = 0.5 * gamma * disc.dz
-    return _Geometry(wall, _simpson(wall * wall, disc.dz), decay, half, _readonly(bands), factors)
+def robin_flow(nu: float, gamma: float, a: float, disc: Discretization) -> RobinFlow:
+    """The flow of one geometry; the last few are kept, since every
+    propagator, sampler and Picard problem of a run shares one."""
+    return RobinFlow(nu, gamma, a, disc)
 
 
-def _moments(values: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
-    """Moment 2*gamma*Int w0(z) e^{-gamma z} dz of each z profile w0 of
-    values, any leading shape: (..., n_z) maps to (...).
-
-    Computed with composite Simpson and normalized by the measured mass of
-    the kernel (2*gamma*Int e^{-2 gamma z} dz, which is 1 up to truncation),
-    so the residue field's weighted moment vanishes identically on the grid.
-    """
-    geo = _geometry(float(gamma), disc)
-    return _simpson(values * geo.wall, disc.dz) / geo.mass
-
-
-def _bundle(
-    values: np.ndarray, gamma: float, disc: Discretization
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the z profiles of values, any leading shape, into slab and
-    wall-decay parts.
-
-    Returns (slab, moments): the auxiliary slab profiles on the z grid,
-    which vanish at z = 0 and evolve all-Dirichlet, shape (..., n_z), and
-    the _moments coefficients of e^{-gamma z}, shape (...).
-
-    The slab part solves  -(1/gamma) c' + c = residue  with c(0) = 0 by a
-    backward exponential-kernel sweep:
-
-        c(z_j) = e^{-gamma dz} c(z_{j+1})
-                 + (gamma dz / 2) * (f(z_j) + e^{-gamma dz} f(z_{j+1}))
-
-    which is stable and O(n_z).  It is one unit upper-bidiagonal system per
-    profile, solved for all profiles in a single banded triangular solve.
-    """
-    geo = _geometry(float(gamma), disc)
-    cross = _moments(values, gamma, disc)
-    residue = values - cross[..., None] * geo.wall
-    rhs = np.zeros_like(residue)
-    rhs[..., :-1] = geo.half * (residue[..., :-1] + geo.decay * residue[..., 1:])
-    slab, info = dtbtrs(geo.bands, rhs.reshape(-1, disc.n_z).T, uplo="U", diag="U", overwrite_b=1)
-    if info != 0:
-        raise RuntimeError(f"triangular solve failed: info={info}")
-    return slab.T.reshape(residue.shape), cross
-
-
-def robin_analysis(values: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
-    """Spectral states of the z profiles along the last axis of values.
-
-    Any leading shape: (..., n_z) maps to (..., n_z - 1), each profile as
-    robin_state maps it.  The analysis is linear and the same for every
-    profile, so its states of the profiles D e_j, for a linear map D on
-    profiles, are the rows of one table T with state(D p) = p @ T.
-    """
-    slab, cross = _bundle(values, gamma, disc)
-    state = np.empty(cross.shape + (disc.n_z - 1,))
-    np.divide(dst(slab[..., 1:-1], type=1, axis=-1), disc.n_z - 1, out=state[..., :-1])
-    state[..., -1] = cross
-    return state
-
-
-def robin_state(omega0: SpectralField3, gamma: float) -> np.ndarray:
-    """Spectral state of a field at t = 0, read-only, shape (k_max, k_max, n_z - 1).
-
-    Entries [..., :-1] are the z-sine coefficients of the slab part of
-    _bundle, and [..., -1] is its wall moment.
-    """
-    return _readonly(robin_analysis(omega0.coeffs, gamma, omega0.disc))
+def _wall_residual(omega: SpectralField3, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per lateral mode of omega, the Robin wall residual (w_z + gamma w)|_{z=0}
+    and the sum |w_z| + |gamma w| of its two terms' sizes."""
+    c = omega.coeffs
+    slope, robin = wall_slope(c, omega.disc.dz), gamma * c[..., 0]
+    return slope + robin, np.abs(slope) + np.abs(robin)
 
 
 def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
@@ -233,90 +274,32 @@ def warn_if_incompatible(omega0: SpectralField3, gamma: float) -> None:
     The wall residual is taken relative to the size of its two terms; above
     COMPAT_WARN_RATIO propagation still works, with degraded wall accuracy.
     """
-    c = omega0.coeffs
-    deriv = wall_slope(c, omega0.disc.dz)
-    res = np.sqrt(np.sum((deriv + gamma * c[:, :, 0]) ** 2))
-    scale = np.sqrt(np.sum((np.abs(deriv) + np.abs(gamma * c[:, :, 0])) ** 2))
+    residual, size = _wall_residual(omega0, gamma)
+    res, scale = np.sqrt(np.sum(residual**2)), np.sqrt(np.sum(size**2))
     if scale > 0 and res / scale > COMPAT_WARN_RATIO:
         print(COMPAT_WARNING, file=sys.stderr)
 
 
-@lru_cache(maxsize=8)
-def _propagator_rates(nu: float, gamma: float, a: float, disc: Discretization) -> np.ndarray:
-    """Rates laid out as a spectral state, read-only: -nu (mu^2 + zeta^2)
-    for the slab modes, then nu (gamma^2 - mu^2) for the wall moment.
-
-    They depend on the geometry only, so every propagator of a run shares
-    one copy; the last few geometries are kept.
-    """
-    zeta = _zeta(disc)[None, None, :]
-    mu = disc.lateral.mu(a)
-    mu2 = (mu * mu)[:, :, None]
-    rates = np.empty(disc.lateral.shape(disc.n_z - 1))
-    rates[..., :-1] = -nu * (mu2 + zeta**2)
-    rates[..., -1] = nu * (gamma * gamma - mu2[:, :, 0])
-    return _readonly(rates)
-
-
-def _check_time(t: float) -> None:
-    """Refuse a propagation time that is not finite or is negative."""
-    if not math.isfinite(t):
-        raise ValueError(f"propagation time must be finite, got {t}")
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
-
-
-def robin_synthesis(state: np.ndarray, gamma: float, disc: Discretization) -> np.ndarray:
-    """z profiles of spectral states: eta - eta_z / gamma plus the wall profile.
-
-    Any leading shape: (..., n_z - 1) maps to (..., n_z).  At z_j the slab
-    part sum_m c_m (sin(theta_m j) - (zeta_m / gamma) cos(theta_m j)),
-    theta_m = m pi / (n_z - 1), is Re sum_m c_m (-zeta_m / gamma - i)
-    e^{i theta_m j}: one unnormalised backward real FFT of length
-    2 (n_z - 1) of c_m times the synthesis factor, zero at m = 0 and
-    n_z - 1.  On the identity it tabulates S, with synthesis(state) =
-    state @ S.
-    """
-    geo = _geometry(float(gamma), disc)
-    n_z = disc.n_z
-    spectrum = np.zeros(state.shape[:-1] + (n_z,), dtype=complex)
-    np.multiply(state[..., :-1], geo.factors, out=spectrum[..., 1:-1])
-    values = state[..., -1:] * geo.wall
-    values += c2r(spectrum, 2 * (n_z - 1))[..., :n_z]
-    return values
-
-
 class RobinPropagator:
-    """Reusable propagator: one decomposition, evaluation at any t >= 0.
+    """Reusable propagator: the robin_flow of params and the field's disc,
+    and the field's read-only state at t = 0, flow.analyse of its coeffs.
 
-    state  robin_state of the field at t = 0: z-sine slab coefficients,
-           then the wall moment, shape (k_max, k_max, n_z - 1), read-only
-    rates  per-entry rates of state, same shape, read-only:
-           -nu (mu^2 + zeta^2) for the slab modes, nu (gamma^2 - mu^2)
-           for the wall moment
-
-    At time t the state is state e^{rates t}.  The rates depend only on
-    params and disc, so the states of fields on one disc may be combined
-    linearly before synthesize; propagators sharing params and disc share
-    one copy of the rates and the wall profile.
+    At time t the state is state * flow.decays(t).  Propagators sharing
+    params and disc share one flow, so their states may be combined
+    linearly before synthesize.
     """
 
     def __init__(self, omega0: SpectralField3, params: ModelParams):
-        self.params = params
-        self.disc = omega0.disc
-        self.state = robin_state(omega0, params.gamma)
-        self.rates = _propagator_rates(
-            float(params.nu), float(params.gamma), float(params.a), omega0.disc
-        )
+        self.flow = robin_flow(float(params.nu), float(params.gamma), float(params.a), omega0.disc)
+        self.state = _readonly(self.flow.analyse(omega0.coeffs))
 
     def state_at(self, t: float) -> np.ndarray:
         """Spectral state at time t."""
-        _check_time(t)
-        return self.state * np.exp(self.rates * t)
+        return self.state * self.flow.decays(t)
 
     def synthesize(self, state: np.ndarray) -> SpectralField3:
-        """Field of a spectral state (robin_synthesis)."""
-        return SpectralField3(robin_synthesis(state, self.params.gamma, self.disc), self.disc)
+        """Field of a spectral state (RobinFlow.synthesize)."""
+        return SpectralField3(self.flow.synthesize(state), self.flow.disc)
 
     def at(self, t: float) -> SpectralField3:
         return self.synthesize(self.state_at(t))
@@ -429,7 +412,7 @@ def fd_robin_oracle(
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    # the oracle's own gamma check: it shares nothing with _geometry
+    # the oracle's own gamma check: it shares nothing with RobinFlow
     if not (math.isfinite(params.gamma) and params.gamma > 0):
         raise ValueError(
             f"the Crank-Nicolson oracle requires a finite gamma > 0, got {params.gamma}"
@@ -482,8 +465,7 @@ def fd_robin_oracle(
 
 def boundary_residual(omega: SpectralField3, gamma: float, a: float) -> float:
     """L2 wall norm of the one-sided Robin residual (w_z + gamma w)|_{z=0}."""
-    c = omega.coeffs
-    res = wall_slope(c, omega.disc.dz) + gamma * c[:, :, 0]
+    res, _ = _wall_residual(omega, gamma)
     return float(omega.disc.lateral.l2_weight(a) * np.sqrt(np.sum(res * res)))
 
 
@@ -501,28 +483,26 @@ def growth_ratios(
 
     The flow at t = 0 is the identity, so it records exactly 1.0 there:
     RobinPropagator.at(0) reproduces w0 only up to representation error.
-    The decay factors e^{rates t} of the nonzero times are taken once per
-    rates table, which the propagators of one geometry share.  Each field's
-    states at all those times are stacked and synthesized in one
-    robin_synthesis call, then normed one time at a time; every ratio is
-    bit for bit what RobinPropagator.at gives, and a time state_at would
-    refuse raises the same ValueError.
+    The decay factors of the nonzero times are taken once per flow, which
+    the propagators of one geometry share.  Each field's states at all
+    those times are stacked and synthesized in one RobinFlow.synthesize
+    call, then normed one time at a time; every ratio is bit for bit what
+    RobinPropagator.at gives, and a time state_at would refuse raises the
+    same ValueError.
     """
     later = [t for t in times if t != 0.0]
     ratios = []
-    rates = decays = None
+    flow = decays = None
     for w0 in fields:
         base = sobolev_norm(w0, SOBOLEV_S, params.a)
         if base == 0.0:
             continue
         prop = RobinPropagator(w0, params)
-        if prop.rates is not rates:
-            for t in later:
-                _check_time(t)
-            rates = prop.rates
-            decays = np.exp(rates * np.array(later, dtype=float)[:, None, None, None])
-        grown = robin_synthesis(prop.state * decays, params.gamma, prop.disc)
-        norms = (sobolev_norm(SpectralField3(g, prop.disc), SOBOLEV_S, params.a) for g in grown)
+        if prop.flow is not flow:
+            flow = prop.flow
+            decays = flow.decays(later)
+        grown = flow.synthesize(prop.state * decays)
+        norms = (sobolev_norm(SpectralField3(g, flow.disc), SOBOLEV_S, params.a) for g in grown)
         for t in times:
             ratios.append(1.0 if t == 0.0 else growth_ratio(next(norms), base, t, params))
     return ratios

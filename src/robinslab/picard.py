@@ -20,16 +20,16 @@ slice-wise maximum of the H^{s+1} norm of the v difference and the H^s
 norm of the w difference.  The index s is the code's constant
 domain.SOBOLEV_S = 2, so v is measured in H^3 and w in H^2.
 
-The Duhamel term is evaluated in the spectral state of heat.robin_state,
+The Duhamel term is evaluated in the spectral state of heat.RobinFlow,
 one array per slice in which P_t is a per-entry exponential: a one-step
 recurrence over the time cells accumulates the forcing, so a sweep
 analyses each forcing slice once and synthesizes each output slice once
-with the rates of the one propagator of w0, O(n_t) work instead of the
+with the flow of the one propagator of w0, O(n_t) work instead of the
 O(n_t^2) propagator evaluations of a direct sum.  Neither the forcing
 analysis A d_z nor the synthesis S depends on the lateral mode, so on a
 grid where it pays (tabulates) each is one matrix per problem, made by
-heat's array-level routes on the identity, and a slice's analysis and
-its synthesis are one matrix product each.  Past a few hundred z points
+the flow's analyse and synthesize on the identity, and a slice's analysis
+and its synthesis are one matrix product each.  Past a few hundred z points
 a dense product costs more than the transforms, and a problem whose
 sweeps apply the operators to fewer rows than a table has would not
 repay building it; such a problem keeps the transforms.
@@ -61,7 +61,7 @@ from .domain import (
 )
 from .elliptic import solve_elliptic
 from .errors import NoConvergenceError, NonFiniteError
-from .heat import RobinPropagator, robin_analysis, robin_state, robin_synthesis
+from .heat import RobinFlow, RobinPropagator
 
 __all__ = [
     "PICARD_TOL",
@@ -230,17 +230,18 @@ def tabulates(disc: Discretization) -> bool:
     return disc.n_z <= TABLE_MAX_N_Z and disc.k_max**2 * (disc.n_t - 1) >= disc.n_z
 
 
-def duhamel_tables(gamma: float, disc: Discretization) -> tuple[np.ndarray, np.ndarray]:
-    """(forcing analysis, synthesis) of the Duhamel term as read-only tables.
+def duhamel_tables(flow: RobinFlow) -> tuple[np.ndarray, np.ndarray]:
+    """(forcing analysis, synthesis) of the flow's Duhamel term as read-only tables.
 
-    forcing analysis  n_z x (n_z - 1): robin_state(d_z(v), gamma) is
+    forcing analysis  n_z x (n_z - 1): flow.analyse(d_z(v).coeffs) is
                       v.coeffs @ it
-    synthesis         (n_z - 1) x n_z: the field of a state is state @ it
+    synthesis         (n_z - 1) x n_z: flow.synthesize(state) is state @ it
 
-    Each is heat's array-level route run once on the identity rows.
+    Each is the flow's route run once on the identity rows.
     """
-    analysis = robin_analysis(_dz1(np.eye(disc.n_z), disc.dz), gamma, disc)
-    synthesis = robin_synthesis(np.eye(disc.n_z - 1), gamma, disc)
+    disc = flow.disc
+    analysis = flow.analyse(_dz1(np.eye(disc.n_z), disc.dz))
+    synthesis = flow.synthesize(np.eye(disc.n_z - 1))
     analysis.flags.writeable = synthesis.flags.writeable = False
     return analysis, synthesis
 
@@ -254,14 +255,13 @@ def duhamel_apply(
     """Slices of P_t w0 + Int_0^t P_{t-s} g(s) ds at t_grid[1:].
 
     base is the propagator of w0 (the slice at t = 0 is w0 itself, which
-    the caller holds), and forcing_states yields the spectral state
-    (robin_state) of g at every node of t_grid, read one at a time.  P is
-    diagonal in that state, and the forcing part obeys the trapezoid cell
-    recurrence
+    the caller holds), and forcing_states yields the state of g in
+    base.flow at every node of t_grid, read one at a time.  P is diagonal
+    in that state, and the forcing part obeys the trapezoid cell recurrence
 
         U_i = E U_{i-1} + (dt/2) E X_{i-1} + (dt/2) X_i,    U_0 = 0,
 
-    with X_j the state of forcing slice j and E = exp(rates dt) per entry.
+    with X_j the state of forcing slice j and E = base.flow.decays(dt).
     The w0 part is evaluated at the exact t_i, and each output slice is one
     synthesis: base.synthesize, or a product with the synthesis table of
     duhamel_tables when one is given.
@@ -270,11 +270,11 @@ def duhamel_apply(
         raise ValueError("Duhamel quadrature needs at least two slices")
     dt = t_grid[1] - t_grid[0]
     half = 0.5 * dt
-    decay = np.exp(base.rates * dt)
+    decay = base.flow.decays(dt)
     left = decay * half
 
     out = []
-    forced = np.zeros_like(base.rates)
+    forced = np.zeros_like(base.state)
     prev = None
     for t, x in zip(t_grid, forcing_states, strict=True):
         if prev is not None:
@@ -283,7 +283,7 @@ def duhamel_apply(
             if synthesis is None:
                 out.append(base.synthesize(state))
             else:
-                out.append(SpectralField3(state @ synthesis, base.disc))
+                out.append(SpectralField3(state @ synthesis, base.flow.disc))
         prev = x
     return out
 
@@ -370,14 +370,14 @@ class PicardProblem:
         self.integrand = _integrand(v0, w0, params)
         self.w0_propagator = RobinPropagator(w0, params)
         self.forcing_analysis, self.synthesis = (
-            duhamel_tables(params.gamma, v0.disc) if tabulates(v0.disc) else (None, None)
+            duhamel_tables(self.w0_propagator.flow) if tabulates(v0.disc) else (None, None)
         )
         self.forcing_state = self.analyse_forcing(v0)
 
     def analyse_forcing(self, v: SpectralField3) -> np.ndarray:
-        """robin_state(d_z(v), gamma), by the forcing table if the problem has one."""
+        """The state of d_z(v) in the flow of w0, by the forcing table if the problem has one."""
         if self.forcing_analysis is None:
-            return robin_state(d_z(v), self.params.gamma)
+            return self.w0_propagator.flow.analyse(d_z(v).coeffs)
         return v.coeffs @ self.forcing_analysis
 
 

@@ -40,6 +40,12 @@ A = math.pi
 ROOT = Path(__file__).parents[1]
 # the one stderr line of a run whose arithmetic overflowed
 OVERFLOW_ERROR = r"run error: non-finite arithmetic: (overflow|invalid value) encountered in \w+\n"
+# the one stderr line of a run refused because its growth calibration would overflow
+GROWTH_REFUSAL = (
+    r"config error: the growth calibration would overflow: its squared wall growth exponent "
+    r"2 nu \(gamma\^2 - mu_min\^2\) t_max = \d+(\.\d+)? reaches ln of the largest float, "
+    r"709\.783\n"
+)
 
 BASE = {
     "params": {"a": A, "nu": 1.0, "gamma": 2.0, "beta": 1.0},
@@ -370,35 +376,58 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "name, gamma",
-        # at gamma = 20 the calibration's norm squares overflow; at gamma = 40
-        # e^{nu gamma^2} = e^{1600} overflows before them
+        # at gamma = 20 the calibration's norm squares would overflow; at
+        # gamma = 40 e^{nu gamma^2} = e^{1600} would overflow before them
         [("picard_smooth.json", 20.0), ("picard_smooth.json", 40.0), ("heat_eigenmode.json", 20.0)],
     )
-    def test_picard_with_an_overflowing_growth_calibration_is_a_run_error(
+    def test_picard_with_an_overflowing_growth_calibration_is_refused_up_front(
         self, tmp_path, name, gamma
     ):
-        done = self.run_at_gamma(tmp_path, "picard", name, gamma)
+        done = self.run_shipped(tmp_path, "picard", name, gamma=gamma)
         assert done.returncode == 1, done.stderr
-        assert re.fullmatch(OVERFLOW_ERROR, done.stderr), done.stderr
+        assert re.fullmatch(GROWTH_REFUSAL, done.stderr), done.stderr
+        assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("gamma", [20.0, 40.0])
+    @pytest.mark.parametrize("gamma", [19.0, 20.0, 40.0])
     @pytest.mark.parametrize("command", ["heat", "calibrate", "picard"])
     def test_an_overflowing_run_prints_one_named_error_and_no_warning(
         self, tmp_path, command, gamma
     ):
         # before the growth calibration raised, heat and calibrate exited 2
         # with NaN certificates, and every command printed numpy
-        # RuntimeWarnings carrying absolute source paths
-        done = self.run_at_gamma(tmp_path, command, "heat_eigenmode.json", gamma)
+        # RuntimeWarnings carrying absolute source paths; the run is now
+        # refused before its --out exists, naming 2 nu (gamma^2 - mu_min^2)
+        done = self.run_shipped(tmp_path, command, "heat_eigenmode.json", gamma=gamma)
         assert done.returncode == 1, done.stderr
         assert "RuntimeWarning" not in done.stderr and "/" not in done.stderr
+        assert re.fullmatch(GROWTH_REFUSAL, done.stderr), done.stderr
+        assert f" = {2.0 * (gamma**2 - 2.0):.6g} reaches " in done.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, gamma", [("calibrate", 18.7), ("elliptic", 19.0)])
+    def test_the_growth_refusal_spares_runs_that_complete(self, tmp_path, command, gamma):
+        # on heat_eigenmode.json the calibration's norms first overflow at
+        # gamma 18.8, exponent 702.9; elliptic calibrates no growth
+        done = self.run_shipped(tmp_path, command, "heat_eigenmode.json", gamma=gamma)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+
+    @pytest.mark.parametrize("command, op", [("heat", "square"), ("picard", "vecdot")])
+    def test_overflowing_data_is_one_named_run_error(self, tmp_path, command, op):
+        done = self.run_shipped(tmp_path, command, "heat_eigenmode.json", amplitude=1e200)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == f"run error: non-finite arithmetic: overflow encountered in {op}\n"
         assert re.fullmatch(OVERFLOW_ERROR, done.stderr), done.stderr
 
     @staticmethod
-    def run_at_gamma(tmp_path, command, name, gamma):
-        """The command on a shipped config with gamma replaced, in a fresh process."""
+    def run_shipped(tmp_path, command, name, gamma=None, amplitude=None):
+        """The command on a shipped config, in a fresh process, with gamma or
+        the w amplitude replaced where given."""
         cfg = json.loads((ROOT / "configs" / name).read_text())
-        cfg["params"]["gamma"] = gamma
+        if gamma is not None:
+            cfg["params"]["gamma"] = gamma
+        if amplitude is not None:
+            cfg["initial_data"]["w"]["amplitude"] = amplitude
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         env = dict(os.environ)
@@ -654,12 +683,14 @@ class TestVerifyCommand:
     @staticmethod
     def overflowing_heat_run(tmp_path, monkeypatch):
         # a report as heat wrote it at gamma = 40 before runs raised on
-        # floating-point errors: the Gronwall allowance overflows and the
-        # growth and route checks measure NaN
+        # floating-point errors and before such a run was refused up front:
+        # the Gronwall allowance overflows and the growth and route checks
+        # measure NaN
         path = write_config(tmp_path, params={"gamma": 40.0})
         out = tmp_path / "run"
         with monkeypatch.context() as patched, np.errstate(all="ignore"):
             patched.setattr(cli, "_finite_arithmetic", contextlib.nullcontext)
+            patched.setattr(cli, "_refuse_overflowing_growth", lambda config: None)
             assert main(["--command", "heat", "--config", str(path), "--out", str(out)]) == 2
         return out
 

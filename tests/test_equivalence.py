@@ -4,7 +4,7 @@ Each reference below is the earlier algorithm written out in full:
 
   Duhamel    the O(n_t^2) sum of RobinPropagator.at over every (slice, node)
              pair, against the spectral-state recurrence in duhamel_apply;
-  bundle     the backward exponential-kernel sweep as a Python loop over the
+  split      the backward exponential-kernel sweep as a Python loop over the
              z grid, against the single banded triangular solve;
   elliptic   one tridiagonal LAPACK dgtsv per lateral mode (scipy's banded
              solve for a band of width one each side), against the one
@@ -34,11 +34,11 @@ Each reference below is the earlier algorithm written out in full:
   synthesis  the slab values from a type-1 DST and their z derivative from
              a type-1 DCT, against the one backward real FFT of
              RobinPropagator.synthesize;
-  analysis   the type-1 DST of the bundle's slab part and the bundle's wall
+  analysis   the type-1 DST of the split's slab part and the split's wall
              moments, and the slab and wall rate formulas, against the one
-             state array of robin_state and the one rates table;
-  tables     robin_state of d_z and RobinPropagator.synthesize, against the
-             two z-operator tables a PicardProblem holds for its sweeps;
+             state array of RobinFlow.analyse and the flow's one rates table;
+  tables     RobinFlow.analyse of d_z and RobinPropagator.synthesize, against
+             the two z-operator tables a PicardProblem holds for its sweeps;
   held-out   the calibrate command's own held-out ratio loops, against the
              ratio samplers elliptic_ratios and growth_ratios (one stacked
              synthesis per field, at the shipped grids too), and the
@@ -116,14 +116,10 @@ from robinslab.elliptic import elliptic_ratios, interior_residual, solve_ellipti
 from robinslab.heat import (
     CALIBRATION_TIMES,
     RobinPropagator,
-    _bundle,
-    _moments,
     _simpson,
     fd_robin_oracle,
     growth_ratios,
-    robin_analysis,
-    robin_state,
-    robin_synthesis,
+    robin_flow,
 )
 from robinslab.errors import NoConvergenceError
 from robinslab.picard import (
@@ -148,6 +144,11 @@ from robinslab.worker import Worker
 
 A = math.pi
 PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0)
+
+
+def flow_of(gamma, disc):
+    """The Robin flow of PARAMS with gamma replaced, on disc."""
+    return robin_flow(PARAMS.nu, gamma, PARAMS.a, disc)
 
 
 def duhamel_by_sum(w0, g_slices, horizon, params):
@@ -213,9 +214,9 @@ def test_recurrence_matches_sum_of_propagator_evaluations():
     t_grid = np.linspace(0.0, 0.3, disc.n_t)
     got = duhamel_apply(
         RobinPropagator(w0, PARAMS),
-        [robin_state(g, PARAMS.gamma) for g in g_slices],
+        [flow_of(PARAMS.gamma, disc).analyse(g.coeffs) for g in g_slices],
         t_grid,
-        robin_synthesis(np.eye(disc.n_z - 1), PARAMS.gamma, disc),
+        flow_of(PARAMS.gamma, disc).synthesize(np.eye(disc.n_z - 1)),
     )
     ref = duhamel_by_sum(w0, g_slices, 0.3, PARAMS)
     for field, want in zip(got, ref[1:], strict=True):
@@ -228,7 +229,7 @@ def test_recurrence_matches_sum_of_propagator_evaluations():
 def test_banded_bundle_sweep_matches_backward_loop(n_z, gamma):
     disc = Discretization(k_max=3, n_z=n_z, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(n_z), kind="generic")
-    got, _ = _bundle(f.coeffs, gamma, disc)
+    got, _ = flow_of(gamma, disc)._split(f.coeffs)
     ref = slab_by_loop(f, gamma)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -552,7 +553,7 @@ def test_simpson_is_bit_identical_to_scipy(n_z):
     assert np.array_equal(_simpson(y, disc.dz), simpson(y, dx=disc.dz, axis=-1))
     assert _simpson(weight * weight, disc.dz) == simpson(weight * weight, dx=disc.dz)
     moment = simpson(y, dx=disc.dz, axis=-1) / simpson(weight * weight, dx=disc.dz)
-    assert np.array_equal(_moments(f.coeffs, 2.0, disc), moment)
+    assert np.array_equal(flow_of(2.0, disc)._split(f.coeffs)[1], moment)
 
 
 def held_out_elliptic_by_loop(params, disc, seed, size):
@@ -622,32 +623,34 @@ def test_bound_transforms_are_bit_identical_to_scipy_fft(k_max, n_z, monkeypatch
 
 
 @pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
-def test_robin_state_is_the_sine_analysis_of_the_bundle_then_its_moments(k_max, n_z):
+def test_the_flow_analysis_is_the_sine_analysis_of_the_split_then_its_moments(k_max, n_z):
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=PARAMS.gamma)
-    slab, moments = _bundle(f.coeffs, PARAMS.gamma, disc)
-    state = robin_state(f, PARAMS.gamma)
+    slab, moments = flow_of(PARAMS.gamma, disc)._split(f.coeffs)
+    prop = RobinPropagator(f, PARAMS)
+    state = prop.state
     assert state.shape == (k_max, k_max, n_z - 1)
     assert not state.flags.writeable
     assert np.array_equal(state[..., :-1], dst(slab[..., 1:-1], type=1, axis=-1) / (n_z - 1))
     assert np.array_equal(state[..., -1], moments)
-    prop = RobinPropagator(f, PARAMS)
-    assert np.array_equal(prop.state, state)
+    assert np.array_equal(prop.flow.analyse(f.coeffs), state)
     # the rates of the slab modes and of the wall moments, as two formulas
     nu, gamma = PARAMS.nu, PARAMS.gamma
     zeta = (np.pi * np.arange(1, n_z - 1, dtype=float) / disc.l_z)[None, None, :]
     mu = disc.lateral.mu(PARAMS.a)
     mu2 = (mu * mu)[:, :, None]
-    assert prop.rates.shape == state.shape
-    assert np.array_equal(prop.rates[..., :-1], -nu * (mu2 + zeta**2))
-    assert np.array_equal(prop.rates[..., -1], nu * (gamma * gamma - mu2[:, :, 0]))
+    rates = prop.flow.rates
+    assert rates.shape == state.shape
+    assert np.array_equal(rates[..., :-1], -nu * (mu2 + zeta**2))
+    assert np.array_equal(rates[..., -1], nu * (gamma * gamma - mu2[:, :, 0]))
 
 
 def synthesize_by_dst_and_dct(prop, state):
     """Slab values from a type-1 DST, minus 1/gamma times their z derivative
     from a type-1 DCT of zeta-weighted modes, plus the wall profile."""
     slab_modes, wall_moments = state[..., :-1], state[..., -1]
-    n_z, l_z = prop.disc.n_z, prop.disc.l_z
+    disc, gamma = prop.flow.disc, prop.flow.gamma
+    n_z, l_z = disc.n_z, disc.l_z
     slab_vals = np.zeros(slab_modes.shape[:-1] + (n_z,))
     slab_vals[..., 1:-1] = dst(slab_modes, type=1, axis=-1) / 2.0
     zeta = np.pi * np.arange(1, n_z - 1, dtype=float) / l_z
@@ -655,9 +658,9 @@ def synthesize_by_dst_and_dct(prop, state):
     packed[..., 1:-1] = 0.5 * (slab_modes * zeta)
     slab_dz = scipy.fft.dct(packed, type=1, axis=-1)
     return (
-        -slab_dz / prop.params.gamma
+        -slab_dz / gamma
         + slab_vals
-        + wall_moments[:, :, None] * np.exp(-prop.params.gamma * prop.disc.z)
+        + wall_moments[:, :, None] * np.exp(-gamma * disc.z)
     )
 
 
@@ -679,20 +682,21 @@ def test_tabulated_duhamel_operators_match_the_transform_route(k_max, n_z, gamma
     params = dataclasses.replace(PARAMS, gamma=gamma)
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     gen = np.random.default_rng(n_z)
-    analysis, synthesis = duhamel_tables(gamma, disc)
+    flow = flow_of(gamma, disc)
+    analysis, synthesis = duhamel_tables(flow)
     assert analysis.shape == (n_z, n_z - 1) and synthesis.shape == (n_z - 1, n_z)
     assert not analysis.flags.writeable and not synthesis.flags.writeable
     for kind in ("vspace", "generic"):
         f = random_field3(disc, gen, kind=kind)
-        want = robin_state(d_z(f), gamma)
+        want = flow.analyse(d_z(f).coeffs)
         assert relative_gap(f.coeffs @ analysis, want) <= 1e-13
     prop = RobinPropagator(random_field3(disc, gen, kind="robin", gamma=gamma), params)
     for t in (0.0, 1e-3, 0.01):
         state = prop.state_at(t)
         assert relative_gap(state @ synthesis, prop.synthesize(state).coeffs) <= 1e-13
-    # the tables are the array-level routes run on identity rows
-    assert np.array_equal(analysis, robin_analysis(_dz1(np.eye(n_z), disc.dz), gamma, disc))
-    assert np.array_equal(synthesis, robin_synthesis(np.eye(n_z - 1), gamma, disc))
+    # the tables are the flow's route run on identity rows
+    assert np.array_equal(analysis, flow.analyse(_dz1(np.eye(n_z), disc.dz)))
+    assert np.array_equal(synthesis, flow.synthesize(np.eye(n_z - 1)))
 
 
 LAPACK_SITES = (
@@ -707,7 +711,7 @@ def _copied(values):
 
 @pytest.mark.parametrize("k_max, n_z", KERNEL_GRIDS)
 def test_bound_lapack_routines_are_bit_identical_to_scipy_lapack(k_max, n_z, monkeypatch):
-    """Every LAPACK call the bundle, the oracle and the elliptic operator make.
+    """Every LAPACK call the flow's split, the oracle and the elliptic operator make.
 
     Each call runs first through scipy.linalg.lapack and then, once any
     argument it overwrote is restored, through the bound routine on the
@@ -732,7 +736,7 @@ def test_bound_lapack_routines_are_bit_identical_to_scipy_lapack(k_max, n_z, mon
         monkeypatch.setattr(module, name, spy)
     disc = Discretization(k_max=k_max, n_z=n_z, l_z=20.0)
     f = random_field3(disc, np.random.default_rng(n_z), kind="robin", gamma=PARAMS.gamma)
-    _bundle(f.coeffs, PARAMS.gamma, disc)
+    flow_of(PARAMS.gamma, disc)._split(f.coeffs)
     fd_robin_oracle(f, 0.3, PARAMS, n_steps=3)
     eigen_steps = heat.ORACLE_EIGEN_RATIO * (n_z - 1) // k_max**2 + 1
     assert heat.oracle_route(disc, eigen_steps) == "eigen"
@@ -974,7 +978,8 @@ def sweep_by_every_slice(state, problem, t):
         acc = acc + 2.0 * dt * (integrands[i - 1] + integrands[i])
         v_new.append(SpectralField3(v0.coeffs + acc, v0.disc))
     if problem.forcing_analysis is None:
-        states = [robin_state(d_z(v_j), params.gamma) for v_j in state.v_slices]
+        flow = robin_flow(params.nu, params.gamma, params.a, v0.disc)
+        states = [flow.analyse(d_z(v_j).coeffs) for v_j in state.v_slices]
     else:
         states = [v_j.coeffs @ problem.forcing_analysis for v_j in state.v_slices]
     w_new = duhamel_apply(RobinPropagator(w0, params), states, t, problem.synthesis)
@@ -1027,7 +1032,7 @@ def test_a_sweep_through_the_tables_matches_the_transform_sweep(k_max, n_z):
     tables = small_problem(k_max=k_max, n_z=n_z)
     transforms = small_problem(k_max=k_max, n_z=n_z)
     disc = tables.v0.disc
-    tables.forcing_analysis, tables.synthesis = duhamel_tables(PARAMS.gamma, disc)
+    tables.forcing_analysis, tables.synthesis = duhamel_tables(flow_of(PARAMS.gamma, disc))
     transforms.forcing_analysis = transforms.synthesis = None
     tables.forcing_state = tables.analyse_forcing(tables.v0)
     transforms.forcing_state = transforms.analyse_forcing(transforms.v0)

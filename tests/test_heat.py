@@ -34,19 +34,16 @@ from robinslab.domain import (
 )
 from robinslab.heat import (
     COMPAT_WARNING,
+    RobinFlow,
     RobinPropagator,
-    _bundle,
-    _moments,
     boundary_residual,
     calibrate_growth_constant,
     fd_robin_oracle,
     growth_ratios,
-    robin_analysis,
-    robin_state,
-    robin_synthesis,
+    robin_flow,
     warn_if_incompatible,
 )
-from robinslab.picard import duhamel_tables
+from robinslab.picard import HorizonSelection, PicardProblem
 
 A = math.pi
 PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0)
@@ -54,6 +51,11 @@ PARAMS = ModelParams(a=A, nu=1.0, gamma=2.0, beta=1.0)
 
 def eigen_field(disc, gamma, mode=(1, 1)):
     return field3_from_profile(disc, mode, np.exp(-gamma * disc.z))
+
+
+def split(values, gamma, disc):
+    """(slab, moments) of the z profiles of values in the flow of gamma on disc."""
+    return robin_flow(PARAMS.nu, gamma, PARAMS.a, disc)._split(values)
 
 
 def dense_cn_matrix(n_z, h, gamma, mu2, c):
@@ -85,7 +87,7 @@ class TestMoment:
         # numerator and denominator integrate the same array, so this is
         # exact, not approximate
         disc = Discretization(k_max=2, n_z=257, l_z=20.0)
-        m = _moments(eigen_field(disc, PARAMS.gamma).coeffs, PARAMS.gamma, disc)
+        _, m = split(eigen_field(disc, PARAMS.gamma).coeffs, PARAMS.gamma, disc)
         assert m[0, 0] == 1.0
 
     def test_cubed_decay_closed_form(self):
@@ -95,14 +97,14 @@ class TestMoment:
         for n_z in (513, 1025):
             disc = Discretization(k_max=1, n_z=n_z, l_z=20.0)
             f = field3_from_profile(disc, (1, 1), np.exp(-3 * PARAMS.gamma * disc.z))
-            errs[n_z] = abs(_moments(f.coeffs, PARAMS.gamma, disc)[0, 0] - 0.5)
+            errs[n_z] = abs(split(f.coeffs, PARAMS.gamma, disc)[1][0, 0] - 0.5)
         assert errs[513] < 1e-4
         assert 12.0 < errs[513] / errs[1025] < 20.0
 
     def test_residue_moment_vanishes_on_grid(self, rng):
         disc = Discretization(k_max=3, n_z=257, l_z=20.0)
         f = random_field3(disc, rng, kind="generic")
-        m = _moments(f.coeffs, PARAMS.gamma, disc)
+        _, m = split(f.coeffs, PARAMS.gamma, disc)
         weight = np.exp(-PARAMS.gamma * disc.z)
         residue = f.coeffs - m[:, :, None] * weight
         left = simpson(residue * weight, dx=disc.dz, axis=-1)
@@ -111,13 +113,13 @@ class TestMoment:
     def test_rejects_nonpositive_gamma(self):
         disc = Discretization(k_max=1, n_z=65, l_z=20.0)
         with pytest.raises(ValueError):
-            _moments(eigen_field(disc, 1.0).coeffs, 0.0, disc)
+            split(eigen_field(disc, 1.0).coeffs, 0.0, disc)
 
 
 class TestTransform:
     def test_slab_part_of_eigen_profile_is_exactly_zero(self):
         disc = Discretization(k_max=2, n_z=257, l_z=20.0)
-        slab, moments = _bundle(eigen_field(disc, PARAMS.gamma).coeffs, PARAMS.gamma, disc)
+        slab, moments = split(eigen_field(disc, PARAMS.gamma).coeffs, PARAMS.gamma, disc)
         assert np.max(np.abs(slab)) == 0.0
         assert moments[0, 0] == 1.0
 
@@ -127,7 +129,7 @@ class TestTransform:
         for n_z in (513, 1025):
             disc = Discretization(k_max=1, n_z=n_z, l_z=20.0)
             f = field3_from_profile(disc, (1, 1), (1 + disc.z) * np.exp(-disc.z))
-            slab, moments = _bundle(f.coeffs, 1.0, disc)
+            slab, moments = split(f.coeffs, 1.0, disc)
             assert moments[0, 0] == pytest.approx(1.5, rel=1e-6)
             errs[n_z] = np.max(np.abs(slab[0, 0] - 0.5 * disc.z * np.exp(-disc.z)))
         assert errs[513] < 5e-4
@@ -142,7 +144,7 @@ class TestTransform:
             f = random_field3(
                 disc, np.random.default_rng(9), kind="robin", gamma=PARAMS.gamma
             )
-            slab, _ = _bundle(f.coeffs, PARAMS.gamma, disc)
+            slab, _ = split(f.coeffs, PARAMS.gamma, disc)
             vals[n_z] = np.max(np.abs(slab[:, :, 0]))
         assert vals[513] < 1e-4
         assert 3.0 < vals[513] / vals[1025] < 5.0
@@ -207,15 +209,15 @@ class TestPropagator:
         disc = Discretization(k_max=2, n_z=65, l_z=20.0)
         w0 = eigen_field(disc, 1.0)
         params = dataclasses.replace(PARAMS, gamma=gamma)
+        horizon = HorizonSelection(
+            T=0.01, M=1.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
+        )
         calls = (
-            lambda: _moments(w0.coeffs, gamma, disc),
-            lambda: _bundle(w0.coeffs, gamma, disc),
-            lambda: robin_analysis(w0.coeffs, gamma, disc),
-            lambda: robin_state(w0, gamma),
-            lambda: robin_synthesis(np.zeros((2, 2, disc.n_z - 1)), gamma, disc),
+            lambda: RobinFlow(params.nu, gamma, params.a, disc),
+            lambda: robin_flow(params.nu, gamma, params.a, disc),
             lambda: RobinPropagator(w0, params),
             lambda: growth_ratios([w0], (0.1,), params),
-            lambda: duhamel_tables(gamma, disc),
+            lambda: PicardProblem(w0, w0, params, horizon),
         )
         refusal = f"the Robin heat flow requires a finite gamma > 0, got {gamma}"
         for call in calls:

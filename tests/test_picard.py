@@ -30,7 +30,7 @@ from robinslab.domain import (
     zero_field3,
 )
 from robinslab.errors import NoConvergenceError, NonFiniteError
-from robinslab.heat import RobinPropagator, robin_state
+from robinslab.heat import RobinPropagator
 from robinslab.picard import (
     PICARD_TOL,
     HorizonSelection,
@@ -154,7 +154,7 @@ class TestDuhamel:
         g = field3_from_profile(disc, (1, 1), 0.7 * prof)
         t = np.linspace(0.0, 0.5, disc.n_t)
         base = RobinPropagator(zero_field3(disc), PARAMS)
-        slices = duhamel_apply(base, [robin_state(g, PARAMS.gamma)] * disc.n_t, t)
+        slices = duhamel_apply(base, [base.flow.analyse(g.coeffs)] * disc.n_t, t)
         r = PARAMS.nu * (PARAMS.gamma**2 - 2.0)
         for i in (8, 16, 32):
             exact = 0.7 * (math.exp(r * t[i]) - 1.0) / r * prof
@@ -164,8 +164,8 @@ class TestDuhamel:
     def test_zero_forcing_reduces_to_propagation(self, rng):
         disc = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
-        zeros = [robin_state(zero_field3(disc), PARAMS.gamma)] * disc.n_t
         prop = RobinPropagator(w0, PARAMS)
+        zeros = [prop.flow.analyse(zero_field3(disc).coeffs)] * disc.n_t
         t = np.linspace(0.0, 0.2, disc.n_t)
         slices = duhamel_apply(prop, zeros, t)
         assert len(slices) == disc.n_t - 1  # slice 0 is w0, which the caller holds
@@ -175,10 +175,10 @@ class TestDuhamel:
     def test_zero_forcing_through_the_synthesis_table_reduces_to_propagation(self, rng):
         disc = Discretization(k_max=2, n_z=129, l_z=20.0, n_t=5)
         w0 = random_field3(disc, rng, kind="robin", gamma=PARAMS.gamma)
-        zeros = [robin_state(zero_field3(disc), PARAMS.gamma)] * disc.n_t
         prop = RobinPropagator(w0, PARAMS)
+        zeros = [prop.flow.analyse(zero_field3(disc).coeffs)] * disc.n_t
         t = np.linspace(0.0, 0.2, disc.n_t)
-        _, synthesis = duhamel_tables(PARAMS.gamma, disc)
+        _, synthesis = duhamel_tables(prop.flow)
         slices = duhamel_apply(prop, zeros, t, synthesis)
         assert len(slices) == disc.n_t - 1
         for i in range(1, disc.n_t):
@@ -189,7 +189,7 @@ class TestDuhamel:
         disc = Discretization(k_max=1, n_z=65, l_z=20.0, n_t=5)
         w0 = zero_field3(disc)
         base = RobinPropagator(w0, PARAMS)
-        x = robin_state(w0, PARAMS.gamma)
+        x = base.state
         with pytest.raises(ValueError):
             duhamel_apply(base, [x], np.array([0.0]))
         with pytest.raises(ValueError):  # fewer forcing states than grid nodes
@@ -242,7 +242,7 @@ class TestTabulation:
             assert np.array_equal(problem.forcing_state, v0.coeffs @ problem.forcing_analysis)
         else:
             assert problem.forcing_analysis is None and problem.synthesis is None
-            want = robin_state(picard.d_z(v0), PARAMS.gamma)
+            want = problem.w0_propagator.flow.analyse(picard.d_z(v0).coeffs)
             assert np.array_equal(problem.forcing_state, want)
 
 

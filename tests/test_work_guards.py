@@ -2,17 +2,18 @@
 
 One Picard sweep evaluates the Duhamel term in the spectral state.  On a
 grid that tabulates, it goes through the two z-operator tables of its
-problem: it makes no robin_state analysis, no sine transform and no
-backward FFT.  On any other grid it analyses each forcing slice with
-robin_state.  Either way it builds no propagator and never evaluates one
+problem: it makes no flow analysis, no sine transform and no backward
+FFT.  On any other grid it analyses each forcing slice with the flow of
+w0.  Either way it builds no propagator and never evaluates one
 through RobinPropagator.at.  What the data alone feed into a sweep (their
 elliptic solve, the state of d_z(v0), the one propagator of w0 and the
 tables) a solve computes once, with the same transforms whatever n_t or
 the number of sweeps, and a slice holding the data reuses it.  A
 converging solve takes no norm for its ball guard beyond the start's,
-propagators on one geometry share their rates, and the elliptic band is
-factored once per geometry, not once per solve.  The transform route
-checks gamma and builds what it and the grid fix once per geometry.  A
+and the elliptic band is factored once per geometry, not once per solve.
+The transform route checks gamma and builds one flow per geometry, which
+every analysis, synthesis, propagator, sampler and Picard problem on it
+shares, with its one read-only rates table.  A
 solve, from its config to its error budget, builds one lateral rate table
 per (k_max, a) and one collocation pair per point count, which equal
 discretizations share.  One
@@ -62,13 +63,13 @@ PARAMS = ModelParams(a=math.pi, nu=1.0, gamma=2.0, beta=1.0)
 
 
 def _count_propagator_work(monkeypatch):
-    """Count RobinPropagator builds and .at calls, robin_state analyses and
+    """Count RobinPropagator builds and .at calls, RobinFlow analyses and
     heat's sine transforms and backward FFTs wherever they are called from;
     returns the live counts."""
     counts = _count_calls(monkeypatch, heat, "dst", "c2r")
     counts.update(at=0, build=0, analysis=0)
     real_at, real_init = heat.RobinPropagator.at, heat.RobinPropagator.__init__
-    real_state = heat.robin_state
+    real_analyse = heat.RobinFlow.analyse
 
     def counting_at(self, t):
         counts["at"] += 1
@@ -78,14 +79,13 @@ def _count_propagator_work(monkeypatch):
         counts["build"] += 1
         real_init(self, *args, **kwargs)
 
-    def counting_state(*args, **kwargs):
+    def counting_analyse(self, values):
         counts["analysis"] += 1
-        return real_state(*args, **kwargs)
+        return real_analyse(self, values)
 
     monkeypatch.setattr(heat.RobinPropagator, "at", counting_at)
     monkeypatch.setattr(heat.RobinPropagator, "__init__", counting_init)
-    monkeypatch.setattr(heat, "robin_state", counting_state)
-    monkeypatch.setattr(picard, "robin_state", counting_state)
+    monkeypatch.setattr(heat.RobinFlow, "analyse", counting_analyse)
     return counts
 
 
@@ -112,10 +112,11 @@ def test_one_sweep_analyses_per_slice_and_builds_nothing(monkeypatch):
 
 
 # on a grid that tabulates: the propagator of w0 (its build, its state and
-# that state's sine transform), then one sine transform for the forcing
-# table and one backward FFT for the synthesis table; the state of d_z(v0)
-# is a product with the forcing table
-SETUP_WORK = {"at": 0, "build": 1, "analysis": 1, "dst": 2, "c2r": 1}
+# that state's sine transform), then one analysis of the identity rows,
+# with its one sine transform, for the forcing table and one backward FFT
+# for the synthesis table; the state of d_z(v0) is a product with the
+# forcing table
+SETUP_WORK = {"at": 0, "build": 1, "analysis": 2, "dst": 2, "c2r": 1}
 
 
 def test_a_tabulating_sweep_makes_no_analysis_and_no_transform(monkeypatch):
@@ -223,28 +224,31 @@ def test_an_operator_build_factors_once_and_estimates_each_distinct_mode(monkeyp
     assert counts == {"dgttrf": 1, "dgtcon": 10}
 
 
-def test_propagators_on_one_geometry_share_their_rates():
+def test_the_transform_route_checks_and_builds_one_flow_per_geometry():
     disc = Discretization(k_max=3, n_z=129, l_z=20.0)
     gen = np.random.default_rng(13)
     fields = [random_field3(disc, gen, kind="generic") for _ in range(3)]
-    first, second = (heat.RobinPropagator(f, PARAMS) for f in fields[:2])
-    assert second.rates is first.rates
-    assert not first.rates.flags.writeable
+    f = random_field3(disc, np.random.default_rng(14), kind="robin", gamma=PARAMS.gamma)
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    horizon = HorizonSelection(
+        T=0.02, M=1.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
+    )
+    heat.robin_flow.cache_clear()
+    flow = heat.robin_flow(PARAMS.nu, PARAMS.gamma, PARAMS.a, disc)
+    flow.synthesize(flow.analyse(f.coeffs))
+    first, second = (heat.RobinPropagator(g, PARAMS) for g in fields[:2])
+    first.at(0.1)
+    heat.growth_ratios([f], (0.0, 0.1), PARAMS)
+    problem = PicardProblem(v0, f, PARAMS, horizon)
+    assert heat.robin_flow.cache_info().misses == 1
+    assert first.flow is second.flow is problem.w0_propagator.flow is flow
+    assert second.flow.rates is first.flow.rates
+    assert not flow.rates.flags.writeable
     assert not first.state.flags.writeable
     slower = ModelParams(a=PARAMS.a, nu=0.5, gamma=PARAMS.gamma, beta=PARAMS.beta)
     other = heat.RobinPropagator(fields[2], slower)
-    assert np.array_equal(other.rates, 0.5 * first.rates)
-
-
-def test_the_transform_route_checks_and_builds_a_geometry_once():
-    disc = Discretization(k_max=3, n_z=129, l_z=20.0)
-    f = random_field3(disc, np.random.default_rng(14), kind="robin", gamma=PARAMS.gamma)
-    heat._geometry.cache_clear()
-    state = heat.robin_analysis(f.coeffs, PARAMS.gamma, disc)
-    heat.robin_synthesis(state, PARAMS.gamma, disc)
-    heat.RobinPropagator(f, PARAMS).at(0.1)
-    heat.growth_ratios([f], (0.0, 0.1), PARAMS)
-    assert heat._geometry.cache_info().misses == 1
+    assert heat.robin_flow.cache_info().misses == 2
+    assert np.array_equal(other.flow.rates, 0.5 * flow.rates)
 
 
 def test_a_solve_builds_each_lateral_basis_table_once():
@@ -255,7 +259,7 @@ def test_a_solve_builds_each_lateral_basis_table_once():
     }
     basis = domain.LateralBasis
     tables = (basis.mu, basis.collocation, basis.norm_weights)
-    for cache in tables + (elliptic.elliptic_operator, heat._propagator_rates):
+    for cache in tables + (elliptic.elliptic_operator, heat.robin_flow):
         cache.cache_clear()
     config = report.parse_config(raw)
     disc, params = config.disc, config.params
@@ -397,10 +401,10 @@ def test_growth_ratios_synthesize_once_per_nonzero_field(monkeypatch, times):
     fields = [random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma) for _ in range(3)]
     fields.insert(1, domain.zero_field3(disc))
     counts = _count_propagator_work(monkeypatch)
-    syntheses = _count_calls(monkeypatch, heat, "robin_synthesis")
+    syntheses = _count_calls(monkeypatch, heat.RobinFlow, "synthesize")
     ratios = heat.growth_ratios(fields, times, PARAMS)
     assert len(ratios) == 3 * len(times)
-    assert syntheses == {"robin_synthesis": 3}
+    assert syntheses == {"synthesize": 3}
     assert counts == {"at": 0, "build": 3, "analysis": 3, "dst": 3, "c2r": 3}
 
 
@@ -425,7 +429,7 @@ def test_oracle_runs_without_the_transform_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use the transform route")
 
-    for name in ("dst", "c2r", "dtbtrs", "_bundle", "_geometry", "RobinPropagator"):
+    for name in ("dst", "c2r", "dtbtrs", "robin_flow", "RobinFlow", "RobinPropagator"):
         monkeypatch.setattr(heat, name, forbidden)
     for (n_steps, route), before in zip(routes, want):
         assert heat.oracle_route(disc, n_steps) == route
