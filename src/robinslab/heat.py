@@ -27,12 +27,14 @@ one field; `at` is state_at followed by synthesize.
 
 Neither A nor S depends on the lateral mode: both take z profiles and
 states of any leading shape, so run on identity rows they tabulate each
-as one matrix.  The Picard solve, which applies both to every time slice
-of every sweep, tabulates them once per problem on grids of at most a few
-hundred z points and sums states before one synthesis per slice.  Every
-other caller, and a Picard solve on a larger grid, keeps the transforms,
-which there cost less per application than a dense product and hold no
-n_z^2 table.
+as one matrix.  On grids of at most TABLE_MAX_N_Z points the flow keeps
+S so tabulated, as its read-only synthesis_table, made on first use.  The
+Picard solve, which applies both operators to every time slice of every
+sweep, takes that table and its own forcing table once per problem and
+sums states before one synthesis per slice; the growth sampler takes it
+and an analysis table per call.  A single propagator, and every caller on
+a larger grid, keeps the transforms, which there cost less per
+application than a dense product and hold no n_z^2 table.
 
 A Crank-Nicolson finite-difference oracle provides an independent route to
 the same solution for cross-checks.  It lays every lateral mode's
@@ -53,8 +55,10 @@ the plain mu table alone, and it checks gamma itself.
 
 The growth calibration samples ||P_t w0|| over a random ensemble and a few
 times.  growth_ratios takes the decay factors once per flow and
-synthesizes each field's states at all its nonzero times in one call,
-which gives bit for bit what RobinPropagator.at gives one time at a time.
+synthesizes each field's states at all its nonzero times at once: on a
+grid that tabulates, by one product with the analysis table and one with
+the synthesis table per field, which agree with RobinPropagator.at to
+roundoff; elsewhere by one synthesize call, bit for bit what .at gives.
 
 The type-1 DST, the backward real FFT and the LAPACK routines (dtbtrs for
 the slab sweep, dpttrf/dpttrs and dstevd for the oracle) come from
@@ -86,6 +90,7 @@ from .domain import (
 __all__ = [
     "RobinFlow",
     "robin_flow",
+    "TABLE_MAX_N_Z",
     "warn_if_incompatible",
     "RobinPropagator",
     "ORACLE_EIGEN_RATIO",
@@ -148,7 +153,8 @@ class RobinFlow:
     Simpson mass Int e^{-2 gamma z} dz, the slab sweep's sweep_decay
     e^{-gamma dz}, sweep_weight gamma dz / 2 and unit upper-bidiagonal
     sweep_band (row 1 is never read), and the synthesis factors
-    -(zeta / gamma + i) / 2.  rates is made on first use.
+    -(zeta / gamma + i) / 2.  rates and synthesis_table are made on first
+    use.
     """
 
     def __init__(self, nu: float, gamma: float, a: float, disc: Discretization):
@@ -176,6 +182,12 @@ class RobinFlow:
         rates[..., :-1] = -self.nu * (mu2 + zeta**2)
         rates[..., -1] = self.nu * (self.gamma * self.gamma - mu2[:, :, 0])
         return _readonly(rates)
+
+    @cached_property
+    def synthesis_table(self) -> np.ndarray:
+        """S as an (n_z - 1) x n_z matrix, read-only: synthesize(state) is
+        state @ synthesis_table up to roundoff."""
+        return _readonly(self.synthesize(np.eye(self.disc.n_z - 1)))
 
     def _split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split the z profiles of values, any leading shape, into slab and
@@ -257,6 +269,23 @@ def robin_flow(nu: float, gamma: float, a: float, disc: Discretization) -> Robin
     """The flow of one geometry; the last few are kept, since every
     propagator, sampler and Picard problem of a run shares one."""
     return RobinFlow(nu, gamma, a, disc)
+
+
+# Largest n_z on which the flow's operators are applied as dense tables.  A
+# product with an n_z x n_z table reads the whole table for every block of
+# rows, and once the table outgrows the cache that costs more than the
+# transforms it replaces.  Per Picard slice (analysis plus synthesis, one
+# BLAS thread, 2-core Xeon), tables against transforms: 0.05 against
+# 0.13 ms at k_max 2, n_z 256; 0.12 against 0.30 ms at (2, 384); 0.39
+# against 0.25 ms at (2, 512); 3.2 against 0.47 ms at (2, 1024); 0.51
+# against 0.91 ms at (8, 256); 3.7 against 2.4 ms at (8, 512).  A table
+# product is that fast only on normal operands: OpenBLAS dgemm slows about
+# 4x on subnormal ones, which decayed states hold, since the slab rates
+# reach -nu (mu^2 + zeta^2), about -1600 at (8, 256).  At t 0.1, 0.5 and 1
+# there, 701 of the 48 960 decayed entries of one field are subnormal, and
+# the synthesis product over them takes 1.61 ms against 0.37 ms once they
+# are flushed to 0; the backward FFT takes 0.35 ms either way.
+TABLE_MAX_N_Z = 384
 
 
 def _wall_residual(omega: SpectralField3, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -484,28 +513,50 @@ def growth_ratios(
     The flow at t = 0 is the identity, so it records exactly 1.0 there:
     RobinPropagator.at(0) reproduces w0 only up to representation error.
     The decay factors of the nonzero times are taken once per flow, which
-    the propagators of one geometry share.  Each field's states at all
-    those times are stacked and synthesized in one RobinFlow.synthesize
-    call, then normed one time at a time; every ratio is bit for bit what
-    RobinPropagator.at gives, and a time state_at would refuse raises the
-    same ValueError.
+    the fields of one geometry share, and each field's states at all those
+    times are synthesized at once, then normed one time at a time; a time
+    state_at would refuse raises the same ValueError.
+
+    On a grid of at most TABLE_MAX_N_Z points a field's states are one
+    product of its z profiles with the flow's analysis table, built once
+    per call, and their syntheses one product with the flow's
+    synthesis_table; entries of the decayed states below the smallest
+    normal float are set to 0 first, which moves no ratio by more than
+    roundoff and keeps subnormal operands out of the product.  These
+    ratios agree with RobinPropagator.at to roundoff.  On a larger grid
+    each field's propagator is synthesized in one RobinFlow.synthesize
+    call, bit for bit what RobinPropagator.at gives.
     """
     later = [t for t in times if t != 0.0]
     ratios = []
-    flow = decays = None
+    flow = None
     for w0 in fields:
         base = sobolev_norm(w0, SOBOLEV_S, params.a)
         if base == 0.0:
             continue
-        prop = RobinPropagator(w0, params)
-        if prop.flow is not flow:
-            flow = prop.flow
-            decays = flow.decays(later)
-        grown = flow.synthesize(prop.state * decays)
-        norms = (sobolev_norm(SpectralField3(g, flow.disc), SOBOLEV_S, params.a) for g in grown)
+        disc = w0.disc
+        this = robin_flow(float(params.nu), float(params.gamma), float(params.a), disc)
+        if this is not flow:
+            flow, decays = this, this.decays(later)
+            analysis = flow.analyse(np.eye(disc.n_z)) if disc.n_z <= TABLE_MAX_N_Z else None
+        if analysis is None:
+            grown = flow.synthesize(RobinPropagator(w0, params).state * decays)
+        else:
+            states = (w0.coeffs.reshape(-1, disc.n_z) @ analysis).reshape(decays.shape[1:])
+            states = _flushed(states * decays)
+            grown = states.reshape(-1, disc.n_z - 1) @ flow.synthesis_table
+            grown = grown.reshape(states.shape[:-1] + (disc.n_z,))
+        norms = (sobolev_norm(SpectralField3(g, disc), SOBOLEV_S, params.a) for g in grown)
         for t in times:
             ratios.append(1.0 if t == 0.0 else growth_ratio(next(norms), base, t, params))
     return ratios
+
+
+def _flushed(states: np.ndarray) -> np.ndarray:
+    """states with every entry below the smallest normal float in size set
+    to 0, in place."""
+    states[np.abs(states) < np.finfo(float).tiny] = 0.0
+    return states
 
 
 # t samples shared by the growth-constant calibration and its held-out check

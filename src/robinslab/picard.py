@@ -27,12 +27,14 @@ analyses each forcing slice once and synthesizes each output slice once
 with the flow of the one propagator of w0, O(n_t) work instead of the
 O(n_t^2) propagator evaluations of a direct sum.  Neither the forcing
 analysis A d_z nor the synthesis S depends on the lateral mode, so on a
-grid where it pays (tabulates) each is one matrix per problem, made by
-the flow's analyse and synthesize on the identity, and a slice's analysis
-and its synthesis are one matrix product each.  Past a few hundred z points
-a dense product costs more than the transforms, and a problem whose
-sweeps apply the operators to fewer rows than a table has would not
-repay building it; such a problem keeps the transforms.
+grid where it pays (tabulates) each is one matrix: the forcing table,
+made once per problem by the flow's analyse on d_z of the identity, and
+the flow's own synthesis_table, which the growth calibration on the same
+flow shares; a slice's analysis and its synthesis are then one matrix
+product each.  Past heat.TABLE_MAX_N_Z z points a dense product costs
+more than the transforms, and a problem whose sweeps apply the operators
+to fewer rows than a table has would not repay building the forcing
+table; such a problem keeps the transforms.
 
 A PicardProblem is the map's one owner of the data, the horizon and the
 time grid, and of what the data alone feed into a sweep (slice 0's
@@ -61,7 +63,7 @@ from .domain import (
 )
 from .elliptic import solve_elliptic
 from .errors import NoConvergenceError, NonFiniteError
-from .heat import RobinFlow, RobinPropagator
+from .heat import TABLE_MAX_N_Z, RobinFlow, RobinPropagator
 
 __all__ = [
     "PICARD_TOL",
@@ -72,7 +74,6 @@ __all__ = [
     "PicardResult",
     "horizon_from_norms",
     "select_horizon",
-    "TABLE_MAX_N_Z",
     "tabulates",
     "duhamel_tables",
     "duhamel_apply",
@@ -206,17 +207,6 @@ def select_horizon(
 # --- Duhamel quadrature -----------------------------------------------------
 
 
-# Largest n_z at which a problem tabulates its Duhamel z-operators.  A
-# product with an n_z x n_z table reads the whole table for every block of
-# rows, and once the table outgrows the cache that costs more than the
-# transforms it replaces.  Per slice (analysis plus synthesis, one BLAS
-# thread, 2-core Xeon), tables against transforms: 0.05 against 0.13 ms at
-# k_max 2, n_z 256; 0.12 against 0.30 ms at (2, 384); 0.39 against 0.25 ms
-# at (2, 512); 3.2 against 0.47 ms at (2, 1024); 0.51 against 0.91 ms at
-# (8, 256); 3.7 against 2.4 ms at (8, 512).
-TABLE_MAX_N_Z = 384
-
-
 def tabulates(disc: Discretization) -> bool:
     """Whether a Picard problem on disc applies its Duhamel z-operators as
     the tables of duhamel_tables rather than by transforms.
@@ -237,13 +227,13 @@ def duhamel_tables(flow: RobinFlow) -> tuple[np.ndarray, np.ndarray]:
                       v.coeffs @ it
     synthesis         (n_z - 1) x n_z: flow.synthesize(state) is state @ it
 
-    Each is the flow's route run once on the identity rows.
+    Each is the flow's route run once on the identity rows; the synthesis
+    table is the flow's own synthesis_table, which its growth samplers share.
     """
     disc = flow.disc
     analysis = flow.analyse(_dz1(np.eye(disc.n_z), disc.dz))
-    synthesis = flow.synthesize(np.eye(disc.n_z - 1))
-    analysis.flags.writeable = synthesis.flags.writeable = False
-    return analysis, synthesis
+    analysis.flags.writeable = False
+    return analysis, flow.synthesis_table
 
 
 def duhamel_apply(

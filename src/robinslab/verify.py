@@ -122,14 +122,34 @@ def _worst(values: list[float]) -> float:
 
 def gronwall_samples(times, energies) -> tuple[np.ndarray, np.ndarray]:
     """(times, energies) as float arrays; raises ValueError unless they are
-    matching sequences of length >= 2 with strictly increasing times."""
+    matching sequences of length >= 2 with strictly increasing times and
+    no negative energy."""
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
     if times.shape != energies.shape or times.size < 2:
         raise ValueError("need matching time and energy sequences of length >= 2")
     if np.any(times[1:] <= times[:-1]):
         raise ValueError("times must be strictly increasing")
+    if np.any(energies < 0.0):
+        raise ValueError("energies must be nonnegative")
     return times, energies
+
+
+def _gronwall_ratio(e1: float, e2: float, growth: float) -> float:
+    """e2 / (e1 e^growth) for energies e1, e2 >= 0, from their logarithms,
+    so no intermediate overflows and no factor underflows to 0 ahead of a
+    violation: 0 for e2 = 0, inf for e1 = 0 < e2 and past the largest
+    float, NaN if either energy is."""
+    if math.isnan(e1) or math.isnan(e2):
+        return math.nan
+    if e2 == 0.0:
+        return 0.0
+    if e1 == 0.0:
+        return math.inf
+    try:
+        return math.exp(math.log(e2) - math.log(e1) - growth)
+    except OverflowError:
+        return math.inf
 
 
 def gronwall_energy_check(
@@ -140,11 +160,7 @@ def gronwall_energy_check(
     rate = 4.0 * params.nu * params.gamma**2
     ratios = [0.0]
     for t1, t2, e1, e2 in zip(times[:-1], times[1:], energies[:-1], energies[1:]):
-        allowed = e1 * math.exp(rate * (t2 - t1))
-        if allowed == 0.0:
-            ratios.append(0.0 if e2 == 0.0 else math.inf)
-        else:
-            ratios.append(e2 / allowed)
+        ratios.append(_gronwall_ratio(float(e1), float(e2), rate * float(t2 - t1)))
     return make_certificate(name, _worst(ratios), EXACT_SLACK, samples=int(times.size))
 
 

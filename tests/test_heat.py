@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from robinslab import heat
 from robinslab.domain import (
     Discretization,
     ModelParams,
@@ -33,6 +34,7 @@ from robinslab.domain import (
     zero_field3,
 )
 from robinslab.heat import (
+    CALIBRATION_TIMES,
     COMPAT_WARNING,
     RobinFlow,
     RobinPropagator,
@@ -436,6 +438,30 @@ class TestGrowthAndSmoothing:
             RobinPropagator(f, PARAMS).state_at(t)
         with pytest.raises(ValueError, match=f"^propagation time {message}$"):
             growth_ratios([zero_field3(disc), f], [0.0, 0.2, t], PARAMS)
+
+    def test_decayed_states_reach_the_table_product_without_subnormals(self, monkeypatch):
+        # at (8, 256) the slab rates reach about -1600, so the states at
+        # CALIBRATION_TIMES hold subnormal entries before the flush
+        disc = Discretization(k_max=8, n_z=256, l_z=20.0)
+        assert disc.n_z <= heat.TABLE_MAX_N_Z
+        f = random_field3(disc, np.random.default_rng(5), kind="robin", gamma=PARAMS.gamma)
+        tiny = np.finfo(float).tiny
+        seen = []
+        real_flushed = heat._flushed
+
+        def recording(states):
+            before = states.copy()
+            seen.append((before, real_flushed(states)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(heat, "_flushed", recording)
+        growth_ratios([f, f], CALIBRATION_TIMES, PARAMS)
+        assert len(seen) == 2
+        for before, after in seen:
+            subnormal = (before != 0.0) & (np.abs(before) < tiny)
+            assert np.count_nonzero(subnormal) > 0
+            assert np.array_equal(after, np.where(subnormal, 0.0, before))
+            assert not np.any((after != 0.0) & (np.abs(after) < tiny))
 
     def test_growth_seed_reproducibility(self):
         disc = Discretization(k_max=3, n_z=129, l_z=20.0)

@@ -105,11 +105,35 @@ class TestGronwall:
         c = gronwall_energy_check([0.0, 1.0], [0.0, 1.0], PARAMS)
         assert not c.passed and c.measured == math.inf
 
+    def test_ratios_take_no_overflowing_or_underflowing_intermediate(self):
+        # numpy's error state is the one the CLI runs under
+        t = [0.0, 1.0]
+        decade = math.log(10.0)
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            # 4 nu gamma^2 = 400 at gamma 10: e1 e^{400} overflows for e1 = 1e300
+            p = ModelParams(a=A, nu=1.0, gamma=10.0, beta=1.0)
+            big = gronwall_energy_check(t, [1e300, 1e308], p)
+            assert big.passed and big.measured == pytest.approx(math.exp(8 * decade - 400.0))
+            # e2 / e1 = 1e600 overflows and e^{-1000} underflows to 0, yet
+            # the ratio is a violation by e^{381}
+            fast = ModelParams(a=A, nu=1.0, gamma=math.sqrt(250.0), beta=1.0)
+            lifted = gronwall_energy_check(t, [1e-300, 1e300], fast)
+            assert not lifted.passed
+            assert lifted.measured == pytest.approx(math.exp(600 * decade - 1000.0), rel=1e-12)
+            # past the largest float the ratio reads inf, not an error
+            beyond = gronwall_energy_check(t, [1e-300, 1e300], PARAMS)
+            assert not beyond.passed and beyond.measured == math.inf
+            assert gronwall_energy_check(t, [0.0, 1e-300], p).measured == math.inf
+            assert gronwall_energy_check(t, [0.0, 0.0], p).measured == 0.0
+            assert gronwall_energy_check(t, [1e300, 0.0], p).measured == 0.0
+
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             gronwall_energy_check([0.0, 0.0], [1.0, 1.0], PARAMS)
         with pytest.raises(ValueError):
             gronwall_energy_check([0.0], [1.0], PARAMS)
+        with pytest.raises(ValueError, match="energies must be nonnegative"):
+            gronwall_energy_check([0.0, 1.0], [1.0, -1.0], PARAMS)
 
     def test_measured_propagated_run_passes(self, rng):
         from robinslab.heat import RobinPropagator

@@ -25,8 +25,12 @@ block-diagonal band for all lateral modes as LDL^T, so whether it refuses a
 step does not depend on the data, and makes one tridiagonal solve per step
 over the modes that carry data alone; it keeps the modes uncoupled and
 never touches the transform route.  The growth sampler synthesizes each
-nonzero field's states at all its times in one call and never goes
-through RobinPropagator.at.  Importing the command module must not pull
+nonzero field's states at all its times at once and never goes through
+RobinPropagator.at: on a grid of at most TABLE_MAX_N_Z points by two
+products with the flow's tables, which cost one sine transform and one
+backward FFT per call and build no propagator, and which it shares with
+every sampler and Picard problem of that flow; elsewhere by one
+synthesize call per field.  Importing the command module must not pull
 in scipy.signal, scipy.integrate, scipy.optimize, scipy.sparse.linalg, scipy.linalg,
 scipy.fft, scipy.special or scipy's array-API layer with the numpy.f2py and
 numpy.testing it loads, which cost every command set-up time and memory.
@@ -400,12 +404,57 @@ def test_growth_ratios_synthesize_once_per_nonzero_field(monkeypatch, times):
     gen = np.random.default_rng(11)
     fields = [random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma) for _ in range(3)]
     fields.insert(1, domain.zero_field3(disc))
+    heat.robin_flow.cache_clear()
     counts = _count_propagator_work(monkeypatch)
     syntheses = _count_calls(monkeypatch, heat.RobinFlow, "synthesize")
     ratios = heat.growth_ratios(fields, times, PARAMS)
     assert len(ratios) == 3 * len(times)
+    # the grid tabulates: one analysis and one synthesis of the identity
+    # make the flow's two tables, and each field is two products with them
+    assert disc.n_z <= heat.TABLE_MAX_N_Z
+    assert syntheses == {"synthesize": 1}
+    assert counts == {"at": 0, "build": 0, "analysis": 1, "dst": 1, "c2r": 1}
+
+
+def test_growth_ratios_past_the_table_size_synthesize_each_propagator_once(monkeypatch):
+    disc = Discretization(k_max=2, n_z=1024, l_z=20.0)
+    assert disc.n_z > heat.TABLE_MAX_N_Z
+    gen = np.random.default_rng(11)
+    fields = [random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma) for _ in range(3)]
+    fields.insert(1, domain.zero_field3(disc))
+    heat.robin_flow.cache_clear()
+    counts = _count_propagator_work(monkeypatch)
+    syntheses = _count_calls(monkeypatch, heat.RobinFlow, "synthesize")
+    ratios = heat.growth_ratios(fields, heat.CALIBRATION_TIMES, PARAMS)
+    assert len(ratios) == 3 * len(heat.CALIBRATION_TIMES)
     assert syntheses == {"synthesize": 3}
     assert counts == {"at": 0, "build": 3, "analysis": 3, "dst": 3, "c2r": 3}
+    assert "synthesis_table" not in vars(heat.robin_flow(PARAMS.nu, PARAMS.gamma, PARAMS.a, disc))
+
+
+def test_samplers_and_a_picard_problem_share_one_synthesis_table_per_flow(monkeypatch):
+    disc = Discretization(k_max=4, n_z=65, l_z=20.0, n_t=9)
+    assert picard.tabulates(disc)
+    gen = np.random.default_rng(16)
+    fields = [random_field3(disc, gen, kind="robin", gamma=PARAMS.gamma) for _ in range(3)]
+    v0 = random_field3(disc, gen, kind="vspace", amplitude=0.05)
+    horizon = HorizonSelection(
+        T=0.02, M=1.0, growth_constant=1.0, binding="unit cap", constraint_value=0.0
+    )
+    heat.robin_flow.cache_clear()
+    counts = _count_propagator_work(monkeypatch)
+    heat.growth_ratios(fields, heat.CALIBRATION_TIMES, PARAMS)
+    # one analysis table per call, one synthesis table per flow
+    assert counts == {"at": 0, "build": 0, "analysis": 1, "dst": 1, "c2r": 1}
+    heat.growth_ratios(fields, heat.CALIBRATION_TIMES, PARAMS)
+    assert counts == {"at": 0, "build": 0, "analysis": 2, "dst": 2, "c2r": 1}
+    problem = PicardProblem(v0, fields[0], PARAMS, horizon)
+    # the propagator of w0 and the forcing table; no second synthesis table
+    assert counts == {"at": 0, "build": 1, "analysis": 4, "dst": 4, "c2r": 1}
+    flow = heat.robin_flow(PARAMS.nu, PARAMS.gamma, PARAMS.a, disc)
+    assert problem.synthesis is flow.synthesis_table
+    assert not flow.synthesis_table.flags.writeable
+    assert heat.robin_flow.cache_info().misses == 1
 
 
 def test_oracle_keeps_lateral_modes_uncoupled():
